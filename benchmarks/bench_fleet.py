@@ -35,8 +35,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.fleet.coordinator import CoordinatorConfig  # noqa: E402
-from repro.fleet.http import CoordinatorServer  # noqa: E402
+from repro.fleet.coordinator import (  # noqa: E402
+    CoordinatorConfig, CoordinatorServer)
 from repro.fleet.registry import rendezvous_score  # noqa: E402
 from repro.fleet.worker import FleetWorker, WorkerConfig  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402

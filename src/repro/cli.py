@@ -884,8 +884,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_retries=args.retries,
         cache_max_bytes=args.cache_max_bytes,
         quiet=not args.verbose,
+        log=sys.stderr,
     )
-    config.log = sys.stderr
     return serve(config)
 
 
@@ -894,8 +894,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     if args.action == "coordinator":
-        from .fleet.coordinator import CoordinatorConfig
-        from .fleet.http import run_coordinator
+        from .fleet.coordinator import CoordinatorConfig, run_coordinator
 
         config = CoordinatorConfig(
             host=args.host,
@@ -903,12 +902,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             max_pending=args.max_pending,
             dispatchers=args.dispatchers,
-            quiet=not args.verbose)
+            cost_path=(Path(args.cache_dir) / "costs.json"
+                       if args.cache_dir is not None else None),
+            quiet=not args.verbose,
+            log=sys.stderr)
         if args.timeout is not None:
             config.job_timeout = args.timeout
-        config.log = sys.stderr
-        if args.cache_dir is not None:
-            config.cost_path = Path(args.cache_dir) / "costs.json"
         return run_coordinator(config)
     if args.action == "worker":
         from .fleet.worker import WorkerConfig, run_worker
@@ -922,8 +921,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             cache_root=args.cache_dir,
             job_timeout=args.timeout,
             advertise_url=args.advertise_url,
-            quiet=not args.verbose)
-        config.log = sys.stderr
+            quiet=not args.verbose,
+            log=sys.stderr)
         return run_worker(config)
 
     from .exec.costmodel import CostModel

@@ -19,10 +19,11 @@ One **coordinator** process fronts N **worker** daemons:
   a deterministic capacity plan (``report``).
 """
 
-from .coordinator import Coordinator, CoordinatorConfig
+from .coordinator import Coordinator, CoordinatorConfig, CoordinatorServer
 from .registry import WorkerInfo, WorkerRegistry
 from .store import FleetCache
 from .worker import FleetWorker, WorkerConfig
 
-__all__ = ["Coordinator", "CoordinatorConfig", "FleetCache",
-           "FleetWorker", "WorkerConfig", "WorkerInfo", "WorkerRegistry"]
+__all__ = ["Coordinator", "CoordinatorConfig", "CoordinatorServer",
+           "FleetCache", "FleetWorker", "WorkerConfig", "WorkerInfo",
+           "WorkerRegistry"]

@@ -1,20 +1,22 @@
 """The fleet coordinator: admission, routing, dispatch, and failover.
 
-The coordinator accepts the same job documents as a single daemon and
-farms them out to registered workers:
+The coordinator accepts the same job documents as a single daemon —
+:meth:`CoordinatorServer.routes` is the daemon's job API plus the
+worker control plane — and farms them out to registered workers.  Its
+job table is the daemon's own :class:`~repro.serve.queue.JobQueue`, so
+coalescing (fleet-wide: with digest routing, N identical requests cost
+one execution on one worker), admission depth, drain-cancel and bounded
+history are the queue's.  What the coordinator adds:
 
-- **admission** — submissions are rejected (429 + Retry-After) when the
-  pending set is full or every live worker reports a saturated queue
-  (that is how worker-level backpressure propagates end to end), and
-  503 while draining;
-- **coalescing** — an in-flight digest absorbs identical submissions
-  fleet-wide; combined with digest routing, N identical requests
-  anywhere in the fleet cost one execution on one worker;
+- **admission** — submissions are also rejected (429, with a
+  Retry-After derived from the cost predictor) while every live worker
+  reports a saturated queue; that is how worker-level backpressure
+  propagates end to end;
 - **dispatch** — ``dispatchers`` threads claim the shortest-predicted
-  pending job (the learned cost model's estimate), route it by digest
-  through the registry's rendezvous hash, submit it to the worker over
-  the ordinary :class:`~repro.serve.client.ServeClient`, and babysit it
-  to completion;
+  job that has a route through the registry's rendezvous hash, submit
+  it to the worker over the ordinary
+  :class:`~repro.serve.client.ServeClient`, and babysit it to
+  completion;
 - **failover** — a worker that refuses connections, 429s, or misses
   heartbeats gets its jobs requeued with that worker excluded, so the
   retry deterministically lands on the digest's next-choice worker;
@@ -30,19 +32,23 @@ from __future__ import annotations
 import threading
 import urllib.error
 from dataclasses import dataclass, field
-from typing import Optional
+from pathlib import Path
+from typing import ClassVar, Optional, TextIO, Union
 
 from ..exec.costmodel import CostModel
 from ..serve import clock
 from ..serve.client import ServeClient, ServeError
-from ..serve.jobs import (CANCELLED, DONE, FAILED, QUEUED,
-                          JobRequestError, TERMINAL_STATES,
-                          parse_job_request)
-from ..serve.metrics import MetricsRegistry
+from ..serve.daemon import job_routes
+from ..serve.http import API_PREFIX, Route, Service, run_until_signal
+from ..serve.jobs import (CANCELLED, DONE, FAILED, QUEUED, JobRecord,
+                          JobRequestError, parse_job_request)
+from ..serve.metrics import MetricsRegistry, endpoint_histograms
+from ..serve.queue import JobQueue, QueueFull, ServerDraining
 from ..serve.scheduler import predict_request
 from .registry import WorkerInfo, WorkerRegistry
 
-__all__ = ["Coordinator", "CoordinatorConfig", "FleetJob"]
+__all__ = ["Coordinator", "CoordinatorConfig", "CoordinatorServer",
+           "FleetJob", "run_coordinator"]
 
 #: Coordinator-side job state between queued and terminal.
 DISPATCHED = "dispatched"
@@ -62,79 +68,52 @@ class CoordinatorConfig:
     poll_interval: float = 0.2
     result_poll: float = 0.05
     job_timeout: float = 300.0
-    cost_path = None  # costs.json path for the learned predictor
+    #: costs.json path for the learned predictor
+    cost_path: Union[str, Path, None] = None
     quiet: bool = True
-    log = None
-
-    extra: dict = field(default_factory=dict)
+    log: Optional[TextIO] = None
 
 
 @dataclass
-class FleetJob:
-    """One job tracked by the coordinator."""
+class FleetJob(JobRecord):
+    """The daemon's job record plus where the coordinator sent it."""
 
-    id: str
-    doc: dict
-    digest: str
-    label: str
-    predicted_seconds: float = 0.0
-    state: str = QUEUED
-    submitted_at: float = field(default_factory=clock.wall)
-    finished_at: Optional[float] = None
+    claimed_state: ClassVar[str] = DISPATCHED
+
+    #: the submitted document, forwarded to the worker as is
+    doc: dict = field(default_factory=dict)
     worker_id: Optional[str] = None
     remote_id: Optional[str] = None
-    attempts: int = 0
     #: workers that already failed this job (excluded from re-routing)
     excluded: set = field(default_factory=set)
-    source: Optional[str] = None
-    result: Optional[dict] = None
-    error: Optional[str] = None
-    coalesced_into: Optional[str] = None
-    waiters: list = field(default_factory=list)
-    finished: threading.Event = field(default_factory=threading.Event,
-                                      repr=False, compare=False)
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
 
     def status_doc(self) -> dict:
-        return {
-            "id": self.id,
-            "state": self.state,
-            "label": self.label,
-            "digest": self.digest,
-            "predicted_seconds": round(self.predicted_seconds, 4),
-            "submitted_at": self.submitted_at,
-            "finished_at": self.finished_at,
-            "worker": self.worker_id,
-            "remote_id": self.remote_id,
-            "attempts": self.attempts,
-            "source": self.source,
-            "error": self.error,
-            "coalesced_into": self.coalesced_into,
-            "waiters": list(self.waiters),
-        }
+        doc = super().status_doc()
+        # A coordinator never starts a job itself and keeps the
+        # submitted document private; it says where the job went.
+        del doc["request"], doc["started_at"]
+        doc.update(label=self.request.label, worker=self.worker_id,
+                   remote_id=self.remote_id)
+        return doc
 
 
 class Coordinator:
-    """Routing/admission brain; the HTTP layer delegates to this."""
+    """Routing/admission brain; :class:`CoordinatorServer` serves it."""
 
-    def __init__(self, config: CoordinatorConfig,
-                 client_factory=None) -> None:
+    def __init__(self, config: CoordinatorConfig, client_factory,
+                 log) -> None:
         self.config = config
+        self.log = log
         self.registry = WorkerRegistry(
             heartbeat_timeout=config.heartbeat_timeout)
         self.cost_model = CostModel(config.cost_path)
+        self.queue = JobQueue(max_depth=config.max_pending)
         self._client_factory = client_factory or (
             lambda url: ServeClient(url, timeout=30.0))
+        #: guards job ids and each job's dispatch state (worker,
+        #: attempts, exclusions); taken before the queue's lock.
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._jobs: dict[str, FleetJob] = {}
-        self._pending: list[str] = []
-        self._inflight: dict[str, str] = {}   # digest -> primary job id
         self._next_job = 0
-        self._draining = False
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._started_at = clock.wall()
@@ -169,7 +148,7 @@ class Coordinator:
             "Workers declared dead by heartbeat timeout")
         reg.gauge("repro_fleet_jobs_pending",
                   "Jobs queued at the coordinator awaiting dispatch",
-                  fn=lambda: len(self._pending))
+                  fn=self.queue.depth)
         reg.gauge("repro_fleet_workers_live",
                   "Workers currently routable",
                   fn=lambda: len(self.registry.live_workers()))
@@ -191,8 +170,6 @@ class Coordinator:
 
     def stop(self, timeout: Optional[float] = 2.0) -> None:
         self._stop.set()
-        with self._work:
-            self._work.notify_all()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads.clear()
@@ -200,137 +177,66 @@ class Coordinator:
 
     def drain(self) -> dict:
         """Stop admitting; cancel everything still queued."""
-        with self._work:
-            self._draining = True
-            cancelled = []
-            for job_id in list(self._pending):
-                job = self._jobs[job_id]
-                self._finish_locked(job, state=CANCELLED,
-                                    error="coordinator draining")
-                cancelled.append(job_id)
-            self._pending.clear()
-            dispatched = sum(1 for j in self._jobs.values()
-                             if j.state == DISPATCHED)
-            self._work.notify_all()
+        cancelled = self.queue.start_drain()
+        self.m_completed[CANCELLED].inc(len(cancelled))
         return {"draining": True, "cancelled": len(cancelled),
-                "dispatched_at_drain": dispatched}
+                "dispatched_at_drain": self.queue.running()}
 
     # ------------------------------------------------------------------
     # submissions
     # ------------------------------------------------------------------
-    def submit_response(self, doc: object) -> tuple[int, dict, dict]:
-        """(status, body, extra-headers) for ``POST /api/v1/jobs``."""
+    def submit_response(self, doc: object) -> tuple:
         try:
             request = parse_job_request(doc)
         except JobRequestError as exc:
-            return 400, {"error": str(exc)}, {}
-        digest = request.digest()
-        predicted = predict_request(self.cost_model, request)
-        with self._work:
-            if self._draining:
-                self.m_rejected.inc()
-                return 503, {"error": "coordinator is draining",
-                             "state": "rejected"}, {}
-            primary_id = self._inflight.get(digest)
-            if primary_id is not None:
-                # Global coalescing: ride the identical in-flight job.
-                job = self._new_job_locked(doc, digest, request.label,
-                                           predicted)
-                primary = self._jobs[primary_id]
-                job.coalesced_into = primary_id
-                primary.waiters.append(job.id)
-                self.m_submitted.inc()
-                self.m_coalesced.inc()
-                return 202, self._ack_locked(job), {}
-            code, headers = self._admission_locked(predicted)
-            if code != 202:
-                self.m_rejected.inc()
-                body = {"error": headers.pop("X-Reject-Reason"),
-                        "state": "rejected",
-                        "pending": len(self._pending)}
-                return code, body, headers
-            job = self._new_job_locked(doc, digest, request.label,
-                                       predicted)
-            self._inflight[digest] = job.id
-            self._pending.append(job.id)
-            self.m_submitted.inc()
-            self._work.notify()
-            return 202, self._ack_locked(job), {}
-
-    def _admission_locked(self, predicted: float) -> tuple[int, dict]:
-        """Admission decision: 202, or 429 with a Retry-After hint."""
-        live = self.registry.live_workers()
-        if len(self._pending) >= self.config.max_pending:
-            return 429, {"Retry-After": self._retry_after_locked(live),
-                         "X-Reject-Reason":
-                             f"pending queue is full "
-                             f"({self.config.max_pending} jobs)"}
-        if live and all(worker.saturated for worker in live):
-            return 429, {"Retry-After": self._retry_after_locked(live),
-                         "X-Reject-Reason":
-                             "every worker reports a full queue"}
-        return 202, {}
-
-    def _retry_after_locked(self, live: list[WorkerInfo]) -> str:
-        """Seconds until capacity should free up, from the predictor."""
-        backlog = sum(self._jobs[job_id].predicted_seconds
-                      for job_id in self._pending)
-        drains = max(1, len(live))
-        return str(max(1, round(backlog / drains)))
-
-    def _new_job_locked(self, doc: dict, digest: str, label: str,
-                        predicted: float) -> FleetJob:
-        self._next_job += 1
-        job = FleetJob(id=f"f{self._next_job}", doc=dict(doc),
-                       digest=digest, label=label,
-                       predicted_seconds=predicted)
-        self._jobs[job.id] = job
-        return job
-
-    def _ack_locked(self, job: FleetJob) -> dict:
-        return {"id": job.id, "state": job.state, "digest": job.digest,
-                "coalesced_into": job.coalesced_into,
-                "eta_seconds": round(job.predicted_seconds, 4),
-                "pending": len(self._pending)}
-
-    # ------------------------------------------------------------------
-    # status / results
-    # ------------------------------------------------------------------
-    def get_job(self, job_id: str) -> Optional[FleetJob]:
+            return 400, {"error": str(exc)}
         with self._lock:
-            return self._jobs.get(job_id)
-
-    def status_response(self, job_id: str) -> tuple[int, dict]:
-        job = self.get_job(job_id)
-        if job is None:
-            return 404, {"error": f"unknown job {job_id!r}"}
-        return 200, job.status_doc()
-
-    def result_response(self, job_id: str) -> tuple[int, dict]:
-        job = self.get_job(job_id)
-        if job is None:
-            return 404, {"error": f"unknown job {job_id!r}"}
-        if job.state == DONE:
-            return 200, {"id": job.id, "state": job.state,
-                         "source": job.source, "result": job.result}
-        if job.state == FAILED:
-            return 500, {"id": job.id, "state": job.state,
-                         "error": job.error}
-        return 409, {"id": job.id, "state": job.state,
-                     "error": f"job is {job.state}, not done"}
+            self._next_job += 1
+            job_id = f"f{self._next_job}"
+        job = FleetJob(
+            id=job_id, request=request, digest=request.digest(),
+            predicted_seconds=predict_request(self.cost_model, request),
+            doc=dict(doc))
+        live = self.registry.live_workers()
+        try:
+            # Worker backpressure, propagated end to end.  A duplicate
+            # of an in-flight job costs no capacity and still coalesces.
+            if (live and all(worker.saturated for worker in live)
+                    and not self.queue.draining
+                    and self.queue.inflight(job.digest) is None):
+                raise QueueFull("every worker reports a full queue")
+            self.queue.submit(job)
+        except ServerDraining:
+            self.m_rejected.inc()
+            return 503, {"error": "coordinator is draining",
+                         "state": "rejected"}
+        except QueueFull as exc:
+            self.m_rejected.inc()
+            # Seconds until capacity should free up, from the predictor.
+            retry_after = max(1, round(self.queue.backlog_seconds()
+                                       / max(1, len(live))))
+            return (429, {"error": str(exc), "state": "rejected",
+                          "pending": self.queue.depth()},
+                    {"Retry-After": str(retry_after)})
+        self.m_submitted.inc()
+        if job.coalesced_into is not None:
+            self.m_coalesced.inc()
+        return 202, {"id": job.id, "state": job.state,
+                     "digest": job.digest,
+                     "coalesced_into": job.coalesced_into,
+                     "eta_seconds": round(job.predicted_seconds, 4),
+                     "pending": self.queue.depth()}
 
     def fleet_doc(self) -> dict:
-        with self._lock:
-            states: dict[str, int] = {}
-            for job in self._jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
-            pending = len(self._pending)
+        counts = self.queue.counts()
         return {
             "uptime_seconds": round(clock.wall() - self._started_at, 3),
-            "draining": self._draining,
+            "draining": self.queue.draining,
             "workers": [w.status_doc() for w in self.registry.workers()],
-            "jobs": states,
-            "pending": pending,
+            "jobs": {state: counts[state]
+                     for state in (QUEUED, DISPATCHED, DONE, FAILED,
+                                   CANCELLED) if counts.get(state)},
+            "pending": counts["depth"],
             "predictor": {
                 "observations": len(self.cost_model.observations()),
                 "learned": self.cost_model.predictor is not None,
@@ -339,8 +245,9 @@ class Coordinator:
         }
 
     def health_doc(self) -> dict:
-        status = "draining" if self._draining else "ok"
-        return {"status": status, "draining": self._draining,
+        draining = self.queue.draining
+        return {"status": "draining" if draining else "ok",
+                "draining": draining,
                 "workers_live": len(self.registry.live_workers())}
 
     # ------------------------------------------------------------------
@@ -353,8 +260,6 @@ class Coordinator:
         worker = self.registry.register(doc["url"])
         self.registry.heartbeat(worker.id, doc.get("report") or {})
         self.log(f"worker {worker.id} registered at {worker.url}")
-        with self._work:
-            self._work.notify_all()
         return 200, {"id": worker.id,
                      "heartbeat_interval": self.config.heartbeat_interval,
                      "heartbeat_timeout": self.config.heartbeat_timeout,
@@ -381,37 +286,26 @@ class Coordinator:
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
-            job, worker = self._claim_next()
-            if job is None:
-                continue
-            self._run_on_worker(job, worker)
+            route: dict[str, Optional[WorkerInfo]] = {}
 
-    def _claim_next(self) -> tuple[Optional[FleetJob],
-                                   Optional[WorkerInfo]]:
-        """Shortest-predicted pending job that currently has a route."""
-        with self._work:
-            while not self._stop.is_set():
-                routable = []
-                for job_id in self._pending:
-                    job = self._jobs[job_id]
-                    worker = self.registry.route(job.digest,
-                                                 exclude=tuple(
-                                                     job.excluded))
-                    if worker is not None and not worker.saturated:
-                        routable.append((job.predicted_seconds,
-                                         int(job.id[1:]), job, worker))
-                if routable:
-                    _, _, job, worker = min(routable,
-                                            key=lambda t: t[:2])
-                    self._pending.remove(job.id)
-                    job.state = DISPATCHED
-                    job.worker_id = worker.id
-                    job.attempts += 1
-                    worker.jobs_dispatched += 1
-                    self.m_dispatches.inc()
-                    return job, worker
-                self._work.wait(timeout=self.config.poll_interval)
-            return None, None
+            def routable(job: FleetJob) -> bool:
+                worker = route[job.id] = self.registry.route(
+                    job.digest, exclude=tuple(job.excluded))
+                return worker is not None and not worker.saturated
+
+            job = self.queue.claim_next(self.config.poll_interval,
+                                        accept=routable)
+            if job is None:
+                if self.queue.draining:
+                    return
+                continue
+            worker = route[job.id]
+            with self._lock:
+                job.worker_id = worker.id
+                job.attempts += 1
+                worker.jobs_dispatched += 1
+            self.m_dispatches.inc()
+            self._run_on_worker(job, worker)
 
     def _run_on_worker(self, job: FleetJob, worker: WorkerInfo) -> None:
         """Submit one job to one worker and babysit it to a verdict."""
@@ -429,8 +323,9 @@ class Coordinator:
                               why="worker queue full",
                               count_attempt=False)
             else:
-                self._fail(job, f"worker {worker.id} rejected job: "
-                                f"{exc}")
+                self._settle(job, worker, FAILED,
+                             error=f"worker {worker.id} rejected job: "
+                                   f"{exc}")
             return
         except (urllib.error.URLError, OSError) as exc:
             self._requeue(job, worker, exclude=True,
@@ -443,12 +338,13 @@ class Coordinator:
                       client: ServeClient) -> None:
         deadline = clock.monotonic() + self.config.job_timeout
         while not self._stop.is_set():
-            if job.state != DISPATCHED or job.worker_id != worker.id:
+            if not self._owns(job, worker):
                 return  # the monitor re-routed it out from under us
             if clock.monotonic() >= deadline:
-                self._fail(job, f"timed out after "
-                                f"{self.config.job_timeout:.0f}s on "
-                                f"worker {worker.id}")
+                self._settle(job, worker, FAILED,
+                             error=f"timed out after "
+                                   f"{self.config.job_timeout:.0f}s on "
+                                   f"worker {worker.id}")
                 return
             try:
                 status = client.status(job.remote_id)
@@ -466,11 +362,14 @@ class Coordinator:
                                   why=f"result fetch failed: {exc}")
                     return
                 self._observe_duration(job, status)
-                self._complete(job, worker, result)
+                self._settle(job, worker, DONE,
+                             result=result.get("result"),
+                             source=result.get("source"))
                 return
             if state in (FAILED, CANCELLED):
-                self._fail(job, f"worker {worker.id} reported "
-                                f"{state}: {status.get('error')}")
+                self._settle(job, worker, FAILED,
+                             error=f"worker {worker.id} reported "
+                                   f"{state}: {status.get('error')}")
                 return
             clock.sleep(self.config.result_poll)
 
@@ -482,10 +381,7 @@ class Coordinator:
         finished = status.get("finished_at")
         if not started or not finished or finished <= started:
             return
-        try:
-            request = parse_job_request(job.doc)
-        except JobRequestError:
-            return
+        request = job.request
         target = request.g5 if request.kind == "g5" else (
             request.sampled if request.kind == "sample" else None)
         if target is None:
@@ -496,29 +392,31 @@ class Coordinator:
     # ------------------------------------------------------------------
     # job settlement
     # ------------------------------------------------------------------
-    def _complete(self, job: FleetJob, worker: WorkerInfo,
-                  result: dict) -> None:
-        with self._work:
-            if job.terminal:
-                return
-            worker.jobs_completed += 1
-            self._finish_locked(job, state=DONE,
-                                result=result.get("result"),
-                                source=result.get("source"))
+    @staticmethod
+    def _owns(job: FleetJob, worker: WorkerInfo) -> bool:
+        """Whether ``job`` is still dispatched to ``worker`` (a late
+        verdict from a worker it was re-routed away from is void)."""
+        return job.state == DISPATCHED and job.worker_id == worker.id
 
-    def _fail(self, job: FleetJob, error: str) -> None:
-        with self._work:
-            if job.terminal:
+    def _settle(self, job: FleetJob, worker: WorkerInfo, state: str,
+                **outcome) -> None:
+        """Finish a job (and its waiters) on ``worker``'s verdict."""
+        with self._lock:
+            if not self._owns(job, worker):
                 return
-            self._finish_locked(job, state=FAILED, error=error)
+            if state == DONE:
+                worker.jobs_completed += 1
+            for settled in self.queue.finish(
+                    job, state=state, finished_at=clock.wall(), **outcome):
+                self.m_completed[settled.state].inc()
 
     def _requeue(self, job: FleetJob, worker: WorkerInfo, *,
                  exclude: bool, why: str,
                  count_attempt: bool = True) -> None:
-        """Send a dispatched job back to pending (or fail it for good)."""
-        with self._work:
-            if job.terminal or job.state != DISPATCHED \
-                    or job.worker_id != worker.id:
+        """Send a dispatched job back to the queue (or fail it for
+        good)."""
+        with self._lock:
+            if not self._owns(job, worker):
                 return
             if exclude:
                 job.excluded.add(worker.id)
@@ -526,45 +424,15 @@ class Coordinator:
                 # Backpressure bounce, not a failure: don't burn one of
                 # the job's attempts on a momentarily-full queue.
                 job.attempts -= 1
-            if job.attempts >= self.config.max_job_attempts:
-                self._finish_locked(
-                    job, state=FAILED,
-                    error=f"gave up after {job.attempts} attempt(s); "
-                          f"last: {why}")
+            if job.attempts < self.config.max_job_attempts:
+                job.worker_id = job.remote_id = None
+                self.queue.requeue(job)
+                self.m_redispatches.inc()
+                self.log(f"requeued {job.id} ({why})")
                 return
-            job.state = QUEUED
-            job.worker_id = None
-            job.remote_id = None
-            self._pending.append(job.id)
-            self.m_redispatches.inc()
-            self.log(f"requeued {job.id} ({why})")
-            self._work.notify()
-
-    def _finish_locked(self, job: FleetJob, *, state: str,
-                       result: Optional[dict] = None,
-                       error: Optional[str] = None,
-                       source: Optional[str] = None) -> None:
-        job.state = state
-        job.result = result
-        job.error = error
-        job.source = source
-        job.finished_at = clock.wall()
-        job.finished.set()
-        self.m_completed[state].inc()
-        if self._inflight.get(job.digest) == job.id:
-            del self._inflight[job.digest]
-        for waiter_id in job.waiters:
-            waiter = self._jobs.get(waiter_id)
-            if waiter is None or waiter.terminal:
-                continue
-            waiter.state = state
-            waiter.result = result
-            waiter.error = error
-            waiter.source = f"coalesced:{job.id}" if state == DONE \
-                else source
-            waiter.finished_at = job.finished_at
-            waiter.finished.set()
-            self.m_completed[state].inc()
+        self._settle(job, worker, FAILED,
+                     error=f"gave up after {job.attempts} attempt(s); "
+                           f"last: {why}")
 
     # ------------------------------------------------------------------
     # failure monitor
@@ -576,23 +444,76 @@ class Coordinator:
                 self.log(f"worker {worker.id} missed heartbeats "
                          f"(> {self.registry.heartbeat_timeout:.1f}s); "
                          "re-routing its jobs")
-                self._reroute_worker(worker)
+                for job in self.queue.running_records():
+                    if job.worker_id == worker.id:
+                        self._requeue(job, worker, exclude=True,
+                                      why=f"worker {worker.id} died")
 
-    def _reroute_worker(self, worker: WorkerInfo) -> None:
-        with self._lock:
-            victims = [job for job in self._jobs.values()
-                       if job.state == DISPATCHED
-                       and job.worker_id == worker.id]
-        for job in victims:
-            self._requeue(job, worker, exclude=True,
-                          why=f"worker {worker.id} died")
 
-    # ------------------------------------------------------------------
-    # misc
-    # ------------------------------------------------------------------
-    def metrics_text(self) -> str:
-        return self.metrics_registry.render()
+class CoordinatorServer(Service):
+    """A :class:`Coordinator` on the serving core."""
 
-    def log(self, line: str) -> None:
-        if not self.config.quiet and self.config.log is not None:
-            print(f"[fleet] {line}", file=self.config.log, flush=True)
+    tag = "fleet"
+
+    def __init__(self, config: CoordinatorConfig,
+                 client_factory=None) -> None:
+        self.coordinator = Coordinator(config, client_factory,
+                                       log=self.log)
+        super().__init__(config)
+        self.request_seconds = endpoint_histograms(
+            self.coordinator.metrics_registry,
+            "repro_fleet_request_seconds",
+            sorted({route.endpoint for route in self.routes()}
+                   | {"other"}))
+
+    def routes(self) -> list[Route]:
+        coord = self.coordinator
+        workers = f"{API_PREFIX}/workers"
+        return [
+            Route("POST", f"{API_PREFIX}/jobs", "submit",
+                  coord.submit_response, body="json"),
+            *job_routes(coord.queue),
+            Route("GET", f"{API_PREFIX}/fleet", "fleet",
+                  lambda: (200, coord.fleet_doc())),
+            Route("GET", "/healthz", "health",
+                  lambda: (200, coord.health_doc())),
+            Route("GET", "/metrics", "metrics",
+                  lambda: (200, coord.metrics_registry.render())),
+            Route("POST", f"{API_PREFIX}/drain", "drain",
+                  lambda: (202, self.drain_response())),
+            Route("POST", f"{workers}/register", "register",
+                  coord.register_response, body="json"),
+            Route("POST", f"{workers}/<id>/heartbeat", "heartbeat",
+                  coord.heartbeat_response, body="json"),
+            Route("POST", f"{workers}/<id>/drain", "worker_drain",
+                  coord.worker_drain_response),
+        ]
+
+    def observe_request(self, endpoint: str, seconds: float) -> None:
+        self.request_seconds[endpoint].observe(seconds)
+
+    def start(self) -> None:
+        self.coordinator.start()
+        super().start()
+
+    def drain_response(self) -> dict:
+        report = self.coordinator.drain()
+        self.request_shutdown()
+        return report
+
+    def _drain(self) -> dict:
+        report = self.coordinator.drain()
+        self.coordinator.stop()
+        return report
+
+
+def run_coordinator(config: CoordinatorConfig) -> int:
+    """``repro-g5 fleet coordinator`` body: serve until SIGTERM/SIGINT."""
+    server = CoordinatorServer(config)
+    return run_until_signal(
+        server,
+        lambda: (f"[fleet] coordinator listening on {server.address} "
+                 f"({config.dispatchers} dispatcher(s), heartbeat "
+                 f"timeout {config.heartbeat_timeout:.1f}s)"),
+        "[fleet] coordinator drained: {cancelled} cancelled, "
+        "{dispatched_at_drain} still on workers")

@@ -28,12 +28,10 @@ from typing import Optional, Union
 
 from ..exec.cache import ResultCache
 from ..exec.keys import CacheKey
+from ..serve.http import CHECKSUM_HEADER
 from .registry import rendezvous_score
 
 __all__ = ["FleetCache"]
-
-#: Transport-integrity header (mirrors ``serve.http``).
-CHECKSUM_HEADER = "X-Repro-Sha256"
 
 
 class FleetCache(ResultCache):

@@ -21,16 +21,17 @@ the worker keeps serving direct traffic throughout.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, TextIO, Union
 
 from ..serve import clock
 from ..serve.client import ServeClient, ServeError
 from ..serve.daemon import ServeConfig, SimServer
+from ..serve.http import run_until_signal
 from .store import FleetCache
 
-__all__ = ["FleetWorker", "WorkerConfig"]
+__all__ = ["FleetWorker", "WorkerConfig", "run_worker"]
 
 
 @dataclass
@@ -49,9 +50,7 @@ class WorkerConfig:
     advertise_url: Optional[str] = None
     replicate: bool = True
     quiet: bool = True
-    log = None
-
-    extra: dict = field(default_factory=dict)
+    log: Optional[TextIO] = None
 
 
 class FleetWorker:
@@ -66,8 +65,7 @@ class FleetWorker:
                                    max_queue=config.max_queue,
                                    cache=self.cache, store=True,
                                    job_timeout=config.job_timeout,
-                                   quiet=config.quiet)
-        serve_config.log = config.log
+                                   quiet=config.quiet, log=config.log)
         self.server = SimServer(serve_config, execute_fn=execute_fn)
         self.url = config.advertise_url or self.server.address
         self.cache.self_url = self.url.rstrip("/")
@@ -95,9 +93,9 @@ class FleetWorker:
             self._agent = None
         return self.server.drain_and_stop()
 
-    def wait(self, poll: float = 0.2) -> dict:
+    def wait(self) -> dict:
         """Serve until the daemon is asked to shut down."""
-        report = self.server.wait(poll=poll)
+        report = self.server.wait()
         self._stop.set()
         return report
 
@@ -150,22 +148,15 @@ class FleetWorker:
 
 def run_worker(config: WorkerConfig) -> int:
     """``repro-g5 fleet worker`` body: serve until SIGTERM/SIGINT."""
-    import signal
-
     worker = FleetWorker(config)
 
-    def _request_shutdown(signum, frame):  # noqa: ARG001
-        worker.request_shutdown()
+    def banner() -> str:
+        registered = "registered" if worker.worker_id else \
+            "coordinator unreachable, will keep retrying"
+        return (f"[fleet] worker listening on {worker.url} "
+                f"({registered} with {config.coordinator_url})")
 
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-    worker.start()
-    registered = "registered" if worker.worker_id else \
-        "coordinator unreachable, will keep retrying"
-    print(f"[fleet] worker listening on {worker.url} "
-          f"({registered} with {config.coordinator_url})", flush=True)
-    report = worker.wait()
-    print(f"[fleet] worker drained: {report['done']} done, "
-          f"{report['cancelled']} cancelled, {report['failed']} failed",
-          flush=True)
-    return 0
+    return run_until_signal(
+        worker, banner,
+        "[fleet] worker drained: {done} done, {cancelled} cancelled, "
+        "{failed} failed")

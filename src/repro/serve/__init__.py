@@ -10,10 +10,12 @@ the cost model's duration estimates, results resolve memo → disk cache
 
 Pieces: :mod:`~repro.serve.jobs` (job model), :mod:`~repro.serve.queue`
 (admission control + coalescing), :mod:`~repro.serve.scheduler`
-(workers, timeouts, crash retry), :mod:`~repro.serve.http` /
-:mod:`~repro.serve.daemon` (the service), :mod:`~repro.serve.client`
-(blocking stdlib client), :mod:`~repro.serve.metrics` (registry),
-:mod:`~repro.serve.clock` (the one sanctioned wall-clock window).
+(workers, timeouts, crash retry), :mod:`~repro.serve.http` (the
+serving core the fleet shares: handler, lifecycle, signal loop),
+:mod:`~repro.serve.daemon` (the daemon's routes),
+:mod:`~repro.serve.client` (blocking stdlib client),
+:mod:`~repro.serve.metrics` (registry), :mod:`~repro.serve.clock` (the
+one sanctioned wall-clock window).
 """
 
 from .client import ServeClient, ServeError

@@ -1,14 +1,9 @@
-"""`repro.serve` daemon: queue + scheduler + HTTP server + signals.
+"""`repro.serve` daemon: queue + scheduler on the serving core.
 
-:class:`SimServer` owns the moving parts and implements the
-application-level responses the HTTP handler delegates to.  The
-lifecycle is::
-
-    server = SimServer(ServeConfig(port=8091, workers=4, cache=cache))
-    server.start()          # scheduler threads + HTTP thread
-    ...
-    server.request_shutdown()   # or SIGTERM via serve()
-    server.wait()           # drains, then returns the exit report
+:class:`SimServer` owns the queue, the scheduler and the metrics, and
+answers the routes in :meth:`SimServer.routes`; the HTTP handler, the
+lifecycle (``start`` / ``request_shutdown`` / ``wait``) and the signal
+loop are :mod:`repro.serve.http`'s.
 
 **Graceful drain.**  A shutdown request (SIGTERM, SIGINT, or
 ``POST /api/v1/drain``) flips the queue into draining mode: new
@@ -17,26 +12,28 @@ and the workers finish the jobs they are already running before the
 HTTP listener stops.  :func:`serve` — the ``repro-g5 serve`` entry
 point — returns exit code 0 on any clean drain, which is what the
 SIGTERM acceptance test pins.
+
+**Shared store** (fleet worker mode, ``ServeConfig(store=True)``).  The
+store routes ship content-addressed cache envelopes between workers:
+bodies carry an ``X-Repro-Sha256`` transport checksum, and both ends
+verify the envelope's recorded digest against the addressed one before
+trusting it (see ``ResultCache.raw_get``/``raw_put``).
 """
 
 from __future__ import annotations
 
-import multiprocessing.util
-import signal
-import sys
-import threading
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, TextIO
 
 from ..exec.cache import ResultCache
 from . import clock
+from .http import API_PREFIX, Route, Service, run_until_signal
 from .jobs import JobRecord, JobRequestError, parse_job_request
 from .metrics import ServeMetrics
 from .queue import JobQueue, QueueFull, ServerDraining
 from .scheduler import Scheduler
-from .http import ServeHTTPServer
 
-__all__ = ["ServeConfig", "SimServer", "serve"]
+__all__ = ["ServeConfig", "SimServer", "job_routes", "serve"]
 
 
 @dataclass
@@ -55,17 +52,45 @@ class ServeConfig:
     #: Expose the shared-store routes (fleet worker mode).
     store: bool = False
     quiet: bool = True
-    log = None  # injected stream for http/lifecycle lines
+    #: stream for http/lifecycle lines (printed unless ``quiet``)
+    log: Optional[TextIO] = None
 
-    extra: dict = field(default_factory=dict)
+
+def job_routes(queue: JobQueue) -> list[Route]:
+    """Status and result routes over a job table (the coordinator's
+    jobs live in a :class:`JobQueue` too, so it serves these as is)."""
+
+    def status(job_id: str) -> tuple[int, dict]:
+        record = queue.get(job_id)
+        if record is None:
+            return 404, {"error": f"unknown job {job_id!r}"}
+        return 200, record.status_doc()
+
+    def result(job_id: str) -> tuple[int, dict]:
+        record = queue.get(job_id)
+        if record is None:
+            return 404, {"error": f"unknown job {job_id!r}"}
+        if record.state == "done":
+            return 200, {"id": record.id, "state": record.state,
+                         "source": record.source,
+                         "result": record.result}
+        if record.state == "failed":
+            return 500, {"id": record.id, "state": record.state,
+                         "error": record.error}
+        return 409, {"id": record.id, "state": record.state,
+                     "error": f"job is {record.state}, not done"}
+
+    return [
+        Route("GET", f"{API_PREFIX}/jobs/<id>", "status", status),
+        Route("GET", f"{API_PREFIX}/jobs/<id>/result", "result", result),
+    ]
 
 
-class SimServer:
+class SimServer(Service):
     """The simulation service: one instance per daemon process."""
 
     def __init__(self, config: ServeConfig,
                  execute_fn=None) -> None:
-        self.config = config
         self.metrics = ServeMetrics()
         self.queue = JobQueue(max_depth=config.max_queue)
         self.scheduler = Scheduler(
@@ -80,99 +105,60 @@ class SimServer:
             execute_fn=execute_fn)
         self.metrics.attach_queue(self.queue)
         self.metrics.attach_engine(self.scheduler.stats)
-        self.httpd = ServeHTTPServer((config.host, config.port), self)
-        # The scheduler's ProcessPoolExecutor forks *after* the listen
-        # socket exists, so executor children inherit its fd.  Without
-        # this hook a dead daemon's port stays half-open (children never
-        # accept), and fleet peers hang out their full timeout instead
-        # of getting connection-refused.  Close the inherited fd in
-        # every forked child so the parent alone owns the port.
-        multiprocessing.util.register_after_fork(
-            self.httpd, lambda httpd: httpd.socket.close())
-        self._http_thread: Optional[threading.Thread] = None
-        self._shutdown_requested = threading.Event()
-        self._stopped = threading.Event()
         self._started_at = clock.wall()
-        self._drain_report: Optional[dict] = None
-        self._drain_lock = threading.Lock()
+        super().__init__(config)
+
+    def routes(self) -> list[Route]:
+        return [
+            Route("POST", f"{API_PREFIX}/jobs", "submit",
+                  self.submit_response, body="json"),
+            *job_routes(self.queue),
+            Route("GET", f"{API_PREFIX}/stats", "stats",
+                  lambda: (200, self.stats_doc())),
+            Route("GET", "/healthz", "health",
+                  lambda: (200, self.health_doc())),
+            Route("GET", "/metrics", "metrics",
+                  lambda: (200, self.metrics.render())),
+            Route("POST", f"{API_PREFIX}/drain", "drain",
+                  lambda: (202, self.drain_response())),
+            Route("GET", f"{API_PREFIX}/store/<digest>", "store",
+                  self.store_get_response),
+            Route("PUT", f"{API_PREFIX}/store/<digest>", "store",
+                  self.store_put_response, body="blob"),
+        ]
+
+    def observe_request(self, endpoint: str, seconds: float) -> None:
+        self.metrics.observe_request(endpoint, seconds)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def port(self) -> int:
-        """The bound port (useful with ``port=0`` in tests)."""
-        return self.httpd.server_address[1]
-
-    @property
-    def address(self) -> str:
-        host, port = self.httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
     def start(self, run_scheduler: bool = True) -> None:
         """Start serving.  ``run_scheduler=False`` accepts submissions
         without executing them (tests use this to stage a queue state
         deterministically, then call ``self.scheduler.start()``)."""
         if run_scheduler:
             self.scheduler.start()
-        self._http_thread = threading.Thread(
-            target=self.httpd.serve_forever, name="serve-http",
-            daemon=True)
-        self._http_thread.start()
+        super().start()
 
-    def request_shutdown(self) -> None:
-        """Ask for a graceful drain (signal-handler safe)."""
-        self._shutdown_requested.set()
-
-    def wait(self, poll: float = 0.2) -> dict:
-        """Block until a shutdown is requested, then drain and stop.
-
-        Polls so signal handlers run promptly on every platform.
-        """
-        while not self._shutdown_requested.wait(timeout=poll):
-            pass
-        return self.drain_and_stop()
-
-    def drain_and_stop(self, timeout: Optional[float] = None) -> dict:
-        """Drain the queue, wait for in-flight jobs, stop everything.
-
-        Idempotent; returns the drain report (finished/cancelled
-        counts) from the first invocation.
-        """
-        with self._drain_lock:
-            if self._drain_report is not None:
-                return self._drain_report
-            cancelled = self.queue.start_drain()
-            for record in cancelled:
-                self.metrics.completed["cancelled"].inc()
-            deadline = (clock.monotonic() + timeout
-                        if timeout is not None else None)
-            for record in self.queue.running_records():
-                remaining = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - clock.monotonic())
-                record.finished.wait(timeout=remaining)
-            self.scheduler.stop(timeout=2.0)
-            # Give in-flight handler threads a beat to flush responses
-            # (e.g. the 202 acknowledging the drain request itself).
-            clock.sleep(0.1)
-            self.httpd.shutdown()
-            self.httpd.server_close()
-            counts = self.queue.counts()
-            self._drain_report = {
-                "cancelled": len(cancelled),
+    def _drain(self) -> dict:
+        """Cancel what is queued, wait for what is running."""
+        cancelled = self.queue.start_drain()
+        self.metrics.completed["cancelled"].inc(len(cancelled))
+        for record in self.queue.running_records():
+            record.finished.wait()
+        self.scheduler.stop(timeout=2.0)
+        counts = self.queue.counts()
+        return {"cancelled": len(cancelled),
                 "done": counts["done"],
                 "failed": counts["failed"],
                 "uptime_seconds": round(
-                    clock.wall() - self._started_at, 3),
-            }
-            self._stopped.set()
-            return self._drain_report
+                    clock.wall() - self._started_at, 3)}
 
     # ------------------------------------------------------------------
-    # application responses (called by the HTTP handler)
+    # application responses (the route table's callables)
     # ------------------------------------------------------------------
-    def submit_response(self, doc: object) -> tuple[int, dict]:
+    def submit_response(self, doc: object) -> tuple:
         try:
             request = parse_job_request(doc)
         except JobRequestError as exc:
@@ -189,9 +175,10 @@ class SimServer:
             return 503, {"error": str(exc), "state": "rejected"}
         except QueueFull as exc:
             self.metrics.rejected.inc()
-            return 429, {"error": str(exc), "state": "rejected",
-                         "queue_depth": self.queue.depth(),
-                         "max_queue": self.queue.max_depth}
+            return (429, {"error": str(exc), "state": "rejected",
+                          "queue_depth": self.queue.depth(),
+                          "max_queue": self.queue.max_depth},
+                    {"Retry-After": "1"})
         self.metrics.submitted.inc()
         if record.coalesced_into is not None:
             self.metrics.coalesced.inc()
@@ -203,26 +190,6 @@ class SimServer:
             "eta_seconds": round(record.predicted_seconds, 4),
             "queue_depth": self.queue.depth(),
         }
-
-    def status_response(self, job_id: str) -> tuple[int, dict]:
-        record = self.queue.get(job_id)
-        if record is None:
-            return 404, {"error": f"unknown job {job_id!r}"}
-        return 200, record.status_doc()
-
-    def result_response(self, job_id: str) -> tuple[int, dict]:
-        record = self.queue.get(job_id)
-        if record is None:
-            return 404, {"error": f"unknown job {job_id!r}"}
-        if record.state == "done":
-            return 200, {"id": record.id, "state": record.state,
-                         "source": record.source,
-                         "result": record.result}
-        if record.state == "failed":
-            return 500, {"id": record.id, "state": record.state,
-                         "error": record.error}
-        return 409, {"id": record.id, "state": record.state,
-                     "error": f"job is {record.state}, not done"}
 
     def stats_doc(self) -> dict:
         counts = self.queue.counts()
@@ -272,44 +239,16 @@ class SimServer:
             return 400, {"error": "envelope failed digest verification"}
         return 200, {"stored": True, "digest": digest}
 
-    def metrics_text(self) -> str:
-        return self.metrics.render()
-
-    def observe_request(self, endpoint: str, seconds: float) -> None:
-        self.metrics.observe_request(endpoint, seconds)
-
-    def log_http(self, line: str) -> None:
-        if not self.config.quiet and self.config.log is not None:
-            print(f"[serve] {line}", file=self.config.log, flush=True)
-
 
 def serve(config: ServeConfig) -> int:
-    """Run the daemon until SIGTERM/SIGINT; returns the exit code.
-
-    This is the ``repro-g5 serve`` body: it installs signal handlers
-    (main thread only — signal delivery wakes the wait below), prints
-    one line when listening and a drain report on the way out, and
-    exits 0 on any clean drain.
-    """
+    """The ``repro-g5 serve`` body: run the daemon until SIGTERM/SIGINT."""
     server = SimServer(config)
-
-    def _request_shutdown(signum, frame):  # noqa: ARG001
-        server.request_shutdown()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-    server.start()
     cache_note = (str(config.cache.root) if config.cache is not None
                   else "disabled")
-    print(f"[serve] listening on {server.address} "
-          f"({config.workers} worker(s), queue depth {config.max_queue}, "
-          f"cache {cache_note})", flush=True)
-    report = server.wait()
-    print(f"[serve] drained: {report['done']} done, "
-          f"{report['cancelled']} cancelled, {report['failed']} failed "
-          f"in {report['uptime_seconds']:.1f}s", flush=True)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(serve(ServeConfig()))
+    return run_until_signal(
+        server,
+        lambda: (f"[serve] listening on {server.address} "
+                 f"({config.workers} worker(s), queue depth "
+                 f"{config.max_queue}, cache {cache_note})"),
+        "[serve] drained: {done} done, {cancelled} cancelled, "
+        "{failed} failed in {uptime_seconds:.1f}s")

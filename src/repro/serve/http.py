@@ -1,212 +1,285 @@
-"""The daemon's HTTP/JSON surface (stdlib ``http.server``, threaded).
+"""The serving core: one HTTP handler, one lifecycle, one signal loop.
 
-Routes (all JSON except ``/metrics`` and the store)::
-
-    POST /api/v1/jobs            submit a job        -> 202 / 400 / 429 / 503
-    GET  /api/v1/jobs/<id>       job status          -> 200 / 404
-    GET  /api/v1/jobs/<id>/result  packed result     -> 200 / 404 / 409 / 500
-    GET  /api/v1/stats           server counters     -> 200
-    GET  /healthz                liveness + drain    -> 200
-    GET  /metrics                Prometheus text     -> 200
-    POST /api/v1/drain           drain + shut down   -> 202
-    GET  /api/v1/store/<digest>  raw cache envelope  -> 200 / 404
-    PUT  /api/v1/store/<digest>  replicate envelope  -> 200 / 400 / 404
-
-The store routes (fleet worker mode, ``ServeConfig(store=True)``) ship
-content-addressed cache envelopes between workers: responses carry an
-``X-Repro-Sha256`` transport checksum over the body, and both ends
-verify the envelope's recorded digest against the addressed one before
-trusting it (see ``ResultCache.raw_get``/``raw_put``).
-
-The handler is deliberately thin: it parses the path, times the
-request into the per-endpoint latency histogram, and delegates every
-decision to the application object (:class:`~repro.serve.daemon.
-SimServer`) attached to the server as ``app``.  ``ThreadingHTTPServer``
-gives each connection its own handler thread; all shared state lives
-behind the queue's and the metrics' locks.
+Daemon, fleet worker and coordinator all serve through this module.  An
+application is a :class:`Service` subclass whose :meth:`Service.routes`
+returns its route table; that table is the wire documentation, so the
+modules that define one (``serve.daemon``, ``fleet.coordinator``) list
+no routes in prose.  The handler parses the path, reads and validates
+the body, times the request into the route's latency histogram, and
+sends whatever the route's callable returns.  ``ThreadingHTTPServer``
+gives each connection its own handler thread; shared state lives behind
+the application's locks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing.util
+import re
+import signal
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, NamedTuple, Optional
 
 from . import clock
 
-__all__ = ["ServeHTTPServer", "ServeHandler", "API_PREFIX"]
+__all__ = ["API_PREFIX", "CHECKSUM_HEADER", "Route", "Service",
+           "run_until_signal"]
 
 API_PREFIX = "/api/v1"
 
-#: Largest request body the server will read (a job document is tiny).
+#: Largest JSON request body the server will read (a job document is tiny).
 MAX_BODY_BYTES = 1 << 20
 
 #: Largest store envelope a worker will accept over replication.
 MAX_STORE_BYTES = 1 << 26
 
 #: Transport-integrity header on store bodies (hex sha256 of the body).
-STORE_CHECKSUM_HEADER = "X-Repro-Sha256"
+CHECKSUM_HEADER = "X-Repro-Sha256"
 
 
-class ServeHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server carrying a reference to the application."""
+class Route(NamedTuple):
+    """One row of an application's route table.
 
-    daemon_threads = True
-    allow_reuse_address = True
+    ``pattern`` is a literal path whose ``<name>`` segments are captured
+    and passed to ``call`` positionally, followed by the request body
+    when ``body`` asks for one: ``"json"`` (decoded document; an empty
+    body is ``None``) or ``"blob"`` (raw bytes up to
+    :data:`MAX_STORE_BYTES`, checked against :data:`CHECKSUM_HEADER`
+    when the peer sent it).  ``call`` returns ``(status, payload)`` or
+    ``(status, payload, headers)``; a dict payload goes out as JSON,
+    ``str`` as Prometheus text, ``bytes`` as a checksummed blob.
+    ``endpoint`` labels the request in the latency histogram.
+    """
 
-    def __init__(self, address, app) -> None:
-        super().__init__(address, ServeHandler)
-        self.app = app
+    method: str
+    pattern: str
+    endpoint: str
+    call: Callable[..., tuple]
+    body: Optional[str] = None
 
 
-class ServeHandler(BaseHTTPRequestHandler):
-    server_version = "repro-serve/1.0"
+class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
-    # -- plumbing -------------------------------------------------------
     @property
-    def app(self):
-        return self.server.app
+    def server_version(self) -> str:
+        return f"repro-{self.server.app.tag}/1.0"
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        self.app.log_http(f"{self.address_string()} {format % args}")
+        self.server.app.log(f"{self.address_string()} {format % args}")
 
-    def _send_json(self, code: int, doc: dict,
-                   headers: dict | None = None) -> None:
-        body = (json.dumps(doc, sort_keys=True) + "\n").encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, code: int, text: str,
-                   content_type: str = "text/plain; version=0.0.4") -> None:
-        body = text.encode()
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self, limit: int = MAX_BODY_BYTES) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > limit:
-            raise ValueError(f"request body too large ({length} bytes)")
-        return self.rfile.read(length)
-
-    def _send_blob(self, blob: bytes) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(blob)))
-        self.send_header(STORE_CHECKSUM_HEADER,
-                         hashlib.sha256(blob).hexdigest())
-        self.end_headers()
-        self.wfile.write(blob)
-
-    # -- routing --------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+    def _handle(self) -> None:
+        app = self.server.app
         started = clock.monotonic()
         endpoint = "other"
         try:
             path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            if path == "/metrics":
-                endpoint = "metrics"
-                self._send_text(200, self.app.metrics_text())
-            elif path == "/healthz":
-                endpoint = "health"
-                self._send_json(200, self.app.health_doc())
-            elif path == f"{API_PREFIX}/stats":
-                endpoint = "stats"
-                self._send_json(200, self.app.stats_doc())
-            elif path.startswith(f"{API_PREFIX}/jobs/"):
-                tail = path[len(f"{API_PREFIX}/jobs/"):]
-                if tail.endswith("/result"):
-                    endpoint = "result"
-                    code, doc = self.app.result_response(
-                        tail[:-len("/result")])
-                else:
-                    endpoint = "status"
-                    code, doc = self.app.status_response(tail)
-                self._send_json(code, doc)
-            elif path.startswith(f"{API_PREFIX}/store/"):
-                endpoint = "store"
-                digest = path[len(f"{API_PREFIX}/store/"):]
-                code, blob_or_doc = self.app.store_get_response(digest)
-                if code == 200:
-                    self._send_blob(blob_or_doc)
-                else:
-                    self._send_json(code, blob_or_doc)
-            else:
-                self._send_json(404, {"error": f"no route for {path}"})
+            route, args = app.match(self.command, path)
+            if route is not None:
+                endpoint = route.endpoint
+            self._send(*self._respond(route, args, path))
         except BrokenPipeError:
             pass  # client went away mid-response
         finally:
-            self.app.observe_request(endpoint,
-                                     clock.monotonic() - started)
+            app.observe_request(endpoint, clock.monotonic() - started)
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        started = clock.monotonic()
-        endpoint = "other"
-        try:
-            path = self.path.split("?", 1)[0].rstrip("/")
-            if path == f"{API_PREFIX}/jobs":
-                endpoint = "submit"
-                self._handle_submit()
-            elif path == f"{API_PREFIX}/drain":
-                endpoint = "drain"
-                self._send_json(202, self.app.drain_response())
-            else:
-                self._send_json(404, {"error": f"no route for {path}"})
-        except BrokenPipeError:
-            pass
-        finally:
-            self.app.observe_request(endpoint,
-                                     clock.monotonic() - started)
+    do_GET = do_POST = do_PUT = _handle  # noqa: N815 - stdlib naming
 
-    def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-        started = clock.monotonic()
-        endpoint = "other"
+    def _respond(self, route: Optional[Route], args: list,
+                 path: str) -> tuple:
+        blob = route is not None and route.body == "blob"
         try:
-            path = self.path.split("?", 1)[0].rstrip("/")
-            if path.startswith(f"{API_PREFIX}/store/"):
-                endpoint = "store"
-                self._handle_store_put(path[len(f"{API_PREFIX}/store/"):])
-            else:
-                self._send_json(404, {"error": f"no route for {path}"})
-        except BrokenPipeError:
-            pass
-        finally:
-            self.app.observe_request(endpoint,
-                                     clock.monotonic() - started)
-
-    def _handle_store_put(self, digest: str) -> None:
-        try:
-            blob = self._read_body(limit=MAX_STORE_BYTES)
+            body = self._read_body(MAX_STORE_BYTES if blob
+                                   else MAX_BODY_BYTES)
         except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        checksum = self.headers.get(STORE_CHECKSUM_HEADER)
-        if (checksum is not None
-                and checksum != hashlib.sha256(blob).hexdigest()):
-            self._send_json(
-                400, {"error": "body does not match "
-                               f"{STORE_CHECKSUM_HEADER} checksum"})
-            return
-        code, doc = self.app.store_put_response(digest, blob)
-        self._send_json(code, doc)
+            # The body stays unread, so the connection cannot be reused:
+            # its bytes would be parsed as the next request.
+            self.close_connection = True
+            return (400, {"error": f"bad request body: {exc}"},
+                    {"Connection": "close"})
+        if route is None:
+            return 404, {"error": f"no route for {path}"}
+        if route.body == "json":
+            try:
+                args.append(json.loads(body.decode() or "null"))
+            except (ValueError, UnicodeDecodeError) as exc:
+                return 400, {"error": f"bad request body: {exc}"}
+        elif blob:
+            checksum = self.headers.get(CHECKSUM_HEADER)
+            if (checksum is not None
+                    and checksum != hashlib.sha256(body).hexdigest()):
+                return 400, {"error": "body does not match "
+                                      f"{CHECKSUM_HEADER} checksum"}
+            args.append(body)
+        return route.call(*args)
 
-    def _handle_submit(self) -> None:
-        try:
-            raw = self._read_body()
-            doc = json.loads(raw.decode() or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._send_json(400, {"error": f"bad request body: {exc}"})
-            return
-        code, response = self.app.submit_response(doc)
-        headers = {}
-        if code == 429:
-            headers["Retry-After"] = "1"
-        self._send_json(code, response, headers=headers)
+    def _read_body(self, limit: int) -> bytes:
+        """The request body, read in full so a keep-alive connection
+        starts its next request at a request line."""
+        if self.headers.get("Transfer-Encoding"):
+            raise ValueError("Transfer-Encoding is not supported")
+        raw = self.headers.get("Content-Length") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            raise ValueError(f"invalid Content-Length {raw!r}")
+        length = int(raw)
+        if length > limit:
+            raise ValueError(f"request body too large ({length} bytes)")
+        return self.rfile.read(length)
+
+    def _send(self, status: int, payload,
+              headers: Optional[dict] = None) -> None:
+        headers = headers or {}
+        if isinstance(payload, bytes):
+            body, content_type = payload, "application/octet-stream"
+            headers = {CHECKSUM_HEADER: hashlib.sha256(body).hexdigest(),
+                       **headers}
+        elif isinstance(payload, str):
+            body, content_type = (payload.encode(),
+                                  "text/plain; version=0.0.4")
+        else:
+            body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+            content_type = "application/json"
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """Threaded HTTP server carrying a reference to the application."""
+
+    def __init__(self, address, app: "Service") -> None:
+        super().__init__(address, _Handler)
+        self.app = app
+
+
+class Service:
+    """An HTTP application and its lifecycle.
+
+    ::
+
+        server.start()              # HTTP thread (plus the app's own)
+        server.request_shutdown()   # SIGTERM, or the app's drain route
+        server.wait()               # drains, stops, returns the report
+
+    Subclasses provide :meth:`routes`, :meth:`observe_request` and
+    :meth:`_drain`; ``config`` carries ``host``, ``port``, ``quiet`` and
+    ``log``.
+    """
+
+    #: Prefix of log lines and name of the HTTP thread.
+    tag = "serve"
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self._routes = [
+            (route, re.compile(re.sub(r"<\w+>", "([^/]+)",
+                                      re.escape(route.pattern))))
+            for route in self.routes()]
+        self.httpd = _HTTPServer((config.host, config.port), self)
+        # A ProcessPoolExecutor forked after the listen socket exists
+        # hands its fd to every child.  Without this hook a dead
+        # daemon's port stays half-open (children never accept), and
+        # fleet peers hang out their full timeout instead of getting
+        # connection-refused.  Close the inherited fd in every forked
+        # child so the parent alone owns the port.
+        multiprocessing.util.register_after_fork(
+            self.httpd, lambda httpd: httpd.socket.close())
+        self._http_thread: Optional[threading.Thread] = None
+        self._shutdown_requested = threading.Event()
+        self._drain_lock = threading.Lock()
+        self._drain_report: Optional[dict] = None
+
+    # -- what an application provides ------------------------------------
+    def routes(self) -> list[Route]:
+        raise NotImplementedError
+
+    def observe_request(self, endpoint: str, seconds: float) -> None:
+        raise NotImplementedError
+
+    def _drain(self) -> dict:
+        """Refuse new work, finish what is in flight, stop the app's
+        threads; returns the drain report."""
+        raise NotImplementedError
+
+    # -- plumbing --------------------------------------------------------
+    def match(self, method: str, path: str
+              ) -> tuple[Optional[Route], list]:
+        for route, regex in self._routes:
+            if route.method == method:
+                found = regex.fullmatch(path)
+                if found:
+                    return route, list(found.groups())
+        return None, []
+
+    def log(self, line: str) -> None:
+        if not self.config.quiet and self.config.log is not None:
+            print(f"[{self.tag}] {line}", file=self.config.log, flush=True)
+
+    @property
+    def address(self) -> str:
+        """The bound address (``port=0`` binds an ephemeral port)."""
+        host, port = self.httpd.server_address[:2]
+        return f"http://{host}:{port}"
+
+    # -- lifecycle -------------------------------------------------------
+    def start(self) -> None:
+        self._http_thread = threading.Thread(
+            target=self.httpd.serve_forever, name=f"{self.tag}-http",
+            daemon=True)
+        self._http_thread.start()
+
+    def request_shutdown(self) -> None:
+        """Ask for a graceful drain (signal-handler safe)."""
+        self._shutdown_requested.set()
+
+    def wait(self) -> dict:
+        """Block until a shutdown is requested, then drain and stop.
+
+        Polls so signal handlers run promptly on every platform.
+        """
+        while not self._shutdown_requested.wait(timeout=0.2):
+            pass
+        return self.drain_and_stop()
+
+    def drain_and_stop(self) -> dict:
+        """Drain the application, then stop the listener.
+
+        Idempotent; returns the drain report from the first invocation.
+        """
+        with self._drain_lock:
+            if self._drain_report is None:
+                self._drain_report = self._drain()
+                # Give in-flight handler threads a beat to flush
+                # responses (e.g. the 202 acknowledging the drain
+                # request itself).
+                clock.sleep(0.1)
+                self.httpd.shutdown()
+                self.httpd.server_close()
+            return self._drain_report
+
+
+def run_until_signal(server, banner: Callable[[], str],
+                     report_line: str) -> int:
+    """Serve until SIGTERM/SIGINT; returns the exit code.
+
+    The body of ``repro-g5 serve``, ``fleet coordinator`` and ``fleet
+    worker``: installs the signal handlers (main thread only — signal
+    delivery wakes the wait below), starts ``server``, prints
+    ``banner()`` once it listens and ``report_line`` formatted with the
+    drain report on the way out, and exits 0 on any clean drain.
+    """
+    def _request_shutdown(signum, frame):  # noqa: ARG001
+        server.request_shutdown()
+
+    signal.signal(signal.SIGTERM, _request_shutdown)
+    signal.signal(signal.SIGINT, _request_shutdown)
+    server.start()
+    print(banner(), flush=True)
+    print(report_line.format(**server.wait()), flush=True)
+    return 0

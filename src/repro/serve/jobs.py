@@ -23,7 +23,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from ..exec.keys import KEY_SCHEMA_VERSION, host_fingerprint
 from ..exec.pool import G5Job
@@ -231,6 +231,10 @@ class JobRecord:
     ``finished`` event lets in-process callers (drain, tests) block on
     completion without polling.
     """
+
+    #: the state a claimed job is in (a coordinator's jobs are
+    #: "dispatched" to a worker, not running in this process)
+    claimed_state: ClassVar[str] = RUNNING
 
     id: str
     request: JobRequest

@@ -187,6 +187,15 @@ ENDPOINTS = ("submit", "status", "result", "stats", "metrics",
              "health", "drain", "store", "other")
 
 
+def endpoint_histograms(registry: "MetricsRegistry", name: str,
+                        endpoints: Sequence[str]) -> dict[str, Histogram]:
+    """One request-latency histogram per endpoint label, keyed by it."""
+    return {endpoint: registry.histogram(
+                name, "HTTP request latency by endpoint",
+                labels={"endpoint": endpoint})
+            for endpoint in endpoints}
+
+
 class ServeMetrics:
     """Every instrument the daemon exports, pre-registered.
 
@@ -236,12 +245,8 @@ class ServeMetrics:
         self.pruned = reg.counter(
             "repro_serve_cache_pruned_entries_total",
             "Disk-cache entries evicted by the byte-cap pruner")
-        self.request_seconds = {
-            endpoint: reg.histogram(
-                "repro_serve_request_seconds",
-                "HTTP request latency by endpoint",
-                labels={"endpoint": endpoint})
-            for endpoint in ENDPOINTS}
+        self.request_seconds = endpoint_histograms(
+            reg, "repro_serve_request_seconds", ENDPOINTS)
         # Per-cost-class predictor drift gauges, registered lazily the
         # first time a class completes a job (the label set is open).
         self._prediction_lock = threading.Lock()

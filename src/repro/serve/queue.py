@@ -3,7 +3,9 @@
 The queue is the single synchronisation point between HTTP handler
 threads (submitting), scheduler worker threads (claiming and
 finishing), and the drain path.  One lock guards all state; a condition
-variable wakes idle workers.
+variable wakes idle workers.  The fleet coordinator's job table is
+this class too: its dispatchers claim, and requeue what a dead worker
+held.
 
 **Scheduling.**  Ready jobs pop in predicted-shortest-first order
 (priority = the cost model's duration estimate, ties broken by
@@ -27,11 +29,11 @@ means exactly what the disk cache means by it.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
 import threading
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
 from .jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, JobRecord
 
@@ -61,7 +63,8 @@ class JobQueue:
         self._terminal_order: deque[str] = deque()
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
-        self._heap: list[tuple[float, int, str]] = []
+        #: (predicted seconds, sequence, job id), cheapest first.
+        self._queued: list[tuple[float, int, str]] = []
         self._jobs: dict[str, JobRecord] = {}
         #: digest -> primary job id, for every queued or running primary.
         self._inflight: dict[str, str] = {}
@@ -101,12 +104,14 @@ class JobQueue:
                     f"queue is full ({self.max_depth} jobs deep)")
             self._jobs[record.id] = record
             self._inflight[record.digest] = record.id
-            heapq.heappush(self._heap,
-                           (record.predicted_seconds, next(self._seq),
-                            record.id))
+            self._enqueue(record)
             self.submitted += 1
-            self._ready.notify()
             return record
+
+    def _enqueue(self, record: JobRecord) -> None:
+        bisect.insort(self._queued, (record.predicted_seconds,
+                                     next(self._seq), record.id))
+        self._ready.notify()
 
     def next_id(self) -> str:
         """A fresh job id (monotone; no entropy, so ids are replayable)."""
@@ -116,24 +121,38 @@ class JobQueue:
     # ------------------------------------------------------------------
     # worker side
     # ------------------------------------------------------------------
-    def claim_next(self, timeout: Optional[float] = None
+    def claim_next(self, timeout: Optional[float] = None,
+                   accept: Optional[Callable[[JobRecord], bool]] = None
                    ) -> Optional[JobRecord]:
-        """Pop the cheapest queued job and mark it running.
+        """Pop the cheapest queued job and mark it claimed.
 
+        With ``accept``, the cheapest job it returns true for (the
+        coordinator passes "has a live, unsaturated route"); it runs
+        under the queue lock, so it must not call back into the queue.
         Blocks up to ``timeout`` seconds for work; returns None on
-        timeout or when draining with an empty queue (the worker's cue
-        to exit its loop).
+        timeout or when draining with nothing to claim (the worker's
+        cue to exit its loop).
         """
         with self._ready:
-            while not self._heap:
-                if self._draining:
+            while True:
+                for index, (_, _, job_id) in enumerate(self._queued):
+                    record = self._jobs[job_id]
+                    if accept is None or accept(record):
+                        del self._queued[index]
+                        record.state = record.claimed_state
+                        return record
+                if self._draining or not self._ready.wait(timeout=timeout):
                     return None
-                if not self._ready.wait(timeout=timeout):
-                    return None
-            _, _, job_id = heapq.heappop(self._heap)
-            record = self._jobs[job_id]
-            record.state = RUNNING
-            return record
+
+    def requeue(self, record: JobRecord) -> bool:
+        """Send a claimed job back to the queue (whoever ran it was
+        lost); false if the job is no longer claimed."""
+        with self._lock:
+            if record.state != record.claimed_state:
+                return False
+            record.state = QUEUED
+            self._enqueue(record)
+            return True
 
     def finish(self, record: JobRecord, *, state: str,
                result: Optional[dict] = None,
@@ -200,13 +219,12 @@ class JobQueue:
         with self._lock:
             self._draining = True
             cancelled: list[JobRecord] = []
-            while self._heap:
-                _, _, job_id = heapq.heappop(self._heap)
-                record = self._jobs[job_id]
+            for _, _, job_id in self._queued:
                 cancelled.extend(self._settle(
-                    record, state=CANCELLED, result=None,
+                    self._jobs[job_id], state=CANCELLED, result=None,
                     error="server drained before execution",
                     source=None, finished_at=None))
+            self._queued.clear()
             self.cancelled += len(cancelled)
             self._ready.notify_all()
         for job in cancelled:
@@ -225,20 +243,28 @@ class JobQueue:
         with self._lock:
             return self._jobs.get(job_id)
 
+    def inflight(self, digest: str) -> Optional[JobRecord]:
+        """The queued or claimed primary a submission would ride."""
+        with self._lock:
+            return self._jobs.get(self._inflight.get(digest))
+
     def depth(self) -> int:
         """Queued (not yet claimed) primary jobs."""
-        return len(self._heap)
+        return len(self._queued)
+
+    def backlog_seconds(self) -> float:
+        """Predicted seconds of queued work (feeds Retry-After)."""
+        with self._lock:
+            return sum(entry[0] for entry in self._queued)
 
     def running(self) -> int:
-        with self._lock:
-            return sum(1 for job in self._jobs.values()
-                       if job.state == RUNNING)
+        return len(self.running_records())
 
     def running_records(self) -> list[JobRecord]:
-        """Snapshot of the records currently executing."""
+        """Snapshot of the records currently claimed."""
         with self._lock:
             return [job for job in self._jobs.values()
-                    if job.state == RUNNING]
+                    if job.state == job.claimed_state]
 
     def counts(self) -> dict[str, int]:
         """Job counts by state plus lifetime totals."""
@@ -246,9 +272,9 @@ class JobQueue:
             by_state = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0,
                         CANCELLED: 0}
             for job in self._jobs.values():
-                by_state[job.state] += 1
+                by_state[job.state] = by_state.get(job.state, 0) + 1
             return {**by_state,
-                    "depth": len(self._heap),
+                    "depth": len(self._queued),
                     "submitted": self.submitted,
                     "coalesced": self.coalesced,
                     "rejected": self.rejected,

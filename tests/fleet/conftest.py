@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fleet.coordinator import CoordinatorConfig
-from repro.fleet.http import CoordinatorServer
+from repro.fleet.coordinator import CoordinatorConfig, CoordinatorServer
 from repro.fleet.worker import FleetWorker, WorkerConfig
 from repro.serve import ServeClient
 

@@ -212,3 +212,46 @@ def test_worker_drain_endpoint_stops_routing(fleet):
                     "scale": "test"})
         assert status["state"] == "done"
         assert status["worker"] == "w2"
+
+
+def test_job_table_is_bounded_by_the_queue_history(fleet):
+    # The coordinator's jobs live in the daemon's JobQueue, so terminal
+    # ones (and their result payloads) are evicted beyond max_history.
+    queue = fleet.coordinator.queue
+    queue.max_history = 3
+    executor = GatedExecutor()
+    executor.release()
+    fleet.add_worker(executor, workers=2)   # one slot will be held
+    docs = [{"kind": "g5", "workload": workload, "cpu": cpu,
+             "scale": "test"}
+            for workload in ("sieve", "fmm") for cpu in ("atomic",
+                                                         "timing", "o3")]
+    done = [_submit_and_wait(fleet, doc)[0]["id"] for doc in docs]
+    with pytest.raises(ServeError) as err:
+        fleet.client.status(done[0])
+    assert err.value.status == 404
+    assert fleet.client.result(done[-1])["state"] == "done"
+
+    # In-flight jobs — a dispatched primary and its coalesced waiter —
+    # outlive any number of later completions.
+    held = GatedExecutor()
+    fleet.workers[0].server.scheduler._execute_fn = held
+    slow = {"kind": "g5", "workload": "blackscholes", "cpu": "minor",
+            "scale": "test"}
+    primary = fleet.client.submit_doc(slow)
+    waiter = fleet.client.submit_doc(slow)
+    assert waiter["coalesced_into"] == primary["id"]
+    for _ in range(200):
+        if held.calls:
+            break
+        clock.sleep(0.02)
+    assert held.calls, "the held job never reached the worker"
+    # Everything cached now completes as memo hits behind the held job.
+    for doc in docs:
+        assert _submit_and_wait(fleet, doc)[1]["state"] == "done"
+    counts = queue.counts()
+    assert counts["done"] + counts["failed"] + counts["cancelled"] <= 3
+    assert fleet.client.status(primary["id"])["state"] == "dispatched"
+    assert fleet.client.status(waiter["id"])["state"] == "queued"
+    held.release()
+    assert fleet.client.wait(waiter["id"])["state"] == "done"

@@ -132,3 +132,37 @@ def test_counts_reports_states_and_totals():
     assert counts["depth"] == 1
     assert counts["submitted"] == 2
     assert len(queue.running_records()) == 1
+
+
+def test_claim_takes_the_cheapest_job_the_predicate_accepts():
+    queue = JobQueue()
+    cheap = queue.submit(_record(queue, "cheap", predicted=1.0))
+    dear = queue.submit(_record(queue, "dear", predicted=9.0))
+    claimed = queue.claim_next(timeout=0,
+                               accept=lambda job: job.digest != "cheap")
+    assert claimed.id == dear.id
+    # Nothing acceptable: the skipped job stays queued, in order.
+    assert queue.claim_next(timeout=0, accept=lambda job: False) is None
+    assert queue.depth() == 1
+    assert queue.backlog_seconds() == 1.0
+    assert queue.claim_next(timeout=0).id == cheap.id
+
+
+def test_requeue_returns_a_claimed_job_to_the_queue_once():
+    queue = JobQueue(max_depth=1)
+    record = queue.submit(_record(queue, "a"))
+    waiter = queue.submit(_record(queue, "a"))
+    assert not queue.requeue(record)            # still queued
+    claimed = queue.claim_next(timeout=0)
+    assert queue.requeue(claimed)
+    assert not queue.requeue(claimed)           # no second entry
+    assert (claimed.state, queue.depth(), queue.running()) == (
+        "queued", 1, 0)
+    # It is still the in-flight primary for its digest.
+    assert queue.inflight("a") is record
+    assert queue.inflight("b") is None
+    settled = queue.finish(queue.claim_next(timeout=0), state=DONE,
+                           result={}, finished_at=1.0)
+    assert [job.id for job in settled] == [record.id, waiter.id]
+    assert queue.claim_next(timeout=0) is None
+    assert not queue.requeue(record)            # terminal
