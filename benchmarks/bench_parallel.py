@@ -50,8 +50,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.exec import ExecutionEngine, ResultCache  # noqa: E402
 from repro.sample import SampledJob  # noqa: E402
-from repro.sample.parallel import (measure_plan_window,  # noqa: E402
-                                   merge_measurements, plan_sampled_job)
+from repro.sample.parallel import (merge_measurements,  # noqa: E402
+                                   plan_sampled_job, unpack_measurement)
 
 
 def payload_bytes(payload: dict) -> bytes:
@@ -75,9 +75,9 @@ def sequential_run(job: SampledJob) -> tuple[dict, dict]:
                          "lower --k or raise the scale")
     window_seconds = []
     measurements = []
-    for window in plan.windows:
+    for window in plan.window_jobs():
         t0 = time.perf_counter()
-        measurements.append(measure_plan_window(plan, window))
+        measurements.append(unpack_measurement(window.execute()))
         window_seconds.append(time.perf_counter() - t0)
     payload = merge_measurements(job, plan, measurements)
     total = plan_seconds + sum(window_seconds)

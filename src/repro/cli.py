@@ -21,6 +21,7 @@ from typing import Optional
 
 from .core.profiler import analyze_profile
 from .exec import ProgressReporter, ResultCache, default_cache_dir
+from .exec.keys import KEY_KINDS
 from .experiments import FIGURES, ExperimentRunner, tables
 from .g5.system import SimConfig, System, simulate
 from .host.cpu import profile_g5_run
@@ -145,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache.add_argument("action", choices=["info", "list", "clear",
                                           "prune"])
     cache.add_argument("--kind", default=None,
-                       choices=["g5", "host", "spec", "lint"],
+                       choices=list(KEY_KINDS),
                        help="restrict clear to one entry kind")
     cache.add_argument("--max-bytes", type=_byte_size, default=None,
                        help="prune: evict oldest entries until the "
@@ -742,9 +743,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from .exec.pool import ExecutionEngine
-    from .sample import (SampleError, choose_k, kmeans, profile_intervals,
-                         project_bbvs, render_sample_report,
-                         select_representatives)
+    from .sample import (SampleError, profile_intervals, project_bbvs,
+                         render_sample_report, select_representatives)
+    from .sample.parallel import cluster_profile
 
     job = _sample_job_from_args(args)
     try:
@@ -767,14 +768,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 for name, value in doc.items():
                     print(f"{name:<16}: {value}")
                 return 0
-            points = project_bbvs(profile.intervals, seed=job.seed)
-            if job.k:
-                clustering = kmeans(points, min(job.k, len(points)),
-                                    seed=job.seed + job.k)
-            else:
-                clustering = choose_k(points, max_k=job.max_k,
-                                      seed=job.seed)
-            reps = select_representatives(points, clustering)
+            clustering = cluster_profile(profile, job)
+            reps = select_representatives(
+                project_bbvs(profile.intervals, seed=job.seed), clustering)
             doc = {"workload": job.workload, "scale": job.scale,
                    "n_intervals": profile.n_intervals,
                    "k": clustering.k, "bic": clustering.bic,

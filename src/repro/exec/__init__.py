@@ -1,9 +1,9 @@
 """Parallel, disk-cached experiment execution (see DESIGN.md).
 
-The scaling backbone under :class:`~repro.experiments.runner.
-ExperimentRunner`: content-addressed result caching
-(:mod:`~repro.exec.cache`, :mod:`~repro.exec.keys`), a cost-model-
-scheduled process pool (:mod:`~repro.exec.pool`,
+The scaling backbone under the experiment runner, the CLI and the serve
+daemon: content-addressed result caching (:mod:`~repro.exec.cache`,
+:mod:`~repro.exec.keys`), the one job-resolution pipeline with its
+cost-model-scheduled process pool (:mod:`~repro.exec.pool`,
 :mod:`~repro.exec.costmodel`), and progress reporting
 (:mod:`~repro.exec.progress`).
 """
@@ -20,9 +20,9 @@ from .keys import (
     spec_key,
     window_key,
 )
-from .pool import EngineStats, ExecutionEngine, G5Job, execute_g5_job
+from .pool import (EngineStats, ExecutionEngine, G5Job, WindowsCancelled,
+                   execute_g5_job)
 from .progress import NullReporter, ProgressReporter
-from .windows import WindowsCancelled, resolve_windows
 
 __all__ = [
     "CacheEntry",
@@ -40,7 +40,6 @@ __all__ = [
     "g5_key",
     "host_fingerprint",
     "host_key",
-    "resolve_windows",
     "sample_fingerprint",
     "sim_fingerprint",
     "spec_key",

@@ -460,8 +460,3 @@ class _ObservationJob:
         self.interval_insts = int(obs.get("interval_insts", 0) or 0)
         self.warmup_insts = int(obs.get("warmup_insts", 0) or 0)
         self.cost_weight_factor = float(obs.get("weight_factor", 1.0))
-
-
-def load_cost_model(history_path: Optional[Path]) -> CostModel:
-    """Cost model backed by ``history_path`` (None = in-memory only)."""
-    return CostModel(history_path)

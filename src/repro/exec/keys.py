@@ -31,6 +31,10 @@ from typing import Any, Optional
 #: Bump when the key schema itself changes (forces a cold cache).
 KEY_SCHEMA_VERSION = 1
 
+#: Every entry kind a key can name (``lint`` keys are made by
+#: :mod:`repro.analysis.cache`); the cache CLI offers exactly these.
+KEY_KINDS = ("g5", "host", "spec", "sample", "window", "lint")
+
 #: Package directories (relative to the repro package root) hashed into
 #: the simulation-side and host-side code fingerprints.
 SIM_CODE_PACKAGES = ("events", "g5", "workloads")
@@ -103,7 +107,7 @@ def canonical(value: Any) -> Any:
 class CacheKey:
     """A content hash plus the human-readable document it hashes."""
 
-    kind: str                 # "g5" | "host" | "spec" | "sample" | "window"
+    kind: str                 # one of KEY_KINDS
     digest: str
     describe: dict
 
@@ -113,6 +117,8 @@ class CacheKey:
 
 
 def _make_key(kind: str, document: dict) -> CacheKey:
+    if kind not in KEY_KINDS:
+        raise ValueError(f"unknown cache key kind {kind!r}")
     document = {"schema": KEY_SCHEMA_VERSION, "kind": kind,
                 **canonical(document)}
     blob = json.dumps(document, sort_keys=True, separators=(",", ":"))

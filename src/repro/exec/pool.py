@@ -1,31 +1,42 @@
-"""The parallel, disk-cached g5 execution engine.
+"""The parallel, disk-cached execution engine.
 
-One :class:`G5Job` names one g5 simulation — ``(workload, cpu_model,
-mode, scale)`` plus an optional non-default :class:`SimConfig`.  The
-engine resolves each job through three layers:
+A *job* names one cacheable unit of work: a g5 simulation
+(:class:`G5Job`), one SimPoint window measurement
+(:class:`~repro.sample.parallel.WindowJob`) or a whole sampled run
+(:class:`~repro.sample.orchestrate.SampledJob`).  Every kind speaks one
+protocol — ``cache_key()``, ``label``, ``sort_key()``, the cost-model
+hooks, ``decode(stored)`` (the decoded value, or None to reject a cache
+entry) and either ``execute()`` (run anywhere, return the stored
+payload) or ``fan_out(engine, should_abort)`` (run here, resolving
+sub-jobs on the engine) — and :meth:`ExecutionEngine.resolve` is the one
+pipeline every kind and every owner (CLI, experiment runner, serve
+daemon) goes through:
 
-1. the content-addressed disk cache (:mod:`repro.exec.cache`), keyed by
-   config + workload + code fingerprint;
-2. for misses, a ``ProcessPoolExecutor`` fan-out across ``jobs`` workers,
-   scheduled predicted-longest-first (:mod:`repro.exec.costmodel`) so
-   the O3/FS stragglers start immediately;
-3. inline execution when the pool would not help (one worker, or a
-   single miss).
+1. probe the content-addressed disk cache (:mod:`repro.exec.cache`);
+2. order the misses predicted-longest-first
+   (:mod:`repro.exec.costmodel`) so the O3/FS stragglers start first;
+3. run them — inline when one worker suffices, otherwise across the
+   execute step's process pool — in one completion loop that polls
+   ``should_abort``;
+4. store, observe and count every result in one place.
 
-Workers return *packed* results (plain builtins, see
-:mod:`repro.g5.serialize`), which is also the cache value format — so
-a result is bit-identical whether it came from a worker, the disk, or
-an inline run.  Simulation is deterministic, so executing a job twice
-can never produce two different cache values.
+Payloads are plain builtins (see :mod:`repro.g5.serialize`), which is
+also the cache value format — so a result is bit-identical whether it
+came from a worker, the disk, or an inline run.  Simulation is
+deterministic, so executing a job twice can never produce two different
+cache values.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, \
+    ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..g5.serialize import pack_sim_result, unpack_sim_result
 from ..g5.system import SimConfig, SimResult, System, simulate
@@ -34,6 +45,9 @@ from .cache import ResultCache
 from .costmodel import CostModel
 from .keys import CacheKey, g5_key
 from .progress import NullReporter, ProgressReporter
+
+#: Poll interval for ``should_abort`` while jobs are in flight.
+_ABORT_POLL_SECONDS = 0.05
 
 
 @dataclass(frozen=True)
@@ -71,6 +85,16 @@ class G5Job:
         return g5_key(self.workload, self.cpu_model, self.mode, self.scale,
                       self.sim_config, threads=self.threads)
 
+    def execute(self) -> dict:
+        return pack_sim_result(execute_g5_job(self))
+
+    @staticmethod
+    def decode(stored: object) -> Optional[SimResult]:
+        try:
+            return unpack_sim_result(stored)
+        except Exception:  # noqa: BLE001 - any unusable entry is a miss
+            return None
+
 
 def execute_g5_job(job: G5Job) -> SimResult:
     """Run one g5 simulation to completion (no caching)."""
@@ -89,11 +113,44 @@ def execute_g5_job(job: G5Job) -> SimResult:
     return simulate(system)
 
 
-def _pool_worker(job: G5Job) -> tuple[dict, float]:
-    """Process-pool entry point: run a job, return (packed result, secs)."""
+def execute_job(job) -> tuple[dict, float]:
+    """Run one leaf job to its stored payload: ``(payload, seconds)``.
+
+    The picklable entry point process-pool workers are handed, and what
+    an inline run calls — one function, so both pack identically.
+    """
     start = time.perf_counter()
-    result = execute_g5_job(job)
-    return pack_sim_result(result), time.perf_counter() - start
+    payload = job.execute()
+    return payload, time.perf_counter() - start
+
+
+def _run_now(fn: Callable, *args) -> Future:
+    """``fn(*args)`` run in this thread, as an already-settled future."""
+    future: Future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - re-raised by result()
+        future.set_exception(exc)
+    return future
+
+
+class WindowsCancelled(RuntimeError):
+    """``should_abort`` fired before every job of a fan-out resolved."""
+
+    def __init__(self, completed: int, cancelled: int) -> None:
+        super().__init__(f"cancelled mid-fan-out: {completed} windows "
+                         f"resolved, {cancelled} abandoned")
+        self.completed = completed
+        self.cancelled = cancelled
+
+
+class Resolved(NamedTuple):
+    """One resolved job: the stored payload, its decoded value, and
+    where it came from (``"disk-cache"`` or ``"executed"``)."""
+
+    payload: dict
+    value: object
+    source: str
 
 
 @dataclass
@@ -120,28 +177,21 @@ class EngineStats:
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
-    def note_execution(self, label: str, seconds: float) -> None:
-        """Record one completed simulation (thread-safe)."""
-        with self._lock:
-            self.executed += 1
-            self.executed_seconds += seconds
-            self.by_label[label] = round(seconds, 3)
-
-    def note_window_execution(self, label: str, seconds: float) -> None:
-        """Record one measured sampled window (thread-safe).
+    def note_execution(self, label: str, seconds: float,
+                       window: bool = False) -> None:
+        """Record one executed job (thread-safe).
 
         Windows are sub-jobs of a sampled run, so they get their own
         counters — ``executed`` keeps meaning whole jobs.
         """
         with self._lock:
-            self.windows_executed += 1
-            self.window_seconds += seconds
+            if window:
+                self.windows_executed += 1
+                self.window_seconds += seconds
+            else:
+                self.executed += 1
+                self.executed_seconds += seconds
             self.by_label[label] = round(seconds, 3)
-
-    def note_window_hit(self, count: int = 1) -> None:
-        """Record windows served from the on-disk cache (thread-safe)."""
-        with self._lock:
-            self.window_hits += count
 
     def note_executed_batch(self, count: int,
                             seconds: float = 0.0) -> None:
@@ -150,10 +200,13 @@ class EngineStats:
             self.executed += count
             self.executed_seconds += seconds
 
-    def note_disk_hit(self, count: int = 1) -> None:
+    def note_disk_hit(self, count: int = 1, window: bool = False) -> None:
         """Record results served from the on-disk cache (thread-safe)."""
         with self._lock:
-            self.disk_hits += count
+            if window:
+                self.window_hits += count
+            else:
+                self.disk_hits += count
 
     def note_sharded_run(self, sharding: Optional[dict]) -> None:
         """Fold in one executed simulation's sharding counters.
@@ -183,12 +236,20 @@ class EngineStats:
 
 
 class ExecutionEngine:
-    """Resolves G5Jobs through cache layers and a worker pool."""
+    """Resolves jobs through the disk cache and an execute step.
+
+    ``submit`` is the execute step for leaf jobs — ``submit(job)``
+    returns a future of ``(payload, seconds)``.  The serve scheduler
+    passes its persistent pool; left unset, the engine runs inline or
+    in a pool of its own that lives for one :meth:`resolve`.
+    """
 
     def __init__(self, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
                  cost_model: Optional[CostModel] = None,
-                 progress: Optional[ProgressReporter] = None) -> None:
+                 progress: Optional[ProgressReporter] = None,
+                 submit: Optional[Callable[[object], Future]] = None
+                 ) -> None:
         if jobs < 1:
             raise ValueError(f"need at least one worker, got {jobs}")
         self.jobs = jobs
@@ -199,143 +260,136 @@ class ExecutionEngine:
         self.cost_model = cost_model
         self.progress = progress if progress is not None else NullReporter()
         self.stats = EngineStats()
+        self._submit = submit
 
-    # ------------------------------------------------------------------
-    # single job
-    # ------------------------------------------------------------------
     def run(self, job: G5Job) -> SimResult:
-        """Resolve one job: disk cache, then inline execution."""
-        key = job.cache_key()
-        cached = self._fetch(key)
-        if cached is not None:
-            return cached
-        return self._execute_inline(job, key)
+        """Resolve one g5 job to its :class:`SimResult`."""
+        return self.resolve([job])[job].value
 
-    def run_sampled(self, job) -> dict:
-        """Resolve one :class:`~repro.sample.SampledJob` payload.
-
-        Same cache discipline as :meth:`run` — the content-addressed key
-        covers the sampling configuration and the sampling code, so a
-        repeat run is a pure disk hit.  Observed wall time feeds the
-        cost model under the job's own ``cost_class``, keeping sampled
-        timings out of the full-run history.
-
-        With more than one worker the measurement windows fan out
-        through the process pool (:mod:`repro.exec.windows`), each as
-        its own content-addressed cache entry; the merged payload is
-        byte-identical to the sequential path's.
-        """
-        from ..sample.orchestrate import execute_sampled_job
-        from ..sample.parallel import (exact_payload, merge_measurements,
-                                       plan_sampled_job)
-        from .windows import resolve_windows
-
-        key = job.cache_key()
-        if self.cache is not None:
-            payload = self.cache.get(key)
-            if isinstance(payload, dict) and payload.get("kind") == "sample":
-                self.stats.note_disk_hit()
-                return payload
-        start = time.perf_counter()
-        if self.jobs > 1:
-            plan = plan_sampled_job(job)
-            if plan.exact:
-                payload = exact_payload(job, plan.profile)
-            else:
-                measurements = resolve_windows(
-                    job, plan, jobs=self.jobs, cache=self.cache,
-                    cost_model=self.cost_model, stats=self.stats)
-                payload = merge_measurements(job, plan, measurements)
-        else:
-            payload = execute_sampled_job(job)
-        seconds = time.perf_counter() - start
-        self._store(key, payload)
-        self._record(job, seconds)
-        self.progress.job_done(job.label, seconds)
-        self.cost_model.flush()
-        return payload
-
-    # ------------------------------------------------------------------
-    # batches
-    # ------------------------------------------------------------------
     def run_batch(self, jobs: Iterable[G5Job]) -> dict[G5Job, SimResult]:
         """Resolve a job set, fanning cache misses across the pool.
 
         Duplicate jobs collapse to one execution.  Results come back for
         every requested job regardless of how each was satisfied.
         """
-        unique = list(dict.fromkeys(jobs))
-        results: dict[G5Job, SimResult] = {}
-        misses: list[G5Job] = []
-        keys: dict[G5Job, CacheKey] = {}
-        for job in unique:
-            key = job.cache_key()
-            keys[job] = key
-            cached = self._fetch(key)
-            if cached is not None:
-                results[job] = cached
-            else:
-                misses.append(job)
-        ordered = self.cost_model.schedule(misses)
-        workers = min(self.jobs, len(ordered))
-        self.progress.batch_start(len(ordered), len(results), max(1, workers))
-        if workers > 1:
-            self._execute_pool(ordered, keys, results, workers)
-        else:
-            for job in ordered:
-                results[job] = self._execute_inline(job, keys[job])
-        self.cost_model.flush()
+        return {job: resolved.value
+                for job, resolved in self.resolve(jobs).items()}
+
+    def run_sampled(self, job) -> dict:
+        """Resolve one :class:`~repro.sample.SampledJob` payload.
+
+        The job plans its windows and resolves them on this engine, each
+        as its own content-addressed entry; the merged payload is
+        byte-identical at every ``jobs``.
+        """
+        return self.resolve([job])[job].payload
+
+    # ------------------------------------------------------------------
+    # the pipeline: probe -> schedule -> execute -> store
+    # ------------------------------------------------------------------
+    def resolve(self, jobs: Iterable,
+                should_abort: Optional[Callable[[], bool]] = None
+                ) -> dict:
+        """Resolve every job; returns ``{job: Resolved}``.
+
+        ``should_abort`` is polled before each start and between
+        completions; when it returns true the fan-out stops with
+        :class:`WindowsCancelled` (it may also raise, e.g. a timeout).
+        However a fan-out ends, every job that completed is stored and
+        counted, not-yet-started ones are cancelled, and the first
+        error is raised.
+        """
+        keys = {job: job.cache_key() for job in dict.fromkeys(jobs)}
+        resolved: dict = {}
+        for job, key in keys.items():
+            stored = self.cache.get(key) if self.cache is not None else None
+            value = job.decode(stored) if stored is not None else None
+            if value is not None:
+                self.stats.note_disk_hit(window=key.kind == "window")
+                resolved[job] = Resolved(stored, value, "disk-cache")
+        ordered = self.cost_model.schedule(
+            [job for job in keys if job not in resolved])
+        workers = max(1, min(self.jobs, len(ordered)))
+        self.progress.batch_start(len(ordered), len(resolved), workers)
+        if ordered:
+            try:
+                self._execute(ordered, workers, should_abort, keys, resolved)
+            finally:
+                self.cost_model.flush()
         self.progress.batch_end()
-        return results
+        return resolved
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _fetch(self, key: CacheKey) -> Optional[SimResult]:
-        if self.cache is None:
-            return None
-        payload = self.cache.get(key)
-        if payload is None:
-            return None
-        try:
-            result = unpack_sim_result(payload)
-        except Exception:
-            return None
-        self.stats.note_disk_hit()
-        return result
+    def _execute(self, ordered: list, workers: int,
+                 should_abort: Optional[Callable[[], bool]],
+                 keys: dict, resolved: dict) -> None:
+        """Run the misses; fill ``resolved`` as each one completes."""
+        total = len(resolved) + len(ordered)
+        waiting = ordered[::-1]
+        pending: dict[Future, object] = {}
+        poll = _ABORT_POLL_SECONDS if should_abort is not None else None
+        with self._execute_step(workers) as (submit, capacity):
+            try:
+                while waiting or pending:
+                    if should_abort is not None and should_abort():
+                        raise WindowsCancelled(len(resolved),
+                                               total - len(resolved))
+                    while waiting and len(pending) < capacity:
+                        job = waiting.pop()
+                        if hasattr(job, "fan_out"):
+                            future = _run_now(self._fan_out, job,
+                                              should_abort)
+                        else:
+                            future = submit(job)
+                        pending[future] = job
+                    done, _ = wait(pending, timeout=poll,
+                                   return_when=FIRST_COMPLETED)
+                    errors = []
+                    for future in done:
+                        job = pending.pop(future)
+                        try:
+                            payload, seconds = future.result()
+                        except Exception as exc:  # noqa: BLE001
+                            errors.append(exc)
+                        else:
+                            resolved[job] = self._record(
+                                job, keys[job], payload, seconds)
+                    if errors:
+                        raise errors[0]
+            finally:
+                for future in pending:
+                    future.cancel()
 
-    def _store(self, key: CacheKey, packed: dict) -> None:
-        if self.cache is not None:
-            self.cache.put(key, packed)
+    @contextmanager
+    def _execute_step(self, workers: int) -> Iterator[tuple]:
+        """``(submit, capacity)``: the ``submit(job) -> Future`` leaf
+        misses run through and how many it may hold at once.  The
+        inline step runs a job inside ``submit``, so it takes one at a
+        time, which keeps the abort poll between jobs."""
+        if self._submit is not None:
+            yield self._submit, float("inf")
+        elif workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield partial(pool.submit, execute_job), float("inf")
+        else:
+            yield partial(_run_now, execute_job), 1
 
-    def _record(self, job: G5Job, seconds: float) -> None:
-        self.stats.note_execution(job.label, seconds)
-        self.cost_model.observe(job, seconds)
-
-    def _execute_inline(self, job: G5Job, key: CacheKey) -> SimResult:
+    def _fan_out(self, job, should_abort) -> tuple[dict, float]:
         start = time.perf_counter()
-        result = execute_g5_job(job)
-        seconds = time.perf_counter() - start
-        self._store(key, pack_sim_result(result))
-        self._record(job, seconds)
-        self.stats.note_sharded_run(result.sharding)
-        self.progress.job_done(job.label, seconds)
-        return result
+        payload = job.fan_out(self, should_abort)
+        return payload, time.perf_counter() - start
 
-    def _execute_pool(self, ordered: list[G5Job],
-                      keys: dict[G5Job, CacheKey],
-                      results: dict[G5Job, SimResult],
-                      workers: int) -> None:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(_pool_worker, job): job
-                       for job in ordered}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    job = pending.pop(future)
-                    packed, seconds = future.result()
-                    self._store(keys[job], packed)
-                    self._record(job, seconds)
-                    results[job] = unpack_sim_result(packed)
-                    self.stats.note_sharded_run(results[job].sharding)
-                    self.progress.job_done(job.label, seconds)
+    def _record(self, job, key: CacheKey, payload: dict,
+                seconds: float) -> Resolved:
+        """Store, observe and count one executed job."""
+        value = job.decode(payload)
+        if value is None:
+            raise RuntimeError(f"{job.label} produced a payload its own "
+                               "decode rule rejects")
+        if self.cache is not None:
+            self.cache.put(key, payload)
+        self.cost_model.observe(job, seconds)
+        self.stats.note_execution(job.label, seconds,
+                                  window=key.kind == "window")
+        self.stats.note_sharded_run(payload.get("sharding"))
+        self.progress.job_done(job.label, seconds)
+        return Resolved(payload, value, "executed")

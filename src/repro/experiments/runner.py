@@ -27,7 +27,7 @@ absolute wall-clock shrinks proportionally).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Hashable, Iterable, Optional, Union
 
 from ..exec import ExecutionEngine, G5Job, ResultCache
 from ..exec.keys import CacheKey, host_key, spec_key
@@ -73,10 +73,10 @@ class ExperimentRunner:
         self.engine = ExecutionEngine(jobs=jobs, cache=cache,
                                       progress=progress)
         self._g5_cache: dict[tuple[str, str, str, int], SimResult] = {}
-        self._host_cache: dict[_HostKey, HostRunResult] = {}
-        self._spec_cache: dict[tuple[str, str], HostRunResult] = {}
-        self._host_disk_hits = 0
-        self._spec_disk_hits = 0
+        #: replay memos and disk-hit counters, per kind ("host" | "spec")
+        self._replays: dict[str, dict[Hashable, HostRunResult]] = {
+            "host": {}, "spec": {}}
+        self._replay_disk_hits = {"host": 0, "spec": 0}
 
     # ------------------------------------------------------------------
     # g5 side
@@ -152,75 +152,73 @@ class ExperimentRunner:
         key = _HostKey(workload, cpu_model, mode, platform_obj.name,
                        opt_level, hugepages.value, contention,
                        layout_quality, roi_only)
-        cached = self._host_cache.get(key)
-        if cached is not None:
-            return cached
-        disk_key = None
-        if self.cache is not None:
+
+        def disk_key() -> CacheKey:
             job = self._g5_job(workload, cpu_model, mode)
-            disk_key = host_key(job.cache_key(), platform_obj, opt_level,
-                                hugepages, contention, layout_quality,
-                                roi_only, self.max_records)
-            stored = self._fetch_host(disk_key)
-            if stored is not None:
-                self._host_disk_hits += 1
-                self._host_cache[key] = stored
-                return stored
-        g5 = self.g5_result(workload, cpu_model, mode)
-        recorder = g5.recorder
-        if roi_only:
-            trace_fns, trace_daddrs = recorder.roi_slice()
-        else:
-            trace_fns = recorder.trace_fns
-            trace_daddrs = recorder.trace_daddrs
-        if self.max_records is not None and len(trace_fns) > self.max_records:
-            trace_fns = trace_fns[:self.max_records]
-            trace_daddrs = trace_daddrs[:self.max_records]
-        image = BinaryImage.for_recorder_functions(
-            recorder.known_functions(), opt_level=opt_level,
-            layout_quality=layout_quality)
-        cpu = HostCPU(platform_obj, image, hugepages=hugepages,
-                      contention=contention)
-        result = cpu.replay(trace_fns, trace_daddrs, recorder.fn_names)
-        self._host_cache[key] = result
-        if disk_key is not None:
-            self.cache.put(disk_key, result)
-        return result
+            return host_key(job.cache_key(), platform_obj, opt_level,
+                            hugepages, contention, layout_quality,
+                            roi_only, self.max_records)
+
+        def replay() -> HostRunResult:
+            g5 = self.g5_result(workload, cpu_model, mode)
+            recorder = g5.recorder
+            if roi_only:
+                trace_fns, trace_daddrs = recorder.roi_slice()
+            else:
+                trace_fns = recorder.trace_fns
+                trace_daddrs = recorder.trace_daddrs
+            if self.max_records is not None \
+                    and len(trace_fns) > self.max_records:
+                trace_fns = trace_fns[:self.max_records]
+                trace_daddrs = trace_daddrs[:self.max_records]
+            image = BinaryImage.for_recorder_functions(
+                recorder.known_functions(), opt_level=opt_level,
+                layout_quality=layout_quality)
+            cpu = HostCPU(platform_obj, image, hugepages=hugepages,
+                          contention=contention)
+            return cpu.replay(trace_fns, trace_daddrs, recorder.fn_names)
+
+        return self._replay("host", key, disk_key, replay)
 
     def spec_result(self, spec_name: str,
                     platform: PlatformLike) -> HostRunResult:
         """Replay one SPEC synthetic on one platform (cached)."""
         platform_obj = self._resolve(platform)
-        key = (spec_name, platform_obj.name)
-        cached = self._spec_cache.get(key)
-        if cached is not None:
-            return cached
-        disk_key = None
-        if self.cache is not None:
-            disk_key = spec_key(spec_name, platform_obj, self.spec_records)
-            stored = self._fetch_host(disk_key)
-            if stored is not None:
-                self._spec_disk_hits += 1
-                self._spec_cache[key] = stored
-                return stored
-        workload: SyntheticHostWorkload = build_spec(
-            spec_name, n_records=self.spec_records)
-        cpu = HostCPU(platform_obj, workload.image)
-        result = cpu.replay(workload.trace_fns, workload.trace_daddrs,
-                            workload.fn_names)
-        self._spec_cache[key] = result
-        if disk_key is not None:
-            self.cache.put(disk_key, result)
-        return result
+
+        def replay() -> HostRunResult:
+            workload: SyntheticHostWorkload = build_spec(
+                spec_name, n_records=self.spec_records)
+            cpu = HostCPU(platform_obj, workload.image)
+            return cpu.replay(workload.trace_fns, workload.trace_daddrs,
+                              workload.fn_names)
+
+        return self._replay(
+            "spec", (spec_name, platform_obj.name),
+            lambda: spec_key(spec_name, platform_obj, self.spec_records),
+            replay)
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _fetch_host(self, disk_key: CacheKey) -> Optional[HostRunResult]:
-        payload = self.cache.get(disk_key)
-        if isinstance(payload, HostRunResult):
-            return payload
-        return None
+    def _replay(self, kind: str, memo_key: Hashable,
+                disk_key: Callable[[], CacheKey],
+                replay: Callable[[], HostRunResult]) -> HostRunResult:
+        """One replay through the ladder: memo -> disk cache -> compute."""
+        memo = self._replays[kind]
+        result = memo.get(memo_key)
+        if result is not None:
+            return result
+        key = disk_key() if self.cache is not None else None
+        stored = self.cache.get(key) if key is not None else None
+        if isinstance(stored, HostRunResult):
+            self._replay_disk_hits[kind] += 1
+            result = stored
+        else:
+            result = replay()
+            if key is not None:
+                self.cache.put(key, result)
+        memo[memo_key] = result
+        return result
 
     @staticmethod
     def _resolve(platform: PlatformLike) -> HostPlatform:
@@ -232,10 +230,10 @@ class ExperimentRunner:
         """Artifact counts by layer (memo sizes + executor activity)."""
         return {
             "g5_runs": len(self._g5_cache),
-            "host_replays": len(self._host_cache),
-            "spec_replays": len(self._spec_cache),
+            "host_replays": len(self._replays["host"]),
+            "spec_replays": len(self._replays["spec"]),
             "g5_executed": self.engine.stats.executed,
             "g5_disk_hits": self.engine.stats.disk_hits,
-            "host_disk_hits": self._host_disk_hits,
-            "spec_disk_hits": self._spec_disk_hits,
+            "host_disk_hits": self._replay_disk_hits["host"],
+            "spec_disk_hits": self._replay_disk_hits["spec"],
         }

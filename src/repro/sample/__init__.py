@@ -23,10 +23,10 @@ windows.  This package implements the full flow:
 - :mod:`repro.sample.orchestrate` — :class:`SampledJob` tying it all
   together, producing a JSON-safe payload the exec cache and the serve
   daemon share;
-- :mod:`repro.sample.parallel` — the plan/measure/merge split behind
-  the sequential path, plus per-window content-addressed cache entries
-  (:class:`WindowJob`) so :mod:`repro.exec.windows` can fan the
-  measurements across the process pool with byte-identical results.
+- :mod:`repro.sample.parallel` — the plan/measure/merge split, plus
+  per-window content-addressed cache entries (:class:`WindowJob`) that
+  the exec engine resolves inline or across its process pool with
+  byte-identical results.
 
 Everything in this package is deterministic: two runs with the same
 seed produce byte-identical reports, which is what lets sampled results

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exec.keys import CacheKey, sample_key
+from ..exec.pool import ExecutionEngine
 from .bbv import DEFAULT_INTERVAL_INSTS
 from .parallel import (SAMPLE_FORMAT_VERSION, exact_payload,
-                       measure_plan_window, merge_measurements,
-                       plan_sampled_job)
+                       merge_measurements, plan_sampled_job)
 
 #: Stats surfaced by name in the rendered report (beyond the ratios).
 _REPORT_KEYS = (
@@ -67,19 +67,12 @@ class SampledJob:
 
     cost_weight_factor = 0.4
 
+    def sort_key(self) -> tuple:
+        return (self.workload, self.cpu_model, self.scale,
+                self.interval_insts, self.seed)
+
     def cache_key(self) -> CacheKey:
-        return sample_key(
-            workload=self.workload,
-            cpu_model=self.cpu_model,
-            scale=self.scale,
-            interval_insts=self.interval_insts,
-            warmup_insts=self.warmup_insts,
-            k=self.k,
-            max_k=self.max_k,
-            seed=self.seed,
-            mode=self.mode,
-            domains=self.domains,
-        )
+        return sample_key(**self.describe())
 
     def describe(self) -> dict:
         return {
@@ -95,23 +88,29 @@ class SampledJob:
             "domains": self.domains,
         }
 
+    def fan_out(self, engine, should_abort=None) -> dict:
+        """The sampling pipeline: plan, resolve each window as a job on
+        ``engine`` (cache, pool and abort poll included), merge in plan
+        order.  Returns the JSON-safe payload."""
+        plan = plan_sampled_job(self)
+        if plan.exact:
+            return exact_payload(self, plan.profile)
+        windows = plan.window_jobs()
+        resolved = engine.resolve(windows, should_abort)
+        return merge_measurements(
+            self, plan, [resolved[window].value for window in windows])
+
+    @staticmethod
+    def decode(stored: object):
+        if isinstance(stored, dict) and stored.get("kind") == "sample" \
+                and stored.get("format") == SAMPLE_FORMAT_VERSION:
+            return stored
+        return None
+
 
 def execute_sampled_job(job: SampledJob) -> dict:
-    """Run the full sampling pipeline and return the JSON-safe payload.
-
-    This is the sequential path: :func:`~repro.sample.parallel
-    .plan_sampled_job` decides the windows, each is measured inline in
-    plan order, and :func:`~repro.sample.parallel.merge_measurements`
-    reconstructs the payload.  The parallel path in
-    :mod:`repro.exec.windows` walks the same plan through the process
-    pool; both produce byte-identical payloads per seed.
-    """
-    plan = plan_sampled_job(job)
-    if plan.exact:
-        return exact_payload(job, plan.profile)
-    measurements = [measure_plan_window(plan, window)
-                    for window in plan.windows]
-    return merge_measurements(job, plan, measurements)
+    """The payload from an uncached one-worker engine (no pool)."""
+    return ExecutionEngine().run_sampled(job)
 
 
 def render_sample_report(payload: dict) -> str:

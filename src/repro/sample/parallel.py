@@ -6,18 +6,17 @@ The sequential sampling pipeline interleaves three separable stages:
 one window), and *merging* (weighted reconstruction into the payload).
 Only the measurement stage costs detailed-simulation time, and the
 windows are independent once their checkpoints exist — so this module
-splits the stages apart, letting :mod:`repro.exec.windows` fan the
-measurements out across a process pool while the sequential path in
-:mod:`repro.sample.orchestrate` walks the exact same plan inline.
+splits the stages apart, and :meth:`SampledJob.fan_out
+<repro.sample.orchestrate.SampledJob.fan_out>` resolves the windows as
+jobs on an :class:`~repro.exec.pool.ExecutionEngine`, inline or across
+its process pool.
 
 The contract is bit-exactness: ``merge_measurements`` consumes
 measurements in **plan order** (representatives sorted by interval
-index), never completion order, and every float that reaches the
-payload is produced by the same expressions the sequential path uses.
-A parallel run and a sequential run of the same :class:`SampledJob`
-therefore serialize to byte-identical JSON — the differential suite
-(`tests/sample/test_parallel_differential.py`) pins this for every CPU
-model.
+index), never completion order.  A pooled run and a one-worker run of
+the same :class:`SampledJob` therefore serialize to byte-identical JSON
+— the differential suite (`tests/sample/test_parallel_differential.py`)
+pins this for every CPU model.
 
 Each planned window also names itself as a content-addressed cache
 entry (:class:`WindowJob`): the key covers the *checkpoint content
@@ -33,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..exec.keys import CacheKey, window_key
-from ..g5.isa import Program
 from ..g5.serialize import Checkpoint
 from ..g5.system import SimConfig, System, simulate
 from ..workloads import get_workload
@@ -96,11 +94,11 @@ def checkpoint_digest(checkpoint: Checkpoint) -> str:
 class WindowJob:
     """One window measurement as a content-addressed executable unit.
 
-    Everything that determines the measurement is a field: the guest
-    program (workload + scale), the CPU model, the window geometry, and
-    the checkpoint's *content* digest.  The clustering seed is
-    deliberately absent — two sampled jobs whose clustering happens to
-    pick the same windows share the same entries.
+    Everything that determines the measurement is a compared field:
+    the guest program (workload + scale), the CPU model, the window
+    geometry, and the checkpoint's *content* digest.  The clustering
+    seed is deliberately absent — two sampled jobs whose clustering
+    happens to pick the same windows share the same entries.
     """
 
     workload: str
@@ -113,6 +111,9 @@ class WindowJob:
     ckpt_digest: str               # content digest of the restore point
     mode: str = "se"
     domains: int = 1               # event-queue domains for measurement
+    #: the restore point itself; travels with the job to its worker
+    checkpoint: Optional[Checkpoint] = field(default=None, compare=False,
+                                             repr=False)
 
     @property
     def label(self) -> str:
@@ -154,6 +155,22 @@ class WindowJob:
             mode=self.mode,
             domains=self.domains,
         )
+
+    def execute(self) -> dict:
+        """Measure the window from its checkpoint (in any process).
+
+        The guest program is rebuilt from the workload registry — the
+        same deterministic build the planning process ran.
+        """
+        program = get_workload(self.workload).build(self.scale)
+        return pack_measurement(measure_from_checkpoint(
+            self.checkpoint, program, self.workload, self.cpu_model,
+            interval=self.interval, length=self.length,
+            pre_insts=self.pre_insts, domains=self.domains))
+
+    @staticmethod
+    def decode(stored: object) -> Optional[IntervalMeasurement]:
+        return unpack_measurement(stored)
 
 
 def pack_measurement(measurement: IntervalMeasurement) -> dict:
@@ -228,8 +245,6 @@ class SamplePlan:
     checkpoints: dict[int, Checkpoint] = field(default_factory=dict)
     #: warm_start -> checkpoint content digest (computed once per plan)
     digests: dict[int, str] = field(default_factory=dict)
-    #: the built guest program, for in-process measurement
-    program: Optional[Program] = None
 
     def window_jobs(self) -> list[WindowJob]:
         """The windows as content-addressed cache entries, plan order."""
@@ -240,7 +255,8 @@ class SamplePlan:
                           pre_insts=w.pre_insts,
                           ckpt_digest=self.digests[w.warm_start],
                           mode=job.mode,
-                          domains=getattr(job, "domains", 1))
+                          domains=getattr(job, "domains", 1),
+                          checkpoint=self.checkpoints[w.warm_start])
                 for w in self.windows]
 
 
@@ -295,14 +311,14 @@ def plan_sampled_job(job: Any) -> SamplePlan:
             "no ROI instructions; nothing to sample")
     if job.k and job.k >= n:
         return SamplePlan(job=job, profile=profile, exact=True,
-                          k=n, bic=0.0, sse=0.0, program=program)
+                          k=n, bic=0.0, sse=0.0)
 
     clustering = cluster_profile(profile, job)
     reps = select_representatives(
         project_bbvs(profile.intervals, seed=job.seed), clustering)
     if len(reps) >= n:
         return SamplePlan(job=job, profile=profile, exact=True,
-                          k=n, bic=0.0, sse=0.0, program=program)
+                          k=n, bic=0.0, sse=0.0)
 
     windows = plan_windows(profile, reps, job.warmup_insts)
     checkpoints = take_checkpoints_at(
@@ -312,22 +328,11 @@ def plan_sampled_job(job: Any) -> SamplePlan:
     return SamplePlan(job=job, profile=profile, exact=False,
                       k=clustering.k, bic=clustering.bic,
                       sse=clustering.sse, windows=windows,
-                      checkpoints=checkpoints, digests=digests,
-                      program=program)
-
-
-def measure_plan_window(plan: SamplePlan,
-                        window: WindowPlan) -> IntervalMeasurement:
-    """Measure one planned window in-process (the sequential path)."""
-    job = plan.job
-    return measure_from_checkpoint(
-        plan.checkpoints[window.warm_start], plan.program, job.workload,
-        job.cpu_model, interval=window.interval, length=window.length,
-        pre_insts=window.pre_insts, domains=getattr(job, "domains", 1))
+                      checkpoints=checkpoints, digests=digests)
 
 
 # ----------------------------------------------------------------------
-# merging (identical for sequential and parallel execution)
+# merging
 # ----------------------------------------------------------------------
 def merge_measurements(job: Any, plan: SamplePlan,
                        measurements: list[IntervalMeasurement]) -> dict:
@@ -336,7 +341,7 @@ def merge_measurements(job: Any, plan: SamplePlan,
     ``measurements`` must align with ``plan.windows`` (plan order, i.e.
     representatives sorted by interval index) — *not* completion order.
     Given that alignment the result is a pure function of the inputs,
-    which is what makes parallel and sequential runs byte-identical.
+    which is what makes runs byte-identical at any worker count.
     """
     if plan.exact:
         raise ValueError("exact plans have no windows to merge")

@@ -1,38 +1,39 @@
 """The daemon's execution core: workers resolving jobs through layers.
 
 ``workers`` scheduler threads claim jobs off the :class:`JobQueue`
-(cheapest-predicted-first) and resolve each through the same layers the
-batch CLI uses, in the same order:
+(cheapest-predicted-first) and resolve each through:
 
 1. **memo** — a bounded in-process map of recently produced packed
    results, so a burst of identical requests after the first completes
    never touches the disk;
-2. **disk cache** — the content-addressed :class:`ResultCache`
-   (`repro.exec.cache`), shared with every CLI run on the machine;
-3. **execution** — g5 jobs run in a ``ProcessPoolExecutor`` via the
-   exec engine's own ``_pool_worker`` (so a served result is packed by
-   exactly the code a direct run uses); figure jobs run in-thread
-   through an :class:`ExperimentRunner` backed by the same disk cache.
+2. **the exec engine** — g5 and sampled jobs go through
+   :meth:`ExecutionEngine.resolve <repro.exec.pool.ExecutionEngine
+   .resolve>`, the pipeline the batch CLI uses (disk cache shared with
+   every CLI run on the machine, same decode rule, same packing code),
+   with this scheduler's one persistent process pool as its execute
+   step — g5 misses and sampled-window fan-outs share that pool;
+   figure jobs run in-thread through an :class:`ExperimentRunner`
+   backed by the same disk cache.
 
-Failure handling: a worker-process crash (``BrokenProcessPool``)
-rebuilds the pool and retries with exponential backoff up to
-``max_retries`` times; a per-job ``timeout`` fails the job without
-retry (a deterministic simulation that ran long once will run long
-again).  Durations feed the shared :class:`CostModel`, so every served
-job improves the queue's priority estimates and ETAs.
+What the scheduler adds on top is policy: a worker-process crash
+(``BrokenProcessPool``) rebuilds the pool and retries with exponential
+backoff up to ``max_retries`` times; a per-job ``timeout`` fails a g5
+job without retry (a deterministic simulation that ran long once will
+run long again); a drain aborts a sampled fan-out.  Durations feed the
+shared :class:`CostModel`, so every served job improves the queue's
+priority estimates and ETAs.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, \
+    ThreadPoolExecutor
 from typing import Callable, Optional
 
 from ..exec.cache import ResultCache
 from ..exec.costmodel import CostModel, job_class
-from ..exec.pool import EngineStats, G5Job, _pool_worker
-from ..exec.windows import WindowsCancelled, resolve_windows
+from ..exec.pool import ExecutionEngine, G5Job, WindowsCancelled, execute_job
 from . import clock
 from .jobs import CANCELLED, DONE, FAILED, JobRecord, JobRequest
 from .queue import JobQueue
@@ -43,10 +44,8 @@ __all__ = ["Scheduler", "WorkerCrashed", "JobTimeout", "predict_request"]
 def predict_request(cost_model: CostModel, request: JobRequest) -> float:
     """Predicted duration of one job request (shared by the daemon's
     admission/ETA path and the fleet coordinator's routing)."""
-    if request.kind == "g5":
-        return cost_model.predict(request.g5)
-    if request.kind == "sample":
-        return cost_model.predict(request.sampled)
+    if request.kind != "figure":
+        return cost_model.predict(request.g5 or request.sampled)
     from ..experiments import FIGURES
 
     module = FIGURES[request.figure_id]
@@ -96,12 +95,12 @@ class Scheduler:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.cache_max_bytes = cache_max_bytes
-        if cost_model is None:
-            history = cache.costs_path if cache is not None else None
-            cost_model = CostModel(history)
-        self.cost_model = cost_model
         self.metrics = metrics
-        self.stats = EngineStats()
+        self.engine = ExecutionEngine(jobs=workers, cache=cache,
+                                      cost_model=cost_model,
+                                      submit=self._submit)
+        self.cost_model = self.engine.cost_model
+        self.stats = self.engine.stats
         #: test seam: replaces pool execution for g5 jobs; signature
         #: ``fn(g5job) -> (packed_result, seconds)``.
         self._execute_fn = execute_fn
@@ -110,7 +109,7 @@ class Scheduler:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         # execute_fn runs through a thread pool so timeouts still apply.
-        self._thread_pool = None
+        self._thread_pool: Optional[ThreadPoolExecutor] = None
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._stores_since_prune = 0
@@ -168,7 +167,8 @@ class Scheduler:
             # Drain or shutdown interrupted a sampled fan-out: no partial
             # payload is published; completed windows stay in the cache
             # for the next submission to reuse.
-            self._finish(record, state=CANCELLED, error=str(exc))
+            self._finish(record, state=CANCELLED,
+                         error=f"sampled run {record.request.label} {exc}")
         except Exception as exc:  # noqa: BLE001 - jobs must not kill workers
             self._finish(record, state=FAILED,
                          error=f"{type(exc).__name__}: {exc}")
@@ -186,12 +186,10 @@ class Scheduler:
         if actual <= 0:
             return
         request = record.request
-        if request.kind == "g5":
-            cost_class = job_class(request.g5)
-        elif request.kind == "sample":
-            cost_class = job_class(request.sampled)
-        else:
+        if request.kind == "figure":
             cost_class = f"figure|{request.figure_id}|{request.scale}"
+        else:
+            cost_class = job_class(request.g5 or request.sampled)
         self.metrics.note_prediction(cost_class,
                                      record.predicted_seconds, actual)
 
@@ -217,81 +215,29 @@ class Scheduler:
         if memo is not None:
             self._count("memo_hits")
             return memo, "memo"
-        if record.request.kind == "g5":
-            payload, source = self._obtain_g5(record)
-        elif record.request.kind == "sample":
-            payload, source = self._obtain_sample(record)
-        else:
+        if record.request.kind == "figure":
             payload, source = self._run_figure(record.request), "executed"
+        else:
+            payload, source = self._obtain_cached(record)
         self._memo_put(record.digest, payload)
         return payload, source
 
-    def _obtain_g5(self, record: JobRecord) -> tuple[dict, str]:
-        job = record.request.g5
-        key = job.cache_key()
-        if self.cache is not None:
-            stored = self.cache.get(key)
-            if isinstance(stored, dict):
-                self.stats.note_disk_hit()
-                self._count("disk_hits")
-                return stored, "disk-cache"
-        self._count("cache_misses")
-        packed, seconds = self._execute(record, job)
-        self.stats.note_execution(job.label, seconds)
-        self.stats.note_sharded_run(packed.get("sharding"))
-        self.cost_model.observe(job, seconds)
-        self.cost_model.flush()
-        if self.cache is not None:
-            self.cache.put(key, packed)
+    def _obtain_cached(self, record: JobRecord) -> tuple[dict, str]:
+        """Resolve a g5 or sampled job on the engine (disk probe,
+        execution on the shared pool, store) under this scheduler's
+        timeout, drain-abort and crash-retry policy."""
+        request = record.request
+        job = request.g5 or request.sampled
+        source = "executed"              # whatever fails was a miss
+        try:
+            resolved = self._resolve_with_retry(record, job)
+            source = resolved.source
+        finally:
+            self._count("disk_hits" if source == "disk-cache"
+                        else "cache_misses")
+        if source == "executed":
             self._maybe_prune()
-        return packed, "executed"
-
-    def _obtain_sample(self, record: JobRecord) -> tuple[dict, str]:
-        """Resolve a sampled job: disk cache, then window fan-out.
-
-        Planning (profile + cluster + checkpoints) runs in the worker
-        thread; the detailed measurement windows fan out through
-        :func:`repro.exec.windows.resolve_windows` as per-window
-        cache entries, sized to the daemon's worker count.  A drain or
-        shutdown mid-fan-out aborts cleanly with
-        :class:`~repro.exec.windows.WindowsCancelled`.
-        """
-        from ..sample.parallel import (exact_payload, merge_measurements,
-                                       plan_sampled_job)
-
-        job = record.request.sampled
-        key = job.cache_key()
-        if self.cache is not None:
-            stored = self.cache.get(key)
-            if isinstance(stored, dict) and stored.get("kind") == "sample":
-                self.stats.note_disk_hit()
-                self._count("disk_hits")
-                return stored, "disk-cache"
-        self._count("cache_misses")
-
-        def should_abort() -> bool:
-            return self._stop.is_set() or self.queue.draining
-
-        if should_abort():
-            raise WindowsCancelled(job.label, 0, 0)
-        start = clock.wall()
-        plan = plan_sampled_job(job)
-        if plan.exact:
-            payload = exact_payload(job, plan.profile)
-        else:
-            measurements = resolve_windows(
-                job, plan, jobs=self.workers, cache=self.cache,
-                cost_model=self.cost_model, stats=self.stats,
-                should_abort=should_abort)
-            payload = merge_measurements(job, plan, measurements)
-        seconds = clock.wall() - start
-        self.stats.note_execution(job.label, seconds)
-        self.cost_model.observe(job, seconds)
-        self.cost_model.flush()
-        if self.cache is not None:
-            self.cache.put(key, payload)
-            self._maybe_prune()
-        return payload, "executed"
+        return resolved.payload, source
 
     def _run_figure(self, request: JobRequest) -> dict:
         from ..experiments import FIGURES
@@ -316,8 +262,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     # execution with timeout + crash retry
     # ------------------------------------------------------------------
-    def _execute(self, record: JobRecord,
-                 job: G5Job) -> tuple[dict, float]:
+    def _resolve_with_retry(self, record: JobRecord, job):
         last_crash: Optional[BaseException] = None
         for attempt in range(self.max_retries + 1):
             record.attempts = attempt + 1
@@ -325,26 +270,42 @@ class Scheduler:
                 self._count("retries")
                 clock.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
-                return self._execute_once(job)
+                resolved = self.engine.resolve(
+                    [job], self._interrupt(record.request.kind))[job]
             except (BrokenExecutor, WorkerCrashed) as exc:
                 last_crash = exc
                 self._reset_pool()
+                continue
+            if resolved.source == "disk-cache":
+                record.attempts = attempt    # a hit is not an execution
+            return resolved
         raise WorkerCrashed(
             f"execution crashed {self.max_retries + 1} time(s); "
             f"last error: {last_crash}")
 
-    def _execute_once(self, job: G5Job) -> tuple[dict, float]:
-        if self._execute_fn is not None:
-            future = self._injected_pool().submit(self._execute_fn, job)
-        else:
-            future = self._process_pool().submit(_pool_worker, job)
-        try:
-            return future.result(timeout=self.job_timeout)
-        except FutureTimeout:
-            future.cancel()
-            raise JobTimeout(
-                f"job exceeded the {self.job_timeout:.1f}s budget"
-                ) from None
+    def _interrupt(self, kind: str) -> Optional[Callable[[], bool]]:
+        """The engine's abort poll for one attempt: a drain aborts a
+        sampled fan-out (in-flight g5 jobs finish); a g5 job that
+        outlives the per-job budget raises :class:`JobTimeout`."""
+        if kind == "sample":
+            return lambda: self._stop.is_set() or self.queue.draining
+        if self.job_timeout is None:
+            return None
+        deadline = clock.monotonic() + self.job_timeout
+
+        def check() -> bool:
+            if clock.monotonic() > deadline:
+                raise JobTimeout(
+                    f"job exceeded the {self.job_timeout:.1f}s budget")
+            return False
+        return check
+
+    def _submit(self, job) -> Future:
+        """The engine's execute step: this scheduler's persistent pool
+        (or the injected executor, for g5 jobs, under test)."""
+        if self._execute_fn is not None and isinstance(job, G5Job):
+            return self._injected_pool().submit(self._execute_fn, job)
+        return self._process_pool().submit(execute_job, job)
 
     def _process_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
@@ -352,9 +313,7 @@ class Scheduler:
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
 
-    def _injected_pool(self):
-        from concurrent.futures import ThreadPoolExecutor
-
+    def _injected_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._thread_pool is None:
                 self._thread_pool = ThreadPoolExecutor(

@@ -75,3 +75,52 @@ def test_batch_learns_costs_into_the_cache_dir(tmp_path):
     assert cache.costs_path.exists()
     learned = engine.cost_model.known_classes()
     assert "sieve|atomic|se|test" in learned
+
+
+def test_failed_fanout_keeps_completed_results_and_cancels_the_rest(
+        tmp_path):
+    """One completion batch holding a success and a failure: the success
+    is stored and counted, the unstarted job is cancelled, the failure
+    is what the caller sees."""
+    from concurrent.futures import Future
+
+    from repro.exec.pool import execute_job
+
+    minor = G5Job("sieve", "minor", "se", "test")
+    futures = {ATOMIC: Future(), TIMING: Future(), minor: Future()}
+    futures[ATOMIC].set_result(execute_job(ATOMIC))
+    futures[TIMING].set_exception(OSError("worker fell over"))
+    cache = ResultCache(tmp_path)
+    engine = ExecutionEngine(jobs=3, cache=cache, submit=futures.get)
+
+    with pytest.raises(OSError, match="worker fell over"):
+        engine.run_batch(list(futures))
+
+    assert futures[minor].cancelled()
+    assert engine.stats.executed == 1
+    assert [entry.digest for entry in cache.entries()] \
+        == [ATOMIC.cache_key().digest]
+    assert ATOMIC.label in engine.stats.by_label
+
+
+def test_a_job_failing_in_a_worker_leaves_the_finished_ones_cached(
+        tmp_path):
+    """Real pool: the bad job is predicted cheapest, so it starts last
+    and fails after most of the batch has finished."""
+    bad = G5Job("no-such-workload", "atomic", "se", "test")
+    good = [TIMING, G5Job("sieve", "minor", "se", "test"),
+            G5Job("sieve", "o3", "se", "test")]
+    cache = ResultCache(tmp_path)
+    engine = ExecutionEngine(jobs=2, cache=cache)
+
+    with pytest.raises(KeyError):
+        engine.run_batch(good + [bad])
+
+    written = {entry.digest for entry in cache.entries()}
+    assert engine.stats.executed == len(written) >= 1
+    assert written <= {job.cache_key().digest for job in good}
+    # What was written is servable: a rerun executes only the rest.
+    rerun = ExecutionEngine(jobs=2, cache=cache)
+    rerun.run_batch(good)
+    assert rerun.stats.disk_hits == len(written)
+    assert rerun.stats.executed == len(good) - len(written)

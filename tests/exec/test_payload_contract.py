@@ -1,0 +1,105 @@
+"""The stored-payload contract, for every job kind and both owners.
+
+A cache entry is only as good as its payload: an entry filed under the
+right digest whose payload carries the wrong ``format`` or ``kind`` must
+be a miss that re-executes (and is overwritten) — never a served
+result.  The rule is each job kind's ``decode``; the CLI engine and the
+serve scheduler both reach it through ``ExecutionEngine.resolve``.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.exec import ExecutionEngine, G5Job, ResultCache
+from repro.sample import SampledJob, plan_sampled_job
+from repro.serve.jobs import JobRecord, JobRequest
+from repro.serve.queue import JobQueue
+from repro.serve.scheduler import Scheduler
+
+G5 = G5Job("sieve", "atomic", "se", "test")
+SAMPLED = SampledJob(workload="sieve", cpu_model="timing", scale="test",
+                     interval_insts=100, warmup_insts=200, max_k=4)
+
+
+def canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+def resolve_with_engine(cache, job):
+    engine = ExecutionEngine(cache=cache)
+    resolved = engine.resolve([job])[job]
+    return resolved.payload, resolved.source, engine.stats
+
+
+def resolve_with_scheduler(cache, job):
+    queue = JobQueue()
+    scheduler = Scheduler(queue, cache=cache, workers=1)
+    if isinstance(job, G5Job):
+        request = JobRequest(kind="g5", g5=job)
+    else:
+        request = JobRequest(kind="sample", sampled=job)
+    record = queue.submit(JobRecord(id=queue.next_id(), request=request,
+                                    digest=request.digest()))
+    try:
+        scheduler._resolve(queue.claim_next(timeout=1.0))
+    finally:
+        scheduler.stop()
+    assert record.state == "done", record.error
+    return record.result, record.source, scheduler.stats
+
+
+OWNERS = {"engine": resolve_with_engine, "scheduler": resolve_with_scheduler}
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """Good payloads per kind, from one warm cache directory."""
+    cache = ResultCache(tmp_path_factory.mktemp("reference"))
+    engine = ExecutionEngine(cache=cache)
+    window = plan_sampled_job(SAMPLED).window_jobs()[0]
+    return {
+        "g5": (G5, engine.resolve([G5])[G5].payload),
+        "sample": (SAMPLED, engine.resolve([SAMPLED])[SAMPLED].payload),
+        "window": (window, cache.get(window.cache_key())),
+    }
+
+
+@pytest.mark.parametrize("owner", sorted(OWNERS))
+@pytest.mark.parametrize("kind, poison", [
+    ("g5", {"format": 99}),
+    ("sample", {"format": 99}),
+    ("sample", {"kind": "window"}),
+    ("window", {"format": 99}),
+    ("window", {"kind": "sample"}),
+])
+def test_wrong_format_or_kind_is_a_miss_that_reexecutes(
+        tmp_path, reference, owner, kind, poison):
+    job, good = reference[kind]
+    cache = ResultCache(tmp_path / "cache")
+    cache.put(job.cache_key(), {**good, **poison})
+
+    # Windows are reached through their sampled job.
+    submitted = SAMPLED if kind == "window" else job
+    payload, source, stats = OWNERS[owner](cache, submitted)
+
+    assert source == "executed"
+    assert stats.disk_hits == 0 and stats.window_hits == 0
+    assert canonical(payload) == canonical(reference[
+        "sample" if kind == "window" else kind][1])
+    # The bad entry was replaced by the re-executed payload.
+    assert canonical(cache.get(job.cache_key())) == canonical(good)
+
+
+@pytest.mark.parametrize("owner", sorted(OWNERS))
+def test_a_good_entry_is_served_from_disk(tmp_path, reference, owner):
+    cache = ResultCache(tmp_path / "cache")
+    for kind in ("g5", "sample"):
+        job, good = reference[kind]
+        cache.put(job.cache_key(), good)
+        payload, source, stats = OWNERS[owner](cache, job)
+        assert source == "disk-cache"
+        assert stats.executed == 0
+        assert canonical(payload) == canonical(good)

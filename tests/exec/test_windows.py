@@ -1,5 +1,8 @@
 """Per-window cache entries, checkpoint-digest keys, and fan-out.
 
+Window jobs resolve through :meth:`ExecutionEngine.resolve` like every
+other job kind; these tests drive it with a plan's windows directly.
+
 The regression pinned here: a window's exec-cache key must cover the
 *content* of the checkpoint it restores from, not just the window's
 index — otherwise editing the checkpoint (or anything upstream that
@@ -12,11 +15,21 @@ import dataclasses
 
 import pytest
 
-from repro.exec import ResultCache, WindowsCancelled, window_key
-from repro.exec.pool import EngineStats
-from repro.exec.windows import resolve_windows
+from repro.exec import (ExecutionEngine, ResultCache, WindowsCancelled,
+                        window_key)
 from repro.sample import SampledJob, checkpoint_digest, plan_sampled_job
 from repro.sample.parallel import unpack_measurement
+
+
+def resolve_windows(plan, *, jobs=1, cache=None, should_abort=None):
+    """Resolve a plan's windows on a fresh engine.
+
+    Returns ``(measurements in plan order, engine stats)``.
+    """
+    engine = ExecutionEngine(jobs=jobs, cache=cache)
+    windows = plan.window_jobs()
+    resolved = engine.resolve(windows, should_abort)
+    return [resolved[window].value for window in windows], engine.stats
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +72,12 @@ def test_editing_a_checkpoint_changes_the_digest_and_key(plan):
 
 def test_edited_checkpoint_is_a_cache_miss(tmp_path, plan):
     """The regression: same window index, edited checkpoint, must miss."""
-    job = plan.job
     cache = ResultCache(tmp_path / "cache")
-    stats = EngineStats()
-    resolve_windows(job, plan, jobs=1, cache=cache, stats=stats)
+    _, stats = resolve_windows(plan, cache=cache)
     assert stats.windows_executed == len(plan.windows)
 
     # Same plan again: every window is a pure disk hit.
-    warm = EngineStats()
-    resolve_windows(job, plan, jobs=1, cache=cache, stats=warm)
+    _, warm = resolve_windows(plan, cache=cache)
     assert warm.windows_executed == 0
     assert warm.window_hits == len(plan.windows)
 
@@ -75,8 +85,7 @@ def test_edited_checkpoint_is_a_cache_miss(tmp_path, plan):
     edited = tampered(plan)
     victim = plan.windows[0].warm_start
     affected = sum(1 for w in edited.windows if w.warm_start == victim)
-    cold = EngineStats()
-    resolve_windows(job, edited, jobs=1, cache=cache, stats=cold)
+    _, cold = resolve_windows(edited, cache=cache)
     assert cold.windows_executed == affected
     assert cold.window_hits == len(plan.windows) - affected
 
@@ -95,8 +104,8 @@ def test_window_key_covers_every_field():
 
 
 def test_pool_and_inline_fanout_agree(tmp_path, plan):
-    inline = resolve_windows(plan.job, plan, jobs=1)
-    pooled = resolve_windows(plan.job, plan, jobs=4)
+    inline, _ = resolve_windows(plan, jobs=1)
+    pooled, _ = resolve_windows(plan, jobs=4)
     assert pooled == inline
     # Plan order, regardless of completion order.
     assert [m.interval for m in pooled] \
@@ -105,7 +114,7 @@ def test_pool_and_inline_fanout_agree(tmp_path, plan):
 
 def test_cached_measurements_roundtrip_exactly(tmp_path, plan):
     cache = ResultCache(tmp_path / "cache")
-    executed = resolve_windows(plan.job, plan, jobs=1, cache=cache)
+    executed, _ = resolve_windows(plan, cache=cache)
     for wjob, measurement in zip(plan.window_jobs(), executed):
         assert unpack_measurement(cache.get(wjob.cache_key())) \
             == measurement
@@ -113,8 +122,7 @@ def test_cached_measurements_roundtrip_exactly(tmp_path, plan):
 
 def test_abort_before_any_window_cancels_everything(plan):
     with pytest.raises(WindowsCancelled) as exc:
-        resolve_windows(plan.job, plan, jobs=1,
-                        should_abort=lambda: True)
+        resolve_windows(plan, should_abort=lambda: True)
     assert exc.value.completed == 0
     assert exc.value.cancelled == len(plan.windows)
     assert "cancelled mid-fan-out" in str(exc.value)
@@ -128,17 +136,16 @@ def test_abort_mid_fanout_reports_progress(plan):
         return len(calls) > 1
 
     with pytest.raises(WindowsCancelled) as exc:
-        resolve_windows(plan.job, plan, jobs=1,
-                        should_abort=abort_after_first)
+        resolve_windows(plan, should_abort=abort_after_first)
     assert exc.value.completed == 1
     assert exc.value.cancelled == len(plan.windows) - 1
 
 
 def test_abort_skips_cache_hits_already_resolved(tmp_path, plan):
     cache = ResultCache(tmp_path / "cache")
-    resolve_windows(plan.job, plan, jobs=1, cache=cache)
+    resolve_windows(plan, cache=cache)
     # Everything is cached: an immediately-aborting run still succeeds
     # for hits, and only the (empty) execution stage can be cancelled.
-    measurements = resolve_windows(plan.job, plan, jobs=1, cache=cache,
-                                   should_abort=lambda: True)
+    measurements, _ = resolve_windows(plan, cache=cache,
+                                      should_abort=lambda: True)
     assert len(measurements) == len(plan.windows)

@@ -1,12 +1,14 @@
-"""Differential harness: parallel sampled runs vs the sequential path.
+"""Differential harness: pooled sampled runs vs a one-worker inline run.
 
-The correctness bar for the window fan-out is absolute — a parallel
-sampled run must serialize to the *byte-identical* JSON payload the
-sequential path produces for the same seed, for every CPU model and
-workload.  These tests pin that, plus the cache behaviour that makes
-the fan-out cheap to repeat: each measured window lands as its own
-content-addressed entry, so a rerun (even after the whole-payload entry
-is evicted) resolves every window from disk.
+The correctness bar for the window fan-out is absolute — a pooled
+sampled run must serialize to the *byte-identical* JSON payload an
+uncached one-worker engine (``execute_sampled_job``) produces for the
+same seed, for every CPU model and workload; both sides end in
+``measure_from_checkpoint``, one inline and one in pool workers.  These
+tests pin that, plus the cache behaviour that makes the fan-out cheap
+to repeat: each measured window lands as its own content-addressed
+entry at every worker count, so a rerun (even after the whole-payload
+entry is evicted) resolves every window from disk.
 """
 
 from __future__ import annotations
@@ -87,11 +89,56 @@ def test_window_entries_are_listed_by_kind(tmp_path):
                for label in window_labels)
 
 
-def test_single_worker_engine_still_sequential(tmp_path):
-    """jobs=1 keeps the historical one-execution accounting."""
+def test_single_worker_engine_counts_and_caches_windows(tmp_path):
+    """jobs=1 is the same pipeline: per-window entries and counters."""
     job = quick_job("sieve", "timing")
-    engine = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path / "cache"))
+    cache = ResultCache(tmp_path / "cache")
+    engine = ExecutionEngine(jobs=1, cache=cache)
     payload = engine.run_sampled(job)
     assert payload_bytes(payload) == payload_bytes(execute_sampled_job(job))
+    n_windows = len(payload["clusters"]["representatives"])
     assert engine.stats.executed == 1
-    assert engine.stats.windows_executed == 0
+    assert engine.stats.windows_executed == n_windows
+    assert [e.kind for e in cache.entries()].count("window") == n_windows
+
+
+@pytest.mark.parametrize("first_jobs, second_jobs", [(1, 4), (4, 1)])
+def test_worker_counts_and_the_daemon_share_entries(tmp_path, first_jobs,
+                                                    second_jobs):
+    """jobs=1 == jobs=4 == served, off one set of per-window entries."""
+    from repro.serve import ServeClient, ServeConfig, SimServer
+
+    job = quick_job("sieve", "o3")
+    cache_dir = tmp_path / "cache"
+    first = ExecutionEngine(jobs=first_jobs, cache=ResultCache(cache_dir))
+    payload = first.run_sampled(job)
+    n_windows = len(payload["clusters"]["representatives"])
+    assert first.stats.windows_executed == n_windows
+
+    # The other worker count re-plans and finds every window on disk.
+    assert ResultCache(cache_dir).clear(kind="sample") == 1
+    second = ExecutionEngine(jobs=second_jobs, cache=ResultCache(cache_dir))
+    assert payload_bytes(second.run_sampled(job)) == payload_bytes(payload)
+    assert second.stats.windows_executed == 0
+    assert second.stats.window_hits == n_windows
+
+    # So does the daemon, whose served payload is the same bytes.
+    assert ResultCache(cache_dir).clear(kind="sample") == 1
+    server = SimServer(ServeConfig(port=0, workers=2,
+                                   cache=ResultCache(cache_dir)))
+    server.start()
+    try:
+        client = ServeClient(server.address, timeout=10.0)
+        ack = client.submit_doc({
+            "kind": "sample", "workload": job.workload,
+            "cpu": job.cpu_model, "scale": job.scale,
+            "interval_insts": job.interval_insts,
+            "warmup_insts": job.warmup_insts, "max_k": job.max_k})
+        assert client.wait(ack["id"], timeout=120.0)["state"] == "done"
+        served = client.result(ack["id"])
+        assert served["source"] == "executed"
+        assert payload_bytes(served["result"]) == payload_bytes(payload)
+        assert server.scheduler.stats.windows_executed == 0
+        assert server.scheduler.stats.window_hits == n_windows
+    finally:
+        server.drain_and_stop()

@@ -18,7 +18,22 @@ import threading
 import pytest
 
 from repro.exec.cache import ResultCache
+from repro.g5.serialize import pack_sim_result
+from repro.g5.system import SimResult
+from repro.host.trace import ExecutionRecorder
 from repro.serve import ServeClient, ServeConfig, SimServer
+
+
+def fake_packed(**markers) -> dict:
+    """A packed g5 result no simulation produced, tagged with ``markers``.
+
+    It has the real stored-payload shape, because the engine refuses to
+    store or serve a payload its decode rule rejects.
+    """
+    empty = SimResult(exit_cause="fake", sim_ticks=0, sim_insts=0,
+                      sim_cycles=0, stats={},
+                      recorder=ExecutionRecorder(enabled=False))
+    return {**pack_sim_result(empty), "kind": "fake", **markers}
 
 
 class GatedExecutor:
@@ -52,8 +67,8 @@ class GatedExecutor:
             raise failure
         if not self.gate.wait(timeout=self.safety_timeout):
             raise RuntimeError("GatedExecutor was never released")
-        return ({"kind": "fake", "label": job.label,
-                 "ordinal": ordinal}, self.duration)
+        return (fake_packed(label=job.label, ordinal=ordinal),
+                self.duration)
 
 
 def make_server(tmp_path, *, execute_fn=None, workers=1, max_queue=64,

@@ -128,3 +128,79 @@ def test_drain_during_fanout_stops_inflight_windows(tmp_path):
 
 def queue_draining(queue):
     return lambda: queue.draining
+
+
+def test_concurrent_sampled_jobs_share_the_schedulers_one_pool(
+        tmp_path, monkeypatch):
+    """Window fan-outs run on the scheduler's persistent pool — a served
+    sampled job never opens a process pool of its own."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    pools = []
+    real_init = ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        pools.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+    server, client = make_server(tmp_path, workers=2)
+    try:
+        # Distinct digests, so neither coalesces: both really fan out.
+        acks = [client.submit_doc(doc)
+                for doc in (SAMPLE_DOC, {**SAMPLE_DOC, "cpu": "atomic"})]
+        n_windows = 0
+        for ack in acks:
+            assert client.wait(ack["id"],
+                               timeout=120.0)["state"] == "done"
+            result = client.result(ack["id"])
+            assert result["source"] == "executed"
+            n_windows += len(
+                result["result"]["clusters"]["representatives"])
+        assert server.scheduler.stats.windows_executed == n_windows
+        assert len(pools) == 1
+        assert pools[0] is server.scheduler._pool
+    finally:
+        server.drain_and_stop()
+
+
+def test_drain_mid_fanout_keeps_completed_windows_cached(tmp_path):
+    """The drain lands after the first window is stored: the job ends
+    cancelled, and what completed is there for the next submission."""
+    cache = ResultCache(tmp_path / "cache")
+    queue = JobQueue()
+    # One pool worker and four windows: they finish one at a time.
+    scheduler = Scheduler(queue, cache=cache, workers=1)
+    request = parse_job_request({**SAMPLE_DOC, "k": 4})
+    record = queue.submit(JobRecord(id=queue.next_id(), request=request,
+                                    digest=request.digest()))
+    real_put = cache.put
+
+    def put_then_drain(key, payload):
+        real_put(key, payload)
+        queue.start_drain()
+
+    cache.put = put_then_drain
+    try:
+        scheduler._resolve(queue.claim_next(timeout=1.0))
+    finally:
+        cache.put = real_put
+        scheduler.stop()
+    assert record.state == CANCELLED
+    assert record.result is None
+    assert "cancelled mid-fan-out" in record.error
+    kinds = [entry.kind for entry in cache.entries()]
+    assert "sample" not in kinds
+    assert 1 <= kinds.count("window") < 4
+    assert kinds.count("window") == scheduler.stats.windows_executed
+
+    # A later submission resolves those windows from disk.
+    rerun = Scheduler(JobQueue(), cache=cache, workers=2)
+    resubmitted = rerun.queue.submit(JobRecord(
+        id=rerun.queue.next_id(), request=request, digest=request.digest()))
+    try:
+        rerun._resolve(rerun.queue.claim_next(timeout=1.0))
+    finally:
+        rerun.stop()
+    assert resubmitted.state == "done"
+    assert rerun.stats.window_hits == kinds.count("window")

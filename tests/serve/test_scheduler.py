@@ -14,7 +14,7 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.queue import JobQueue
 from repro.serve.scheduler import Scheduler, WorkerCrashed
 
-from .conftest import GatedExecutor
+from .conftest import GatedExecutor, fake_packed
 
 
 def _submit(queue: JobQueue, **doc_overrides) -> JobRecord:
@@ -137,8 +137,9 @@ def test_sharded_payloads_feed_the_engine_counters():
 
     def fake_execute(job):
         assert job.sim_config.domains == 2
-        return ({"kind": "fake", "label": job.label,
-                 "sharding": {"windows": 11, "deliveries": 4}}, 0.01)
+        return (fake_packed(label=job.label,
+                            sharding={"windows": 11, "deliveries": 4}),
+                0.01)
 
     scheduler = Scheduler(queue, metrics=metrics, execute_fn=fake_execute)
     _submit(queue, cpu="timing", domains=2)
