@@ -20,11 +20,12 @@ import sys
 from typing import Optional
 
 from .core.profiler import analyze_profile
-from .exec import ProgressReporter, ResultCache, default_cache_dir
+from .exec import (ExecutionEngine, ProgressReporter, ReplayJob,
+                   ResultCache, default_cache_dir)
 from .exec.keys import KEY_KINDS
 from .experiments import FIGURES, ExperimentRunner, tables
+from .experiments.common import requirement_job
 from .g5.system import SimConfig, System, simulate
-from .host.cpu import profile_g5_run
 from .host.platform import get_platform
 from .workloads.registry import SCALES, WORKLOADS, get_workload
 
@@ -433,16 +434,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    workload = get_workload(args.workload)
-    system = System(SimConfig(cpu_model=args.cpu, mode=workload.mode))
-    program = workload.build(args.scale)
-    if workload.mode == "se":
-        system.set_se_workload(program, process_name=args.workload)
-    else:
-        system.set_fs_workload(program)
-    g5_result = simulate(system)
     platform = get_platform(args.platform)
-    host = profile_g5_run(g5_result.recorder, platform)
+    host = ExecutionEngine().run(ReplayJob(
+        requirement_job((args.workload, args.cpu, None), args.scale),
+        platform))
     td = host.topdown
     print(f"gem5 ({args.cpu}, {args.workload}) on {platform.name}")
     print(f"host time      : {host.time_seconds * 1000:.2f} ms")
@@ -742,7 +737,6 @@ def _sample_job_from_args(args: argparse.Namespace):
 def _cmd_sample(args: argparse.Namespace) -> int:
     import json as json_mod
 
-    from .exec.pool import ExecutionEngine
     from .sample import (SampleError, profile_intervals, project_bbvs,
                          render_sample_report, select_representatives)
     from .sample.parallel import cluster_profile

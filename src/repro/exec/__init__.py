@@ -4,7 +4,8 @@ The scaling backbone under the experiment runner, the CLI and the serve
 daemon: content-addressed result caching (:mod:`~repro.exec.cache`,
 :mod:`~repro.exec.keys`), the one job-resolution pipeline with its
 cost-model-scheduled process pool (:mod:`~repro.exec.pool`,
-:mod:`~repro.exec.costmodel`), and progress reporting
+:mod:`~repro.exec.costmodel`), host replays as a job kind of it
+(:mod:`~repro.exec.replay`), and progress reporting
 (:mod:`~repro.exec.progress`).
 """
 
@@ -14,15 +15,14 @@ from .keys import (
     CacheKey,
     g5_key,
     host_fingerprint,
-    host_key,
     sample_fingerprint,
     sim_fingerprint,
-    spec_key,
     window_key,
 )
 from .pool import (EngineStats, ExecutionEngine, G5Job, WindowsCancelled,
                    execute_g5_job)
 from .progress import NullReporter, ProgressReporter
+from .replay import ReplayJob, SpecTrace
 
 __all__ = [
     "CacheEntry",
@@ -33,15 +33,15 @@ __all__ = [
     "G5Job",
     "NullReporter",
     "ProgressReporter",
+    "ReplayJob",
     "ResultCache",
+    "SpecTrace",
     "WindowsCancelled",
     "default_cache_dir",
     "execute_g5_job",
     "g5_key",
     "host_fingerprint",
-    "host_key",
     "sample_fingerprint",
     "sim_fingerprint",
-    "spec_key",
     "window_key",
 ]

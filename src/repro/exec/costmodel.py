@@ -24,12 +24,13 @@ underfed (fewer than :data:`MIN_TRAINING_OBSERVATIONS` samples).
 Prediction resolves through those layers in sharpness order: exact
 class EMA, then the learned regression, then the static prior scaled by
 the machine calibration.  All layers persist as ``costs.json`` (schema
-v3) in the cache directory; v2 files (no observation history) and v1
-files (a flat class -> seconds map) load transparently.
+v3) in the cache directory; a file of any other version is ignored and
+overwritten, like an other-version cache envelope.
 
 Jobs can shape their own treatment through two optional attributes:
 ``cost_class`` overrides the history bucket (sampled jobs form their
-own class per workload/model/scale) and ``cost_weight_factor`` scales
+own class per workload/model/scale, host replays theirs per trace and
+platform) and ``cost_weight_factor`` scales
 the static prior (a sampled run costs a fraction of the full detailed
 run it replaces).
 """
@@ -269,36 +270,29 @@ class CostModel:
             data = json.loads(self.history_path.read_text())
         except (OSError, ValueError):
             return
-        if not isinstance(data, dict):
+        # Any other document is a cold start, as an other-version cache
+        # envelope is a miss; the next flush overwrites it.
+        if not isinstance(data, dict) \
+                or data.get("version") != COSTS_SCHEMA_VERSION:
             return
-        # v3 is v2 plus the raw-observation history, so one loader
-        # covers both; a v2 file simply starts with no training data.
-        if data.get("version") in (2, COSTS_SCHEMA_VERSION):
-            classes = data.get("classes")
-            if isinstance(classes, dict):
-                self._history = {str(k): float(v)
-                                 for k, v in classes.items()}
-            spw = data.get("sec_per_weight")
-            if isinstance(spw, (int, float)) and spw > 0:
-                self._sec_per_weight = float(spw)
-            samples = data.get("calibration_samples")
-            if isinstance(samples, int) and samples >= 0:
-                self._calibration_samples = samples
-            observations = data.get("observations")
-            if isinstance(observations, list):
-                self._observations = [
-                    obs for obs in observations
-                    if isinstance(obs, dict) and "seconds" in obs
-                ][-OBSERVATION_CAP:]
-        elif "version" not in data:
-            # Legacy v1 layout: a flat class -> seconds map.
-            try:
-                self._history = {str(k): float(v)
-                                 for k, v in data.items()}
-            except (TypeError, ValueError):
-                self._history = {}
+        classes = data.get("classes")
+        if isinstance(classes, dict):
+            self._history = {str(k): float(v) for k, v in classes.items()}
+        spw = data.get("sec_per_weight")
+        if isinstance(spw, (int, float)) and spw > 0:
+            self._sec_per_weight = float(spw)
+        samples = data.get("calibration_samples")
+        if isinstance(samples, int) and samples >= 0:
+            self._calibration_samples = samples
+        observations = data.get("observations")
+        if isinstance(observations, list):
+            self._observations = [
+                obs for obs in observations
+                if isinstance(obs, dict) and "seconds" in obs
+            ][-OBSERVATION_CAP:]
 
-    def _save(self) -> None:
+    def flush(self) -> None:
+        """Persist the learned durations (best effort)."""
         if self.history_path is None:
             return
         doc = {
@@ -404,10 +398,6 @@ class CostModel:
                                     * self._sec_per_weight)
         self._calibration_samples += 1
 
-    def flush(self) -> None:
-        """Persist the learned durations (best effort)."""
-        self._save()
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
@@ -417,6 +407,8 @@ class CostModel:
         Ties break on the job's stable sort key so the order — and hence
         worker assignment — is deterministic run to run.
         """
+        if len(jobs) < 2:
+            return list(jobs)      # nothing to order: predict nothing
         return sorted(jobs,
                       key=lambda j: (-self.predict(j), j.sort_key()))
 
@@ -441,9 +433,7 @@ def ema_baseline_predict(history: dict[str, float],
     learned = history.get(job_class(job))
     if learned is not None:
         return learned
-    model = CostModel()
-    model._sec_per_weight = sec_per_weight
-    return model.static_weight(job) * sec_per_weight
+    return CostModel().static_weight(job) * sec_per_weight
 
 
 class _ObservationJob:

@@ -148,7 +148,8 @@ def g5_key(workload: str, cpu_model: str, mode: str, scale: str,
 
 def host_key(g5: CacheKey, platform: Any, opt_level: int, hugepages: Any,
              contention: Any, layout_quality: float, roi_only: bool,
-             max_records: Optional[int]) -> CacheKey:
+             max_records: Optional[int],
+             cluster_scale: float = 1.0) -> CacheKey:
     """Key of one host replay of a g5 trace on one platform config."""
     return _make_key("host", {
         "code": host_fingerprint(),
@@ -161,6 +162,7 @@ def host_key(g5: CacheKey, platform: Any, opt_level: int, hugepages: Any,
         "layout_quality": layout_quality,
         "roi_only": roi_only,
         "max_records": max_records,
+        "cluster_scale": cluster_scale,
     })
 
 

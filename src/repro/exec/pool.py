@@ -1,7 +1,8 @@
 """The parallel, disk-cached execution engine.
 
 A *job* names one cacheable unit of work: a g5 simulation
-(:class:`G5Job`), one SimPoint window measurement
+(:class:`G5Job`), a host replay of a g5 or SPEC trace
+(:class:`~repro.exec.replay.ReplayJob`), one SimPoint window measurement
 (:class:`~repro.sample.parallel.WindowJob`) or a whole sampled run
 (:class:`~repro.sample.orchestrate.SampledJob`).  Every kind speaks one
 protocol — ``cache_key()``, ``label``, ``sort_key()``, the cost-model
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, \
     ProcessPoolExecutor, wait
 from contextlib import contextmanager
@@ -48,6 +50,9 @@ from .progress import NullReporter, ProgressReporter
 
 #: Poll interval for ``should_abort`` while jobs are in flight.
 _ABORT_POLL_SECONDS = 0.05
+
+#: Cache-key kinds of host replays (:mod:`repro.exec.replay`).
+REPLAY_KINDS = ("host", "spec")
 
 
 @dataclass(frozen=True)
@@ -145,10 +150,11 @@ class WindowsCancelled(RuntimeError):
 
 
 class Resolved(NamedTuple):
-    """One resolved job: the stored payload, its decoded value, and
-    where it came from (``"disk-cache"`` or ``"executed"``)."""
+    """One resolved job: the stored payload (None from the memo, which
+    keeps values only), its decoded value, and where it came from
+    (``"memo"``, ``"disk-cache"`` or ``"executed"``)."""
 
-    payload: dict
+    payload: object
     value: object
     source: str
 
@@ -170,6 +176,10 @@ class EngineStats:
     windows_executed: int = 0  # sampled windows measured (pool or inline)
     window_hits: int = 0       # windows served from the on-disk cache
     window_seconds: float = 0.0
+    #: host/spec replays by key kind: whole artifacts like simulations,
+    #: but counted apart so ``executed`` keeps meaning g5 work
+    replays_executed: Counter = field(default_factory=Counter)
+    replay_hits: Counter = field(default_factory=Counter)
     sharded_runs: int = 0          # simulations executed with domains > 1
     domain_windows: int = 0        # quantum windows across sharded runs
     boundary_deliveries: int = 0   # cross-domain packet deliveries
@@ -178,16 +188,19 @@ class EngineStats:
                                   repr=False, compare=False)
 
     def note_execution(self, label: str, seconds: float,
-                       window: bool = False) -> None:
-        """Record one executed job (thread-safe).
+                       kind: str = "g5") -> None:
+        """Record one executed job of cache-key ``kind`` (thread-safe).
 
-        Windows are sub-jobs of a sampled run, so they get their own
-        counters — ``executed`` keeps meaning whole jobs.
+        Windows are sub-jobs of a sampled run and replays are not
+        simulations, so both get their own counters — ``executed``
+        keeps meaning whole g5 or sampled jobs.
         """
         with self._lock:
-            if window:
+            if kind == "window":
                 self.windows_executed += 1
                 self.window_seconds += seconds
+            elif kind in REPLAY_KINDS:
+                self.replays_executed[kind] += 1
             else:
                 self.executed += 1
                 self.executed_seconds += seconds
@@ -200,11 +213,13 @@ class EngineStats:
             self.executed += count
             self.executed_seconds += seconds
 
-    def note_disk_hit(self, count: int = 1, window: bool = False) -> None:
+    def note_disk_hit(self, count: int = 1, kind: str = "g5") -> None:
         """Record results served from the on-disk cache (thread-safe)."""
         with self._lock:
-            if window:
+            if kind == "window":
                 self.window_hits += count
+            elif kind in REPLAY_KINDS:
+                self.replay_hits[kind] += count
             else:
                 self.disk_hits += count
 
@@ -242,14 +257,19 @@ class ExecutionEngine:
     returns a future of ``(payload, seconds)``.  The serve scheduler
     passes its persistent pool; left unset, the engine runs inline or
     in a pool of its own that lives for one :meth:`resolve`.
+
+    ``memo`` is a ``{job: value}`` map its owner keeps (the experiment
+    runner: for one campaign).  :meth:`resolve` answers from it first
+    and adds every value it resolves — sub-jobs of a fan-out included,
+    so a replay never probes the disk for a g5 run the process has.
     """
 
     def __init__(self, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
                  cost_model: Optional[CostModel] = None,
                  progress: Optional[ProgressReporter] = None,
-                 submit: Optional[Callable[[object], Future]] = None
-                 ) -> None:
+                 submit: Optional[Callable[[object], Future]] = None,
+                 memo: Optional[dict] = None) -> None:
         if jobs < 1:
             raise ValueError(f"need at least one worker, got {jobs}")
         self.jobs = jobs
@@ -261,12 +281,14 @@ class ExecutionEngine:
         self.progress = progress if progress is not None else NullReporter()
         self.stats = EngineStats()
         self._submit = submit
+        self.memo = memo
 
-    def run(self, job: G5Job) -> SimResult:
-        """Resolve one g5 job to its :class:`SimResult`."""
+    def run(self, job):
+        """Resolve one job to its decoded value (a g5 job's
+        :class:`SimResult`, a replay's ``HostRunResult``)."""
         return self.resolve([job])[job].value
 
-    def run_batch(self, jobs: Iterable[G5Job]) -> dict[G5Job, SimResult]:
+    def run_batch(self, jobs: Iterable) -> dict:
         """Resolve a job set, fanning cache misses across the pool.
 
         Duplicate jobs collapse to one execution.  Results come back for
@@ -299,24 +321,35 @@ class ExecutionEngine:
         counted, not-yet-started ones are cancelled, and the first
         error is raised.
         """
-        keys = {job: job.cache_key() for job in dict.fromkeys(jobs)}
-        resolved: dict = {}
+        jobs = list(dict.fromkeys(jobs))
+        memo = self.memo if self.memo is not None else {}
+        resolved = {job: Resolved(None, memo[job], "memo")
+                    for job in jobs if job in memo}
+        keys = {job: job.cache_key() for job in jobs if job not in memo}
+        if not keys:
+            return resolved
         for job, key in keys.items():
             stored = self.cache.get(key) if self.cache is not None else None
             value = job.decode(stored) if stored is not None else None
             if value is not None:
-                self.stats.note_disk_hit(window=key.kind == "window")
+                self.stats.note_disk_hit(kind=key.kind)
                 resolved[job] = Resolved(stored, value, "disk-cache")
         ordered = self.cost_model.schedule(
             [job for job in keys if job not in resolved])
         workers = max(1, min(self.jobs, len(ordered)))
-        self.progress.batch_start(len(ordered), len(resolved), workers)
+        # One job is not a batch: it reports its own line, no header.
+        batch = len(keys) > 1
+        if batch:
+            self.progress.batch_start(len(ordered), len(keys) - len(ordered),
+                                      workers)
         if ordered:
             try:
                 self._execute(ordered, workers, should_abort, keys, resolved)
             finally:
                 self.cost_model.flush()
-        self.progress.batch_end()
+        if batch:
+            self.progress.batch_end()
+        memo.update((job, resolved[job].value) for job in keys)
         return resolved
 
     def _execute(self, ordered: list, workers: int,
@@ -378,7 +411,7 @@ class ExecutionEngine:
         payload = job.fan_out(self, should_abort)
         return payload, time.perf_counter() - start
 
-    def _record(self, job, key: CacheKey, payload: dict,
+    def _record(self, job, key: CacheKey, payload: object,
                 seconds: float) -> Resolved:
         """Store, observe and count one executed job."""
         value = job.decode(payload)
@@ -388,8 +421,7 @@ class ExecutionEngine:
         if self.cache is not None:
             self.cache.put(key, payload)
         self.cost_model.observe(job, seconds)
-        self.stats.note_execution(job.label, seconds,
-                                  window=key.kind == "window")
-        self.stats.note_sharded_run(payload.get("sharding"))
+        self.stats.note_execution(job.label, seconds, kind=key.kind)
+        self.stats.note_sharded_run(getattr(value, "sharding", None))
         self.progress.job_done(job.label, seconds)
         return Resolved(payload, value, "executed")

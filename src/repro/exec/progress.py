@@ -46,10 +46,11 @@ class ProgressReporter:
 
     def job_done(self, label: str, seconds: float,
                  source: str = "run") -> None:
+        """One finished job, counted against the open batch if any."""
         with self._lock:
             self._done += 1
-            self._line(f"[{self._done}/{self._total}] {label} "
-                       f"({source}, {seconds:.2f}s)")
+            count = f"[{self._done}/{self._total}] " if self._total else ""
+            self._line(f"{count}{label} ({source}, {seconds:.2f}s)")
 
     def batch_end(self) -> None:
         with self._lock:
@@ -59,6 +60,7 @@ class ProgressReporter:
             self._line(f"batch complete: {self._total} run(s) in "
                        f"{elapsed:.2f}s")
             self._started_at = None
+            self._total = 0
 
     # ------------------------------------------------------------------
     def _line(self, text: str) -> None:

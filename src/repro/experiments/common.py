@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..exec.pool import G5Job
+from ..workloads.registry import get_workload
+
 #: The workload footnote 2 designates as PARSEC's representative.
 PARSEC_REPRESENTATIVE = "water_nsquared"
 
@@ -58,6 +61,17 @@ def model_sweep_required_g5(workloads, cpu_models,
             for cpu_model in cpu_models for workload in workloads]
 
 
+def requirement_job(requirement: tuple, scale: str) -> G5Job:
+    """The g5 job a ``(workload, cpu_model, mode[, threads])`` requirement
+    names: a ``None`` mode is the workload's registered one, a missing
+    thread count 1.  The runner and the serve predictor share it."""
+    workload, cpu_model, mode = requirement[:3]
+    threads = requirement[3] if len(requirement) > 3 else 1
+    return G5Job(workload=workload, cpu_model=cpu_model,
+                 mode=mode or get_workload(workload).mode, scale=scale,
+                 threads=threads)
+
+
 #: Guest thread counts swept by the multi-core figures (Figs. 16–17).
 MULTICORE_THREADS = [1, 2, 4]
 
@@ -67,9 +81,8 @@ def thread_sweep_required_g5(workloads, cpu_models, thread_counts=None,
     """Requirement tuples for a workload × model × thread-count sweep.
 
     The multi-core figures append the guest thread count as a fourth
-    tuple element — ``ExperimentRunner.prefetch`` (and the serve
-    scheduler's predictor) accept both the 3- and 4-arity forms, so the
-    single-core figures stay untouched.
+    tuple element — :func:`requirement_job` accepts both the 3- and
+    4-arity forms, so the single-core figures stay untouched.
     """
     if isinstance(workloads, str):
         workloads = [workloads]

@@ -12,7 +12,8 @@ core runs gem5 31–61% faster than the 8KB baseline.
 from __future__ import annotations
 
 from ..core.report import Figure
-from ..host.firesim import FIG14_CONFIGS, config_label, sweep_cache_configs
+from ..host.firesim import (FIG14_CONFIGS, FIRESIM_CLUSTER_SCALE,
+                            config_label, platform_for)
 from .common import model_sweep_required_g5
 from .runner import ExperimentRunner
 
@@ -32,12 +33,13 @@ def run(runner: ExperimentRunner, workload: str = "sieve") -> Figure:
                     "8KB/2-way baseline (fraction)")
     labels = [config_label(config) for config in FIG14_CONFIGS]
     for cpu_model in CPU_MODELS:
-        recorder = runner.g5_result(workload, cpu_model).recorder
-        points = sweep_cache_configs(recorder)
-        baseline = points[0]
-        figure.add_series(
-            cpu_model.upper(), labels,
-            [point.speedup_over(baseline) - 1.0 for point in points])
+        # The whole trace on the lean RISC-V build, as the paper ran it.
+        times = [runner.host_result(
+            workload, cpu_model, platform_for(config),
+            cluster_scale=FIRESIM_CLUSTER_SCALE,
+            truncate=False).time_seconds for config in FIG14_CONFIGS]
+        figure.add_series(cpu_model.upper(), labels,
+                          [times[0] / time - 1.0 for time in times])
     return figure
 
 

@@ -303,6 +303,10 @@ def render_markdown(rows: list[ClaimRow], runner: ExperimentRunner) -> str:
         "  the simulator source, so code edits invalidate exactly the",
         "  artifacts they can affect — stale results are impossible,",
         "  and no manual invalidation is ever needed.",
+        "- Host and SPEC replays are jobs of the same engine, cached",
+        "  under their replay knobs — Fig. 14's FireSim sweep included,",
+        "  which always replays the whole trace (`--max-records`",
+        "  truncates every other replay).",
         "- A warm rerun executes zero simulations and renders",
         "  bit-identical output (property-tested in `tests/exec/`).",
         "  `--no-cache` forces a cold run; `repro-g5 cache",

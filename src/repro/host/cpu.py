@@ -868,10 +868,28 @@ def profile_g5_run(recorder: ExecutionRecorder, platform: HostPlatform,
                    opt_level: int = 2,
                    hugepages: HugePagePolicy = HugePagePolicy.NONE,
                    contention: Optional[Contention] = None,
-                   seed: int = 1) -> HostRunResult:
-    """Convenience: build the binary image for a recorder and replay it."""
+                   seed: int = 1,
+                   layout_quality: float = 1.0,
+                   cluster_scale: float = 1.0,
+                   roi_only: bool = False,
+                   max_records: Optional[int] = None) -> HostRunResult:
+    """Build the binary image for a recorder and replay its trace: the
+    one step that turns (recording, platform, knobs) into a result.
+
+    ``roi_only`` restricts the replay to the guest-marked region of
+    interest (m5 work begin/end), the paper's counter-read window;
+    ``max_records`` truncates what is left.
+    """
+    if roi_only:
+        trace_fns, trace_daddrs = recorder.roi_slice()
+    else:
+        trace_fns, trace_daddrs = recorder.trace_fns, recorder.trace_daddrs
+    if max_records is not None and len(trace_fns) > max_records:
+        trace_fns = trace_fns[:max_records]
+        trace_daddrs = trace_daddrs[:max_records]
     image = BinaryImage.for_recorder_functions(
-        recorder.known_functions(), opt_level=opt_level, seed=seed)
+        recorder.known_functions(), opt_level=opt_level, seed=seed,
+        layout_quality=layout_quality, cluster_scale=cluster_scale)
     cpu = HostCPU(platform, image, hugepages=hugepages,
                   contention=contention)
-    return cpu.replay_recorder(recorder)
+    return cpu.replay(trace_fns, trace_daddrs, recorder.fn_names)

@@ -4,10 +4,10 @@ The paper runs unmodified gem5 *as a workload on FireSim*, where the
 simulated host is the Table-I RISC-V core, and sweeps the host's L1/L2
 geometry.  Here the FireSim side is
 :func:`~repro.host.platform.firesim_rocket` and the gem5 side is a g5
-trace of the sieve workload; :func:`sweep_cache_configs` replays the
-trace on every configuration and reports speedups over the 8KB/2-way
-baseline, in the paper's ``(i$size/assoc : d$size/assoc : L2size/assoc)``
-label format.
+trace of the sieve workload; Fig. 14 replays the trace on the
+:func:`platform_for` every configuration and reports speedups over the
+8KB/2-way baseline, in the paper's
+``(i$size/assoc : d$size/assoc : L2size/assoc)`` label format.
 
 The paper keeps 64 L1 sets fixed (VIPT constraint: a way must not exceed
 the 4KB page) and grows associativity with capacity; the configuration
@@ -16,12 +16,7 @@ list below is Fig. 14's x-axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .binary import BinaryImage
-from .cpu import HostCPU, HostRunResult
 from .platform import HostPlatform, firesim_rocket
-from .trace import ExecutionRecorder
 
 #: Fig. 14's swept configurations:
 #: (i$KB, i$assoc, d$KB, d$assoc, L2KB, L2assoc).
@@ -34,11 +29,6 @@ FIG14_CONFIGS: list[tuple[int, int, int, int, int, int]] = [
     (32, 8, 32, 8, 2048, 16),
     (64, 16, 64, 16, 512, 8),
 ]
-
-#: The paper's slowdown of FireSim relative to native execution (~118x);
-#: only affects reported wall-clock, not any relative result.
-FIRESIM_SLOWDOWN = 118.0
-
 
 def config_label(config: tuple[int, int, int, int, int, int]) -> str:
     """Fig. 14's label format: ``i$/assoc : d$/assoc : L2/assoc``."""
@@ -53,39 +43,7 @@ def platform_for(config: tuple[int, int, int, int, int, int]) -> HostPlatform:
                           l2_kb=l2_kb, l2_assoc=l2_assoc)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One Fig. 14 bar: a cache config and its simulation time."""
-
-    label: str
-    config: tuple[int, int, int, int, int, int]
-    result: HostRunResult
-
-    @property
-    def time_seconds(self) -> float:
-        return self.result.time_seconds
-
-    def speedup_over(self, baseline: "SweepPoint") -> float:
-        return baseline.time_seconds / self.time_seconds
-
-
 #: The RISC-V gem5 build the paper runs under FireMarshal is leaner than
 #: the x86 one (SE mode only, minimal config, static RISC-V codegen);
 #: its code footprint is modelled at this fraction of the full build.
 FIRESIM_CLUSTER_SCALE = 0.18
-
-
-def sweep_cache_configs(
-        recorder: ExecutionRecorder,
-        configs: list[tuple[int, int, int, int, int, int]] | None = None,
-        cluster_scale: float = FIRESIM_CLUSTER_SCALE,
-) -> list[SweepPoint]:
-    """Replay one g5 trace across every host cache configuration."""
-    points = []
-    for config in configs if configs is not None else FIG14_CONFIGS:
-        image = BinaryImage.for_recorder_functions(
-            recorder.known_functions(), cluster_scale=cluster_scale)
-        cpu = HostCPU(platform_for(config), image)
-        result = cpu.replay_recorder(recorder)
-        points.append(SweepPoint(config_label(config), config, result))
-    return points

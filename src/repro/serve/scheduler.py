@@ -47,16 +47,11 @@ def predict_request(cost_model: CostModel, request: JobRequest) -> float:
     if request.kind != "figure":
         return cost_model.predict(request.g5 or request.sampled)
     from ..experiments import FIGURES
+    from ..experiments.common import requirement_job
 
-    module = FIGURES[request.figure_id]
-    jobs = []
-    for requirement in module.required_g5():
-        workload, cpu_model, mode = requirement[:3]
-        threads = requirement[3] if len(requirement) > 3 else 1
-        jobs.append(G5Job(workload=workload, cpu_model=cpu_model,
-                          mode=mode or "se", scale=request.scale,
-                          threads=threads))
-    return sum(cost_model.predict(job) for job in jobs)
+    return sum(cost_model.predict(requirement_job(requirement,
+                                                  request.scale))
+               for requirement in FIGURES[request.figure_id].required_g5())
 
 #: How many result payloads the in-process memo retains.
 MEMO_CAPACITY = 256

@@ -95,16 +95,6 @@ def main() -> None:
         ],
     }, sort_keys=True, indent=1))
 
-    # A frozen v2 file (pre-observation-history schema): same EMA and
-    # calibration layers, no training data.
-    (fixtures / "costs_v2.json").write_text(json.dumps({
-        "version": 2,
-        "classes": {k: v for k, v in
-                    sorted(doc["classes"].items())[:4]},
-        "sec_per_weight": doc["sec_per_weight"],
-        "calibration_samples": doc["calibration_samples"],
-    }, sort_keys=True, indent=1))
-
     print(f"regenerated fixtures under {fixtures}")
 
 

@@ -9,6 +9,8 @@ from repro.exec.costmodel import (DEFAULT_SEC_PER_WEIGHT, CostModel,
                                   _ObservationJob, ema_baseline_predict,
                                   job_class)
 from repro.exec.pool import G5Job
+from repro.exec.replay import ReplayJob, SpecTrace
+from repro.host.platform import get_platform
 from repro.sample import SampledJob
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -107,18 +109,27 @@ def test_calibration_round_trips_through_disk(tmp_path):
     assert reloaded.sec_per_weight != DEFAULT_SEC_PER_WEIGHT
 
 
-def test_legacy_v1_history_loads(tmp_path):
+@pytest.mark.parametrize("document", [
+    {job_class(_job()): 7.0},                                 # pre-version
+    {"version": 2, "classes": {job_class(_job()): 7.0},
+     "sec_per_weight": 0.5, "calibration_samples": 30},
+    {"version": 4, "classes": {job_class(_job()): 7.0}},
+    [1, 2, 3],
+])
+def test_other_version_history_is_ignored_and_overwritten(tmp_path,
+                                                          document):
     path = tmp_path / "costs.json"
-    path.write_text(json.dumps({job_class(_job()): 7.0}))
+    path.write_text(json.dumps(document))
     model = CostModel(path)
-    assert model.predict(_job()) == 7.0
+    assert model.known_classes() == {}
     assert model.calibration_samples == 0
+    assert model.sec_per_weight == DEFAULT_SEC_PER_WEIGHT
+    model.observe(_job(), 3.0)
     model.flush()
-    # Flushing upgrades the file to the current schema.
     doc = json.loads(path.read_text())
     assert doc["version"] == 3
-    assert doc["classes"] == {job_class(_job()): 7.0}
-    assert doc["observations"] == []
+    assert doc["classes"] == {job_class(_job()): 3.0}
+    assert len(doc["observations"]) == 1
 
 
 def test_v3_fixture_trains_the_learned_predictor():
@@ -172,22 +183,6 @@ def test_seen_classes_still_answer_from_their_ema():
         assert predicted == history[obs["class"]]
 
 
-def test_v2_schema_files_still_load():
-    model = CostModel(FIXTURES / "costs_v2.json")
-    assert len(model.known_classes()) == 4
-    assert model.calibration_samples == 30
-    assert model.sec_per_weight != DEFAULT_SEC_PER_WEIGHT
-    # No observation history -> no regression; prediction still works
-    # through the EMA and calibrated-prior layers.
-    assert model.observations() == []
-    assert model.predictor is None
-    seen_class = next(iter(model.known_classes()))
-    workload, cpu, mode, scale = seen_class.split("|")
-    assert model.predict(G5Job(workload, cpu, mode, scale)) == \
-        model.known_classes()[seen_class]
-    assert model.predict(_job(cpu="minor", scale="simlarge")) > 0
-
-
 def test_sampled_jobs_form_their_own_cost_class():
     sample = SampledJob(workload="sieve", cpu_model="o3", scale="test")
     full = _job(cpu="o3")
@@ -201,3 +196,24 @@ def test_sampled_jobs_form_their_own_cost_class():
     model.observe(sample, 2.0)
     assert model.predict(sample) == 2.0
     assert job_class(full) not in model.known_classes()
+
+
+def test_replay_jobs_form_their_own_cost_classes():
+    xeon = get_platform("Intel_Xeon")
+    g5_jobs = [_job(cpu=cpu) for cpu in ("atomic", "timing", "minor", "o3")]
+    replays = [ReplayJob(job, xeon) for job in g5_jobs] \
+        + [ReplayJob(SpecTrace("505.mcf_r", 4000), xeon)]
+    assert len({job_class(job) for job in replays + g5_jobs}) == 9
+
+    model, control = CostModel(), CostModel()
+    for seconds, job in enumerate(g5_jobs, start=1):
+        model.observe(job, float(seconds))
+        control.observe(job, float(seconds))
+    # A campaign's worth of replays, each far slower than any g5 run.
+    for replay in replays * 10:
+        model.observe(replay, 500.0)
+
+    for job in g5_jobs:
+        assert model.predict(job) == control.predict(job)
+    assert model.schedule(g5_jobs) == control.schedule(g5_jobs)
+    assert all(model.predict(replay) == 500.0 for replay in replays)

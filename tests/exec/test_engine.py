@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.exec import ExecutionEngine, G5Job, ResultCache
+import io
+
+from repro.exec import (CostModel, ExecutionEngine, G5Job, ProgressReporter,
+                        ReplayJob, ResultCache)
+from repro.host.platform import get_platform
 from repro.g5.serialize import pack_sim_result
 
 ATOMIC = G5Job("sieve", "atomic", "se", "test")
@@ -75,6 +79,41 @@ def test_batch_learns_costs_into_the_cache_dir(tmp_path):
     assert cache.costs_path.exists()
     learned = engine.cost_model.known_classes()
     assert "sieve|atomic|se|test" in learned
+
+
+def test_replays_report_one_line_and_flush_costs_once_each(
+        tmp_path, monkeypatch):
+    """Resolved one at a time behind a memo, as the experiment runner
+    does: an executed replay is one progress line and one ``costs.json``
+    write; a memo or disk hit is neither."""
+    flushes = []
+    monkeypatch.setattr(CostModel, "flush",
+                        lambda self: flushes.append(1))
+    replays = [ReplayJob(ATOMIC, get_platform(name), max_records=2000)
+               for name in ("Intel_Xeon", "M1_Pro", "M1_Ultra")]
+
+    def campaign():
+        stream = io.StringIO()
+        engine = ExecutionEngine(cache=ResultCache(tmp_path), memo={},
+                                 progress=ProgressReporter(stream))
+        engine.run_batch([ATOMIC, TIMING])
+        prefetch_lines = len(stream.getvalue().splitlines())
+        del flushes[:]
+        for replay in replays + replays:          # second pass: memo
+            engine.run(replay)
+        return engine, stream.getvalue().splitlines()[prefetch_lines:]
+
+    engine, lines = campaign()
+    assert [line.rsplit(" (run, ", 1)[0] for line in lines] \
+        == [f"[exec] {replay.label}" for replay in replays]
+    assert len(flushes) == len(replays)
+    assert engine.stats.executed == 2 and engine.stats.disk_hits == 0
+    assert engine.stats.replays_executed == {"host": 3}
+
+    warm, lines = campaign()
+    assert lines == [] and flushes == []
+    assert warm.stats.replay_hits == {"host": 3}
+    assert warm.stats.executed == 0 and not warm.stats.replays_executed
 
 
 def test_failed_fanout_keeps_completed_results_and_cancels_the_rest(

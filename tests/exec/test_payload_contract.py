@@ -13,7 +13,9 @@ import json
 
 import pytest
 
-from repro.exec import ExecutionEngine, G5Job, ResultCache
+from repro.exec import (ExecutionEngine, G5Job, ReplayJob, ResultCache,
+                        SpecTrace)
+from repro.host.platform import get_platform
 from repro.sample import SampledJob, plan_sampled_job
 from repro.serve.jobs import JobRecord, JobRequest
 from repro.serve.queue import JobQueue
@@ -22,6 +24,11 @@ from repro.serve.scheduler import Scheduler
 G5 = G5Job("sieve", "atomic", "se", "test")
 SAMPLED = SampledJob(workload="sieve", cpu_model="timing", scale="test",
                      interval_insts=100, warmup_insts=200, max_k=4)
+REPLAYS = {
+    "host": ReplayJob(G5, get_platform("Intel_Xeon"), max_records=4000),
+    "spec": ReplayJob(SpecTrace("505.mcf_r", 2000),
+                      get_platform("Intel_Xeon")),
+}
 
 
 def canonical(payload: dict) -> str:
@@ -64,6 +71,7 @@ def reference(tmp_path_factory):
         "g5": (G5, engine.resolve([G5])[G5].payload),
         "sample": (SAMPLED, engine.resolve([SAMPLED])[SAMPLED].payload),
         "window": (window, cache.get(window.cache_key())),
+        **{kind: (job, engine.run(job)) for kind, job in REPLAYS.items()},
     }
 
 
@@ -103,3 +111,49 @@ def test_a_good_entry_is_served_from_disk(tmp_path, reference, owner):
         assert source == "disk-cache"
         assert stats.executed == 0
         assert canonical(payload) == canonical(good)
+
+
+# ----------------------------------------------------------------------
+# host replays: the stored payload is the HostRunResult itself
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", sorted(REPLAYS))
+@pytest.mark.parametrize("poison", ["g5-payload", "dict", "none-result"])
+def test_a_replay_key_holding_anything_else_is_recomputed(
+        tmp_path, reference, kind, poison):
+    job, good = reference[kind]
+    bad = {"g5-payload": reference["g5"][1],
+           "dict": {"kind": kind, "time_seconds": 1.0},
+           "none-result": [None]}[poison]
+    cache = ResultCache(tmp_path / "cache")
+    cache.put(job.cache_key(), bad)
+
+    engine = ExecutionEngine(cache=cache)
+    resolved = engine.resolve([job])[job]
+
+    assert resolved.source == "executed"
+    assert resolved.value == good
+    assert not engine.stats.replay_hits
+    assert engine.stats.replays_executed == {kind: 1}
+    # Replays are not simulations: only the host job's g5 run counts.
+    assert engine.stats.executed == (1 if kind == "host" else 0)
+    # The bad entry was replaced, and what replaced it is servable.
+    assert cache.get(job.cache_key()) == good
+    rerun = ExecutionEngine(cache=cache)
+    assert rerun.resolve([job])[job] == (good, good, "disk-cache")
+    assert rerun.stats.replay_hits == {kind: 1}
+    assert not rerun.stats.replays_executed and rerun.stats.executed == 0
+
+
+def test_a_replay_whose_g5_entry_is_unusable_reruns_the_simulation(
+        tmp_path, reference):
+    job, good = reference["host"]
+    cache = ResultCache(tmp_path / "cache")
+    cache.put(G5.cache_key(), {**reference["g5"][1], "format": 99})
+
+    engine = ExecutionEngine(cache=cache)
+    assert engine.run(job) == good
+
+    assert engine.stats.executed == 1 and engine.stats.disk_hits == 0
+    assert engine.stats.replays_executed == {"host": 1}
+    assert canonical(cache.get(G5.cache_key())) \
+        == canonical(reference["g5"][1])

@@ -1,12 +1,13 @@
-"""Tests for platform parameter sets and the FireSim sweep helper."""
+"""Tests for platform parameter sets and the FireSim sweep geometries."""
 
 import pytest
 
+from repro.host.cpu import profile_g5_run
 from repro.host.firesim import (
     FIG14_CONFIGS,
+    FIRESIM_CLUSTER_SCALE,
     config_label,
     platform_for,
-    sweep_cache_configs,
 )
 from repro.host.platform import (
     CacheGeometry,
@@ -66,6 +67,14 @@ class TestPlatforms:
             intel_xeon().with_frequency(4.0).dram_latency_cycles
 
 
+def sweep_times(recorder) -> dict[str, float]:
+    """Replay time per Fig. 14 geometry, by label, in sweep order."""
+    return {config_label(config): profile_g5_run(
+                recorder, platform_for(config),
+                cluster_scale=FIRESIM_CLUSTER_SCALE).time_seconds
+            for config in FIG14_CONFIGS}
+
+
 class TestFireSimPlatform:
     def test_keeps_64_sets_across_the_sweep(self):
         """The paper grows associativity at fixed 64 sets (VIPT)."""
@@ -80,24 +89,22 @@ class TestFireSimPlatform:
 
     def test_sweep_orders_baseline_first(self, g5_run_cache):
         result, _ = g5_run_cache("sieve", "atomic", "test")
-        points = sweep_cache_configs(result.recorder)
-        assert len(points) == len(FIG14_CONFIGS)
-        assert points[0].config == (8, 2, 8, 2, 512, 8)
-        assert points[0].speedup_over(points[0]) == pytest.approx(1.0)
+        times = sweep_times(result.recorder)
+        assert len(times) == len(FIG14_CONFIGS)
+        assert FIG14_CONFIGS[0] == (8, 2, 8, 2, 512, 8)
+        assert next(iter(times)) == "8KB/2:8KB/2:512KB/8"
 
     def test_bigger_l1_always_helps(self, g5_run_cache):
         result, _ = g5_run_cache("sieve", "timing", "test")
-        points = sweep_cache_configs(result.recorder)
-        baseline = points[0]
-        by_label = {p.label: p for p in points}
-        s16 = by_label["16KB/4:16KB/4:512KB/8"].speedup_over(baseline)
-        s64 = by_label["64KB/16:64KB/16:512KB/8"].speedup_over(baseline)
+        times = sweep_times(result.recorder)
+        baseline = times["8KB/2:8KB/2:512KB/8"]
+        s16 = baseline / times["16KB/4:16KB/4:512KB/8"]
+        s64 = baseline / times["64KB/16:64KB/16:512KB/8"]
         assert 1.0 < s16 < s64
 
     def test_l2_size_barely_matters(self, g5_run_cache):
         result, _ = g5_run_cache("sieve", "timing", "test")
-        points = sweep_cache_configs(result.recorder)
-        by_label = {p.label: p for p in points}
-        l2_1m = by_label["32KB/8:32KB/8:1024KB/8"].time_seconds
-        l2_2m = by_label["32KB/8:32KB/8:2048KB/16"].time_seconds
+        times = sweep_times(result.recorder)
+        l2_1m = times["32KB/8:32KB/8:1024KB/8"]
+        l2_2m = times["32KB/8:32KB/8:2048KB/16"]
         assert abs(l2_1m - l2_2m) / l2_1m < 0.05

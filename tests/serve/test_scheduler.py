@@ -130,6 +130,30 @@ def test_predict_covers_both_job_kinds(rig):
     scheduler.stop()
 
 
+def test_figure_prediction_reads_requirements_as_the_runner_does(
+        rig, monkeypatch):
+    """A ``mode=None`` requirement means the workload's registered mode
+    (FS for boot_exit) to the predictor exactly as to the runner."""
+    from repro.exec import G5Job
+    from repro.experiments import FIGURES
+    from repro.experiments.common import requirement_job
+
+    assert requirement_job(("boot_exit", "o3", None), "test") \
+        == G5Job("boot_exit", "o3", "fs", "test")
+    assert requirement_job(("sieve", "o3", None, 4), "test") \
+        == G5Job("sieve", "o3", "se", "test", threads=4)
+
+    _, _, _, build = rig
+    scheduler = build()
+    monkeypatch.setattr(FIGURES["fig3"], "required_g5",
+                        lambda: [("boot_exit", "o3", None)])
+    figure = parse_job_request({"kind": "figure", "figure": "fig3",
+                                "scale": "test"})
+    assert scheduler.predict(figure) == scheduler.cost_model.predict(
+        G5Job("boot_exit", "o3", "fs", "test"))
+    scheduler.stop()
+
+
 def test_sharded_payloads_feed_the_engine_counters():
     """An executed sharded g5 job must land in the sharding gauges."""
     queue = JobQueue()
