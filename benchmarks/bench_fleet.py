@@ -7,9 +7,10 @@ measures::
 
     PYTHONPATH=src python benchmarks/bench_fleet.py --quick
 
-- ``fleet_submit_to_result`` — the full coordinated round-trip (POST
-  to the coordinator, dispatch to the digest's worker, store-served
-  execution, result fetch) in the warm steady state;
+- ``fleet_submit_to_result`` — the full coordinated round-trip (one
+  waiting POST to the coordinator, which dispatches one waiting POST to
+  the digest's worker; the store-served result rides both replies) in
+  the warm steady state;
 - ``direct_submit_to_result`` — the same request straight to one
   worker's daemon, bypassing the coordinator; the p50 difference is
   the **coordinator overhead** a single-node user pays for fleet
@@ -46,8 +47,7 @@ WORKLOAD = {"kind": "g5", "workload": "sieve", "cpu": "atomic",
             "scale": "test"}
 
 #: Tight cadence so failover happens on benchmark timescales.
-CADENCE = {"heartbeat_timeout": 1.0, "heartbeat_interval": 0.2,
-           "poll_interval": 0.05, "result_poll": 0.01}
+CADENCE = {"heartbeat_timeout": 1.0, "heartbeat_interval": 0.2}
 
 
 def quantile(samples: list[float], q: float) -> float:

@@ -7,11 +7,12 @@ over real localhost HTTP::
 
     PYTHONPATH=src python benchmarks/bench_serve.py --quick
 
-- ``submit_to_result`` — the full client round-trip (POST job, poll to
-  terminal state, GET result), served from the in-process memo the way
-  a warm daemon serves repeat figure work;
-- ``status`` — the polling endpoint on its own, the request the daemon
-  sees most of under load.
+- ``submit_to_result`` — the full client round-trip
+  (``ServeClient.run``: one ``POST ...?wait=`` that parks until the job
+  settles and carries the result back), served from the in-process memo
+  the way a warm daemon serves repeat figure work;
+- ``status`` — the status endpoint on its own: the cost of one bare
+  request through the HTTP stack.
 
 Writes ``BENCH_serve.json`` with requests/sec and exact p50/p99
 latencies (measured client-side from raw samples, not histogram

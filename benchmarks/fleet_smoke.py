@@ -14,7 +14,9 @@ processes, then exercises the fleet contract the hard way:
    byte-for-byte identical to a direct in-process execution;
 5. the coordinator must log re-dispatches, eventually declare w1
    dead via heartbeat timeout, and still report a healthy fleet;
-6. drain the coordinator and SIGTERM the survivor; both exit 0.
+6. a repeat of a finished job, relayed to the survivor, must cost it
+   exactly one request (push, not poll);
+7. drain the coordinator and SIGTERM the survivor; both exit 0.
 
 Exits non-zero with a diagnostic on any violation; CI runs it as::
 
@@ -86,13 +88,13 @@ def main() -> int:
         client = ServeClient(coord_url, timeout=15.0)
         print(f"coordinator up at {coord_url}")
 
-        workers = {}
+        workers, urls = {}, {}
         for index in (1, 2):
             proc = spawn(["fleet", "worker", "--coordinator", coord_url,
                           "--port", "0", "--jobs", "1", "--cache-dir",
                           str(workdir / f"cache{index}")])
             procs.append(proc)
-            read_banner(proc, f"worker {index}")
+            urls[f"w{index}"] = read_banner(proc, f"worker {index}")
             workers[f"w{index}"] = proc
 
         deadline = time.monotonic() + 30.0
@@ -160,6 +162,20 @@ def main() -> int:
             fail(f"survivor not up: {states}")
         print(f"w1 declared dead by heartbeat sweep; re-dispatches: "
               f"{metrics['repro_fleet_redispatches_total']:.0f}")
+
+        survivor = ServeClient(urls["w2"], timeout=15.0)
+        routes = [f'repro_serve_request_seconds_count{{endpoint="{name}"}}'
+                  for name in ("submit", "status", "result")]
+        before = survivor.metrics()
+        if client.run(BATCH[0], timeout=60.0)["source"] == "executed":
+            fail("a finished job was re-executed instead of served")
+        time.sleep(0.5)                 # anything more would land by now
+        after = survivor.metrics()
+        cost = [after[name] - before[name] for name in routes]
+        if cost != [1, 0, 0]:
+            fail(f"a relayed hit cost the worker {cost} "
+                 "submit/status/result requests, not [1, 0, 0]")
+        print("a relayed hit cost the survivor exactly one request")
 
         client.drain()
         code = coordinator.wait(timeout=60.0)

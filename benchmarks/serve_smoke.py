@@ -7,7 +7,9 @@ exercises the serving contract end to end:
 1. submit a slow job and wait until it occupies the single worker;
 2. submit a second, distinct job (queued) and a duplicate of it —
    the duplicate must coalesce onto the queued primary;
-3. wait for all three, check the coalesce counter on ``/metrics``;
+3. wait for all three — parked server-side, so the waits cost a
+   handful of status requests, not one per poll interval — and check
+   the coalesce counter on ``/metrics``;
 4. ``POST /api/v1/drain`` and require a clean exit (code 0 with the
    drain report on stdout).
 
@@ -76,11 +78,23 @@ def main() -> int:
               f"{primary['id']}")
 
         # 3. everything completes; one execution for the pair.
+        status_series = 'repro_serve_request_seconds_count{endpoint="status"}'
+        polls_before = client.metrics()[status_series]
+        waited_from = time.monotonic()
         for ack in (slow, primary, duplicate):
             state = client.wait(ack["id"], timeout=120.0)["state"]
             if state != "done":
                 fail(f"job {ack['id']} ended {state}")
         metrics = client.metrics()
+        # Each wait parks on the job (re-asking only when a wait of
+        # half the 15 s socket timeout ends); polling every 50 ms would
+        # have cost 20 status requests per second of simulation.
+        polls = metrics[status_series] - polls_before
+        allowed = 3 + (time.monotonic() - waited_from) // 7.5
+        if polls > allowed:
+            fail(f"3 waits cost {polls:.0f} status requests "
+                 f"(> {allowed:.0f}): the client is polling")
+        print(f"3 waits cost {polls:.0f} status requests")
         if metrics.get("repro_serve_jobs_coalesced_total") != 1.0:
             fail(f"coalesce counter: {metrics.get('repro_serve_jobs_coalesced_total')}")
         if metrics.get("repro_engine_g5_executed") != 2.0:

@@ -42,6 +42,24 @@ def default_cache_dir() -> Path:
     return base / "repro-g5"
 
 
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so readers see the old file or the new
+    one, never a torn one (temp file in the same directory, then
+    ``os.replace``); a failed write leaves no temp file behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass(frozen=True)
 class CacheEntry:
     """One stored result, as listed by ``repro-g5 cache list``."""
@@ -130,20 +148,8 @@ class ResultCache:
             "describe": key.describe,
             "payload": payload,
         }
-        path = self._path(key.digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(envelope, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(key.digest), pickle.dumps(
+            envelope, protocol=pickle.HIGHEST_PROTOCOL))
 
     def __contains__(self, key: CacheKey) -> bool:
         return self._path(key.digest).exists()
@@ -178,19 +184,7 @@ class ResultCache:
         """
         if self.verify_envelope(digest, blob) is None:
             return False
-        path = self._path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(digest), blob)
         return True
 
     @staticmethod

@@ -43,6 +43,8 @@ import math
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
+from .cache import atomic_write
+
 #: Relative per-instruction simulation work by CPU model (the paper's
 #: Table/Fig. ordering: detail costs time).
 CPU_MODEL_WEIGHT = {"atomic": 1.0, "timing": 2.2, "minor": 4.5, "o3": 7.5}
@@ -303,9 +305,9 @@ class CostModel:
             "observations": self._observations,
         }
         try:
-            self.history_path.parent.mkdir(parents=True, exist_ok=True)
-            self.history_path.write_text(
-                json.dumps(doc, sort_keys=True, indent=1))
+            # Atomic: a torn costs.json reads back as a cold start.
+            atomic_write(self.history_path,
+                         json.dumps(doc, sort_keys=True, indent=1).encode())
         except OSError:
             pass  # history is an optimisation; never fail a run over it
 

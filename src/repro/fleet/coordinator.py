@@ -15,8 +15,8 @@ history are the queue's.  What the coordinator adds:
 - **dispatch** — ``dispatchers`` threads claim the shortest-predicted
   job that has a route through the registry's rendezvous hash, submit
   it to the worker over the ordinary
-  :class:`~repro.serve.client.ServeClient`, and babysit it to
-  completion;
+  :class:`~repro.serve.client.ServeClient`, and park on the worker
+  until it settles (``?wait=``: a hit costs the worker one request);
 - **failover** — a worker that refuses connections, 429s, or misses
   heartbeats gets its jobs requeued with that worker excluded, so the
   retry deterministically lands on the digest's next-choice worker;
@@ -65,8 +65,6 @@ class CoordinatorConfig:
     max_pending: int = 256
     max_job_attempts: int = 3
     dispatchers: int = 8
-    poll_interval: float = 0.2
-    result_poll: float = 0.05
     job_timeout: float = 300.0
     #: costs.json path for the learned predictor
     cost_path: Union[str, Path, None] = None
@@ -100,19 +98,19 @@ class FleetJob(JobRecord):
 class Coordinator:
     """Routing/admission brain; :class:`CoordinatorServer` serves it."""
 
-    def __init__(self, config: CoordinatorConfig, client_factory,
-                 log) -> None:
+    def __init__(self, config: CoordinatorConfig, log) -> None:
         self.config = config
         self.log = log
         self.registry = WorkerRegistry(
             heartbeat_timeout=config.heartbeat_timeout)
         self.cost_model = CostModel(config.cost_path)
         self.queue = JobQueue(max_depth=config.max_pending)
-        self._client_factory = client_factory or (
-            lambda url: ServeClient(url, timeout=30.0))
-        #: guards job ids and each job's dispatch state (worker,
-        #: attempts, exclusions); taken before the queue's lock.
+        #: guards job ids, each job's dispatch state (worker, attempts,
+        #: exclusions) and the cost model's observe + flush; taken
+        #: before the queue's lock.
         self._lock = threading.Lock()
+        #: one client per worker URL, made when the worker registers
+        self._clients: dict[str, ServeClient] = {}
         self._next_job = 0
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -173,7 +171,6 @@ class Coordinator:
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads.clear()
-        self.cost_model.flush()
 
     def drain(self) -> dict:
         """Stop admitting; cancel everything still queued."""
@@ -258,6 +255,7 @@ class Coordinator:
                                                        str):
             return 400, {"error": "registration needs a 'url' string"}
         worker = self.registry.register(doc["url"])
+        self._clients[worker.url] = ServeClient(worker.url, timeout=30.0)
         self.registry.heartbeat(worker.id, doc.get("report") or {})
         self.log(f"worker {worker.id} registered at {worker.url}")
         return 200, {"id": worker.id,
@@ -293,7 +291,9 @@ class Coordinator:
                     job.digest, exclude=tuple(job.excluded))
                 return worker is not None and not worker.saturated
 
-            job = self.queue.claim_next(self.config.poll_interval,
+            # Wakes on the queue's condition; the timeout only bounds
+            # how stale a "no routable worker" verdict can get.
+            job = self.queue.claim_next(self.config.heartbeat_interval,
                                         accept=routable)
             if job is None:
                 if self.queue.draining:
@@ -308,12 +308,42 @@ class Coordinator:
             self._run_on_worker(job, worker)
 
     def _run_on_worker(self, job: FleetJob, worker: WorkerInfo) -> None:
-        """Submit one job to one worker and babysit it to a verdict."""
-        client = self._client_factory(worker.url)
+        """Submit one job to one worker and park on it to a verdict.
+
+        The submission itself waits, so a hit comes back inline (one
+        request); a longer job is re-awaited on the worker's result
+        route, one heartbeat interval at a time so a re-route, a stop
+        or the job timeout is noticed that promptly.
+        """
+        client = self._clients[worker.url]
+        deadline = clock.monotonic() + self.config.job_timeout
+        wait = self.config.heartbeat_interval
+        remote_id = None
         try:
-            ack = client.submit_doc(job.doc)
+            reply = client.submit_doc(job.doc, wait=wait)
+            remote_id = job.remote_id = reply["id"]
+            while "result" not in reply:     # the 202 ack: not settled yet
+                if self._stop.is_set() or not self._owns(job, worker):
+                    return  # e.g. the monitor re-routed it under us
+                if clock.monotonic() >= deadline:
+                    self._settle(job, worker, FAILED,
+                                 error=f"timed out after "
+                                       f"{self.config.job_timeout:.0f}s on "
+                                       f"worker {worker.id}")
+                    return
+                try:
+                    reply = client.result(remote_id, wait=wait)
+                except ServeError as exc:
+                    if exc.status != 409 \
+                            or exc.doc.get("state") == CANCELLED:
+                        raise
         except ServeError as exc:
-            if exc.status == 429:
+            state = exc.doc.get("state")
+            if state in (FAILED, CANCELLED):
+                self._settle(job, worker, FAILED,
+                             error=f"worker {worker.id} reported "
+                                   f"{state}: {exc.doc.get('error')}")
+            elif exc.status == 429:
                 # Worker backpressure: remember the saturation so
                 # admission propagates it, and try another worker.
                 self.registry.heartbeat(worker.id, {
@@ -322,72 +352,41 @@ class Coordinator:
                 self._requeue(job, worker, exclude=False,
                               why="worker queue full",
                               count_attempt=False)
-            else:
+            elif remote_id is None:
                 self._settle(job, worker, FAILED,
                              error=f"worker {worker.id} rejected job: "
                                    f"{exc}")
+            else:
+                self._requeue(job, worker, exclude=True,
+                              why=f"lost worker mid-run: {exc}")
             return
         except (urllib.error.URLError, OSError) as exc:
             self._requeue(job, worker, exclude=True,
                           why=f"connection failed: {exc}")
             return
-        job.remote_id = ack["id"]
-        self._await_remote(job, worker, client)
+        self._settle(job, worker, DONE, result=reply.get("result"),
+                     source=reply.get("source"))
+        if reply.get("source") == "executed":
+            self._observe_duration(job, client, remote_id)
 
-    def _await_remote(self, job: FleetJob, worker: WorkerInfo,
-                      client: ServeClient) -> None:
-        deadline = clock.monotonic() + self.config.job_timeout
-        while not self._stop.is_set():
-            if not self._owns(job, worker):
-                return  # the monitor re-routed it out from under us
-            if clock.monotonic() >= deadline:
-                self._settle(job, worker, FAILED,
-                             error=f"timed out after "
-                                   f"{self.config.job_timeout:.0f}s on "
-                                   f"worker {worker.id}")
-                return
-            try:
-                status = client.status(job.remote_id)
-            except (ServeError, urllib.error.URLError, OSError) as exc:
-                self._requeue(job, worker, exclude=True,
-                              why=f"lost worker mid-run: {exc}")
-                return
-            state = status["state"]
-            if state == DONE:
-                try:
-                    result = client.result(job.remote_id)
-                except (ServeError, urllib.error.URLError,
-                        OSError) as exc:
-                    self._requeue(job, worker, exclude=True,
-                                  why=f"result fetch failed: {exc}")
-                    return
-                self._observe_duration(job, status)
-                self._settle(job, worker, DONE,
-                             result=result.get("result"),
-                             source=result.get("source"))
-                return
-            if state in (FAILED, CANCELLED):
-                self._settle(job, worker, FAILED,
-                             error=f"worker {worker.id} reported "
-                                   f"{state}: {status.get('error')}")
-                return
-            clock.sleep(self.config.result_poll)
-
-    def _observe_duration(self, job: FleetJob, status: dict) -> None:
-        """Feed an executed job's measured duration to the predictor."""
-        if status.get("source") != "executed":
+    def _observe_duration(self, job: FleetJob, client: ServeClient,
+                          remote_id: str) -> None:
+        """Feed an executed job's measured duration to the predictor
+        (after it settled: no reply waits on this or on costs.json)."""
+        target = job.request.g5 or job.request.sampled
+        if target is None:
+            return  # a figure job: nothing the predictor is keyed on
+        try:
+            status = client.status(remote_id)
+        except (ServeError, urllib.error.URLError, OSError):
             return
         started = status.get("started_at")
         finished = status.get("finished_at")
         if not started or not finished or finished <= started:
             return
-        request = job.request
-        target = request.g5 if request.kind == "g5" else (
-            request.sampled if request.kind == "sample" else None)
-        if target is None:
-            return
-        self.cost_model.observe(target, finished - started)
-        self.cost_model.flush()
+        with self._lock:
+            self.cost_model.observe(target, finished - started)
+            self.cost_model.flush()
 
     # ------------------------------------------------------------------
     # job settlement
@@ -438,7 +437,7 @@ class Coordinator:
     # failure monitor
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
-        while not self._stop.wait(timeout=self.config.poll_interval):
+        while not self._stop.wait(timeout=self.config.heartbeat_interval):
             for worker in self.registry.sweep():
                 self.m_worker_deaths.inc()
                 self.log(f"worker {worker.id} missed heartbeats "
@@ -455,10 +454,8 @@ class CoordinatorServer(Service):
 
     tag = "fleet"
 
-    def __init__(self, config: CoordinatorConfig,
-                 client_factory=None) -> None:
-        self.coordinator = Coordinator(config, client_factory,
-                                       log=self.log)
+    def __init__(self, config: CoordinatorConfig) -> None:
+        self.coordinator = Coordinator(config, log=self.log)
         super().__init__(config)
         self.request_seconds = endpoint_histograms(
             self.coordinator.metrics_registry,
@@ -470,9 +467,7 @@ class CoordinatorServer(Service):
         coord = self.coordinator
         workers = f"{API_PREFIX}/workers"
         return [
-            Route("POST", f"{API_PREFIX}/jobs", "submit",
-                  coord.submit_response, body="json"),
-            *job_routes(coord.queue),
+            *job_routes(coord.queue, coord.submit_response),
             Route("GET", f"{API_PREFIX}/fleet", "fleet",
                   lambda: (200, coord.fleet_doc())),
             Route("GET", "/healthz", "health",

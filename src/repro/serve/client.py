@@ -6,7 +6,7 @@ simulations in-process::
 
     client = ServeClient("http://127.0.0.1:8091")
     job = client.submit(workload="sieve", cpu="atomic", scale="test")
-    status = client.wait(job["id"])
+    status = client.wait(job["id"])         # parked server-side, no polling
     result = client.sim_result(job["id"])   # a real SimResult
 
 Server-side errors surface as :class:`ServeError` carrying the HTTP
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from ..g5.serialize import unpack_sim_result
 from ..g5.system import SimResult
 from . import clock
-from .jobs import TERMINAL_STATES
+from .jobs import CANCELLED, TERMINAL_STATES
 
 __all__ = ["ServeClient", "ServeError", "retry_delays"]
 
@@ -123,7 +123,12 @@ class ServeClient:
 
     def _json(self, method: str, path: str,
               doc: Optional[dict] = None,
-              ok: tuple[int, ...] = (200,)) -> dict:
+              ok: tuple[int, ...] = (200,),
+              wait: Optional[float] = None) -> dict:
+        if wait is not None:
+            # Parked server-side, for at most half the socket timeout
+            # so the reply always beats this client giving up on it.
+            path += f"?wait={max(0.0, min(wait, self.timeout / 2)):.3f}"
         status, payload = self._request(method, path, doc)
         if status not in ok:
             raise ServeError(status, payload
@@ -131,11 +136,15 @@ class ServeClient:
         return payload
 
     # ------------------------------------------------------------------
-    # API
+    # API (``wait``: seconds the server may park the request until the
+    # job settles, instead of answering "not yet")
     # ------------------------------------------------------------------
-    def submit_doc(self, doc: dict) -> dict:
-        """Submit a raw job document; returns the 202 acknowledgement."""
-        return self._json("POST", "/api/v1/jobs", doc, ok=(202,))
+    def submit_doc(self, doc: dict,
+                   wait: Optional[float] = None) -> dict:
+        """Submit a raw job document; returns the 202 acknowledgement or,
+        if the job settles within ``wait``, what :meth:`result` would."""
+        return self._json("POST", "/api/v1/jobs", doc, ok=(200, 202),
+                          wait=wait)
 
     def submit(self, workload: Optional[str] = None, cpu: str = "atomic",
                scale: str = "test", mode: Optional[str] = None,
@@ -158,40 +167,48 @@ class ServeClient:
                 doc["sampled"] = True
         return self.submit_doc(doc)
 
-    def status(self, job_id: str) -> dict:
-        return self._json("GET", f"/api/v1/jobs/{job_id}")
+    def status(self, job_id: str, wait: Optional[float] = None) -> dict:
+        return self._json("GET", f"/api/v1/jobs/{job_id}", wait=wait)
 
-    def result(self, job_id: str) -> dict:
+    def result(self, job_id: str, wait: Optional[float] = None) -> dict:
         """The raw result document (``result`` key holds the payload)."""
-        return self._json("GET", f"/api/v1/jobs/{job_id}/result")
+        return self._json("GET", f"/api/v1/jobs/{job_id}/result",
+                          wait=wait)
 
     def sim_result(self, job_id: str) -> SimResult:
         """The job's payload unpacked into a real :class:`SimResult`."""
         return unpack_sim_result(self.result(job_id)["result"])
 
-    def wait(self, job_id: str, timeout: float = 120.0,
-             poll: float = 0.05) -> dict:
-        """Poll until the job reaches a terminal state; returns status."""
+    def wait(self, job_id: str, timeout: float = 120.0) -> dict:
+        """Park on the status route until the job settles; returns status."""
         deadline = clock.monotonic() + timeout
         while True:
-            status = self.status(job_id)
+            status = self.status(job_id, wait=deadline - clock.monotonic())
             if status["state"] in TERMINAL_STATES:
                 return status
             if clock.monotonic() >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']} after "
                     f"{timeout:.1f}s")
-            clock.sleep(poll)
 
     def run(self, doc: dict, timeout: float = 120.0) -> dict:
-        """Submit, wait, and fetch the result document in one call."""
-        ack = self.submit_doc(doc)
-        status = self.wait(ack["id"], timeout=timeout)
-        if status["state"] != "done":
-            raise ServeError(500, {"error": f"job {ack['id']} ended "
-                                            f"{status['state']}: "
-                                            f"{status.get('error')}"})
-        return self.result(ack["id"])
+        """Submit and wait; returns the result document.  One request
+        when the job settles within the first wait (a memo hit), then
+        re-waits on the result route, whose :class:`ServeError` a
+        failed or cancelled job raises."""
+        deadline = clock.monotonic() + timeout
+        reply = self.submit_doc(doc, wait=timeout)
+        while "result" not in reply:         # the 202 ack: not settled yet
+            if clock.monotonic() >= deadline:
+                raise TimeoutError(f"job {reply['id']} not done after "
+                                   f"{timeout:.1f}s")
+            try:
+                reply = self.result(reply["id"],
+                                    wait=deadline - clock.monotonic())
+            except ServeError as exc:
+                if exc.status != 409 or exc.doc.get("state") == CANCELLED:
+                    raise
+        return reply
 
     # ------------------------------------------------------------------
     # server-level endpoints

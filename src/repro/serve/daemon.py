@@ -56,20 +56,36 @@ class ServeConfig:
     log: Optional[TextIO] = None
 
 
-def job_routes(queue: JobQueue) -> list[Route]:
-    """Status and result routes over a job table (the coordinator's
-    jobs live in a :class:`JobQueue` too, so it serves these as is)."""
+def job_routes(queue: JobQueue, submit) -> list[Route]:
+    """The job API over a job table: ``submit`` (the application's
+    admission: the 202 acknowledgement or a rejection), status and
+    result.  The coordinator's jobs live in a :class:`JobQueue` too, so
+    it serves these as is.  With ``?wait=`` each parks the request on
+    the job's ``finished`` event (set by a finish or a drain's cancel)
+    instead of answering "not yet"."""
 
-    def status(job_id: str) -> tuple[int, dict]:
-        record = queue.get(job_id)
-        if record is None:
-            return 404, {"error": f"unknown job {job_id!r}"}
+    def parked(answer):
+        def route(job_id: str, wait: float) -> tuple[int, dict]:
+            record = queue.get(job_id)
+            if record is None:
+                return 404, {"error": f"unknown job {job_id!r}"}
+            record.finished.wait(wait)
+            return answer(record)
+        return route
+
+    def submit_and_wait(doc: object, wait: float) -> tuple:
+        # Settled within the wait: answered as the result route would.
+        reply = submit(doc)
+        if reply[0] == 202 and wait:
+            record = queue.get(reply[1]["id"])
+            if record is not None and record.finished.wait(wait):
+                return result(record)
+        return reply
+
+    def status(record: JobRecord) -> tuple[int, dict]:
         return 200, record.status_doc()
 
-    def result(job_id: str) -> tuple[int, dict]:
-        record = queue.get(job_id)
-        if record is None:
-            return 404, {"error": f"unknown job {job_id!r}"}
+    def result(record: JobRecord) -> tuple[int, dict]:
         if record.state == "done":
             return 200, {"id": record.id, "state": record.state,
                          "source": record.source,
@@ -81,8 +97,12 @@ def job_routes(queue: JobQueue) -> list[Route]:
                      "error": f"job is {record.state}, not done"}
 
     return [
-        Route("GET", f"{API_PREFIX}/jobs/<id>", "status", status),
-        Route("GET", f"{API_PREFIX}/jobs/<id>/result", "result", result),
+        Route("POST", f"{API_PREFIX}/jobs", "submit", submit_and_wait,
+              body="json", wait=True),
+        Route("GET", f"{API_PREFIX}/jobs/<id>", "status",
+              parked(status), wait=True),
+        Route("GET", f"{API_PREFIX}/jobs/<id>/result", "result",
+              parked(result), wait=True),
     ]
 
 
@@ -110,9 +130,7 @@ class SimServer(Service):
 
     def routes(self) -> list[Route]:
         return [
-            Route("POST", f"{API_PREFIX}/jobs", "submit",
-                  self.submit_response, body="json"),
-            *job_routes(self.queue),
+            *job_routes(self.queue, self.submit_response),
             Route("GET", f"{API_PREFIX}/stats", "stats",
                   lambda: (200, self.stats_doc())),
             Route("GET", "/healthz", "health",

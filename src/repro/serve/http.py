@@ -19,6 +19,7 @@ import multiprocessing.util
 import re
 import signal
 import threading
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, NamedTuple, Optional
 
@@ -38,6 +39,20 @@ MAX_STORE_BYTES = 1 << 26
 #: Transport-integrity header on store bodies (hex sha256 of the body).
 CHECKSUM_HEADER = "X-Repro-Sha256"
 
+#: Longest a ``?wait=<seconds>`` request is parked, whatever it asks for.
+MAX_WAIT_SECONDS = 30.0
+
+
+def parse_wait(query: str) -> float:
+    """Seconds a request asks to be parked: ``wait`` of the query string
+    (0 when absent), clamped to :data:`MAX_WAIT_SECONDS`; ``ValueError``
+    unless it is a number >= 0."""
+    values = urllib.parse.parse_qs(query, keep_blank_values=True).get("wait")
+    wait = float(values[-1]) if values else 0.0
+    if not wait >= 0:                    # negatives and nan
+        raise ValueError(f"wait must be >= 0 seconds, got {values[-1]!r}")
+    return min(wait, MAX_WAIT_SECONDS)
+
 
 class Route(NamedTuple):
     """One row of an application's route table.
@@ -50,7 +65,9 @@ class Route(NamedTuple):
     when the peer sent it).  ``call`` returns ``(status, payload)`` or
     ``(status, payload, headers)``; a dict payload goes out as JSON,
     ``str`` as Prometheus text, ``bytes`` as a checksummed blob.
-    ``endpoint`` labels the request in the latency histogram.
+    ``endpoint`` labels the request in the latency histogram.  A
+    ``wait`` route gets one more argument, :func:`parse_wait`'s seconds:
+    how long it may park the request for a job to settle.
     """
 
     method: str
@@ -58,6 +75,7 @@ class Route(NamedTuple):
     endpoint: str
     call: Callable[..., tuple]
     body: Optional[str] = None
+    wait: bool = False
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -113,6 +131,11 @@ class _Handler(BaseHTTPRequestHandler):
                 return 400, {"error": "body does not match "
                                       f"{CHECKSUM_HEADER} checksum"}
             args.append(body)
+        if route.wait:
+            try:
+                args.append(parse_wait(self.path.partition("?")[2]))
+            except ValueError as exc:
+                return 400, {"error": f"bad wait parameter: {exc}"}
         return route.call(*args)
 
     def _read_body(self, limit: int) -> bytes:

@@ -228,8 +228,8 @@ class JobRecord:
     """One tracked job: the request plus its lifecycle state.
 
     State transitions are guarded by the owning queue's lock; the
-    ``finished`` event lets in-process callers (drain, tests) block on
-    completion without polling.
+    ``finished`` event lets the drain and every ``?wait=`` request
+    block on completion without polling.
     """
 
     #: the state a claimed job is in (a coordinator's jobs are

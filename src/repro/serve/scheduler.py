@@ -26,6 +26,8 @@ priority estimates and ETAs.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, \
     ThreadPoolExecutor
@@ -58,6 +60,18 @@ MEMO_CAPACITY = 256
 
 #: Disk-cache stores between prune sweeps (when a byte cap is set).
 PRUNE_EVERY = 16
+
+
+def _exit_with_parent() -> None:
+    """Pool-child initializer: exit when the daemon dies, however it
+    dies (a SIGKILLed daemon cannot shut its pool down)."""
+    def watch() -> None:
+        # Blocks on the death pipe multiprocessing gives every child
+        # (its write end closes with the parent): nothing polls.
+        multiprocessing.parent_process().join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 class WorkerCrashed(RuntimeError):
@@ -126,10 +140,7 @@ class Scheduler:
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads.clear()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+        self._reset_pool()
         if self._thread_pool is not None:
             self._thread_pool.shutdown(wait=False, cancel_futures=True)
             self._thread_pool = None
@@ -305,7 +316,8 @@ class Scheduler:
     def _process_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_exit_with_parent)
             return self._pool
 
     def _injected_pool(self) -> ThreadPoolExecutor:

@@ -67,6 +67,26 @@ def test_history_round_trips_through_disk(tmp_path):
     assert reloaded.known_classes() == {job_class(_job()): 3.5}
 
 
+def test_flush_replaces_the_history_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "costs.json"
+    model = CostModel(path)
+    model.observe(_job(), 3.5)
+    model.flush()
+    good = path.read_bytes()
+
+    # A write that dies before the rename (full disk, killed daemon)
+    # leaves the previous history whole and no temp file: a torn
+    # costs.json would silently read back as a cold start.
+    def no_rename(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", no_rename)
+    model.observe(_job(cpu="o3"), 9.0)
+    model.flush()                       # best effort: does not raise
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["costs.json"]
+
+
 def test_garbage_history_is_ignored(tmp_path):
     path = tmp_path / "costs.json"
     path.write_text("{not json")

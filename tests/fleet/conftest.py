@@ -21,8 +21,7 @@ from repro.serve import ServeClient
 from tests.serve.conftest import GatedExecutor  # noqa: F401 - re-export
 
 #: Fast cadence for tests: death detection within ~0.6s.
-FAST = {"heartbeat_timeout": 0.6, "heartbeat_interval": 0.1,
-        "poll_interval": 0.05, "result_poll": 0.02}
+FAST = {"heartbeat_timeout": 0.6, "heartbeat_interval": 0.1}
 
 
 class FleetHarness:

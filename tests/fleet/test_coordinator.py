@@ -13,6 +13,7 @@ from repro.serve.client import ServeError
 from repro.serve.jobs import TERMINAL_STATES
 
 from tests.fleet.conftest import GatedExecutor
+from tests.serve.test_coalescing import wait_until
 
 
 def _submit_and_wait(fleet, doc, timeout=15.0):
@@ -255,3 +256,171 @@ def test_job_table_is_bounded_by_the_queue_history(fleet):
     assert fleet.client.status(waiter["id"])["state"] == "queued"
     held.release()
     assert fleet.client.wait(waiter["id"])["state"] == "done"
+
+
+DOC = {"kind": "g5", "workload": "sieve", "cpu": "atomic", "scale": "test"}
+
+
+def test_relayed_hit_costs_the_worker_exactly_one_request(fleet):
+    executor = GatedExecutor()
+    executor.release()
+    worker = fleet.add_worker(executor)
+    seen = worker.server.metrics.request_seconds
+
+    def counts():
+        return [seen[endpoint].count
+                for endpoint in ("submit", "status", "result")]
+
+    assert fleet.client.run(DOC)["source"] == "executed"
+    # A miss: the submission that carried the result back, plus the one
+    # status read the predictor learns the executed duration from.
+    wait_until(lambda: counts() == [1, 1, 0])
+    assert fleet.client.run(DOC)["source"] == "memo"
+    wait_until(lambda: counts()[0] == 2)
+    clock.sleep(0.2)                    # anything more would land by now
+    assert counts() == [2, 1, 0]
+    assert len(fleet.coordinator.cost_model.observations()) == 1
+
+
+def test_late_verdict_from_a_rerouted_worker_is_void(tmp_path):
+    from tests.fleet.conftest import FleetHarness
+
+    # One-second waits: the dispatcher parked on the victim is still in
+    # the same request when the job is re-routed, finishes elsewhere,
+    # and the victim's own "done" finally comes back.
+    fleet = FleetHarness(tmp_path, heartbeat_interval=1.0,
+                         heartbeat_timeout=60.0)
+    executors = {}
+    try:
+        for _ in range(2):
+            executor = GatedExecutor()
+            worker = fleet.add_worker(executor, workers=1)
+            executors[worker.worker_id] = executor
+        ack = fleet.client.submit_doc(DOC)
+        wait_until(lambda: any(e.calls for e in executors.values()))
+        victim_id = next(wid for wid, e in executors.items() if e.calls)
+        survivor_id = next(wid for wid in executors if wid != victim_id)
+        victim = next(w for w in fleet.workers
+                      if w.worker_id == victim_id)
+        # The victim falls silent (its listener stays up): the monitor's
+        # next sweep finds its heartbeat expired and re-routes the job.
+        victim._stop.set()
+        victim._agent.join(timeout=2.0)
+        fleet.coordinator.registry.get(victim_id).last_heartbeat -= 120.0
+        executors[survivor_id].release()
+        status = fleet.client.wait(ack["id"], timeout=15.0)
+        assert (status["state"], status["worker"]) == ("done", survivor_id)
+        assert status["attempts"] == 2
+
+        executors[victim_id].release()
+        wait_until(lambda: victim.server.queue.counts()["done"] == 1)
+        clock.sleep(0.3)        # its verdict has reached the dispatcher
+        again = fleet.client.status(ack["id"])
+        assert (again["worker"], again["finished_at"]) \
+            == (survivor_id, status["finished_at"])
+        workers = {w["id"]: w for w in
+                   fleet.client._json("GET", "/api/v1/fleet")["workers"]}
+        assert workers[victim_id]["state"] == "dead"
+        assert workers[victim_id]["jobs_completed"] == 0
+        assert workers[survivor_id]["jobs_completed"] == 1
+        assert fleet.client.metrics()[
+            'repro_fleet_jobs_completed_total{state="done"}'] == 1
+    finally:
+        for executor in executors.values():
+            executor.release()
+        fleet.stop()
+
+
+def test_worker_429_bounces_without_burning_an_attempt(tmp_path):
+    from tests.fleet.conftest import FleetHarness
+
+    # Heartbeats by hand (and no death sweep), so the coordinator learns
+    # the worker's queue depth exactly when the test says.
+    fleet = FleetHarness(tmp_path, heartbeat_timeout=60.0)
+    executor = GatedExecutor()
+    try:
+        worker = fleet.add_worker(executor, workers=1, max_queue=1)
+        worker._stop.set()
+        worker._agent.join(timeout=2.0)
+        fleet.client.submit_doc(DOC)                      # runs, gated
+        wait_until(lambda: executor.calls)
+        fleet.client.submit_doc({**DOC, "cpu": "timing"})  # fills queue
+        wait_until(lambda: worker.server.queue.depth() == 1)
+        bounced = fleet.client.submit_doc({**DOC, "cpu": "o3"})
+        wait_until(lambda: worker.server.metrics.rejected.value == 1)
+        wait_until(lambda: fleet.client.metrics()[
+            "repro_fleet_redispatches_total"] == 1)
+        status = fleet.client.status(bounced["id"])
+        assert (status["state"], status["attempts"]) == ("queued", 0)
+
+        executor.release()
+        wait_until(lambda: worker.server.queue.counts()["done"] == 2)
+        assert worker.heartbeat()       # reports room again
+        status = fleet.client.wait(bounced["id"], timeout=15.0)
+        assert (status["state"], status["attempts"]) == ("done", 1)
+        assert worker.server.metrics.rejected.value == 1
+    finally:
+        executor.release()
+        fleet.stop()
+
+
+def test_coordinator_drain_answers_parked_waiters_with_cancelled(fleet):
+    import threading
+
+    # No worker: the job stays queued at the coordinator.
+    ack = fleet.client.submit_doc(DOC)
+    verdicts = []
+    waiter = threading.Thread(
+        target=lambda: verdicts.append(fleet.client.wait(ack["id"],
+                                                         timeout=10.0)),
+        daemon=True)
+    waiter.start()
+    clock.sleep(0.1)
+    assert not verdicts
+    started = clock.monotonic()
+    fleet.coordinator.drain()
+    waiter.join(timeout=5.0)
+    assert verdicts and verdicts[0]["state"] == "cancelled"
+    assert clock.monotonic() - started < 1.0
+
+
+def test_concurrent_duration_observations_are_serialised(tmp_path):
+    import json
+    import sys
+    import threading
+
+    from repro.fleet.coordinator import FleetJob
+    from repro.serve.jobs import parse_job_request
+    from tests.fleet.conftest import FleetHarness
+
+    class Timed:
+        """A worker client whose every job ran for one second."""
+
+        def status(self, remote_id):
+            return {"started_at": 100.0, "finished_at": 101.0}
+
+    path = tmp_path / "costs.json"
+    fleet = FleetHarness(tmp_path, cost_path=path)
+    coordinator = fleet.coordinator
+    request = parse_job_request(DOC)
+    job = FleetJob(id="f0", request=request, digest=request.digest())
+    threads = [threading.Thread(target=lambda: [
+        coordinator._observe_duration(job, Timed(), "j1")
+        for _ in range(12)]) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        fleet.stop()
+    # Every observation was folded in, and every flush along the way
+    # (the last one included) wrote a whole document.
+    assert len(coordinator.cost_model.observations()) == 96
+    assert len(json.loads(path.read_text())["observations"]) == 96
+    assert [p.name for p in tmp_path.iterdir()
+            if p.suffix == ".tmp"] == []

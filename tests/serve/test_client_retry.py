@@ -122,3 +122,35 @@ def test_zero_retries_disables_backoff():
         client.health()
     assert socket.attempts == 1
     assert sleeps == []
+
+
+def test_run_is_submit_then_result_waits_through_the_same_seam():
+    # The long-poll path is built from the ordinary calls, so the seam
+    # sees it: a submission answered with the result is one request...
+    done = {"id": "j1", "state": "done", "source": "memo", "result": {}}
+    client, socket, _ = make_client([])
+    socket.response = (200, done)
+    assert client.run({"kind": "g5"}, timeout=5.0) == done
+    assert socket.attempts == 1
+
+    # ...and a 202 ack is followed by waits on the result route, with a
+    # transport failure in between retried like any other.
+    urls = []
+    replies = [(202, {"id": "j1", "state": "queued"}),
+               ConnectionResetError(), (200, done)]
+
+    def scripted(request):
+        urls.append(f"{request.get_method()} {request.full_url}")
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    client._open = scripted
+    assert client.run({"kind": "g5"}, timeout=5.0) == done
+    base = "http://127.0.0.1:1/api/v1/jobs"
+    assert [url.split("=")[0] for url in urls] == [
+        f"POST {base}?wait", f"GET {base}/j1/result?wait",
+        f"GET {base}/j1/result?wait"]
+    # No wait exceeds half the socket timeout (1.0 s here).
+    assert all(float(url.split("=")[1]) <= 0.5 for url in urls)
