@@ -17,14 +17,12 @@ pool — and gates on the two properties that make the fan-out shippable::
   profiling and checkpointing pass is serial, so the window geometry is
   chosen so detailed-window time dominates.
 
-The speedup gate is measured wall clock when the host exposes at least
-``--jobs`` cores.  On smaller hosts a process pool cannot beat the
-sequential loop no matter how good the fan-out is, so the gate falls
-back to the **LPT makespan model**: per-window wall times are measured
-sequentially, scheduled longest-first onto ``--jobs`` virtual workers,
-and the modelled makespan stands in for the parallel phase.  The JSON
-records which basis gated (``gate_basis``) plus both numbers, so a
-4-core CI runner always enforces the measured bar.
+The speedup gate is measured wall clock, and applies when the host
+exposes at least ``--jobs`` cores.  On smaller hosts a process pool
+cannot beat the sequential loop no matter how good the fan-out is, so
+the speedup is reported but **not gated on this host** and the run
+passes on byte-identity alone; the JSON records ``cores`` and ``gated``,
+so a 4-core CI runner always enforces the measured bar.
 
 A rerun against the same cache (whole-payload entry evicted) must
 resolve every window from its per-window cache entry without executing.
@@ -90,14 +88,6 @@ def sequential_run(job: SampledJob) -> tuple[dict, dict]:
         "detailed_insts": payload["detailed_insts"],
     }
     return doc, payload
-
-
-def lpt_makespan(durations: list[float], workers: int) -> float:
-    """Longest-processing-time-first makespan on ``workers`` machines."""
-    loads = [0.0] * max(1, workers)
-    for duration in sorted(durations, reverse=True):
-        loads[loads.index(min(loads))] += duration
-    return max(loads)
 
 
 def parallel_run(job: SampledJob, jobs: int,
@@ -172,22 +162,15 @@ def main(argv=None) -> int:
               f"({cores} cores available) ...")
         parallel, par_payload = parallel_run(job, args.jobs, cache_dir)
         identical = payload_bytes(par_payload) == payload_bytes(seq_payload)
-        measured = sequential["seconds"] / parallel["seconds"]
-        modeled = sequential["seconds"] / (
-            sequential["plan_seconds"]
-            + lpt_makespan(sequential["window_seconds"], args.jobs))
+        speedup = sequential["seconds"] / parallel["seconds"]
+        gated = cores >= args.jobs
         print(f"  {parallel['seconds']:.2f}s  "
               f"{parallel['windows_executed']} windows executed  "
               f"byte-identical: {identical}")
-        print(f"measured speedup {measured:.2f}x, LPT-modeled "
-              f"{modeled:.2f}x at {args.jobs} workers")
-
-        if cores >= args.jobs:
-            gate_basis, speedup = "measured", measured
-        else:
-            gate_basis, speedup = "modeled", modeled
-            print(f"  host has {cores} < {args.jobs} cores: gating on "
-                  "the LPT makespan model")
+        print(f"measured speedup {speedup:.2f}x at {args.jobs} workers")
+        if not gated:
+            print(f"  host has {cores} < {args.jobs} cores: speedup "
+                  "not gated on this host")
 
         print("window-cache rerun (payload entry evicted) ...")
         rerun = window_cache_rerun(job, args.jobs, cache_dir, seq_payload)
@@ -205,9 +188,7 @@ def main(argv=None) -> int:
         "sequential": sequential,
         "parallel": parallel,
         "rerun": rerun,
-        "speedup_measured": round(measured, 2),
-        "speedup_modeled": round(modeled, 2),
-        "gate_basis": gate_basis,
+        "gated": gated,
         "speedup": round(speedup, 2),
         "byte_identical": identical,
     }
@@ -219,8 +200,8 @@ def main(argv=None) -> int:
     failed = []
     if not identical:
         failed.append("parallel payload differs from sequential")
-    if speedup < args.min_speedup:
-        failed.append(f"{gate_basis} speedup {speedup:.2f}x "
+    if gated and speedup < args.min_speedup:
+        failed.append(f"measured speedup {speedup:.2f}x "
                       f"< {args.min_speedup}x")
     if failed:
         print("FAIL: " + "; ".join(failed))

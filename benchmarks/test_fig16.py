@@ -10,7 +10,8 @@ def test_fig16_multicore_scaling(benchmark, runner, compare):
     print()
     print(figure.render())
     compare("Fig.16 guest speedup vs the 1-thread run (extension "
-            "figure: no paper band, gate from BENCH_multicore.json)", [
+            "figure: no paper band; CI floor is the benchmark's "
+            "g5.guest_speedup_x4)", [
         ("Atomic @2 threads", "n/a",
          f"{speedup_for(figure, 'atomic', 2):.2f}x"),
         ("Atomic @4 threads", ">1.2x",

@@ -19,9 +19,9 @@ Flags, inside simulation-core modules:
   ``frozenset()`` calls (``for``-loops and comprehension iterables) —
   wrap them in ``sorted(...)`` to pin the order.
 
-Wall-clock measurement is legitimate in the benchmarking/executor
-layers, so those (``exec/``, ``bench.py``, ``cli.py``) are out of
-scope; suppress a justified in-scope use with ``# lint: no-determinism``.
+Wall-clock measurement is legitimate in the executor layers, so those
+(``exec/``, ``cli.py``) are out of scope; suppress a justified
+in-scope use with ``# lint: no-determinism``.
 
 The serving daemon (``serve/``) is in scope too — a server that stamps
 results with host time would break the coalescer's identical-result
@@ -50,7 +50,7 @@ from ..engine import LintPass, register_pass
 #: That includes ``sample/parallel.py`` — window planning and merging
 #: must be pure so the parallel fan-out stays byte-identical to the
 #: sequential path; all wall-clock timing for windows lives in
-#: ``exec/windows.py``, outside the simulation core.
+#: ``exec/pool.py``, outside the simulation core.
 _SCOPED_PREFIXES = ("g5/", "events/", "workloads/", "host/", "core/",
                     "experiments/", "serve/", "sample/", "fleet/")
 

@@ -161,37 +161,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list workloads, platforms, figures")
 
     report = sub.add_parser(
-        "report", help="regenerate EXPERIMENTS.md (paper vs measured)")
+        "report", help="regenerate EXPERIMENTS.md's claim table "
+                       "(hand-written sections are kept)")
     report.add_argument("--scale", default="simsmall", choices=SCALES)
     report.add_argument("--max-records", type=int, default=60000)
     report.add_argument("--output", default="EXPERIMENTS.md",
                         help="file to write (default: EXPERIMENTS.md)")
     _add_executor_args(report)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark the simulation kernel fast path")
-    bench.add_argument("--models", nargs="*", metavar="MODEL",
-                       default=["atomic", "timing", "minor", "o3"],
-                       choices=["atomic", "timing", "minor", "o3"],
-                       help="CPU models to benchmark (default: all four)")
-    bench.add_argument("--workload", default="sieve",
-                       choices=sorted(WORKLOADS))
-    bench.add_argument("--scale", default="simsmall", choices=SCALES)
-    bench.add_argument("--repeats", type=_positive_int, default=3,
-                       help="timed runs per variant; best is kept")
-    bench.add_argument("--quick", action="store_true",
-                       help="atomic model only, single repeat (for CI)")
-    bench.add_argument("--output", default="BENCH_kernel.json",
-                       help="JSON results file (default: BENCH_kernel.json)")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="fail unless the atomic fast-path speedup "
-                            "reaches this factor")
-    bench.add_argument("--sharded", action="store_true",
-                       help="benchmark sharded (multi-queue) Timing "
-                            "simulation instead of the fast path")
-    bench.add_argument("--domains", type=_positive_int, default=2,
-                       help="with --sharded: event-queue domains "
-                            "(default: 2)")
 
     srv = sub.add_parser(
         "serve", help="run the simulation-as-a-service daemon")
@@ -559,60 +535,19 @@ def _cmd_tables() -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .experiments.summary import generate_report
 
+    # newline="" both ways: hand-written sections survive byte for byte.
+    existing = ""
+    if os.path.exists(args.output):
+        with open(args.output, encoding="utf-8", newline="") as handle:
+            existing = handle.read()
     markdown = generate_report(scale=args.scale,
                                max_records=args.max_records,
                                jobs=args.jobs,
-                               cache=_cache_from_args(args))
-    with open(args.output, "w", encoding="utf-8") as handle:
+                               cache=_cache_from_args(args),
+                               existing=existing)
+    with open(args.output, "w", encoding="utf-8", newline="") as handle:
         handle.write(markdown)
     print(f"wrote {args.output}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import bench_kernel, check_min_speedup, write_results
-
-    if args.sharded:
-        return _cmd_bench_sharded(args)
-    models = ["atomic"] if args.quick else args.models
-    repeats = 1 if args.quick else args.repeats
-    results = bench_kernel(models=models, workload=args.workload,
-                           scale=args.scale, repeats=repeats)
-    write_results(results, args.output)
-    print(f"wrote {args.output}")
-    if args.min_speedup is not None:
-        error = check_min_speedup(results, args.min_speedup)
-        if error is not None:
-            print(f"FAIL: {error}", file=sys.stderr)
-            return 1
-        print(f"OK: atomic fast-path speedup "
-              f"{results['models']['atomic']['speedup']:.2f}x >= "
-              f"{args.min_speedup:.2f}x")
-    return 0
-
-
-def _cmd_bench_sharded(args: argparse.Namespace) -> int:
-    from .bench import bench_sharded, check_sharded_gate, write_results
-
-    # Unlike the kernel bench (4 models x 2 variants), the sharded bench
-    # is one Timing workload; best-of-repeats stays cheap enough for CI,
-    # and a single noisy run must not flip the gate.
-    repeats = args.repeats
-    output = args.output
-    if output == "BENCH_kernel.json":       # the non-sharded default
-        output = "BENCH_sharded.json"
-    results = bench_sharded(domains=args.domains, workload=args.workload,
-                            scale=args.scale, repeats=repeats)
-    min_speedup = args.min_speedup if args.min_speedup is not None else 1.2
-    error = check_sharded_gate(results, min_speedup)
-    write_results(results, output)
-    print(f"wrote {output}")
-    if error is not None:
-        print(f"FAIL: {error}", file=sys.stderr)
-        return 1
-    print(f"OK: sharded {results['gate_basis']} speedup "
-          f"{results['speedup']:.2f}x >= {min_speedup:.2f}x, "
-          f"byte-identical to single queue")
     return 0
 
 
@@ -967,8 +902,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_tables()
     if args.command == "report":
         return _cmd_report(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "sample":
         return _cmd_sample(args)
     if args.command == "ckpt":

@@ -13,8 +13,8 @@ reproduction's measured number for each claim, plus a verdict column:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable
 
 from . import FIGURES
 from .fig01_platform_comparison import smt_off_benefit, speedup_summary
@@ -30,6 +30,10 @@ from .fig13_frequency import slowdown_at
 from .fig14_firesim_sweep import speedup_for
 from .fig15_hot_functions import functions_executed, hottest_share
 from .runner import ExperimentRunner
+
+
+#: The one ``## `` section of EXPERIMENTS.md that ``report`` writes.
+OWNED_SECTION = "## How runs are executed and cached"
 
 
 @dataclass
@@ -265,14 +269,16 @@ def collect_claims(runner: ExperimentRunner,
 
 
 def render_markdown(rows: list[ClaimRow], runner: ExperimentRunner) -> str:
-    """Render the claim table as the EXPERIMENTS.md body."""
+    """Render the generated region of EXPERIMENTS.md: title through the
+    claim table, then :data:`OWNED_SECTION`."""
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        "Auto-generated by `repro-g5 report` (see",
-        "`repro.experiments.summary`).  Workload scale: "
-        f"`{runner.scale}`; traces truncated to {runner.max_records} "
-        "records where longer.",
+        "This table and the next section are generated by",
+        "`repro-g5 report` (see `repro.experiments.summary`); every",
+        "other section is written by hand and kept as it is.  Workload "
+        f"scale: `{runner.scale}`; traces truncated to "
+        f"{runner.max_records} records where longer.",
         "",
         "Verdicts: **match** = measured value falls in (or near) the",
         "paper's band; **shape** = direction and ordering reproduced,",
@@ -287,7 +293,7 @@ def render_markdown(rows: list[ClaimRow], runner: ExperimentRunner) -> str:
             f"{row.measured} | {row.verdict} | {row.note} |")
     lines += [
         "",
-        "## How runs are executed and cached",
+        OWNED_SECTION,
         "",
         "All g5 simulations behind this table resolve through the",
         "`repro.exec` engine (`repro-g5 figs` / `repro-g5 report`):",
@@ -322,72 +328,33 @@ def render_markdown(rows: list[ClaimRow], runner: ExperimentRunner) -> str:
         "  daemon-backed and local regeneration are interchangeable —",
         "  see the README's \"Serving\" section.",
         "",
-        "## Simulation-kernel fast path",
-        "",
-        "Every run above executes on the fast-path kernel",
-        "(`SimConfig(fast_path=True)`, the default), three host-side",
-        "optimisations that leave simulated behaviour untouched:",
-        "",
-        "- **Zero-heap tick loop** — the event queue keeps a one-element",
-        "  next-event slot in front of its binary heap, and a",
-        "  self-rescheduling CPU tick calls `advance_if_idle` to skip",
-        "  the schedule/pop round-trip entirely when nothing else is",
-        "  pending.  Event ordering is bit-identical to the pure heap.",
-        "- **Threaded-code interpreter** — the decoder binds each",
-        "  `StaticInst` to a precompiled per-opcode executor at decode",
-        "  time, and CPU models dispatch through that bound callable",
-        "  instead of re-classifying the opcode per execution.",
-        "- **Atomic-mode memory bypass** — in atomic mode the",
-        "  cache/crossbar/DRAM chain services fetches, loads and stores",
-        "  through packet-free `recv_atomic_fast` calls that keep the",
-        "  exact latency, stats and host-record accounting of the",
-        "  packet path.",
-        "",
-        "Equivalence is enforced by the differential suite in",
-        "`tests/exec/test_fastpath_differential.py` (random programs and",
-        "sieve, fast vs. slow, all four CPU models: identical registers,",
-        "memory, stats.txt and execution traces), and the golden",
-        "stats.txt tests run with the fast path enabled.  Measure the",
-        "speedup on your host with `repro-g5 bench` (or",
-        "`python benchmarks/bench_kernel.py`), which writes",
-        "`BENCH_kernel.json`; CI runs `repro-g5 bench --quick",
-        "--min-speedup 2.0` to keep the atomic-mode win above 2x.",
-        "",
-        "## Known gaps (and why)",
-        "",
-        "- **Fig. 4 overhead ratios / Fig. 8 L1 ratios**: our synthetic",
-        "  binary executes its cold tail on a fixed rotation, so a large",
-        "  share of misses is effectively compulsory on *every* platform",
-        "  and for *every* CPU model — compressing cross-platform and",
-        "  cross-model miss-rate ratios relative to the paper's (real",
-        "  gem5's cold code is colder, its hot code hotter).  The",
-        "  directions all hold.",
-        "- **Fig. 1 co-run tail (4.15x)**: our SMT penalty lands at",
-        "  ~30-45% rather than the measured 47%, which caps the combined",
-        "  co-run speedup near 3.3x.",
-        "- **Fig. 15 Minor share**: our Minor pipeline records coarser",
-        "  per-cycle stage functions than real gem5's, concentrating",
-        "  time in fewer symbols.",
-        "",
-        "Every mechanism claim (FE-bound profile, MITE domination, DSB",
-        "emptiness, LLC-resident data set, TLB/page-size sensitivity,",
-        "L1-size sensitivity on FireSim, linear frequency scaling, the",
-        "huge-page and -O3 wins, and the no-killer-function profile) is",
-        "reproduced and asserted in `tests/experiments/test_paper_claims.py`.",
-        "",
     ]
-    return "\n".join(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _hand_written_sections(existing: str) -> str:
+    """Every ``## `` section of ``existing`` the generator does not own.
+
+    The generator owns the file's head (title through the claim table)
+    and :data:`OWNED_SECTION`; the rest is prose maintained by hand and
+    is carried over byte for byte, in order.
+    """
+    sections = re.split(r"(?m)^(?=## )", existing)[1:]
+    return "".join(section for section in sections
+                   if section.splitlines()[0] != OWNED_SECTION)
 
 
 def generate_report(scale: str = "simsmall",
                     max_records: int | None = 60000,
                     jobs: int = 1,
-                    cache=None) -> str:
+                    cache=None, existing: str = "") -> str:
     """Convenience: run everything and return the markdown.
 
     ``jobs``/``cache`` go straight to the runner's execution engine, so
     a report regeneration can fan its g5 runs over a worker pool and
-    reuse (or warm) the on-disk result cache.
+    reuse (or warm) the on-disk result cache.  ``existing`` is the file
+    being regenerated: its hand-written sections follow the generated
+    region untouched.
     """
     runner = ExperimentRunner(scale=scale, max_records=max_records,
                               jobs=jobs, cache=cache)
@@ -396,4 +363,4 @@ def generate_report(scale: str = "simsmall",
         requirements.extend(module.required_g5())
     runner.prefetch(requirements)
     rows = collect_claims(runner)
-    return render_markdown(rows, runner)
+    return render_markdown(rows, runner) + _hand_written_sections(existing)

@@ -37,11 +37,8 @@ Design
 Intra-domain scheduling is completely untouched: each domain queue keeps
 the zero-heap fast-path tick loop, and the atomic protocol bypasses the
 links entirely (it carries no event-queue state), so Atomic-mode runs
-shard with no boundary traffic at all.
-
-Host-time instrumentation (per-domain busy seconds, synchronization
-overhead) only activates when a timer callable is injected by benchmark
-code; the simulation core itself never reads the wall clock.
+shard with no boundary traffic at all.  The engine never reads the wall
+clock; host time is measured from outside (``perf/``, ``sim_multi``).
 """
 
 from __future__ import annotations
@@ -65,8 +62,8 @@ class DeliveryEvent(Event):
 
     A dedicated slotted event instead of ``CallbackEvent`` + lambda:
     links fire one of these per boundary crossing, so construction cost
-    is on the sharded hot path the benchmark gate measures.  ``target``
-    is the receiver-side bound method; ``pkt`` is ``None`` for retries.
+    is on the sharded hot path.  ``target`` is the receiver-side bound
+    method; ``pkt`` is ``None`` for retries.
     """
 
     __slots__ = ("target", "pkt")
@@ -205,11 +202,6 @@ class ShardedEngine:
         self.links = list(links)
         self.quantum_ticks = quantum_ticks
         self.windows = 0                 # domain windows executed
-        #: Host-time instrumentation: injected by benchmark code (the
-        #: simulation core never reads the wall clock itself).
-        self.timer: Optional[Callable[[], float]] = None
-        self.busy_seconds = [0.0] * len(self.domains)
-        self.sync_seconds = 0.0
         #: Ownership sanitizer (:mod:`repro.g5.sanitize`), installed by
         #: ``SimConfig(sanitize=True)``; the run loop publishes the
         #: executing domain's index on it before every window.
@@ -266,8 +258,7 @@ class ShardedEngine:
                 "use max_tick or run unsharded")
         limit_key = (None if max_tick is None
                      else (max_tick + 1, _MIN_PRI, 0))
-        if len(self.domains) == 2 and self.timer is None \
-                and self.sanitizer is None:
+        if len(self.domains) == 2 and self.sanitizer is None:
             return self._run_pair(max_tick, limit_key)
         return self._run_many(max_tick, limit_key)
 
@@ -313,16 +304,10 @@ class ShardedEngine:
             self.windows += windows
 
     def _run_many(self, max_tick, limit_key) -> ExitEvent:
-        """Generic N-domain loop, with per-domain host-time attribution.
-
-        Also the instrumented path: when a ``timer`` is injected the
-        selection is charged to ``sync_seconds`` and each window to its
-        domain's ``busy_seconds``.
-        """
+        """Generic N-domain loop; also the sanitized path, which
+        publishes the executing domain before every window."""
         domains = self.domains
-        timer = self.timer
         sanitizer = self.sanitizer
-        t_mark = timer() if timer is not None else 0.0
         try:
             while True:
                 best = -1
@@ -351,17 +336,7 @@ class ShardedEngine:
                     bound = limit_key
                 if sanitizer is not None:
                     sanitizer.current_domain = best
-                if timer is not None:
-                    # Everything since the last window ended (selection,
-                    # bound arithmetic) is synchronization overhead; the
-                    # window itself is the chosen domain's busy time.
-                    t_run = timer()
-                    self.sync_seconds += t_run - t_mark
-                    exit_event = domains[best].run_window(bound)
-                    t_mark = timer()
-                    self.busy_seconds[best] += t_mark - t_run
-                else:
-                    exit_event = domains[best].run_window(bound)
+                exit_event = domains[best].run_window(bound)
                 self.windows += 1
                 if exit_event is not None:
                     # Bring lagging domains up to the exit tick; no live

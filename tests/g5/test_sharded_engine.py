@@ -145,6 +145,68 @@ def test_pause_at_max_tick_and_resume_matches_uninterrupted():
     assert log == straight_log == [5, 10, 20]
 
 
+def _run_soup(monkeypatch, n_domains, sanitized=False):
+    """One fixed cross-scheduling soup; returns what ran and which loop."""
+    queues = _fresh_queues(n_domains)
+    log = []
+
+    def fire(tag, spawn=None):
+        def callback():
+            log.append((tag, queues[0].now, queues[1].now))
+            if spawn is not None:
+                domain, delay, child = spawn
+                queues[domain].call_at(queues[domain].now + delay,
+                                       fire(child))
+        return callback
+
+    # Same-tick ties across domains, a burst one window can batch, and
+    # callbacks that schedule below the other domain's head.
+    queues[0].call_at(1, fire("a1", spawn=(1, 1, "a1>b")))
+    queues[1].call_at(1, fire("b1"))
+    for tick in (3, 4, 5):
+        queues[0].call_at(tick, fire(f"a{tick}"))
+    queues[1].call_at(4, fire("b4", spawn=(0, 0, "b4>a")))
+    queues[1].call_at(30, fire("b30"))
+    queues[0].call_at(40, fire("a40"))
+    engine = ShardedEngine(queues, links=[])
+    if sanitized:
+        engine.sanitizer = type("Armed", (), {"current_domain": None})()
+    taken = []
+    for name in ("_run_pair", "_run_many"):
+        def spy(*args, _name=name, _inner=getattr(engine, name)):
+            taken.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(engine, name, spy)
+    paused = engine.run(max_tick=10)
+    parked = [queue.now for queue in queues[:2]]
+    done = engine.run()
+    return {
+        "log": log, "parked": parked, "windows": engine.windows,
+        "events": engine.events_processed, "now": engine.now,
+        "exits": (paused.cause, done.cause),
+    }, taken
+
+
+def test_two_domains_take_the_pair_loop_and_it_matches_the_generic_one(
+        monkeypatch):
+    """``_run_pair`` is ``_run_many`` specialised, never a second order.
+
+    Two bare domains select the inlined pair loop; a third domain or an
+    armed sanitizer selects the generic loop; all three fire the same
+    events at the same clocks in the same number of windows.
+    """
+    pair, pair_taken = _run_soup(monkeypatch, 2)
+    armed, armed_taken = _run_soup(monkeypatch, 2, sanitized=True)
+    many, many_taken = _run_soup(monkeypatch, 3)
+    assert pair_taken == ["_run_pair", "_run_pair"]
+    assert armed_taken == many_taken == ["_run_many", "_run_many"]
+    assert pair == armed == many
+    assert [tag for tag, _, _ in pair["log"]] == [
+        "a1", "b1", "a1>b", "a3", "a4", "b4", "b4>a", "a5", "b30", "a40"]
+    assert pair["exits"] == ("simulate() limit reached",
+                             "event queue empty")
+
+
 def test_facade_inspection_mirrors_the_queues():
     queues = _fresh_queues()
     engine = ShardedEngine(queues, links=[])

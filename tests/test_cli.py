@@ -40,6 +40,17 @@ class TestCliCommands:
         assert "guest requested shutdown" in out
         assert "miniux" in out
 
+    def test_simulate_four_cores_sharded(self, capsys):
+        assert main(["simulate", "--workload", "ocean_cp", "--cpu",
+                     "timing", "--scale", "test", "-n", "4",
+                     "--domains", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "cores          : 4 (4 guest threads)" in out
+        assert "coherence      : 0 snoops" not in out
+        assert "domains        : 3 (cpu0 " in out
+        assert " boundary deliveries, quantum 0 ticks)" in out
+        assert "(0 boundary deliveries" not in out
+
     def test_profile(self, capsys):
         assert main(["profile", "--workload", "sieve", "--cpu", "timing",
                      "--scale", "test", "--platform", "M1_Pro",
@@ -125,6 +136,35 @@ class TestCliCommands:
                      "--max-records", "5000", "--no-cache"]) == 0
         capsys.readouterr()
         assert not (_isolated_cache / "objects").exists()
+
+    def test_report_regenerates_only_what_it_generates(self, capsys,
+                                                       tmp_path):
+        owned = "## How runs are executed and cached\n"
+        before = ("## Written by hand, above\r\n\r\nKept   as typed.  \n"
+                  "### a subsection\n\n| a | b |\n")
+        after = ("## Known gaps (and why)\n\n- still here\n"
+                 "##not a heading\n\nno trailing newline")
+        path = tmp_path / "EXPERIMENTS.md"
+        path.write_bytes((
+            "# SUPERSEDED title\n\n| Fig.0 | SUPERSEDED row |\n\n"
+            + before + owned + "\nSUPERSEDED prose\n\n" + after).encode())
+        argv = ["report", "--scale", "test", "--max-records", "5000",
+                "--output", str(path)]
+        assert main(argv) == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        text = path.read_bytes().decode()
+        head, _, tail = text.partition(before)
+        assert head.startswith("# EXPERIMENTS")
+        assert "| Fig.15 | functions executed (A/T/M/O3) |" in head
+        assert head.count(owned) == 1 and "`--jobs N` fans" in head
+        assert tail == after
+        assert "SUPERSEDED" not in text
+        # Regenerating is idempotent, and a fresh file gets the same head.
+        assert main(argv) == 0
+        assert path.read_bytes().decode() == text
+        fresh = tmp_path / "fresh.md"
+        assert main(argv[:-1] + [str(fresh)]) == 0
+        assert fresh.read_bytes().decode() == head
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
