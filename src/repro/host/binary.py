@@ -131,31 +131,16 @@ class SimFunction:
 
 @dataclass
 class FunctionCluster:
-    """The synthetic expansion of one logical simulator function."""
+    """The synthetic expansion of one logical simulator function.
+
+    ``hot`` runs on every invocation; the replay loop
+    (:mod:`repro.host.cpu`) walks ``cold`` ``COLD_PER_VISIT`` functions
+    at a time, on every ``COLD_EVERY``-th invocation.
+    """
 
     logical_name: str
     hot: list[SimFunction]
     cold: list[SimFunction]
-    _cursor: int = 0
-
-    def functions_for_invocation(self) -> list[SimFunction]:
-        """Subfunctions executed by the next invocation (deterministic).
-
-        The replay hot loop inlines this logic; the method is the
-        reference implementation used by tests.
-        """
-        executed = list(self.hot)
-        cursor = self._cursor
-        self._cursor = cursor + 1
-        if self.cold and cursor % COLD_EVERY == COLD_EVERY - 1:
-            n_cold = len(self.cold)
-            offset = (cursor // COLD_EVERY) * COLD_PER_VISIT
-            for extra in range(COLD_PER_VISIT):
-                executed.append(self.cold[(offset + extra) % n_cold])
-        return executed
-
-    def reset(self) -> None:
-        self._cursor = 0
 
     @property
     def size(self) -> int:
@@ -289,11 +274,6 @@ class BinaryImage:
 
     def total_functions(self) -> int:
         return len(self.functions)
-
-    def reset_cursors(self) -> None:
-        """Reset cold-tail rotation (for replaying the same image twice)."""
-        for cluster in self.clusters.values():
-            cluster.reset()
 
 
 def synthetic_image(spec: list[tuple[str, int, int, float, bool]],

@@ -9,18 +9,12 @@ capacity are simulated exactly (dict-ordered LRU like the TLBs).
 
 Branch outcomes are generated deterministically per slot from the
 function's taken bias via a per-slot LCG, so runs are reproducible.
+
+:class:`HostBranchUnit` is the predictor's state and statistics; the
+lookups and updates are part of the replay loop in :mod:`repro.host.cpu`.
 """
 
 from __future__ import annotations
-
-from .binary import SimFunction
-
-#: Representative conditional-branch slots simulated per function.
-SLOTS_PER_FUNCTION = 3
-
-_LCG_MUL = 6364136223846793005
-_LCG_INC = 1442695040888963407
-_MASK = (1 << 64) - 1
 
 
 class HostBranchUnit:
@@ -46,84 +40,6 @@ class HostBranchUnit:
         self.ind_lookups = 0
         self.ind_misses = 0
         self._slot_state: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # conditional direction
-    # ------------------------------------------------------------------
-    def run_function_branches(self, fn: SimFunction) -> tuple[int, float]:
-        """Simulate ``fn``'s conditional branches for one execution.
-
-        The representative slots carry per-slot taken biases from the
-        binary image; fully-biased slots (0.0/1.0) behave like loop
-        back-edges and error checks — the counters learn them, and the
-        only residual mispredicts come from table aliasing.  Returns
-        ``(branches, mispredicts)`` scaled to the function's full branch
-        count.
-        """
-        n_branches = fn.n_branches
-        slots = min(len(fn.branch_slots), n_branches)
-        table = self.table
-        mask = self.table_mask
-        mispredicted = 0
-        base_key = fn.addr >> 2
-        for slot in range(slots):
-            bias = fn.branch_slots[slot]
-            key = (base_key + slot * 97) & _MASK
-            if bias >= 1.0:
-                taken = True
-            elif bias <= 0.0:
-                taken = False
-            else:
-                state = self._slot_state.get(key, key ^ 0x9E3779B9)
-                state = (state * _LCG_MUL + _LCG_INC) & _MASK
-                self._slot_state[key] = state
-                taken = ((state >> 40) & 0xFF) < int(bias * 255)
-            index = key & mask
-            counter = table[index]
-            if (counter >= 2) != taken:
-                mispredicted += 1
-            if taken:
-                if counter < 3:
-                    table[index] = counter + 1
-            elif counter > 0:
-                table[index] = counter - 1
-        mispredicts = mispredicted * (n_branches / max(1, slots))
-        self.cond_branches += n_branches
-        self.cond_mispredicts += mispredicts
-        return n_branches, mispredicts
-
-    # ------------------------------------------------------------------
-    # targets
-    # ------------------------------------------------------------------
-    def btb_lookup(self, key: int) -> bool:
-        """Look up a taken-branch/call target; returns True on BTB hit."""
-        self.btb_lookups += 1
-        btb = self.btb
-        if key in btb:
-            del btb[key]
-            btb[key] = None
-            return True
-        self.btb_misses += 1
-        btb[key] = None
-        if len(btb) > self.btb_entries:
-            del btb[next(iter(btb))]
-        return False
-
-    def indirect_lookup(self, site: int, target: int) -> bool:
-        """Virtual-call site prediction; miss when the target changed."""
-        self.ind_lookups += 1
-        key = site
-        table = self.ind_table
-        tagged = (key << 20) ^ target
-        if tagged in table:
-            del table[tagged]
-            table[tagged] = None
-            return True
-        self.ind_misses += 1
-        table[tagged] = None
-        if len(table) > self.btb_entries // 2:
-            del table[next(iter(table))]
-        return False
 
     @property
     def mispredict_rate(self) -> float:

@@ -1,9 +1,10 @@
-"""Host cache hierarchy: fast set-associative LRU models.
+"""Host cache hierarchy: set-associative LRU state and statistics.
 
-These run inside the replay hot loop, so they are written for speed:
-plain lists of tags per set, move-to-front LRU, integer arithmetic only.
-The hierarchy routes an access through L1 (I or D side) → L2 → LLC →
-DRAM and returns the total penalty in cycles beyond the L1 hit latency.
+A cache is plain lists of line tags per set, most recently used first.
+The access path — L1 (I or D side) → L2 → LLC → DRAM, move-to-front
+LRU — is written once, in the replay loop of :mod:`repro.host.cpu`,
+which works on these lists directly; the classes here hold the state,
+the hit/miss and DRAM-traffic statistics, and the co-run eviction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ class HostCache:
     """One set-associative LRU cache level."""
 
     __slots__ = ("name", "geometry", "n_sets", "line_shift", "sets",
-                 "hits", "misses", "evictions")
+                 "hits", "misses")
 
     def __init__(self, name: str, geometry: CacheGeometry) -> None:
         self.name = name
@@ -25,40 +26,6 @@ class HostCache:
         self.sets: list[list[int]] = [[] for _ in range(self.n_sets)]
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-
-    def access(self, addr: int) -> bool:
-        """Access the line containing ``addr``; returns True on hit."""
-        line = addr >> self.line_shift
-        cache_set = self.sets[line % self.n_sets]
-        if line in cache_set:
-            self.hits += 1
-            if cache_set[0] != line:
-                cache_set.remove(line)
-                cache_set.insert(0, line)
-            return True
-        self.misses += 1
-        cache_set.insert(0, line)
-        if len(cache_set) > self.geometry.assoc:
-            cache_set.pop()
-            self.evictions += 1
-        return False
-
-    def access_line(self, line: int) -> bool:
-        """Like :meth:`access` but the caller pre-computed the line index."""
-        cache_set = self.sets[line % self.n_sets]
-        if line in cache_set:
-            self.hits += 1
-            if cache_set[0] != line:
-                cache_set.remove(line)
-                cache_set.insert(0, line)
-            return True
-        self.misses += 1
-        cache_set.insert(0, line)
-        if len(cache_set) > self.geometry.assoc:
-            cache_set.pop()
-            self.evictions += 1
-        return False
 
     @property
     def accesses(self) -> int:
@@ -100,19 +67,15 @@ class HostCache:
             index += stride
         return dropped
 
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.evictions = 0
-
 
 class HostHierarchy:
     """L1I + L1D + unified L2 + LLC, with DRAM traffic accounting."""
 
-    __slots__ = ("platform", "l1i", "l1d", "l2", "llc",
+    __slots__ = ("l1i", "l1d", "l2", "llc",
                  "dram_reads", "dram_bytes", "l1i_miss_penalty_total",
                  "l1d_miss_penalty_total")
 
     def __init__(self, platform: HostPlatform) -> None:
-        self.platform = platform
         self.l1i = HostCache("L1I", platform.l1i)
         self.l1d = HostCache("L1D", platform.l1d)
         self.l2 = HostCache("L2", platform.l2)
@@ -121,39 +84,6 @@ class HostHierarchy:
         self.dram_bytes = 0
         self.l1i_miss_penalty_total = 0
         self.l1d_miss_penalty_total = 0
-
-    def fetch_line(self, line: int) -> int:
-        """Instruction-side access; returns penalty cycles beyond L1 hit."""
-        if self.l1i.access_line(line):
-            return 0
-        platform = self.platform
-        addr = line << self.l1i.line_shift
-        if self.l2.access(addr):
-            penalty = platform.l2_latency
-        elif self.llc.access(addr):
-            penalty = platform.llc_latency
-        else:
-            penalty = platform.dram_latency_cycles
-            self.dram_reads += 1
-            self.dram_bytes += platform.llc.line_size
-        self.l1i_miss_penalty_total += penalty
-        return penalty
-
-    def data_access(self, addr: int) -> int:
-        """Data-side access; returns penalty cycles beyond L1 hit."""
-        if self.l1d.access(addr):
-            return 0
-        platform = self.platform
-        if self.l2.access(addr):
-            penalty = platform.l2_latency
-        elif self.llc.access(addr):
-            penalty = platform.llc_latency
-        else:
-            penalty = platform.dram_latency_cycles
-            self.dram_reads += 1
-            self.dram_bytes += platform.llc.line_size
-        self.l1d_miss_penalty_total += penalty
-        return penalty
 
     def llc_occupancy_bytes(self) -> int:
         return self.llc.resident_bytes()

@@ -19,7 +19,7 @@ from typing import Optional
 from dataclasses import replace as _dc_replace
 
 from ..core.topdown import TopDownBreakdown, TopDownCounters
-from .binary import BinaryImage, SimFunction
+from .binary import COLD_EVERY, COLD_PER_VISIT, BinaryImage, SimFunction
 from .branch import HostBranchUnit
 from .caches import HostHierarchy
 from .corun import Contention, no_contention
@@ -180,7 +180,6 @@ class HostCPU:
         self.branch = HostBranchUnit(platform.bp_table_bits,
                                      platform.btb_entries)
         self.dsb = DSB(platform.dsb_uops)
-        self._indirect_state: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -191,22 +190,31 @@ class HostCPU:
                            recorder.fn_names)
 
     def replay(self, trace_fns: list[int], trace_daddrs: list[int],
-               fn_names: list[str], fast: bool = True) -> HostRunResult:
+               fn_names: list[str]) -> HostRunResult:
         """Replay a raw trace (parallel fn-id/data-address lists).
 
-        ``fast=True`` uses the inlined hot loop (identical semantics to
-        the reference path; property tests assert the equivalence).
+        Simulator start-up runs first, as one record whose schedule is
+        ``image.startup``, through the same loop as the trace.  Apart
+        from laying out clusters the image lacks, a replay only reads
+        the image: two replays of one image give equal results.
         """
         counters = TopDownCounters(pipeline_width=self._effective_width())
-        profile_cycles = [0.0] * max(
-            len(self.image.functions) + 4096, 8192)
-        self._run_startup(counters, profile_cycles)
-        if fast:
-            self._run_trace_fast(trace_fns, trace_daddrs, fn_names,
-                                 counters, profile_cycles)
-        else:
-            self._run_trace(trace_fns, trace_daddrs, fn_names, counters,
-                            profile_cycles)
+        width = counters.pipeline_width
+        image = self.image
+        descriptor = self._function_descriptor
+        # ``cluster_for`` lays clusters out on demand, so the schedules
+        # come first: only then is ``image.functions`` complete.
+        schedules: list = [None]
+        for name in fn_names[1:]:
+            cluster = image.cluster_for(name)
+            schedules.append([[descriptor(fn, width) for fn in cluster.hot],
+                              [descriptor(fn, width) for fn in cluster.cold],
+                              0])
+        startup = [[descriptor(fn, width) for fn in image.startup], [], 0]
+        profile_cycles = [0.0] * len(image.functions)
+        self._run_records([startup], [0], [0], counters, profile_cycles)
+        self._run_records(schedules, trace_fns, trace_daddrs, counters,
+                          profile_cycles)
         return self._finalize(counters, profile_cycles)
 
     # ------------------------------------------------------------------
@@ -217,50 +225,8 @@ class HostCPU:
         width = self.platform.pipeline_width * self.contention.width_factor
         return max(1.0, width)
 
-    def _run_startup(self, counters: TopDownCounters,
-                     profile_cycles: list[float]) -> None:
-        for fn in self.image.startup:
-            self._execute_function(fn, 0, counters, profile_cycles)
-
-    def _run_trace(self, trace_fns: list[int], trace_daddrs: list[int],
-                   fn_names: list[str], counters: TopDownCounters,
-                   profile_cycles: list[float]) -> None:
-        image = self.image
-        # Map recorder fn ids to cluster executors.
-        clusters = [None] + [image.cluster_for(name)
-                             for name in fn_names[1:]]
-        execute = self._execute_function
-        contention = self.contention
-        quantum = contention.quantum_records if contention.active else 0
-        since_disturb = 0
-        from .binary import COLD_EVERY, COLD_PER_VISIT
-        for index in range(len(trace_fns)):
-            cluster = clusters[trace_fns[index]]
-            if cluster is None:
-                continue
-            daddr = trace_daddrs[index]
-            for fn in cluster.hot:
-                execute(fn, daddr, counters, profile_cycles)
-            cold = cluster.cold
-            cursor = cluster._cursor
-            cluster._cursor = cursor + 1
-            if cold and cursor % COLD_EVERY == COLD_EVERY - 1:
-                n_cold = len(cold)
-                offset = (cursor // COLD_EVERY) * COLD_PER_VISIT
-                for extra in range(COLD_PER_VISIT):
-                    execute(cold[(offset + extra) % n_cold], daddr,
-                            counters, profile_cycles)
-            if quantum:
-                since_disturb += 1
-                if since_disturb >= quantum:
-                    since_disturb = 0
-                    self._disturb()
-
-    # ------------------------------------------------------------------
-    # fast replay path
-    # ------------------------------------------------------------------
-    def _function_descriptor(self, fn: SimFunction, width: int):
-        """Precompute everything the fast loop needs for one function."""
+    def _function_descriptor(self, fn: SimFunction, width: float):
+        """Precompute everything the replay loop needs for one function."""
         platform = self.platform
         tuning = self.tuning
         line_shift = platform.l1i.line_size.bit_length() - 1
@@ -279,6 +245,9 @@ class HostCPU:
                       else tuning.mite_cold_efficiency)
         mite_stall = max(0.0, fn.n_uops / (platform.mite_width * efficiency)
                          - ideal)
+        # Only loop bodies are retainable: the DSB caches 32B fetch
+        # windows, and large straight-line functions never re-fetch a
+        # window before it is evicted.
         dsb_install = fn.loopy and fn.n_uops <= platform.dsb_uops
         slots = min(len(fn.branch_slots), fn.n_branches)
         slot_specs = []
@@ -300,24 +269,21 @@ class HostCPU:
                 fn.data_addr, fn.n_uops * tuning.exec_stall_per_kuop / 1000.0,
                 ideal, fn.n_branches)
 
-    def _run_trace_fast(self, trace_fns: list[int], trace_daddrs: list[int],
-                        fn_names: list[str], counters: TopDownCounters,
-                        profile_cycles: list[float]) -> None:
-        """Inlined replay loop, semantically identical to ``_run_trace``."""
-        from .binary import COLD_EVERY, COLD_PER_VISIT
+    def _run_records(self, schedules: list, trace_fns: list[int],
+                     trace_daddrs: list[int], counters: TopDownCounters,
+                     profile_cycles: list[float]) -> None:
+        """The host model: run every record's schedule through the
+        platform's structures, inlined for speed.
 
+        A schedule is ``[hot descriptors, cold descriptors, cursor]``;
+        the cursor counts the schedule's invocations and rotates its
+        cold tail.  Statistics accumulate in locals and are written to
+        ``counters`` and the structures when the pass ends; contention
+        quanta count the records of one pass.
+        """
         platform = self.platform
         tuning = self.tuning
         width = counters.pipeline_width
-        # Per-cluster executable schedules as descriptor lists.
-        image = self.image
-        descriptor = self._function_descriptor
-        schedules: list = [None]
-        for name in fn_names[1:]:
-            cluster = image.cluster_for(name)
-            hot = [descriptor(fn, width) for fn in cluster.hot]
-            cold = [descriptor(fn, width) for fn in cluster.cold]
-            schedules.append([hot, cold, cluster])
         # --- local aliases for every structure --------------------------
         hier = self.hierarchy
         l1i_sets, l1i_nsets = hier.l1i.sets, hier.l1i.n_sets
@@ -393,9 +359,8 @@ class HostCPU:
             if schedule is None:
                 continue
             daddr = trace_daddrs[record]
-            hot, cold, cluster = schedule
-            cursor = cluster._cursor
-            cluster._cursor = cursor + 1
+            hot, cold, cursor = schedule
+            schedule[2] = cursor + 1
             if cold and cursor % COLD_EVERY == COLD_EVERY - 1:
                 n_cold = len(cold)
                 offset = cursor // COLD_EVERY * COLD_PER_VISIT
@@ -490,6 +455,9 @@ class HostCPU:
                                 dram_reads += 1
                                 dram_bytes += line_bytes
                         l1i_pen_total += penalty
+                        # Bandwidth contention stretches every L1I miss,
+                        # wherever it is served from; the data side
+                        # (below) stretches DRAM accesses only.
                         stall = penalty * icache_exposure * penalty_factor
                         icache_stall += stall
                         fn_cycles += stall
@@ -537,6 +505,8 @@ class HostCPU:
                     unknown_stall += unknown_penalty
                     fn_cycles += unknown_penalty
                 # --- indirect (virtual) calls ----------------------------
+                # The target depends on the object's dynamic type,
+                # modelled as a function of the data address.
                 if site >= 0:
                     ind_lookups += 1
                     variant = (daddr >> 4) % indirect_targets
@@ -700,105 +670,6 @@ class HostCPU:
                         break
                     del tlb.map[next(iter(tlb.map))]
 
-    def _execute_function(self, fn: SimFunction, daddr: int,
-                          counters: TopDownCounters,
-                          profile_cycles: list[float]) -> None:
-        platform = self.platform
-        tuning = self.tuning
-        width = counters.pipeline_width
-        fn_cycles = 0.0
-        counters.retired_uops += fn.n_uops
-        penalty_factor = (self.contention.dram_penalty_factor
-                          if self.contention.active else 1.0)
-        # --- µop supply (DSB vs MITE) -----------------------------------
-        # A DSB hit streams µops from the decoded cache and bypasses the
-        # legacy fetch path entirely (no iTLB/iCache activity).
-        if self.dsb.supply(fn):
-            supply_cycles = fn.n_uops / (platform.dsb_width
-                                         * tuning.dsb_efficiency)
-            ideal = fn.n_uops / width
-            if supply_cycles > ideal:
-                counters.dsb_bw_cycles += supply_cycles - ideal
-                fn_cycles += supply_cycles - ideal
-        else:
-            efficiency = (tuning.mite_loopy_efficiency if fn.loopy
-                          else tuning.mite_cold_efficiency)
-            supply_cycles = fn.n_uops / (platform.mite_width * efficiency)
-            ideal = fn.n_uops / width
-            if supply_cycles > ideal:
-                counters.mite_bw_cycles += supply_cycles - ideal
-                fn_cycles += supply_cycles - ideal
-            # --- instruction-side translation ---------------------------
-            if not self.itlb.access(fn.addr):
-                if self.stlb.access(fn.addr):
-                    stall = tuning.stlb_hit_cycles
-                else:
-                    stall = platform.tlb_walk_cycles
-                counters.itlb_stall_cycles += stall
-                fn_cycles += stall
-            # --- instruction fetch ---------------------------------------
-            fetch_line = self.hierarchy.fetch_line
-            exposure = tuning.icache_exposure
-            line_size = platform.l1i.line_size
-            dram_penalty = platform.dram_latency_cycles
-            first = fn.addr // line_size
-            last = (fn.addr + fn.size - 1) // line_size
-            for line in range(first, last + 1):
-                penalty = fetch_line(line)
-                if penalty:
-                    # Bandwidth contention queues DRAM accesses only.
-                    if penalty >= dram_penalty:
-                        penalty *= penalty_factor
-                    stall = penalty * exposure
-                    counters.icache_stall_cycles += stall
-                    fn_cycles += stall
-        # --- control flow -----------------------------------------------
-        branches, mispredicts = self.branch.run_function_branches(fn)
-        if mispredicts:
-            stall = mispredicts * platform.mispredict_penalty
-            counters.mispredict_resteer_cycles += stall
-            counters.bad_spec_uops += (
-                mispredicts * platform.mispredict_penalty
-                * width * self.tuning.wrong_path_cycle_fraction)
-            fn_cycles += stall
-        if not self.branch.btb_lookup(fn.addr):
-            counters.unknown_branch_cycles += platform.unknown_branch_penalty
-            fn_cycles += platform.unknown_branch_penalty
-        if fn.n_indirect:
-            # Virtual dispatch: the target depends on the object's dynamic
-            # type, modelled as a function of the data address.
-            site = fn.addr ^ 0x5BD1
-            variant = (daddr >> 4) % tuning.indirect_targets
-            if not self.branch.indirect_lookup(site, variant):
-                counters.clear_resteer_cycles += platform.mispredict_penalty
-                counters.bad_spec_uops += (
-                    platform.mispredict_penalty * width
-                    * tuning.wrong_path_cycle_fraction)
-                fn_cycles += platform.mispredict_penalty
-        # --- data side ----------------------------------------------------
-        data_access = self.hierarchy.data_access
-        data_exposure = tuning.data_exposure
-        for addr in (daddr, fn.data_addr) if daddr else (fn.data_addr,):
-            if not self.dtlb.access(addr):
-                if self.stlb.access(addr):
-                    stall = tuning.stlb_hit_cycles * data_exposure
-                else:
-                    stall = platform.tlb_walk_cycles * data_exposure
-                counters.dtlb_stall_cycles += stall
-                fn_cycles += stall
-            penalty = data_access(addr)
-            if penalty:
-                if penalty >= platform.dram_latency_cycles:
-                    penalty *= penalty_factor
-                stall = penalty * data_exposure
-                counters.dcache_stall_cycles += stall
-                fn_cycles += stall
-        # --- intrinsic back-end stalls -------------------------------------
-        exec_stall = fn.n_uops * tuning.exec_stall_per_kuop / 1000.0
-        counters.exec_stall_cycles += exec_stall
-        fn_cycles += exec_stall
-        profile_cycles[fn.index] += fn_cycles + fn.n_uops / width
-
     def _finalize(self, counters: TopDownCounters,
                   profile_cycles: list[float]) -> HostRunResult:
         platform = self.platform
@@ -808,10 +679,9 @@ class HostCPU:
         kilo_insts = insts / 1000.0
         hier = self.hierarchy
         names = [fn.name for fn in self.image.functions]
-        padded = profile_cycles[:len(names)]
         breakdown = counters.breakdown()
         breakdown.validate()
-        profile = FunctionProfile(names=names, cycles=padded)
+        profile = FunctionProfile(names=names, cycles=profile_cycles)
         raw = {
             "CYCLES": cycles,
             "INSTRUCTIONS": float(insts),

@@ -10,15 +10,14 @@ fall out of the DSB's small capacity against gem5's huge footprint.
 
 from __future__ import annotations
 
-from .binary import SimFunction
-
 
 class DSB:
     """The decoded-µop cache, tracked at function granularity.
 
     Capacity is a µop budget; entries are whole functions (a reasonable
     granularity since our synthetic functions approximate one decode
-    region).  LRU via ordered-dict semantics.
+    region).  LRU via ordered-dict semantics; the replay loop in
+    :mod:`repro.host.cpu` does the lookups and installs.
     """
 
     __slots__ = ("capacity_uops", "entries", "occupied_uops",
@@ -32,38 +31,6 @@ class DSB:
         self.misses = 0
         self.uops_from_dsb = 0
         self.uops_from_mite = 0
-
-    @property
-    def present(self) -> bool:
-        return self.capacity_uops > 0
-
-    def supply(self, fn: SimFunction) -> bool:
-        """Fetch ``fn``'s µops; returns True when the DSB supplied them."""
-        if self.capacity_uops <= 0:
-            self.uops_from_mite += fn.n_uops
-            return False
-        entries = self.entries
-        key = fn.index
-        if key in entries:
-            self.hits += 1
-            self.uops_from_dsb += fn.n_uops
-            del entries[key]
-            entries[key] = fn.n_uops
-            return True
-        self.misses += 1
-        self.uops_from_mite += fn.n_uops
-        # Install (build-while-decode), evicting LRU functions to fit.
-        # Only loop bodies and small leaf helpers are retainable: the DSB
-        # caches 32B fetch windows, and large straight-line functions
-        # never re-fetch a window before it is evicted.
-        if fn.loopy and fn.n_uops <= self.capacity_uops:
-            entries[key] = fn.n_uops
-            self.occupied_uops += fn.n_uops
-            while self.occupied_uops > self.capacity_uops:
-                victim_key, victim_size = next(iter(entries.items()))
-                del entries[victim_key]
-                self.occupied_uops -= victim_size
-        return False
 
     @property
     def coverage(self) -> float:

@@ -67,6 +67,3 @@ class HostTLB:
 
     def flush(self) -> None:
         self.map.clear()
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = 0

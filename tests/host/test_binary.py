@@ -10,6 +10,8 @@ from repro.host.binary import (
     BinaryImage,
     synthetic_image,
 )
+from repro.host.cpu import HostCPU
+from repro.host.platform import intel_xeon
 
 
 class TestImageConstruction:
@@ -92,41 +94,49 @@ class TestFunctionProperties:
 
 
 class TestClusterSchedule:
+    """The cold-tail rotation, observed through ``HostCPU.replay``: a
+    function ran iff its profile cycles grew."""
+
+    @staticmethod
+    def profile(image, invocations):
+        """Per-function cycles after ``invocations`` of the one cluster."""
+        cpu = HostCPU(intel_xeon(), image)
+        return cpu.replay([1] * invocations, [0] * invocations,
+                          ["", "BaseCache::access"]).profile.cycles
+
     def test_hot_every_invocation_cold_rotates(self):
         image = BinaryImage()
         cluster = image.cluster_for("BaseCache::access")
         hot = set(fn.index for fn in cluster.hot)
+        cold = set(fn.index for fn in cluster.cold)
         cold_seen = set()
+        before = self.profile(image, 0)
         for invocation in range(COLD_EVERY * 10):
-            executed = cluster.functions_for_invocation()
-            assert hot <= set(fn.index for fn in executed)
-            extras = [fn for fn in executed if fn.index not in hot]
+            after = self.profile(image, invocation + 1)
+            executed = set(index for index in hot | cold
+                           if after[index] > before[index])
+            assert hot <= executed
+            extras = executed - hot
             if (invocation + 1) % COLD_EVERY == 0:
                 assert len(extras) == COLD_PER_VISIT
-                cold_seen.update(fn.index for fn in extras)
+                cold_seen |= extras
             else:
                 assert not extras
+            before = after
         assert len(cold_seen) >= COLD_PER_VISIT * 5
 
     def test_rotation_covers_whole_cold_tail(self):
         image = BinaryImage()
         cluster = image.cluster_for("BaseCache::access")
         needed = COLD_EVERY * (len(cluster.cold) // COLD_PER_VISIT + 1)
-        seen = set()
-        for _ in range(needed):
-            for fn in cluster.functions_for_invocation():
-                seen.add(fn.index)
-        assert seen >= set(fn.index for fn in cluster.cold)
+        cycles = self.profile(image, needed)
+        assert all(cycles[fn.index] > 0 for fn in cluster.cold)
 
-    def test_reset_cursors(self):
+    def test_two_replays_of_one_image_are_equal(self):
         image = BinaryImage()
-        cluster = image.cluster_for("X::y")
-        first = [fn.index for fn in cluster.functions_for_invocation()]
-        for _ in range(7):
-            cluster.functions_for_invocation()
-        image.reset_cursors()
-        again = [fn.index for fn in cluster.functions_for_invocation()]
-        assert first == again
+        image.cluster_for("BaseCache::access")
+        first = self.profile(image, COLD_EVERY + 1)
+        assert self.profile(image, COLD_EVERY + 1) == first
 
 
 class TestSyntheticImage:

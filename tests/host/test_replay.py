@@ -1,5 +1,8 @@
-"""Tests for the host CPU replay engine: equivalence, determinism, and
-directional correctness of every tuning knob."""
+"""Tests for the host CPU replay engine: golden counters, determinism,
+and directional correctness of every tuning knob."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +12,11 @@ from repro.host.cpu import HostCPU, ReplayTuning, profile_g5_run
 from repro.host.hugepages import HugePagePolicy
 from repro.host.platform import firesim_rocket, intel_xeon, m1_pro
 
+GOLDEN = Path(__file__).parent / "golden" / "replay_counters.json"
 
-@pytest.fixture(scope="module")
-def small_trace(request):
-    """One o3 g5 trace at test scale shared across this module."""
+
+def record_small_trace():
+    """One o3 g5 trace at test scale (the golden counters' input)."""
     from repro.g5 import SimConfig, System, simulate
     from repro.workloads import get_workload
 
@@ -21,45 +25,62 @@ def small_trace(request):
     return simulate(system).recorder
 
 
+@pytest.fixture(scope="module")
+def small_trace():
+    """The golden trace, shared across this module."""
+    return record_small_trace()
+
+
 def fresh_cpu(recorder, platform=None, **kwargs):
     image = BinaryImage.for_recorder_functions(recorder.known_functions())
     return HostCPU(platform or intel_xeon(), image, **kwargs)
 
 
-class TestFastPathEquivalence:
-    @pytest.mark.parametrize("platform_fn", [intel_xeon, m1_pro,
-                                             firesim_rocket])
-    def test_fast_equals_reference(self, small_trace, platform_fn):
-        rec = small_trace
-        ref = fresh_cpu(rec, platform_fn()).replay(
-            rec.trace_fns, rec.trace_daddrs, rec.fn_names, fast=False)
-        fast = fresh_cpu(rec, platform_fn()).replay(
-            rec.trace_fns, rec.trace_daddrs, rec.fn_names, fast=True)
-        # Float accumulation order differs between the two paths, so
-        # compare to tight relative tolerance rather than bit-exactly.
-        assert fast.cycles == pytest.approx(ref.cycles, rel=1e-9)
-        assert fast.uops == ref.uops
-        for key, ref_value in ref.raw_counters.items():
-            assert fast.raw_counters[key] == pytest.approx(
-                ref_value, rel=1e-9), key
-        assert fast.topdown.retiring == pytest.approx(
-            ref.topdown.retiring, rel=1e-9)
-        assert fast.topdown.frontend_bound == pytest.approx(
-            ref.topdown.frontend_bound, rel=1e-9)
-        assert fast.llc_occupancy_bytes == ref.llc_occupancy_bytes
-        assert fast.profile.cycles == pytest.approx(ref.profile.cycles)
+def golden_cells():
+    """Cell name -> (platform, HostCPU keyword arguments)."""
+    xeon = intel_xeon()
+    cells = {
+        "xeon-corun20": (xeon, {"contention": corun_contention(xeon, 20)}),
+        "xeon-smt40": (xeon, {"contention": corun_contention(
+            xeon, 40, smt=True)}),
+    }
+    for name, platform in (("xeon", xeon), ("m1_pro", m1_pro()),
+                           ("firesim_rocket", firesim_rocket())):
+        for policy in (HugePagePolicy.NONE, HugePagePolicy.THP):
+            cells[f"{name}-{policy.value}"] = (platform,
+                                               {"hugepages": policy})
+    return cells
 
-    def test_fast_equals_reference_with_hugepages(self, small_trace):
-        rec = small_trace
-        kwargs = {"hugepages": HugePagePolicy.THP}
-        ref = fresh_cpu(rec, **kwargs).replay(
-            rec.trace_fns, rec.trace_daddrs, rec.fn_names, fast=False)
-        fast = fresh_cpu(rec, **kwargs).replay(
-            rec.trace_fns, rec.trace_daddrs, rec.fn_names, fast=True)
-        assert fast.cycles == pytest.approx(ref.cycles, rel=1e-9)
-        for key, ref_value in ref.raw_counters.items():
-            assert fast.raw_counters[key] == pytest.approx(
-                ref_value, rel=1e-9), key
+
+def golden_row(result):
+    """What the golden file pins for one replay."""
+    return {
+        "cycles": result.cycles,
+        "uops": result.uops,
+        "raw_counters": result.raw_counters,
+        "topdown_level1": result.topdown.level1(),
+        "llc_occupancy_bytes": result.llc_occupancy_bytes,
+    }
+
+
+class TestGoldenCounters:
+    """The replay loop against counters frozen from the commit before
+    the reference loop was deleted (``regen_replay_golden.py``)."""
+
+    @pytest.mark.parametrize("cell", sorted(golden_cells()))
+    def test_matches_golden(self, small_trace, cell):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[cell]
+        platform, kwargs = golden_cells()[cell]
+        row = golden_row(fresh_cpu(small_trace, platform,
+                                   **kwargs).replay_recorder(small_trace))
+        assert row["uops"] == golden["uops"]
+        assert row["llc_occupancy_bytes"] == golden["llc_occupancy_bytes"]
+        assert row["cycles"] == pytest.approx(golden["cycles"], rel=1e-9)
+        for field in ("raw_counters", "topdown_level1"):
+            assert row[field].keys() == golden[field].keys()
+            for key, value in golden[field].items():
+                assert row[field][key] == pytest.approx(
+                    value, rel=1e-9), (field, key)
 
 
 class TestDeterminism:
@@ -216,6 +237,16 @@ class TestProfileOutput:
             result = profile_g5_run(recorder, intel_xeon())
             counts[model] = result.functions_executed
         assert counts["o3"] > counts["atomic"] * 2
+
+    def test_profile_covers_clusters_laid_out_by_the_replay(self):
+        # 130 default clusters on an image that starts with none.
+        image = BinaryImage()
+        names = [""] + [f"Foo::bar{index}" for index in range(130)]
+        result = HostCPU(intel_xeon(), image).replay(
+            list(range(1, 131)), [0] * 130, names)
+        profile = result.profile
+        assert (len(profile.names) == len(profile.cycles)
+                == image.total_functions())
 
     def test_hotspot_report(self, small_trace):
         from repro.core.profiler import analyze_profile

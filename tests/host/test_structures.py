@@ -1,45 +1,110 @@
-"""Tests for host caches, TLBs, branch unit, and DSB."""
+"""Tests for host caches, TLBs, branch unit, and DSB.
+
+The access path of every structure is part of the one replay loop
+(``HostCPU.replay``), so the cache, hierarchy, branch and DSB tests
+drive that loop over a hand-built one-cluster image and a crafted
+data-address trace, and read the counters it reports.
+"""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.host.binary import BinaryImage
+from repro.host.binary import synthetic_image
 from repro.host.branch import HostBranchUnit
-from repro.host.caches import HostCache, HostHierarchy
-from repro.host.frontend import DSB
-from repro.host.platform import CacheGeometry, intel_xeon
+from repro.host.caches import HostCache
+from repro.host.cpu import HostCPU
+from repro.host.platform import CacheGeometry, firesim_rocket, intel_xeon
 from repro.host.tlb import HostTLB
+
+#: A data region no function's static data lives in.
+HEAP = 0x1000_0000
+
+
+def one_cluster_image(n_functions=1, mean_size=200, **overrides):
+    """An image whose only cluster, "k", is ``n_functions`` hot
+    functions; ``overrides`` replace fields of each of them."""
+    image = synthetic_image([("k", n_functions, mean_size, 1.0, False)])
+    hot = image.clusters["k"].hot
+    for position, fn in enumerate(hot):
+        hot[position] = image.functions[fn.index] = replace(fn, **overrides)
+    return image
+
+
+def replay(image, daddrs, platform=None):
+    """Invoke cluster "k" once per data address on a fresh CPU."""
+    cpu = HostCPU(platform or intel_xeon(), image)
+    result = cpu.replay([1] * len(daddrs), list(daddrs), ["", "k"])
+    return cpu, result
+
+
+def counter(image, daddrs, name, platform=None):
+    return replay(image, daddrs, platform)[1].raw_counters[name]
+
+
+def trace_counters(image, daddrs, platform=None):
+    """The counters of the trace alone: start-up's share taken off."""
+    startup = replay(image, [], platform)[1].raw_counters
+    total = replay(image, daddrs, platform)[1].raw_counters
+    return {name: total[name] - startup[name] for name in total}
+
+
+def lru_model(addrs, geometry):
+    """Reference LRU cache: returns (misses, sets) after ``addrs``."""
+    shift = geometry.line_size.bit_length() - 1
+    sets = [[] for _ in range(geometry.n_sets)]
+    misses = 0
+    for addr in addrs:
+        line = addr >> shift
+        stack = sets[line % geometry.n_sets]
+        if line in stack:
+            stack.remove(line)
+        else:
+            misses += 1
+        stack.insert(0, line)
+        del stack[geometry.assoc:]
+    return misses, sets
+
+
+def fill(cache, n_lines):
+    for line in range(n_lines):
+        cache.sets[line % cache.n_sets].insert(0, line)
 
 
 class TestHostCache:
     def test_hit_after_miss(self):
-        cache = HostCache("L1", CacheGeometry(4096, 2, 64))
-        assert not cache.access(0x100)
-        assert cache.access(0x100)
-        assert cache.access(0x13F)  # same line
-        assert cache.hits == 2
-        assert cache.misses == 1
+        image = one_cluster_image()
+        touched = [HEAP + 0x100, HEAP + 0x100, HEAP + 0x13F]  # one line
+        untouched = [0, 0, 0]           # 0: the record has no data address
+        assert (counter(image, touched, "L1D_ACCESSES")
+                == counter(image, untouched, "L1D_ACCESSES") + 3)
+        assert (counter(image, touched, "L1D_MISSES")
+                == counter(image, untouched, "L1D_MISSES") + 1)
 
     def test_lru_eviction(self):
-        cache = HostCache("L1", CacheGeometry(128, 2, 64))  # 1 set, 2 ways
-        cache.access(0x000)
-        cache.access(0x040)
-        cache.access(0x000)          # A most recent
-        cache.access(0x080)          # evicts B (0x040)
-        assert cache.access(0x000)   # still resident
-        assert not cache.access(0x040)
+        # 2 sets x 2 ways.  Every function's static data is on an even
+        # line (set 0); these three lines are odd and share set 1.
+        platform = replace(intel_xeon(), l1d=CacheGeometry(256, 2, 64))
+        image = one_cluster_image()
+        a, b, c = HEAP + 0x040, HEAP + 0x0C0, HEAP + 0x140
+
+        def misses(*daddrs):
+            return counter(image, daddrs, "L1D_MISSES", platform)
+
+        filled = misses(a, b, a, c)      # c evicts b: a was used since
+        assert misses(a, b, a, c, a) == filled       # a still resident
+        assert misses(a, b, a, c, b) == filled + 1   # b was evicted
 
     def test_resident_bytes(self):
         cache = HostCache("L1", CacheGeometry(4096, 4, 64))
-        for index in range(10):
-            cache.access(index * 64)
+        fill(cache, 10)
         assert cache.resident_lines() == 10
         assert cache.resident_bytes() == 640
 
     def test_evict_fraction(self):
         cache = HostCache("L1", CacheGeometry(8192, 4, 64))
-        for index in range(100):
-            cache.access(index * 64)
+        fill(cache, 100)
         dropped = cache.evict_fraction(0.5)
         assert 40 <= dropped <= 50
         assert cache.resident_lines() == 100 - dropped
@@ -49,44 +114,55 @@ class TestHostCache:
         with pytest.raises(ValueError):
             cache.evict_fraction(1.5)
 
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=300))
     def test_against_reference_lru_model(self, line_numbers):
-        """The cache must behave exactly like an LRU reference model."""
+        """The L1D must behave exactly like an LRU reference model fed
+        the data accesses the schedule implies: each start-up function's
+        static data, then per record the data address and the invoked
+        function's static data."""
         geometry = CacheGeometry(1024, 4, 64)  # 4 sets, 4 ways
-        cache = HostCache("L1", geometry)
-        reference: dict[int, list[int]] = {s: [] for s in range(4)}
-        for line in line_numbers:
-            addr = line * 64
-            set_index = line % 4
-            stack = reference[set_index]
-            expected_hit = line in stack
-            if expected_hit:
-                stack.remove(line)
-            stack.insert(0, line)
-            del stack[4:]
-            assert cache.access(addr) == expected_hit
+        platform = replace(intel_xeon(), l1d=geometry)
+        image = one_cluster_image()
+        fn = image.clusters["k"].hot[0]
+        daddrs = [HEAP + line * 64 for line in line_numbers]
+        accesses = [startup.data_addr for startup in image.startup]
+        for daddr in daddrs:
+            accesses += [daddr, fn.data_addr]
+        cpu, result = replay(image, daddrs, platform)
+        misses, sets = lru_model(accesses, geometry)
+        assert result.raw_counters["L1D_ACCESSES"] == len(accesses)
+        assert result.raw_counters["L1D_MISSES"] == misses
+        assert cpu.hierarchy.l1d.sets == sets
 
 
 class TestHierarchy:
     def test_penalties_grow_down_the_hierarchy(self):
-        platform = intel_xeon()
-        hier = HostHierarchy(platform)
-        cold = hier.fetch_line(100)          # full miss -> DRAM
-        assert cold == platform.dram_latency_cycles
-        assert hier.fetch_line(100) == 0     # L1 hit
-        # Evict from L1I only: fill many conflicting lines.
-        for index in range(1, 64):
-            hier.fetch_line(100 + index * platform.l1i.n_sets)
-        l2_penalty = hier.fetch_line(100)
-        assert l2_penalty in (platform.l2_latency, platform.llc_latency)
+        # A direct-mapped 4-line L1I: "small" fits, "big" covers every
+        # set and so evicts all of "small" from the L1I, not from the L2.
+        platform = replace(intel_xeon(), l1i=CacheGeometry(256, 1, 64))
+        image = synthetic_image([("small", 1, 100, 1.0, False),
+                                 ("big", 1, 1200, 1.0, False)])
+        small = len(image.clusters["small"].hot[0].cache_lines(64))
+        big = len(image.clusters["big"].hot[0].cache_lines(64))
+        assert small <= 4 <= big
+
+        def penalty(*fn_ids):
+            cpu = HostCPU(platform, image)
+            cpu.replay(list(fn_ids), [0] * len(fn_ids),
+                       ["", "small", "big"])
+            return cpu.hierarchy.l1i_miss_penalty_total
+
+        cold = penalty(1) - penalty()                    # full miss -> DRAM
+        assert cold == small * platform.dram_latency_cycles
+        assert penalty(1, 1) == penalty(1)               # L1 hit
+        refetch = penalty(1, 1, 2, 1) - penalty(1, 1, 2)
+        assert refetch == small * platform.l2_latency
 
     def test_dram_traffic_counted(self):
-        hier = HostHierarchy(intel_xeon())
-        hier.data_access(0x1000)
-        hier.data_access(0x200000)
-        assert hier.dram_reads == 2
-        assert hier.dram_bytes == 128
+        image = one_cluster_image()
+        cold = counter(image, [HEAP + 0x1000, HEAP + 0x200000], "DRAM_BYTES")
+        assert cold == counter(image, [0, 0], "DRAM_BYTES") + 128
 
 
 class TestHostTLB:
@@ -147,53 +223,42 @@ class TestHostTLB:
             HostTLB("bad", 4, 1000)
 
 
-def _fn_with(biases, addr=0x400000, n_branches=9, loopy=False, uops=50):
-    """Build a SimFunction with chosen branch slots for unit tests."""
-    from repro.host.binary import SimFunction
-
-    return SimFunction(index=0, name="test", addr=addr, size=256,
-                       n_insts=40, n_uops=uops, n_branches=n_branches,
-                       branch_slots=tuple(biases), n_indirect=0,
-                       data_addr=0x8000000, loopy=loopy)
-
-
 class TestHostBranchUnit:
     def test_deterministic_slots_learn_to_zero(self):
-        unit = HostBranchUnit(table_bits=12, btb_entries=64)
-        fn = _fn_with([1.0, 0.0, 1.0])
-        total_mispredicts = 0.0
-        for _ in range(100):
-            _, mispredicts = unit.run_function_branches(fn)
-            total_mispredicts += mispredicts
+        image = one_cluster_image(branch_slots=(1.0, 0.0, 1.0), n_branches=9)
         # Only the cold-start transitions mispredict.
-        assert total_mispredicts < 15
+        assert trace_counters(image, [0] * 100)["BR_MISP"] < 15
 
     def test_hostile_slots_mispredict_often(self):
-        unit = HostBranchUnit(table_bits=12, btb_entries=64)
-        fn = _fn_with([0.5, 0.5, 0.5])
-        total = 0.0
-        for _ in range(200):
-            _, mispredicts = unit.run_function_branches(fn)
-            total += mispredicts
-        assert unit.mispredict_rate > 0.1
+        image = one_cluster_image(branch_slots=(0.5, 0.5, 0.5), n_branches=9)
+        counters = trace_counters(image, [0] * 200)
+        assert counters["BR_MISP"] / counters["BR_COND"] > 0.1
 
     def test_btb_tracks_capacity(self):
-        unit = HostBranchUnit(table_bits=10, btb_entries=4)
-        for index in range(10):
-            unit.btb_lookup(0x1000 + index * 64)
-        assert len(unit.btb) <= 4
-        assert unit.btb_misses == 10
+        platform = replace(intel_xeon(), btb_entries=4)
+        image = one_cluster_image(n_functions=10)
+        cpu, result = replay(image, [0, 0], platform)
+        assert len(cpu.branch.btb) <= 4
+        # Ten call targets cycle through four entries: nothing ever hits.
+        assert (result.raw_counters["BTB_MISSES"]
+                == result.raw_counters["BTB_LOOKUPS"]
+                == len(image.startup) + 20)
 
     def test_btb_hit_on_reuse(self):
-        unit = HostBranchUnit(table_bits=10, btb_entries=16)
-        unit.btb_lookup(0x1000)
-        assert unit.btb_lookup(0x1000)
+        image = one_cluster_image()
+        assert (counter(image, [0, 0], "BTB_MISSES")
+                == counter(image, [0], "BTB_MISSES"))
 
     def test_indirect_polymorphism_misses(self):
-        unit = HostBranchUnit(table_bits=10, btb_entries=64)
-        assert not unit.indirect_lookup(0x2000, 0)
-        assert unit.indirect_lookup(0x2000, 0)
-        assert not unit.indirect_lookup(0x2000, 1)  # new target
+        image = one_cluster_image(n_indirect=1)
+        first, second = HEAP, HEAP + 0x10    # two dynamic types
+
+        def misses(*daddrs):
+            return replay(image, daddrs)[0].branch.ind_misses
+
+        assert misses(first) == misses() + 1
+        assert misses(first, first) == misses(first)
+        assert misses(first, first, second) == misses(first) + 1  # new target
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -201,46 +266,32 @@ class TestHostBranchUnit:
 
 
 class TestDSB:
-    def _loopy_fn(self, index, uops=40):
-        from repro.host.binary import SimFunction
-
-        return SimFunction(index=index, name=f"fn{index}",
-                           addr=0x400000 + index * 512, size=200,
-                           n_insts=30, n_uops=uops, n_branches=3,
-                           branch_slots=(1.0, 0.0, 1.0), n_indirect=0,
-                           data_addr=0x8000000, loopy=True)
+    @staticmethod
+    def supplied(image, n_records, platform=None):
+        """(DSB uops, MITE uops) of ``n_records`` invocations alone."""
+        counters = trace_counters(image, [0] * n_records, platform)
+        return counters["DSB_UOPS"], counters["MITE_UOPS"]
 
     def test_hit_after_install(self):
-        dsb = DSB(capacity_uops=256)
-        fn = self._loopy_fn(0)
-        assert not dsb.supply(fn)
-        assert dsb.supply(fn)
-        assert dsb.coverage == pytest.approx(0.5)
+        image = one_cluster_image(loopy=True, n_uops=40)
+        assert self.supplied(image, 2) == (40, 40)
 
     def test_capacity_evicts_lru(self):
-        dsb = DSB(capacity_uops=100)
-        a, b, c = (self._loopy_fn(i, uops=40) for i in range(3))
-        dsb.supply(a)
-        dsb.supply(b)
-        dsb.supply(c)  # 120 uops: evicts a
-        assert not dsb.supply(a)
-        assert dsb.occupied_uops <= 100 + 40
+        image = one_cluster_image(n_functions=3, loopy=True, n_uops=40)
+        roomy = replace(intel_xeon(), dsb_uops=120)
+        assert self.supplied(image, 2, roomy) == (120, 120)
+        # 100 uops hold two of the three: each install evicts the
+        # function the loop is about to reach, so nothing ever hits.
+        tight = replace(intel_xeon(), dsb_uops=100)
+        assert self.supplied(image, 2, tight) == (0, 240)
+        assert replay(image, [0, 0], tight)[0].dsb.occupied_uops <= 100
 
     def test_non_loopy_functions_never_install(self):
-        dsb = DSB(capacity_uops=1024)
-        from repro.host.binary import SimFunction
-
-        cold = SimFunction(index=9, name="cold", addr=0x400000, size=300,
-                           n_insts=60, n_uops=70, n_branches=5,
-                           branch_slots=(1.0,), n_indirect=1,
-                           data_addr=0x8000000, loopy=False)
-        dsb.supply(cold)
-        assert not dsb.supply(cold)
-        assert dsb.coverage == 0.0
+        image = one_cluster_image(loopy=False, n_uops=70)
+        assert self.supplied(image, 2) == (0, 140)
 
     def test_absent_dsb_sends_everything_to_mite(self):
-        dsb = DSB(capacity_uops=0)
-        fn = self._loopy_fn(0)
-        assert not dsb.supply(fn)
-        assert not dsb.present
-        assert dsb.uops_from_mite == fn.n_uops
+        platform = firesim_rocket()
+        assert platform.dsb_uops == 0
+        image = one_cluster_image(loopy=True, n_uops=40)
+        assert self.supplied(image, 2, platform) == (0, 80)
