@@ -85,11 +85,10 @@ def main() -> int:
     from repro.g5.cpus.atomic import AtomicSimpleCPU
 
     def bypass_activate(self):
-        if self.fast_path:
-            self._icache_fast = \
-                self.icache_port._require_peer().owner.recv_atomic_fast
-            self._dcache_fast = \
-                self.dcache_port._require_peer().owner.recv_atomic_fast
+        self._icache_fast = \
+            self.icache_port._require_peer().owner.recv_atomic_fast
+        self._dcache_fast = \
+            self.dcache_port._require_peer().owner.recv_atomic_fast
         self.schedule_in(self._tick_event, 0)
 
     original = AtomicSimpleCPU.activate

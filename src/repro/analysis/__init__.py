@@ -4,9 +4,9 @@ Two halves, wired into the ``repro-g5 lint`` CLI subcommand:
 
 - a host-side **lint framework** (:mod:`.engine`, :mod:`.passes`):
   visitor-based AST passes enforcing simulator invariants —
-  determinism, event-scheduling safety, fast/slow-path parity,
-  ``__slots__`` coverage on the tick loop, stats conformance, and the
-  shared figure-requirement vocabulary — with pragma suppression, a
+  determinism, event-scheduling safety, ``__slots__`` coverage on
+  the tick loop, stats conformance, and the shared
+  figure-requirement vocabulary — with pragma suppression, a
   fingerprint baseline, and text/JSON/SARIF output;
 - a **guest-binary analyzer** (:mod:`.guestcfg`): basic blocks, CFG,
   dominators, and liveness over SimRISC programs via the simulator's

@@ -1,8 +1,7 @@
 """Event-safety pass: scheduling discipline for the event kernel.
 
-The fast-path event queue (next-event slot + ``advance_if_idle``)
-relies on two invariants that runtime checks only catch after the
-fact:
+The event queue's next-event slot and ``advance_if_idle`` rely on two
+invariants that runtime checks only catch after the fact:
 
 - **No possibly-negative delays.**  ``schedule_in``/``call_in`` with a
   negative delta raises at runtime; statically we flag negative

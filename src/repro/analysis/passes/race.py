@@ -51,7 +51,7 @@ _CONSTRUCTION_METHODS = frozenset({"__init__", "reg_stats", "bind"})
 
 #: The sanctioned crossing channel (see repro.g5.mem.port).
 _PORT_SEND_METHODS = frozenset({
-    "send_atomic", "send_atomic_fast", "send_atomic_wb_fast",
+    "send_atomic_fast", "send_atomic_wb_fast",
     "send_timing_req", "send_functional", "send_timing_resp",
     "send_retry", "atomic_fast_fn",
     # Coherence probes: the CoherenceDomain mediator walks peer L1 tag

@@ -1,7 +1,7 @@
 """``__slots__`` coverage pass for tick-loop object churn.
 
 The paper's profiling shows gem5's hot loop is dominated by small,
-frequently-created objects; the fast-path kernel got its speedup partly
+frequently-created objects; the zero-heap kernel got its speedup partly
 by putting ``__slots__`` on everything the tick loop allocates (no
 per-instance ``__dict__``, cheaper attribute loads).  This pass keeps
 that property: any class *instantiated inside a hot function* (the
@@ -25,12 +25,11 @@ from ..engine import LintPass, register_pass
 #: Function/method names forming the simulator's per-instruction and
 #: per-access hot paths.
 HOT_FUNCTIONS = frozenset({
-    "tick", "_tick_fast", "_step", "step", "process",
+    "tick", "step", "process",
     "next_inst", "fetch_decode", "decode_inst", "execute_inst", "decode",
-    "send_atomic", "recv_atomic", "recv_atomic_fast",
-    "recv_atomic_wb_fast", "send_timing_req", "recv_timing_req",
-    "recv_timing_resp", "make_ifetch", "make_data_req", "record",
-    "host_record", "advance_if_idle", "schedule", "schedule_in",
+    "recv_atomic_fast", "recv_atomic_wb_fast", "send_timing_req",
+    "recv_timing_req", "recv_timing_resp", "make_ifetch", "make_data_req",
+    "record", "host_record", "advance_if_idle", "schedule", "schedule_in",
 })
 
 #: Builtins and typing names that commonly appear as calls but are

@@ -5,10 +5,10 @@ of :class:`~repro.events.event.Event` ordered by ``(tick, priority,
 insertion order)``, plus a run loop with exit-event and max-tick support.
 This mirrors gem5's ``EventQueue`` + ``simulate()`` pair.
 
-Fast path: the common simulation pattern is a single self-rescheduling
-event (a CPU tick) with nothing else pending, which on a plain binary
-heap still pays a ``heappush``/``heappop`` pair per instruction.  Two
-mechanisms remove that cost while preserving the exact event ordering:
+The common simulation pattern is a single self-rescheduling event (a
+CPU tick) with nothing else pending, which on a plain binary heap still
+pays a ``heappush``/``heappop`` pair per instruction.  Two mechanisms
+remove that cost while preserving the exact event ordering:
 
 - a one-element *next-event slot* in front of the heap.  An event that
   sorts before everything in the heap is parked in the slot instead of
@@ -18,10 +18,6 @@ mechanisms remove that cost while preserving the exact event ordering:
 - :meth:`advance_if_idle` lets a self-rescheduling component ask "if I
   rescheduled myself at tick T, would I be the next event anyway?" — and
   if so, simply advances ``now`` to T with no queue traffic at all.
-
-Both are disabled when the queue is built with ``fast_path=False`` so the
-differential test suite can run the two implementations against each
-other.
 """
 
 from __future__ import annotations
@@ -45,11 +41,9 @@ class EventQueue:
     approach to descheduling.
     """
 
-    def __init__(self, name: str = "MainEventQueue",
-                 fast_path: bool = True) -> None:
+    def __init__(self, name: str = "MainEventQueue") -> None:
         self.name = name
         self.now: int = 0
-        self.fast_path = fast_path
         # Heap entries carry the event's schedule generation (its _seq)
         # so stale entries left by deschedule/reschedule are skipped.
         self._heap: list[tuple[tuple[int, int, int], int, Event]] = []
@@ -83,19 +77,18 @@ class EventQueue:
                 f"{event.when}; deschedule or squash it first")
         event._mark_scheduled(when)
         entry = (event.sort_key(), event._seq, event)
-        if self.fast_path:
-            nxt = self._next
-            if nxt is None:
-                if not self._heap or entry < self._heap[0]:
-                    self._next = entry
-                    return event
-            elif entry < nxt:
-                # Demote the slot occupant (possibly stale) to the heap;
-                # it still sorts at or before every heap entry, so the
-                # slot invariant survives.
-                heapq.heappush(self._heap, nxt)
+        nxt = self._next
+        if nxt is None:
+            if not self._heap or entry < self._heap[0]:
                 self._next = entry
                 return event
+        elif entry < nxt:
+            # Demote the slot occupant (possibly stale) to the heap; it
+            # still sorts at or before every heap entry, so the slot
+            # invariant survives.
+            heapq.heappush(self._heap, nxt)
+            self._next = entry
+            return event
         heapq.heappush(self._heap, entry)
         return event
 
@@ -119,16 +112,15 @@ class EventQueue:
         event._seq = seq = next(_sequence)
         event._scheduled = True
         entry = ((when, event.priority, seq), seq, event)
-        if self.fast_path:
-            nxt = self._next
-            if nxt is None:
-                if not self._heap or entry < self._heap[0]:
-                    self._next = entry
-                    return
-            elif entry < nxt:
-                heapq.heappush(self._heap, nxt)
+        nxt = self._next
+        if nxt is None:
+            if not self._heap or entry < self._heap[0]:
                 self._next = entry
                 return
+        elif entry < nxt:
+            heapq.heappush(self._heap, nxt)
+            self._next = entry
+            return
         heapq.heappush(self._heap, entry)
 
     def call_at(self, when: int, callback: Callable[[], None],
@@ -211,8 +203,6 @@ class EventQueue:
         ``False`` means another event (or a run() limit) intervenes and
         the caller must schedule normally.
         """
-        if not self.fast_path:
-            return False
         if self._run_limited:
             # A max_events-limited run counts real pops; never bypass.
             return False

@@ -16,9 +16,8 @@ The LL/SC reservation table lives here too: one reservation granule per
 core, cleared by any overlapping remote write (the functional analogue
 of losing the line to a snoop invalidation).
 
-A single-member domain never probes anything, so single-core systems
-routed through the coherent path are bit-identical to the legacy
-configuration — the differential suite pins this.
+A domain exists exactly when a system has more than one core; a
+single-core system has no snooping bus at all.
 """
 
 from __future__ import annotations

@@ -38,10 +38,6 @@ class BaseCPU(SimObject):
     #: Human-readable model name, overridden by subclasses.
     cpu_type = "base"
 
-    #: Set by the System from ``SimConfig.fast_path``; models that have a
-    #: fast path (Atomic) consult it, the rest ignore it.
-    fast_path = False
-
     def __init__(self, name: str, parent, cpu_id: int = 0) -> None:
         super().__init__(name, parent)
         self.cpu_id = cpu_id
@@ -57,7 +53,7 @@ class BaseCPU(SimObject):
         self._halt_pending = False
         self._halt_cause = ""
         self._npc: Optional[int] = None
-        # Fast-path state: bound once at bind() so the hot loop does not
+        # Hot-loop state: bound once at bind() so the hot loop does not
         # chase system.memctrl.memory / system.devices per access.
         self._mem = None
         self._devices: list = []
@@ -67,7 +63,7 @@ class BaseCPU(SimObject):
         self._resv = None
         self._peer_cpus: list = []
         # Per-page caches of decoded instructions, used by the atomic
-        # fast path (invalidated by write_mem on self-modifying code).
+        # CPU's fetch (invalidated by write_mem on self-modifying code).
         self._decoded_pages: dict[int, list[Optional[StaticInst]]] = {}
         self._ipage: Optional[list[Optional[StaticInst]]] = None
         self._ipage_base = -1
@@ -235,7 +231,7 @@ class BaseCPU(SimObject):
 
     def _invalidate_decoded(self, addr: int, size: int) -> None:
         """Drop decoded-instruction pages a store just wrote into
-        (self-modifying code support for the fast fetch path)."""
+        (self-modifying code support for the decoded-page fetch)."""
         first = addr & ~0xFFF
         last = (addr + size - 1) & ~0xFFF
         page = first

@@ -2,9 +2,10 @@
 
 Timing is modelled through the event queue; data correctness is handled
 functionally at the memory controller (see :mod:`repro.g5.mem.dram`), so
-packets here carry addresses and sizes only.  The cache supports both the
-atomic and timing protocols, write-allocate + write-back policy, LRU
-replacement, and MSHR merging of outstanding misses.
+packets here carry addresses and sizes only.  The cache supports the
+packet-free atomic protocol and the timing protocol, write-allocate +
+write-back policy, LRU replacement, and MSHR merging of outstanding
+misses.
 
 Host instrumentation: every lookup/fill/eviction reports the simulator
 function executed plus the host address of the tag-store slice touched,
@@ -93,7 +94,7 @@ class Cache(SimObject):
                       for _ in range(params.n_sets)]
         self._lru_clock = 0
         self._mshrs: dict[int, _MSHR] = {}
-        # Latencies in ticks, precomputed for the packet-free fast path.
+        # Latencies in ticks, precomputed for the atomic protocol.
         self._tag_ticks = self.cycles(params.tag_latency)
         self._data_ticks = self.cycles(params.data_latency)
         self._resp_ticks = self.cycles(params.response_latency)
@@ -177,15 +178,12 @@ class Cache(SimObject):
             if victim.dirty and self.params.write_back:
                 self.stat_writebacks.inc()
                 self.host_record(self._fn_wb)
-                if self._fast_mode:
-                    self.mem_side.send_atomic_wb_fast(
-                        victim.tag, self.params.line_size)
-                elif self._timing_mode:
+                if self._timing_mode:
                     self.mem_side.send_timing_req(
                         writeback(victim.tag, self.params.line_size))
                 else:
-                    self.mem_side.send_atomic(
-                        writeback(victim.tag, self.params.line_size))
+                    self.mem_side.send_atomic_wb_fast(
+                        victim.tag, self.params.line_size)
         self._lru_clock += 1
         victim.tag = line_addr
         victim.valid = True
@@ -207,8 +205,8 @@ class Cache(SimObject):
             return
         self.host_record(self._fn_prefetch)
         self.stat_prefetches.inc()
-        fill_pkt = Packet(MemCmd.READ_REQ, next_line, self.params.line_size)
-        self.mem_side.send_atomic(fill_pkt)
+        self.mem_side.send_atomic_fast(next_line, self.params.line_size,
+                                       False)
         self._fill(next_line, prefetched=True)
 
     def _maybe_prefetch_timing(self, line_addr: int) -> None:
@@ -258,65 +256,15 @@ class Cache(SimObject):
         return sum(1 for cache_set in self._sets
                    for line in cache_set if line.valid)
 
-    # mode flags used to route writebacks correctly
+    #: Set by the last request's protocol; routes victim writebacks.
     _timing_mode = False
-    _fast_mode = False
 
     # ------------------------------------------------------------------
-    # atomic protocol
-    # ------------------------------------------------------------------
-    def recv_atomic(self, pkt: Packet) -> int:
-        """Atomic access: returns the full latency in ticks."""
-        self._timing_mode = False
-        self._fast_mode = False
-        self.host_record(self._fn_atomic)
-        if pkt.cmd is MemCmd.WRITEBACK:
-            return self._atomic_writeback(pkt)
-        line_addr = pkt.line_addr(self.params.line_size)
-        latency = self.cycles(self.params.tag_latency)
-        line = self._lookup(line_addr)
-        if line is not None:
-            self.stat_hits.inc()
-            if pkt.is_write:
-                if not line.dirty and self.coherence is not None:
-                    self.coherence.snoop_write(self, line_addr)
-                line.dirty = True
-            if pkt.needs_response:
-                pkt.make_response()
-            return latency + self.cycles(self.params.data_latency)
-        self.stat_misses.inc()
-        fill_pkt = Packet(MemCmd.READ_REQ, line_addr, self.params.line_size)
-        latency += self.mem_side.send_atomic(fill_pkt)
-        self._fill(line_addr)
-        self._maybe_prefetch_atomic(line_addr)
-        line = self._lookup(line_addr)
-        assert line is not None
-        if pkt.is_write:
-            if not line.dirty and self.coherence is not None:
-                self.coherence.snoop_write(self, line_addr)
-            line.dirty = True
-        if pkt.needs_response:
-            pkt.make_response()
-        return latency + self.cycles(self.params.response_latency)
-
-    def _atomic_writeback(self, pkt: Packet) -> int:
-        line_addr = pkt.line_addr(self.params.line_size)
-        line = self._lookup(line_addr)
-        if line is not None:
-            line.dirty = True
-            return self.cycles(self.params.tag_latency)
-        # Not resident here: pass down (no allocation on writeback).
-        return self.mem_side.send_atomic(pkt)
-
-    # ------------------------------------------------------------------
-    # atomic fast path (packet-free)
+    # atomic protocol (packet-free)
     # ------------------------------------------------------------------
     def recv_atomic_fast(self, addr: int, size: int, is_write: bool) -> int:
-        """Atomic access without a Packet: same latency, stats, LRU
-        traffic, and host-trace records as :meth:`recv_atomic` on a
-        read/write request — only the Packet allocation is gone."""
+        """Atomic read/write access; returns the full latency in ticks."""
         self._timing_mode = False
-        self._fast_mode = True
         if self._rec_live:
             self.recorder.record(self._fn_atomic, 0)
         params = self.params
@@ -344,9 +292,8 @@ class Cache(SimObject):
         return latency + self._resp_ticks
 
     def recv_atomic_wb_fast(self, addr: int, size: int) -> int:
-        """Packet-free equivalent of an atomic WRITEBACK request."""
+        """Atomic writeback of a dirty line from the level above."""
         self._timing_mode = False
-        self._fast_mode = True
         if self._rec_live:
             self.recorder.record(self._fn_atomic, 0)
         line_addr = addr & ~(self.params.line_size - 1)
@@ -362,7 +309,6 @@ class Cache(SimObject):
     # ------------------------------------------------------------------
     def recv_timing_req(self, pkt: Packet) -> bool:
         self._timing_mode = True
-        self._fast_mode = False
         self.host_record(self._fn_recv_timing)
         if pkt.cmd is MemCmd.WRITEBACK:
             # Absorb or forward writebacks without a response.

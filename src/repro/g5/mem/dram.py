@@ -42,15 +42,8 @@ class MemCtrl(SimObject):
     # ------------------------------------------------------------------
     # protocol
     # ------------------------------------------------------------------
-    def recv_atomic(self, pkt: Packet) -> int:
-        self._account(pkt)
-        if pkt.needs_response:
-            pkt.make_response()
-        return self.access_latency
-
     def recv_atomic_fast(self, addr: int, size: int, is_write: bool) -> int:
-        """Packet-free atomic access: accounting identical to
-        :meth:`recv_atomic` (reads/writes/bytes), same fixed latency."""
+        """Atomic access: one read or write burst, fixed latency."""
         if is_write:
             self.stat_writes.inc()
         else:

@@ -22,14 +22,11 @@ class PortError(RuntimeError):
 class TimingTarget(Protocol):
     """What a ResponsePort owner must implement.
 
-    Since the fast-path kernel, the atomic protocol is dual-path: the
-    packet form (``recv_atomic``) is the reference, and the packet-free
-    form (``recv_atomic_fast``/``recv_atomic_wb_fast``) must produce
-    identical latency and stats (enforced by the ``fast-slow-parity``
-    lint pass and the differential test suite).
+    The atomic protocol carries no Packet: a read/write names its
+    address, size and direction (``recv_atomic_fast``), a dirty-line
+    writeback its address and size (``recv_atomic_wb_fast``).
     """
 
-    def recv_atomic(self, pkt: Packet) -> int: ...
     def recv_atomic_fast(self, addr: int, size: int,
                          is_write: bool) -> int: ...
     def recv_atomic_wb_fast(self, addr: int, size: int) -> int: ...
@@ -94,14 +91,8 @@ class RequestPort(Port):
 
     __slots__ = ()
 
-    def send_atomic(self, pkt: Packet) -> int:
-        """Perform an atomic access; returns latency in ticks."""
-        peer = self._require_peer()
-        assert isinstance(peer, ResponsePort)
-        return peer.owner.recv_atomic(pkt)
-
     def send_atomic_fast(self, addr: int, size: int, is_write: bool) -> int:
-        """Packet-free atomic access (fast path); latency in ticks."""
+        """Perform an atomic access; returns latency in ticks."""
         return self._require_peer().owner.recv_atomic_fast(
             addr, size, is_write)
 
@@ -117,7 +108,7 @@ class RequestPort(Port):
         return self._require_peer().owner.recv_atomic_fast
 
     def send_atomic_wb_fast(self, addr: int, size: int) -> int:
-        """Packet-free atomic writeback (fast path); latency in ticks."""
+        """Perform an atomic writeback; returns latency in ticks."""
         return self._require_peer().owner.recv_atomic_wb_fast(addr, size)
 
     def send_timing_req(self, pkt: Packet) -> bool:

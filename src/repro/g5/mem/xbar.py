@@ -51,14 +51,8 @@ class CoherentXBar(SimObject):
     # ------------------------------------------------------------------
     # protocol callbacks (shared by all CPU-side ports)
     # ------------------------------------------------------------------
-    def recv_atomic(self, pkt: Packet) -> int:
-        self.stat_packets.inc()
-        latency = self.cycles(self.forward_latency)
-        return latency + self.mem_side.send_atomic(pkt)
-
     def recv_atomic_fast(self, addr: int, size: int, is_write: bool) -> int:
-        """Packet-free atomic routing: same pktCount and latency as
-        :meth:`recv_atomic`, no Packet in flight."""
+        """Atomic routing: one pktCount, forward latency plus below."""
         self.stat_packets.inc()
         return (self.cycles(self.forward_latency)
                 + self.mem_side.send_atomic_fast(addr, size, is_write))

@@ -154,8 +154,8 @@ class OwnershipSanitizer:
             wrapper.__qualname__ = f"{cls.__qualname__}.{method_name}"
             return wrapper
 
-        for method in ("send_atomic", "send_atomic_fast",
-                       "send_atomic_wb_fast", "send_functional"):
+        for method in ("send_atomic_fast", "send_atomic_wb_fast",
+                       "send_functional"):
             if hasattr(cls, method):
                 namespace[method] = _crossing(method)
 

@@ -35,7 +35,7 @@ Design
   EXPERIMENTS.md for the sensitivity study.
 
 Intra-domain scheduling is completely untouched: each domain queue keeps
-the zero-heap fast-path tick loop, and the atomic protocol bypasses the
+the zero-heap tick loop, and the atomic protocol bypasses the
 links entirely (it carries no event-queue state), so Atomic-mode runs
 shard with no boundary traffic at all.  The engine never reads the wall
 clock; host time is measured from outside (``perf/``, ``sim_multi``).
@@ -452,7 +452,7 @@ def shard_system(system) -> Optional[ShardedEngine]:
     if config.domains > 1:
         cpu_queue = system.eventq
         cpu_queue.name = "cpu0"
-        mem_queue = EventQueue(name="mem", fast_path=config.fast_path)
+        mem_queue = EventQueue(name="mem")
         for obj in memory_domain_objects(system):
             obj.eventq = mem_queue
         core_queues = [cpu_queue]
@@ -462,9 +462,8 @@ def shard_system(system) -> Optional[ShardedEngine]:
             # memory domain takes the last slot); surplus cores share
             # queues round-robin.
             n_core_queues = min(config.domains - 1, cores)
-            core_queues += [
-                EventQueue(name=f"cpu{index}", fast_path=config.fast_path)
-                for index in range(1, n_core_queues)]
+            core_queues += [EventQueue(name=f"cpu{index}")
+                            for index in range(1, n_core_queues)]
             for index in range(cores):
                 queue = core_queues[index % n_core_queues]
                 for obj in core_domain_objects(system, index):

@@ -39,14 +39,10 @@ class SimConfig:
     #: Guest cores.  Each core gets a private L1 pair behind the shared
     #: xbar; cores beyond the boot core start parked and are claimed by
     #: the guest thread runtime (m5 thread ops).  Multi-core is SE-only
-    #: and limited to the simple (atomic/timing) CPU models.
+    #: and limited to the simple (atomic/timing) CPU models.  With more
+    #: than one core the L1 data caches snoop each other with MSI
+    #: coherence (:mod:`repro.g5.coherence`).
     cores: int = 1
-    #: Snooping MSI coherence over the L1 data caches
-    #: (:mod:`repro.g5.coherence`).  None enables it exactly when
-    #: ``cores > 1``; force True to route a single-core system through
-    #: the coherent path (bit-identical — a one-member domain never
-    #: probes anything).
-    coherent: Optional[bool] = None
     l1i: CacheParams = field(default_factory=lambda: CacheParams(
         size=32 * 1024, assoc=2, tag_latency=1, data_latency=1))
     l1d: CacheParams = field(default_factory=lambda: CacheParams(
@@ -54,11 +50,6 @@ class SimConfig:
     l2: CacheParams = field(default_factory=lambda: CacheParams(
         size=1024 * 1024, assoc=8, tag_latency=4, data_latency=8))
     record: bool = True
-    #: Enable the fast-path simulation kernel (zero-heap tick loop,
-    #: packet-free atomic memory, decoded-page fetch).  Architectural
-    #: state, stats, and host traces are bit-identical either way; the
-    #: differential suite runs both settings against each other.
-    fast_path: bool = True
     #: Event-queue domains (:mod:`repro.g5.sharded`).  1 = the classic
     #: single global queue.  >1 partitions the graph into one domain per
     #: CPU plus a memory domain; the graph caps the effective count, so
@@ -125,11 +116,6 @@ class SimConfig:
     def with_cores(self, cores: int) -> "SimConfig":
         return replace(self, cores=cores)
 
-    @property
-    def effective_coherent(self) -> bool:
-        """Whether the coherent L1 path is active for this config."""
-        return self.coherent if self.coherent is not None else self.cores > 1
-
 
 class System(Root):
     """The simulated machine: CPU + caches + interconnect + memory."""
@@ -141,7 +127,7 @@ class System(Root):
                         else NullRecorder())
         super().__init__(
             name="system",
-            eventq=EventQueue(fast_path=config.fast_path),
+            eventq=EventQueue(),
             clock=ClockDomain(config.cpu_clock_ghz * 1e9),
             recorder=recorder,
         )
@@ -165,14 +151,12 @@ class System(Root):
         self.cpu: BaseCPU = self.cpus[0]
         self.icache = self.icaches[0]
         self.dcache = self.dcaches[0]
-        for cpu in self.cpus:
-            cpu.fast_path = config.fast_path
         self.l2bus = CoherentXBar("l2bus", self)
         self.l2cache = Cache("l2", self, config.l2)
         self._wire()
         self.reservations = ReservationSet()
         self.coherence: Optional[CoherenceDomain] = None
-        if config.effective_coherent:
+        if cores > 1:
             self.coherence = CoherenceDomain()
             for dcache in self.dcaches:
                 self.coherence.attach(dcache)

@@ -6,7 +6,7 @@ model (Timing/Minor/O3).  A restored system is architecturally exact
 but microarchitecturally cold — an unwarmed window measures miss-storm
 CPI, not the program's — so the pre-interval instructions run as
 *functional warmup*: cheap in-order stepping whose fetch and data
-addresses are pushed through the caches' atomic fast path, filling
+addresses are pushed through the caches' packet-free atomic protocol, filling
 tags, LRU state, and the L2 with the interval's true access history at
 a fraction of detailed-simulation cost.  Only then does the detailed
 engine engage, snapshotting every delta-able statistic around the

@@ -6,8 +6,9 @@ class PoliteCPU(TimingSimpleCPU):
         # Local state is ours to write.
         self._stall_until = tick
         # The port IS the boundary: sends are the sanctioned channel.
-        latency = self.icache_port.send_atomic(pkt)
-        # Mutating the packet hands the payload over with the access.
+        latency = self.icache_port.send_atomic_fast(pkt.addr, pkt.size,
+                                                    False)
+        # Mutating the packet we were handed touches no domain state.
         pkt.latency = latency
         return latency
 

@@ -4,8 +4,3 @@ import time
 
 def stamp():
     return time.time()
-
-
-class SlowOnlyTool:
-    def recv_atomic(self, pkt):
-        return 1

@@ -26,9 +26,9 @@ def test_lint_clean_tree_exits_zero(capsys):
 def test_lint_list_passes(capsys):
     assert main(["lint", "--list-passes"]) == 0
     out = capsys.readouterr().out
-    for rule in ("determinism", "event-safety", "fast-slow-parity",
-                 "figreq", "slots-coverage", "stats-conformance"):
-        assert rule in out
+    assert [line.split()[0] for line in out.splitlines()] == [
+        "determinism", "event-safety", "figreq", "race",
+        "slots-coverage", "stats-conformance"]
 
 
 def test_lint_fixture_tree_fails(in_tmp, capsys):
@@ -40,7 +40,7 @@ def test_lint_fixture_tree_fails(in_tmp, capsys):
 def test_lint_json_format(in_tmp, capsys):
     assert main(["lint", "--path", str(FIXTURES), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["total"] == 43
+    assert payload["summary"]["total"] == 41
     assert payload["summary"]["baselined"] == 0
 
 
@@ -50,7 +50,7 @@ def test_lint_sarif_format_and_output_file(in_tmp, capsys):
                  "--output", str(target)]) == 1
     log = json.loads(target.read_text(encoding="utf-8"))
     assert log["runs"][0]["tool"]["driver"]["name"] == "repro-g5-lint"
-    assert len(log["runs"][0]["results"]) == 43
+    assert len(log["runs"][0]["results"]) == 41
 
 
 def test_update_baseline_then_clean(in_tmp, capsys):
@@ -58,11 +58,11 @@ def test_update_baseline_then_clean(in_tmp, capsys):
                  "--update-baseline"]) == 0
     baseline = in_tmp / "lint-baseline.json"
     assert baseline.is_file()
-    assert len(json.loads(baseline.read_text())["findings"]) == 43
+    assert len(json.loads(baseline.read_text())["findings"]) == 41
     # With everything grandfathered the same tree now lints clean...
     assert main(["lint", "--path", str(FIXTURES)]) == 0
     out = capsys.readouterr().out
-    assert "(43 baselined findings suppressed)" in out
+    assert "(41 baselined findings suppressed)" in out
     # ...and --no-baseline restores the raw failure.
     assert main(["lint", "--path", str(FIXTURES), "--no-baseline"]) == 1
 

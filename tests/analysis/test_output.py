@@ -22,12 +22,12 @@ def _fixed_findings():
                 message="wall-clock read time.time() in simulation-core "
                         "code; results must not depend on host time",
                 snippet="started = time.time()"),
-        Finding(rule="fast-slow-parity/missing-fast", path="g5/mem/dram.py",
-                line=40, col=0,
-                message="class DRAM defines recv_atomic but not "
-                        "recv_atomic_fast; implement the packet-free "
-                        "bypass or mark the class `# lint: no-fast-path`",
-                snippet="class DRAM:"),
+        Finding(rule="stats-conformance/write-only-stat",
+                path="g5/mem/dram.py", line=40, col=8,
+                message="stats.scalar(...) return value is discarded; "
+                        "the stat is dumped but can never be updated — "
+                        "bind it to an attribute",
+                snippet='stats.scalar("numReads", "read bursts")'),
     ])
 
 
@@ -62,8 +62,8 @@ def test_sarif_is_valid_shape():
     run = log["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-g5-lint"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"determinism", "event-safety", "fast-slow-parity", "figreq",
-            "slots-coverage", "stats-conformance"} <= rule_ids
+    assert rule_ids == {"determinism", "event-safety", "figreq", "race",
+                        "slots-coverage", "stats-conformance"}
     results = run["results"]
     assert len(results) == 2
     for result in results:
@@ -78,4 +78,5 @@ def test_json_summary_counts():
     assert payload["summary"]["total"] == 2
     assert payload["summary"]["baselined"] == 3
     assert payload["summary"]["by_rule"] == {
-        "determinism/wall-clock": 1, "fast-slow-parity/missing-fast": 1}
+        "determinism/wall-clock": 1,
+        "stats-conformance/write-only-stat": 1}

@@ -129,18 +129,6 @@ def test_event_safety_cross_domain_quiet(fixture_findings):
                          path="g5/xdomain_quiet.py") == []
 
 
-# -- fast/slow parity ---------------------------------------------------
-def test_fast_slow_parity_fires(fixture_findings):
-    hits = rule_findings(fixture_findings, "fast-slow-parity",
-                         path="g5/fast_fires.py")
-    assert _suffixes(hits) == ["missing-fast", "missing-slow"]
-
-
-def test_fast_slow_parity_quiet(fixture_findings):
-    assert rule_findings(fixture_findings, "fast-slow-parity",
-                         path="g5/fast_quiet.py") == []
-
-
 # -- slots coverage -----------------------------------------------------
 def test_slots_coverage_fires(fixture_findings):
     hits = rule_findings(fixture_findings, "slots-coverage",
@@ -199,7 +187,7 @@ def test_fixture_tree_total():
     from repro.analysis import Engine
 
     findings = Engine(FIXTURES).run()
-    # determinism(g5) + event + xdomain + fastslow + slots + stats
+    # determinism(g5) + event + xdomain + slots + stats
     # + figreq + determinism(serve) + determinism(sample)
     # + determinism(fleet) + race
-    assert len(findings) == 7 + 5 + 6 + 2 + 1 + 2 + 3 + 3 + 3 + 3 + 8
+    assert len(findings) == 7 + 5 + 6 + 1 + 2 + 3 + 3 + 3 + 3 + 8

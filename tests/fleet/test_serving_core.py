@@ -62,12 +62,17 @@ class App:
         return False
 
     def finished_job(self) -> dict:
-        """Submit DOC and wait for it; returns the acknowledgement."""
+        """Submit DOC and wait for it; returns the acknowledgement once
+        the histograms account for every request made here."""
+        submits, polls = self.count("submit"), self.count("status")
         status, ack = self.json("POST", "/api/v1/jobs", DOC)
         assert status == 202, ack
         for _ in range(500):
+            polls += 1
             if self.json("GET", f"/api/v1/jobs/{ack['id']}")[1][
                     "state"] == "done":
+                assert self.timed("submit", submits + 1)
+                assert self.timed("status", polls)
                 return ack
             clock.sleep(0.02)
         raise AssertionError(f"{ack['id']} never finished")
@@ -83,7 +88,10 @@ def app(request, tmp_path):
                    lambda: server.metrics.request_seconds,
                    server.drain_and_stop)
     else:
-        fleet = FleetHarness(tmp_path)
+        # A quiet cadence: the worker's own heartbeats would otherwise
+        # land in the histograms the walk counts exactly.
+        fleet = FleetHarness(tmp_path, heartbeat_interval=30.0,
+                             heartbeat_timeout=120.0)
         fleet.add_worker(executor)
         made = App("coordinator", fleet.server,
                    lambda: fleet.server.request_seconds, fleet.stop)

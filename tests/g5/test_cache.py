@@ -58,8 +58,8 @@ class TestAtomicProtocol:
     def test_miss_then_hit(self):
         root, cache, _ = make_system()
         stub = _CPUStub(cache)
-        first = stub.port.send_atomic(read_req(0x100, 8))
-        second = stub.port.send_atomic(read_req(0x108, 8))  # same line
+        first = stub.port.send_atomic_fast(0x100, 8, False)
+        second = stub.port.send_atomic_fast(0x108, 8, False)  # same line
         assert cache.stat_misses.value() == 1
         assert cache.stat_hits.value() == 1
         assert first > second  # miss latency includes memory
@@ -68,17 +68,17 @@ class TestAtomicProtocol:
         params = CacheParams(size=128, assoc=1, line_size=64)  # 2 sets
         root, cache, _ = make_system(params)
         stub = _CPUStub(cache)
-        stub.port.send_atomic(read_req(0x000, 8))
-        stub.port.send_atomic(read_req(0x080, 8))  # same set, evicts
-        stub.port.send_atomic(read_req(0x000, 8))  # miss again
+        stub.port.send_atomic_fast(0x000, 8, False)
+        stub.port.send_atomic_fast(0x080, 8, False)  # same set, evicts
+        stub.port.send_atomic_fast(0x000, 8, False)  # miss again
         assert cache.stat_misses.value() == 3
 
     def test_dirty_eviction_writes_back(self):
         params = CacheParams(size=128, assoc=1, line_size=64)
         root, cache, memctrl = make_system(params)
         stub = _CPUStub(cache)
-        stub.port.send_atomic(write_req(0x000, 8, 1))
-        stub.port.send_atomic(read_req(0x080, 8))  # evict dirty line
+        stub.port.send_atomic_fast(0x000, 8, True)
+        stub.port.send_atomic_fast(0x080, 8, False)  # evict dirty line
         assert cache.stat_writebacks.value() == 1
         assert memctrl.stat_writes.value() == 1
 
@@ -87,17 +87,17 @@ class TestAtomicProtocol:
         root, cache, _ = make_system(params)
         stub = _CPUStub(cache)
         # Set 0 lines: 0x000, 0x100, 0x200 (all map to set 0).
-        stub.port.send_atomic(read_req(0x000, 8))
-        stub.port.send_atomic(read_req(0x100, 8))
-        stub.port.send_atomic(read_req(0x000, 8))  # touch A again
-        stub.port.send_atomic(read_req(0x200, 8))  # evicts B (LRU)
+        stub.port.send_atomic_fast(0x000, 8, False)
+        stub.port.send_atomic_fast(0x100, 8, False)
+        stub.port.send_atomic_fast(0x000, 8, False)  # touch A again
+        stub.port.send_atomic_fast(0x200, 8, False)  # evicts B (LRU)
         assert cache.contains(0x000)
         assert not cache.contains(0x100)
 
     def test_write_allocates_and_dirties(self):
         root, cache, _ = make_system()
         stub = _CPUStub(cache)
-        stub.port.send_atomic(write_req(0x40, 8, 0xAB))
+        stub.port.send_atomic_fast(0x40, 8, True)
         assert cache.contains(0x40)
         assert cache.resident_lines == 1
 
@@ -217,7 +217,7 @@ class TestXBar:
 
         src = Source()
         src.port.bind(port)
-        latency = src.port.send_atomic(read_req(0, 64))
+        latency = src.port.send_atomic_fast(0, 64, False)
         assert latency == memctrl.access_latency + 3 * 1000  # 3 cycles
 
 

@@ -139,11 +139,11 @@ class _Responder:
 
     def __init__(self):
         self.port = ResponsePort("port", self)
-        self.atomic_packets = []
+        self.atomic_accesses = []
         self.timing_packets = []
 
-    def recv_atomic(self, pkt):
-        self.atomic_packets.append(pkt)
+    def recv_atomic_fast(self, addr, size, is_write):
+        self.atomic_accesses.append((addr, size, is_write))
         return 100
 
     def recv_timing_req(self, pkt):
@@ -170,14 +170,14 @@ class TestPorts:
     def test_bind_and_atomic(self):
         requester, responder = _Requester(), _Responder()
         requester.port.bind(responder.port)
-        latency = requester.port.send_atomic(read_req(0, 8))
+        latency = requester.port.send_atomic_fast(0, 8, False)
         assert latency == 100
-        assert len(responder.atomic_packets) == 1
+        assert responder.atomic_accesses == [(0, 8, False)]
 
     def test_unbound_port_raises(self):
         requester = _Requester()
         with pytest.raises(PortError):
-            requester.port.send_atomic(read_req(0, 8))
+            requester.port.send_atomic_fast(0, 8, False)
 
     def test_double_bind_rejected(self):
         requester, responder = _Requester(), _Responder()

@@ -99,11 +99,10 @@ def test_boundary_bypass_trips_the_sanitizer(monkeypatch):
     """The pre-fix direct peer.owner binding is caught at runtime."""
 
     def bypass_activate(self):
-        if self.fast_path:
-            self._icache_fast = \
-                self.icache_port._require_peer().owner.recv_atomic_fast
-            self._dcache_fast = \
-                self.dcache_port._require_peer().owner.recv_atomic_fast
+        self._icache_fast = \
+            self.icache_port._require_peer().owner.recv_atomic_fast
+        self._dcache_fast = \
+            self.dcache_port._require_peer().owner.recv_atomic_fast
         self.schedule_in(self._tick_event, 0)
 
     monkeypatch.setattr(AtomicSimpleCPU, "activate", bypass_activate)

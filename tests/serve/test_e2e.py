@@ -14,7 +14,7 @@ import pytest
 
 from repro.exec.pool import G5Job, execute_g5_job
 from repro.g5.serialize import pack_sim_result
-from repro.serve import ServeError
+from repro.serve import ServeError, clock
 
 from .conftest import make_server
 
@@ -164,7 +164,17 @@ def test_metrics_health_and_stats(live_server):
     assert "# TYPE repro_serve_jobs_submitted_total counter" in text
     assert "# TYPE repro_serve_request_seconds histogram" in text
 
+    # The wait's reply can reach us before the server has finished
+    # accounting for it: the handler times a request after sending it,
+    # and the scheduler counts a completion after waking the waiters.
+    settled = ('repro_serve_request_seconds_count{endpoint="status"}',
+               'repro_serve_jobs_completed_total{state="done"}')
+    deadline = clock.monotonic() + 5.0
     parsed = client.metrics()
+    while (min(parsed.get(series, 0) for series in settled) < 1
+           and clock.monotonic() < deadline):
+        clock.sleep(0.01)
+        parsed = client.metrics()
     assert parsed["repro_serve_jobs_submitted_total"] >= 1
     assert parsed["repro_engine_g5_executed"] >= 1
     assert parsed['repro_serve_jobs_completed_total{state="done"}'] >= 1
