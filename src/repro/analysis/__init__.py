@@ -8,10 +8,10 @@ Two halves, wired into the ``repro-g5 lint`` CLI subcommand:
   the tick loop, stats conformance, and the shared
   figure-requirement vocabulary — with pragma suppression, a
   fingerprint baseline, and text/JSON/SARIF output;
-- a **guest-binary analyzer** (:mod:`.guestcfg`): basic blocks, CFG,
-  dominators, and liveness over SimRISC programs via the simulator's
-  own decoder, producing static footprint/branch-density reports that
-  cross-check the dynamic traces behind the paper's Figs. 3–6.
+- a **guest-binary analyzer** (:mod:`.guestcfg`): basic blocks and a
+  CFG over SimRISC programs via the simulator's own decoder, producing
+  static footprint/branch-density reports that cross-check the dynamic
+  traces behind the paper's Figs. 3–6.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Static analysis of guest binaries: basic blocks, CFG, dominators,
-liveness, and instruction-footprint reports.
+"""Static analysis of guest binaries: basic blocks, CFG, and
+instruction-footprint reports.
 
 The paper's core finding is that gem5's host behaviour is dominated by
 *static* guest-code structure — instruction footprint, branch density,
@@ -14,10 +14,6 @@ cross-check the dynamic traces behind Figs. 3–6:
 - basic blocks are built with the standard leader algorithm, giving a
   CFG with fallthrough/branch/jump edges (``jalr`` marks an indirect
   site with statically-unknown successors);
-- dominators (iterative set intersection) and register liveness
-  (backward dataflow reusing the CPU models' own def/use extraction
-  from :class:`~repro.g5.cpus.dyninst.DynInst`) run over the reachable
-  subgraph;
 - :func:`run_dynamic_trace` executes the workload functionally on an
   Atomic CPU and :func:`cross_check` verifies the dynamic block
   structure agrees with the static CFG.
@@ -31,9 +27,6 @@ from typing import Optional
 from ..g5.isa import INST_BYTES, Decoder, Program, StaticInst
 from ..g5.isa.decoder import DecodeError
 from ..g5.isa.instructions import OP_SHIFT, Opcode
-
-#: Register identity used by liveness: (is_fp, index).
-Reg = tuple[bool, int]
 
 
 # ---------------------------------------------------------------------------
@@ -196,83 +189,6 @@ class GuestCFG:
                 continue
             self.reachable.add(start)
             stack.extend(self.blocks[start].succs)
-
-    # -- analyses -------------------------------------------------------
-    def dominators(self) -> dict[int, set[int]]:
-        """Block start -> set of dominating block starts (reachable
-        subgraph; iterative dataflow)."""
-        reachable = sorted(self.reachable)
-        if not reachable:
-            return {}
-        dom: dict[int, set[int]] = {
-            start: ({start} if start == self.entry else set(reachable))
-            for start in reachable}
-        changed = True
-        while changed:
-            changed = False
-            for start in reachable:
-                if start == self.entry:
-                    continue
-                preds = [p for p in self.blocks[start].preds
-                         if p in self.reachable]
-                if preds:
-                    new = set.intersection(*(dom[p] for p in preds))
-                else:
-                    new = set()
-                new = new | {start}
-                if new != dom[start]:
-                    dom[start] = new
-                    changed = True
-        return dom
-
-    def block_def_use(self, block: BasicBlock) -> tuple[set[Reg], set[Reg]]:
-        """(defs, upward-exposed uses) of one block, reusing the CPU
-        models' def/use extraction so static and dynamic analyses can
-        never disagree on instruction semantics."""
-        from ..g5.cpus.dyninst import DynInst
-
-        defs: set[Reg] = set()
-        uses: set[Reg] = set()
-        for _, inst in block.insts:
-            for reg in DynInst._sources(inst):
-                if reg not in defs:
-                    uses.add(reg)
-            dst = DynInst._destination(inst)
-            if dst is not None:
-                defs.add(dst)
-        return defs, uses
-
-    def liveness(self) -> dict[int, tuple[set[Reg], set[Reg]]]:
-        """Block start -> (live_in, live_out) over the reachable CFG.
-
-        Indirect terminators have statically-unknown successors, so any
-        block ending in ``jalr`` conservatively treats the live-in of
-        *every* reachable block as reachable from it.
-        """
-        reachable = sorted(self.reachable)
-        def_use = {start: self.block_def_use(self.blocks[start])
-                   for start in reachable}
-        live_in: dict[int, set[Reg]] = {s: set() for s in reachable}
-        live_out: dict[int, set[Reg]] = {s: set() for s in reachable}
-        changed = True
-        while changed:
-            changed = False
-            for start in reversed(reachable):
-                block = self.blocks[start]
-                if block.terminator == "indirect":
-                    succ_ins = [live_in[s] for s in reachable]
-                else:
-                    succ_ins = [live_in[s] for s in block.succs
-                                if s in live_in]
-                out = set().union(*succ_ins) if succ_ins else set()
-                defs, uses = def_use[start]
-                new_in = uses | (out - defs)
-                if out != live_out[start] or new_in != live_in[start]:
-                    live_out[start] = out
-                    live_in[start] = new_in
-                    changed = True
-        return {start: (live_in[start], live_out[start])
-                for start in reachable}
 
     # -- reports --------------------------------------------------------
     def footprint(self) -> dict:

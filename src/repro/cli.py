@@ -197,10 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="log every HTTP request to stderr")
 
     fleet = sub.add_parser(
-        "fleet", help="multi-node serving: coordinator, workers, "
-                      "capacity report")
-    fleet.add_argument("action",
-                       choices=["coordinator", "worker", "report"])
+        "fleet", help="multi-node serving: coordinator and workers")
+    fleet.add_argument("action", choices=["coordinator", "worker"])
     fleet.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
     fleet.add_argument("--port", type=int, default=None,
@@ -230,21 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default: 8)")
     fleet.add_argument("--timeout", type=float, default=None,
                        help="per-job wall-clock budget in seconds")
-    fleet.add_argument("--workers", type=_positive_int, default=2,
-                       help="report: worker nodes to plan for "
-                            "(default: 2)")
-    fleet.add_argument("--jobs-per-worker", type=_positive_int,
-                       default=2,
-                       help="report: executors per worker node "
-                            "(default: 2)")
-    fleet.add_argument("--target-p99", type=float, default=5.0,
-                       help="report: p99 latency target in seconds "
-                            "(default: 5.0)")
     fleet.add_argument("--cache-dir", default=None,
                        help="cache location (default: $REPRO_CACHE_DIR "
                             "or ~/.cache/repro-g5)")
-    fleet.add_argument("--json", action="store_true", dest="as_json",
-                       help="report: emit machine-readable JSON")
     fleet.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
 
@@ -515,8 +501,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"total size   : {stats['total_bytes'] / 1024:.1f} KB")
     from .exec.costmodel import CostModel
 
-    learned = CostModel(cache.costs_path).known_classes()
-    print(f"cost history : {len(learned)} learned job class(es)")
+    observed = len(CostModel(cache.costs_path).observations())
+    print(f"cost history : {observed} observed run(s)")
     return 0
 
 
@@ -810,7 +796,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
     from pathlib import Path
 
     if args.action == "coordinator":
@@ -829,36 +814,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if args.timeout is not None:
             config.job_timeout = args.timeout
         return run_coordinator(config)
-    if args.action == "worker":
-        from .fleet.worker import WorkerConfig, run_worker
+    from .fleet.worker import WorkerConfig, run_worker
 
-        config = WorkerConfig(
-            coordinator_url=args.coordinator,
-            host=args.host,
-            port=args.port if args.port is not None else 0,
-            workers=args.jobs,
-            max_queue=args.max_queue,
-            cache_root=args.cache_dir,
-            job_timeout=args.timeout,
-            advertise_url=args.advertise_url,
-            quiet=not args.verbose,
-            log=sys.stderr)
-        return run_worker(config)
-
-    from .exec.costmodel import CostModel
-    from .fleet.report import capacity_plan, render_report
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir is not None \
-        else ResultCache()
-    cost_model = CostModel(cache.costs_path)
-    plan = capacity_plan(cost_model, workers=args.workers,
-                         workers_per_node=args.jobs_per_worker,
-                         target_p99=args.target_p99)
-    if args.as_json:
-        print(json.dumps(plan, indent=2, sort_keys=True))
-    else:
-        print(render_report(plan))
-    return 0
+    config = WorkerConfig(
+        coordinator_url=args.coordinator,
+        host=args.host,
+        port=args.port if args.port is not None else 0,
+        workers=args.jobs,
+        max_queue=args.max_queue,
+        cache_root=args.cache_dir,
+        job_timeout=args.timeout,
+        advertise_url=args.advertise_url,
+        quiet=not args.verbose,
+        log=sys.stderr)
+    return run_worker(config)
 
 
 def _cmd_list() -> int:

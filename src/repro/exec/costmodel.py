@@ -1,131 +1,95 @@
-"""Predicting g5 simulation cost to schedule longest jobs first.
+"""Predicting job cost to schedule longest jobs first.
 
-Fanning a heterogeneous experiment matrix over a worker pool suffers
-from stragglers: an O3 full-system boot takes an order of magnitude
-longer than an Atomic microbenchmark, and if it starts last the pool
-idles behind it.  Longest-processing-time-first scheduling needs only a
-*relative* duration estimate, which simulation time supplies readily
-(Gem5Pred makes the same observation at much larger scale): cost scales
-with the CPU model's per-instruction work, the workload's scale, and the
-mode's device overhead.
+An O3 full-system boot takes an order of magnitude longer than an
+Atomic microbenchmark; if it starts last, the pool idles behind it.
+Longest-processing-time-first scheduling needs only a *relative*
+duration estimate, which job features predict (as in Gem5Pred).
 
-The model learns at three granularities.  Every completed run feeds an
-exponential moving average for its exact (workload, cpu, mode, scale)
-class — the sharpest predictor once a class has been seen.  The same
-observation also lands in a bounded raw-observation history that trains
-a Gem5Pred-style **learned predictor**: a pure-python ridge regression
-over job features (cpu model, mode, scale, workload, cores,
-interval/warmup parameters) against log-seconds, so classes *never run
-before* get a prediction shaped by everything the machine has run, not
-just a single scalar.  Finally each observation calibrates a global
-*seconds-per-weight-unit* factor — the fallback when the regression is
-underfed (fewer than :data:`MIN_TRAINING_OBSERVATIONS` samples).
+One model answers: a ridge regression of log-seconds on job features,
+``(X'X + lambda I) w = X'y + lambda w0``, centred on a static prior
+``w0`` (the log of the CPU-model, scale, mode and core weights, the
+job's ``cost_weight_factor`` and :data:`DEFAULT_SEC_PER_WEIGHT`): an
+empty history answers the prior.  The all but unpenalised bias moves by
+the whole residual of one observation, recalibrating every class.  Each
+workload and class (:func:`job_class`) in the history has an indicator
+centred on 0: an unseen workload gets the average effect, and a class
+run before converges on its own durations.
 
-Prediction resolves through those layers in sharpness order: exact
-class EMA, then the learned regression, then the static prior scaled by
-the machine calibration.  All layers persist as ``costs.json`` (schema
-v3) in the cache directory; a file of any other version is ignored and
-overwritten, like an other-version cache envelope.
-
-Jobs can shape their own treatment through two optional attributes:
-``cost_class`` overrides the history bucket (sampled jobs form their
-own class per workload/model/scale, host replays theirs per trace and
-platform) and ``cost_weight_factor`` scales
-the static prior (a sampled run costs a fraction of the full detailed
-run it replaces).
+Each job ``kind`` (g5, sample, window, host, spec; default g5) is fitted
+on its own observations, at most once per new one, so one kind never
+reorders another's jobs.  ``costs.json`` holds the latest
+:data:`OBSERVATION_CAP` as ``{"version": 4, "observations": [...]}``;
+other versions, ill-typed records and non-positive seconds are dropped.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import threading
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 from .cache import atomic_write
 
 #: Relative per-instruction simulation work by CPU model (the paper's
-#: Table/Fig. ordering: detail costs time).
+#: Table/Fig. ordering: detail costs time), and of any other "CPU
+#: model" — a replay's host platform.
 CPU_MODEL_WEIGHT = {"atomic": 1.0, "timing": 2.2, "minor": 4.5, "o3": 7.5}
+OTHER_CPU_WEIGHT = 4.0
 
-#: Relative guest work by workload scale.
+#: Relative guest work by workload scale (6.0 for any other scale).
 SCALE_WEIGHT = {"test": 1.0, "simsmall": 6.0, "simmedium": 20.0,
                 "simlarge": 60.0}
 
 #: FS mode adds device and kernel events on top of the CPU work.
 MODE_WEIGHT = {"se": 1.0, "fs": 1.6}
 
-#: Per-extra-core overhead: total simulated work stays about constant
-#: (the guest splits it), but coherence probes, barrier spins, and the
-#: extra per-core event streams all cost host time.
+#: Per-extra-core overhead: the guest splits its work, but coherence
+#: probes, barrier spins and per-core event streams cost host time.
 CORES_WEIGHT_FACTOR = 0.2
 
-#: EMA smoothing for observed durations and the calibration factor.
-EMA_ALPHA = 0.5
-
-#: Seconds one static weight unit costs before any run has calibrated
-#: the machine (chosen so priors land in the right order of magnitude).
+#: Seconds one static weight unit costs before any run is observed.
 DEFAULT_SEC_PER_WEIGHT = 0.01
 
-#: On-disk schema version of ``costs.json``.
-COSTS_SCHEMA_VERSION = 3
-
-#: Raw observations retained for regression training (most recent kept).
+#: ``costs.json``'s schema version, and the observations it keeps.
+COSTS_SCHEMA_VERSION = 4
 OBSERVATION_CAP = 512
 
-#: Below this many observations the regression stays untrained and
-#: prediction falls back to the EMA / calibrated-prior layers.
-MIN_TRAINING_OBSERVATIONS = 12
-
-#: Ridge penalty keeping the tiny normal-equation solve well-posed.
+#: Ridge penalty towards the prior of every coefficient but the bias.
 RIDGE_LAMBDA = 1e-2
 
-#: Workload names hash into this many one-hot feature buckets.
-WORKLOAD_BUCKETS = 8
+#: Observation record fields (``costs.json`` v4) and their types.
+OBSERVATION_FIELDS = {"kind": str, "class": str, "workload": str,
+                      "cpu_model": str, "mode": str, "scale": str,
+                      "cores": int, "interval_insts": int,
+                      "warmup_insts": int, "weight_factor": float,
+                      "seconds": float}
 
-#: Durations are learned in log space; clamp to keep log() finite.
-MIN_SECONDS = 1e-6
+#: The static prior as weights of the :func:`_features` slots: bias, CPU
+#: one-hot (other last), FS, log scale, core and weight-factor weights,
+#: log1p interval and warmup.
+_PRIOR = [math.log(DEFAULT_SEC_PER_WEIGHT),
+          *(math.log(weight) for weight in CPU_MODEL_WEIGHT.values()),
+          math.log(OTHER_CPU_WEIGHT), math.log(MODE_WEIGHT["fs"]),
+          1.0, 1.0, 1.0, 0.0, 0.0]
 
 
 def job_class(job: Any) -> str:
-    """The history bucket a job's duration is learned under.
-
-    Jobs may claim a bucket explicitly via a ``cost_class`` attribute
-    (sampled jobs do, so their partial runs never contaminate the
-    full-run history of the same workload).
-    """
+    """The class whose runs a job's prediction converges on; sampled
+    jobs, windows and replays name theirs as ``cost_class``."""
     explicit = getattr(job, "cost_class", None)
     if explicit is not None:
         return str(explicit)
-    base = f"{job.workload}|{job.cpu_model}|{job.mode}|{job.scale}"
     cores = int(getattr(job, "cores", 1) or 1)
-    if cores > 1:
-        # Multi-core runs cost differently (coherence traffic, spin
-        # waits) — keep their history out of the single-core bucket.
-        base += f"|c{cores}"
-    return base
+    return (f"{job.workload}|{job.cpu_model}|{job.mode}|{job.scale}"
+            + (f"|c{cores}" if cores > 1 else ""))
 
 
-def _workload_bucket(workload: str) -> int:
-    """Deterministic hash bucket for a workload name (stable across
-    processes — ``hash()`` is salted, sha256 is not)."""
-    digest = hashlib.sha256(str(workload).encode()).hexdigest()
-    return int(digest, 16) % WORKLOAD_BUCKETS
-
-
-#: CPU models with their own one-hot feature slot.
-_CPU_FEATURE_MODELS = ("atomic", "timing", "minor", "o3")
-
-#: Observation-dict fields, in persistence order (schema v3).
-OBSERVATION_FIELDS = ("class", "workload", "cpu_model", "mode", "scale",
-                      "cores", "interval_insts", "warmup_insts",
-                      "weight_factor", "seconds")
-
-
-def observation_from_job(job: Any, seconds: float) -> dict:
+def observation(job: Any, seconds: float) -> dict:
     """The JSON-safe record one completed run contributes to training."""
     return {
+        "kind": str(getattr(job, "kind", "g5")),
         "class": job_class(job),
         "workload": str(job.workload),
         "cpu_model": str(job.cpu_model),
@@ -139,112 +103,86 @@ def observation_from_job(job: Any, seconds: float) -> dict:
     }
 
 
-def observation_features(obs: dict) -> list[float]:
-    """The regression feature vector for one observation record.
-
-    Training (from persisted history) and prediction (from a live job
-    via :func:`observation_from_job`) share this one encoding, so the
-    two can never drift apart.
-    """
-    cpu = obs.get("cpu_model", "")
-    features = [1.0]                                    # bias
-    features.extend(1.0 if cpu == model else 0.0
-                    for model in _CPU_FEATURE_MODELS)
-    features.append(1.0 if obs.get("mode") == "fs" else 0.0)
-    features.append(math.log(SCALE_WEIGHT.get(obs.get("scale"), 6.0)))
-    features.append(math.log(max(1, int(obs.get("cores", 1) or 1))))
-    features.append(math.log(max(MIN_SECONDS,
-                                 float(obs.get("weight_factor", 1.0)))))
-    interval = int(obs.get("interval_insts", 0) or 0)
-    warmup = int(obs.get("warmup_insts", 0) or 0)
-    features.append(1.0 if interval else 0.0)           # sampled job
-    features.append(math.log1p(interval))
-    features.append(math.log1p(warmup))
-    bucket = _workload_bucket(obs.get("workload", ""))
-    features.extend(1.0 if bucket == i else 0.0
-                    for i in range(WORKLOAD_BUCKETS))
-    return features
+def _well_typed(obs: object) -> bool:
+    """Whether a record can train the model (NaN fails the bounds)."""
+    return isinstance(obs, dict) and all(
+        isinstance(obs.get(name), (int, float) if kind is float else kind)
+        and not isinstance(obs.get(name), bool)
+        for name, kind in OBSERVATION_FIELDS.items()) \
+        and 0 < obs["seconds"] < math.inf \
+        and 0 < obs["weight_factor"] < math.inf and obs["cores"] >= 1 \
+        and min(obs["interval_insts"], obs["warmup_insts"]) >= 0
 
 
-def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting (tiny dense system)."""
-    n = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot][col]) < 1e-12:
-            raise ArithmeticError("singular normal equations")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1.0 / aug[col][col]
-        for row in range(col + 1, n):
-            factor = aug[row][col] * inv
-            if factor == 0.0:
-                continue
-            for k in range(col, n + 1):
-                aug[row][k] -= factor * aug[col][k]
-    weights = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        acc = aug[row][n]
-        for k in range(row + 1, n):
-            acc -= aug[row][k] * weights[k]
-        weights[row] = acc / aug[row][row]
-    return weights
+def _features(obs: dict) -> list[float]:
+    """The fixed feature slots of one record (see :data:`_PRIOR`)."""
+    cpu = obs["cpu_model"]
+    return [1.0, *(float(cpu == model) for model in CPU_MODEL_WEIGHT),
+            float(cpu not in CPU_MODEL_WEIGHT), float(obs["mode"] == "fs"),
+            math.log(SCALE_WEIGHT.get(obs["scale"], 6.0)),
+            math.log(1.0 + CORES_WEIGHT_FACTOR * (obs["cores"] - 1)),
+            math.log(obs["weight_factor"]),
+            math.log1p(obs["interval_insts"]),
+            math.log1p(obs["warmup_insts"])]
 
 
-class LearnedPredictor:
-    """Ridge regression over job features -> log(seconds) (Gem5Pred).
+def _solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """Gauss-Jordan elimination; the ridge system is symmetric positive
+    definite, so its diagonal pivots need no row swaps."""
+    for col, pivot in enumerate(a):
+        for row, target in enumerate(a):
+            factor = target[col] / pivot[col]
+            if row != col and factor:
+                a[row] = [x - factor * y for x, y in zip(target, pivot)]
+                b[row] -= factor * b[col]
+    return [b[i] / a[i][i] for i in range(len(b))]
 
-    Pure python: the normal equations ``(X'X + lambda I) w = X'y`` are
-    assembled and solved directly — the feature space is ~20-dimensional
-    and the observation history is bounded, so this trains in well under
-    a millisecond, cheap enough to refresh continuously as runs finish.
-    """
 
-    def __init__(self, weights: Sequence[float],
-                 n_observations: int) -> None:
-        self.weights = list(weights)
-        self.n_observations = n_observations
+def _fit(rows: Sequence[dict]) -> Callable[[dict], float]:
+    """One kind's regression over ``rows``, as ``predict(record)``: it
+    fits log-seconds less the prior's answer.  A record has exactly one
+    class indicator, so those slots drop out in closed form."""
+    workloads = sorted({obs["workload"] for obs in rows})
+    slots = {name: len(_PRIOR) + i for i, name in enumerate(workloads)}
+    prior = _PRIOR + [0.0] * len(slots)
 
-    @classmethod
-    def train(cls, observations: Sequence[dict]
-              ) -> Optional["LearnedPredictor"]:
-        """Fit from observation records; None while underfed."""
-        rows = [obs for obs in observations
-                if float(obs.get("seconds", 0.0)) > 0.0]
-        if len(rows) < MIN_TRAINING_OBSERVATIONS:
-            return None
-        dim = len(observation_features(rows[0]))
-        xtx = [[0.0] * dim for _ in range(dim)]
-        xty = [0.0] * dim
-        for obs in rows:
-            x = observation_features(obs)
-            y = math.log(max(MIN_SECONDS, float(obs["seconds"])))
-            for i in range(dim):
-                xi = x[i]
-                if xi == 0.0:
-                    continue
-                xty[i] += xi * y
-                row = xtx[i]
-                for j in range(dim):
-                    row[j] += xi * x[j]
-        for i in range(1, dim):        # leave the bias unpenalised
-            xtx[i][i] += RIDGE_LAMBDA
-        xtx[0][0] += 1e-9
-        try:
-            weights = _solve(xtx, xty)
-        except ArithmeticError:
-            return None
-        return cls(weights, len(rows))
+    def sparse(obs: dict) -> list:
+        """The record's nonzero ``(slot, value)`` pairs."""
+        row = [(i, x) for i, x in enumerate(_features(obs)) if x]
+        if obs["workload"] in slots:
+            row.append((slots[obs["workload"]], 1.0))
+        return row
 
-    def predict_seconds(self, obs: dict) -> float:
-        """Predicted duration for one observation-shaped record."""
-        x = observation_features(obs)
-        log_seconds = sum(w * xi for w, xi in zip(self.weights, x))
-        # Clamp the exponent so a degenerate fit cannot overflow.
-        return math.exp(min(50.0, max(-50.0, log_seconds)))
-
-    def predict_job(self, job: Any) -> float:
-        return self.predict_seconds(observation_from_job(job, 0.0))
+    dim = range(len(prior))
+    xtx = [[(RIDGE_LAMBDA if i else 1e-9) * (i == j) for j in dim]
+           for i in dim]
+    xty = [0.0 for _ in dim]
+    # class -> [its indicator's diagonal, residual, {slot: feature sum}]
+    classes: dict[str, list] = {}
+    for obs in rows:
+        row = sparse(obs)
+        residual = math.log(obs["seconds"]) - sum(prior[i] * x
+                                                  for i, x in row)
+        fold = classes.setdefault(obs["class"], [RIDGE_LAMBDA, 0.0, {}])
+        fold[:2] = fold[0] + 1.0, fold[1] + residual
+        for i, xi in row:
+            xty[i] += xi * residual
+            fold[2][i] = fold[2].get(i, 0.0) + xi
+            for j, xj in row:
+                xtx[i][j] += xi * xj
+    # Eliminate the class slots: the Schur complement of their diagonal.
+    for diagonal, residual, sums in classes.values():
+        for i, si in sums.items():
+            xty[i] -= si * residual / diagonal
+            for j, sj in sums.items():
+                xtx[i][j] -= si * sj / diagonal
+    shift = _solve(xtx, xty)
+    weights = [w + d for w, d in zip(prior, shift)]
+    offsets = {name: (residual - sum(s * shift[i] for i, s in sums.items()))
+               / diagonal for name, (diagonal, residual, sums)
+               in classes.items()}
+    return lambda obs: math.exp(offsets.get(obs["class"], 0.0) + sum(
+        weights[i] * x for i, x in sparse(obs)))
 
 
 class CostModel:
@@ -254,56 +192,33 @@ class CostModel:
                  history_path: Union[str, Path, None] = None) -> None:
         self.history_path = (Path(history_path)
                              if history_path is not None else None)
-        self._history: dict[str, float] = {}
-        self._sec_per_weight: Optional[float] = None
-        self._calibration_samples = 0
         self._observations: list[dict] = []
-        self._predictor: Optional[LearnedPredictor] = None
-        self._predictor_stale = True
-        self._load()
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def _load(self) -> None:
+        #: kind -> its fit, dropped when the kind gets a new observation
+        self._fits: dict[str, Callable[[dict], float]] = {}
+        #: serve threads predict while others observe: no stale fit
+        self._lock = threading.Lock()
         if self.history_path is None:
             return
         try:
             data = json.loads(self.history_path.read_text())
         except (OSError, ValueError):
             return
-        # Any other document is a cold start, as an other-version cache
-        # envelope is a miss; the next flush overwrites it.
-        if not isinstance(data, dict) \
-                or data.get("version") != COSTS_SCHEMA_VERSION:
-            return
-        classes = data.get("classes")
-        if isinstance(classes, dict):
-            self._history = {str(k): float(v) for k, v in classes.items()}
-        spw = data.get("sec_per_weight")
-        if isinstance(spw, (int, float)) and spw > 0:
-            self._sec_per_weight = float(spw)
-        samples = data.get("calibration_samples")
-        if isinstance(samples, int) and samples >= 0:
-            self._calibration_samples = samples
-        observations = data.get("observations")
-        if isinstance(observations, list):
+        if isinstance(data, dict) \
+                and data.get("version") == COSTS_SCHEMA_VERSION \
+                and isinstance(data.get("observations"), list):
             self._observations = [
-                obs for obs in observations
-                if isinstance(obs, dict) and "seconds" in obs
+                {name: kind(obs[name])
+                 for name, kind in OBSERVATION_FIELDS.items()}
+                for obs in data["observations"] if _well_typed(obs)
             ][-OBSERVATION_CAP:]
 
     def flush(self) -> None:
-        """Persist the learned durations (best effort)."""
+        """Persist the observations (best effort)."""
         if self.history_path is None:
             return
-        doc = {
-            "version": COSTS_SCHEMA_VERSION,
-            "classes": self._history,
-            "sec_per_weight": self._sec_per_weight,
-            "calibration_samples": self._calibration_samples,
-            "observations": self._observations,
-        }
+        with self._lock:
+            doc = {"version": COSTS_SCHEMA_VERSION,
+                   "observations": list(self._observations)}
         try:
             # Atomic: a torn costs.json reads back as a cold start.
             atomic_write(self.history_path,
@@ -311,144 +226,35 @@ class CostModel:
         except OSError:
             pass  # history is an optimisation; never fail a run over it
 
-    # ------------------------------------------------------------------
-    # prediction
-    # ------------------------------------------------------------------
-    def static_weight(self, job: Any) -> float:
-        """Prior relative cost from model/scale/mode weights alone.
-
-        A job's ``cost_weight_factor`` (when present) scales the prior —
-        sampled jobs advertise the fraction of a full detailed run they
-        expect to cost.
-        """
-        weight = (CPU_MODEL_WEIGHT.get(job.cpu_model, 4.0)
-                  * SCALE_WEIGHT.get(job.scale, 6.0)
-                  * MODE_WEIGHT.get(getattr(job, "mode", "se"), 1.0))
-        cores = int(getattr(job, "cores", 1) or 1)
-        if cores > 1:
-            weight *= 1.0 + CORES_WEIGHT_FACTOR * (cores - 1)
-        return weight * float(getattr(job, "cost_weight_factor", 1.0))
-
-    @property
-    def sec_per_weight(self) -> float:
-        """Calibrated seconds per static weight unit (default prior)."""
-        if self._sec_per_weight is not None:
-            return self._sec_per_weight
-        return DEFAULT_SEC_PER_WEIGHT
-
-    @property
-    def calibration_samples(self) -> int:
-        """How many observed runs have fed the calibration factor."""
-        return self._calibration_samples
-
-    @property
-    def predictor(self) -> Optional[LearnedPredictor]:
-        """The trained regression, refreshed lazily after new data.
-
-        None while the observation history is underfed (fewer than
-        :data:`MIN_TRAINING_OBSERVATIONS` runs) — callers fall back to
-        the EMA/calibration layers, as :meth:`predict` does.
-        """
-        if self._predictor_stale:
-            self._predictor = LearnedPredictor.train(self._observations)
-            self._predictor_stale = False
-        return self._predictor
-
-    def predict_learned(self, job: Any) -> Optional[float]:
-        """The regression's estimate alone (None while underfed)."""
-        predictor = self.predictor
-        if predictor is None:
-            return None
-        return predictor.predict_job(job)
-
     def predict(self, job: Any) -> float:
-        """Predicted duration (seconds-ish; only the ordering matters).
-
-        Layers, sharpest first: a class that has run before answers
-        from its own EMA (deterministic simulations repeat their
-        durations almost exactly); an unseen class answers from the
-        learned regression once it has trained; until then the static
-        weight scaled by the machine-wide calibration stands in.
-        """
-        learned = self._history.get(job_class(job))
-        if learned is not None:
-            return learned
-        regressed = self.predict_learned(job)
-        if regressed is not None:
-            return regressed
-        return self.static_weight(job) * self.sec_per_weight
+        """Predicted duration (seconds-ish; only the ordering matters)."""
+        obs = observation(job, 0.0)
+        with self._lock:
+            fit = self._fits.get(obs["kind"])
+            if fit is None:
+                fit = self._fits[obs["kind"]] = _fit(
+                    [row for row in self._observations
+                     if row["kind"] == obs["kind"]])
+        return fit(obs)
 
     def observe(self, job: Any, seconds: float) -> None:
-        """Fold one measured duration into every learning layer."""
-        self._observations.append(observation_from_job(job, seconds))
-        if len(self._observations) > OBSERVATION_CAP:
-            del self._observations[:-OBSERVATION_CAP]
-        self._predictor_stale = True
-        key = job_class(job)
-        previous = self._history.get(key)
-        if previous is None:
-            self._history[key] = seconds
-        else:
-            self._history[key] = (EMA_ALPHA * seconds
-                                  + (1.0 - EMA_ALPHA) * previous)
-        ratio = seconds / max(1e-9, self.static_weight(job))
-        if self._sec_per_weight is None:
-            self._sec_per_weight = ratio
-        else:
-            self._sec_per_weight = (EMA_ALPHA * ratio
-                                    + (1.0 - EMA_ALPHA)
-                                    * self._sec_per_weight)
-        self._calibration_samples += 1
+        """Add one measured duration to the history."""
+        obs = observation(job, seconds)
+        if _well_typed(obs):
+            with self._lock:
+                self._observations.append(obs)
+                del self._observations[:-OBSERVATION_CAP]
+                self._fits.pop(obs["kind"], None)
 
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
     def schedule(self, jobs: Sequence[Any]) -> list[Any]:
-        """Jobs ordered predicted-longest-first (LPT minimises makespan).
-
-        Ties break on the job's stable sort key so the order — and hence
-        worker assignment — is deterministic run to run.
-        """
+        """Jobs ordered predicted-longest-first (LPT minimises makespan);
+        ties break on the stable sort key, so the order is deterministic."""
         if len(jobs) < 2:
             return list(jobs)      # nothing to order: predict nothing
         return sorted(jobs,
                       key=lambda j: (-self.predict(j), j.sort_key()))
 
-    def known_classes(self) -> dict[str, float]:
-        """The learned history (for cache inspection)."""
-        return dict(self._history)
-
     def observations(self) -> list[dict]:
-        """The raw training history (for the capacity report)."""
-        return [dict(obs) for obs in self._observations]
-
-
-def ema_baseline_predict(history: dict[str, float],
-                         sec_per_weight: float, obs: dict) -> float:
-    """What CostModel v2 would have predicted for one observation.
-
-    The accuracy tests and the capacity report use this as the
-    pre-regression baseline: exact-class EMA when seen, otherwise the
-    static prior scaled by the machine calibration.
-    """
-    job = _ObservationJob(obs)
-    learned = history.get(job_class(job))
-    if learned is not None:
-        return learned
-    return CostModel().static_weight(job) * sec_per_weight
-
-
-class _ObservationJob:
-    """Adapts an observation record to the job attribute protocol."""
-
-    def __init__(self, obs: dict) -> None:
-        if obs.get("class"):
-            self.cost_class = obs["class"]
-        self.workload = obs.get("workload", "")
-        self.cpu_model = obs.get("cpu_model", "")
-        self.mode = obs.get("mode", "se")
-        self.scale = obs.get("scale", "test")
-        self.cores = int(obs.get("cores", 1) or 1)
-        self.interval_insts = int(obs.get("interval_insts", 0) or 0)
-        self.warmup_insts = int(obs.get("warmup_insts", 0) or 0)
-        self.cost_weight_factor = float(obs.get("weight_factor", 1.0))
+        """The training history (for inspection)."""
+        with self._lock:
+            return [dict(obs) for obs in self._observations]

@@ -71,6 +71,9 @@ class G5Job:
     #: default system gets one core per thread.
     threads: int = 1
 
+    #: the cache-key kind; the cost model fits each kind on its own runs
+    kind = "g5"
+
     @property
     def cores(self) -> int:
         """Simulated core count (feeds the cost model's class/weight)."""

@@ -67,9 +67,9 @@ class ReplayJob:
     def sort_key(self) -> tuple:
         return (self.label, self.cache_key().digest)
 
-    #: Cost-model hooks: replays form their own prediction classes, and
-    #: the "CPU model" doing the work is the host platform's — so their
-    #: durations never enter a g5 class's history.
+    #: Cost-model hooks: replays are fitted as their own kind (``kind``
+    #: above), and the "CPU model" doing the work is the host platform —
+    #: so their durations never reorder g5 jobs.
     @property
     def cost_class(self) -> str:
         return f"replay|{self.label}|{self.scale}"

@@ -304,8 +304,9 @@ def render_markdown(rows: list[ClaimRow], runner: ExperimentRunner) -> str:
         "  processes — every figure's declared g5 runs, then its host",
         "  and SPEC replays — each set scheduled predicted-longest-first",
         "  by a cost model",
-        "  (static CPU-model/scale/mode weights, refined by measured",
-        "  durations persisted as `costs.json`).",
+        "  (one ridge regression centred on static CPU-model/scale/mode",
+        "  weights, fitted to measured durations persisted as",
+        "  `costs.json`).",
         "- Results land in a content-addressed cache at",
         "  `~/.cache/repro-g5` (override with `--cache-dir` or",
         "  `$REPRO_CACHE_DIR`). Keys hash the simulated-machine config,",

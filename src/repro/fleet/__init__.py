@@ -14,9 +14,7 @@ One **coordinator** process fronts N **worker** daemons:
   bit-identically (``store``);
 - admission control is end-to-end: worker 429s propagate into
   coordinator backpressure, and coordinator 429s carry Retry-After
-  computed from the learned cost predictor (``http``);
-- ``repro-g5 fleet report`` turns the predictor plus fleet shape into
-  a deterministic capacity plan (``report``).
+  computed from the cost model's predictions (``http``).
 """
 
 from .coordinator import Coordinator, CoordinatorConfig, CoordinatorServer

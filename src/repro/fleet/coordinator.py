@@ -9,9 +9,9 @@ one execution on one worker), admission depth, drain-cancel and bounded
 history are the queue's.  What the coordinator adds:
 
 - **admission** — submissions are also rejected (429, with a
-  Retry-After derived from the cost predictor) while every live worker
-  reports a saturated queue; that is how worker-level backpressure
-  propagates end to end;
+  Retry-After of the queued jobs' predicted seconds per live worker)
+  while every live worker reports a saturated queue; that is how
+  worker-level backpressure propagates end to end;
 - **dispatch** — ``dispatchers`` threads claim the shortest-predicted
   job that has a route through the registry's rendezvous hash, submit
   it to the worker over the ordinary
@@ -22,8 +22,9 @@ history are the queue's.  What the coordinator adds:
   retry deterministically lands on the digest's next-choice worker;
   jobs fail only after ``max_job_attempts`` distinct attempts.
 
-Executed durations reported by workers feed the coordinator's own
-:class:`~repro.exec.costmodel.CostModel`, so routing estimates sharpen
+Executed durations reported by workers are observations of the
+coordinator's own :class:`~repro.exec.costmodel.CostModel`, the one
+regression its ETAs, claim order and Retry-After read, so they sharpen
 as the fleet serves traffic.
 """
 
@@ -236,8 +237,6 @@ class Coordinator:
             "pending": counts["depth"],
             "predictor": {
                 "observations": len(self.cost_model.observations()),
-                "learned": self.cost_model.predictor is not None,
-                "calibration_samples": self.cost_model.calibration_samples,
             },
         }
 

@@ -19,9 +19,9 @@ What the scheduler adds on top is policy: a worker-process crash
 (``BrokenProcessPool``) rebuilds the pool and retries with exponential
 backoff up to ``max_retries`` times; a per-job ``timeout`` fails a g5
 job without retry (a deterministic simulation that ran long once will
-run long again); a drain aborts a sampled fan-out.  Durations feed the
-shared :class:`CostModel`, so every served job improves the queue's
-priority estimates and ETAs.
+run long again); a drain aborts a sampled fan-out.  Every executed job
+is an observation of the shared :class:`CostModel`, whose one
+regression answers the queue's priority estimates and ETAs.
 """
 
 from __future__ import annotations

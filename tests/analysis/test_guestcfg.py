@@ -102,32 +102,6 @@ def test_diamond_footprint(diamond_cfg):
         len(block) for block in diamond_cfg.blocks.values())
 
 
-def test_diamond_dominators(diamond_cfg):
-    cfg = diamond_cfg
-    dom = cfg.dominators()
-    join_start = next(start for start in cfg.reachable
-                      if cfg.blocks[start].terminator == "halt")
-    # The entry dominates everything; neither arm dominates the join.
-    for start in cfg.reachable:
-        assert cfg.entry in dom[start]
-    arms = set(cfg.blocks[cfg.entry].succs)
-    assert dom[join_start] == {cfg.entry, join_start}
-    for arm in arms:
-        assert dom[arm] == {cfg.entry, arm}
-
-
-def test_diamond_liveness(diamond_cfg):
-    cfg = diamond_cfg
-    live = cfg.liveness()
-    # t0 (x5 per the register file) is defined in the entry block and
-    # used by both arms and the join: live-out of the entry.
-    _, live_out = live[cfg.entry]
-    assert any(not is_fp for is_fp, _ in live_out)
-    # Nothing is live into the entry: the program defines before use.
-    live_in, _ = live[cfg.entry]
-    assert live_in == set()
-
-
 def test_undecodable_words_are_collected():
     bad_word = 0x3F << OP_SHIFT          # opcode 63 is unassigned
     program = Program(base=0x1000, words=[bad_word], labels={},

@@ -77,8 +77,10 @@ def test_batch_learns_costs_into_the_cache_dir(tmp_path):
     engine = ExecutionEngine(cache=cache)
     engine.run_batch([ATOMIC])
     assert cache.costs_path.exists()
-    learned = engine.cost_model.known_classes()
-    assert "sieve|atomic|se|test" in learned
+    (observed,) = CostModel(cache.costs_path).observations()
+    assert (observed["kind"], observed["workload"], observed["cpu_model"]) \
+        == ("g5", "sieve", "atomic")
+    assert observed["seconds"] > 0
 
 
 def test_replays_report_one_line_and_flush_costs_once_each(

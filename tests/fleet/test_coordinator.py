@@ -189,7 +189,10 @@ def test_fleet_doc_and_metrics_expose_the_fleet(fleet):
     doc = fleet.client._json("GET", "/api/v1/fleet")
     assert doc["jobs"]["done"] == 1
     assert doc["workers"][0]["jobs_completed"] == 1
-    assert "predictor" in doc
+    # The executed job becomes the predictor's one observation once the
+    # dispatcher has read its duration off the worker.
+    wait_until(lambda: fleet.client._json("GET", "/api/v1/fleet")[
+        "predictor"] == {"observations": 1})
     metrics = fleet.client.metrics()
     assert metrics[
         'repro_fleet_jobs_completed_total{state="done"}'] == 1
