@@ -248,11 +248,13 @@ class CostModel:
 
     def schedule(self, jobs: Sequence[Any]) -> list[Any]:
         """Jobs ordered predicted-longest-first (LPT minimises makespan);
-        ties break on the stable sort key, so the order is deterministic."""
+        a task of several ``members`` predicts their sum.  Ties break on
+        the stable sort key, so the order is deterministic."""
         if len(jobs) < 2:
             return list(jobs)      # nothing to order: predict nothing
-        return sorted(jobs,
-                      key=lambda j: (-self.predict(j), j.sort_key()))
+        return sorted(jobs, key=lambda j: (
+            -sum(map(self.predict, getattr(j, "members", (j,)))),
+            j.sort_key()))
 
     def observations(self) -> list[dict]:
         """The training history (for inspection)."""

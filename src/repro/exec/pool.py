@@ -17,12 +17,16 @@ serve daemon) goes through:
 1. probe the content-addressed disk cache (:mod:`repro.exec.cache`);
 2. resolve the misses' needs in one nested ``resolve`` (memo, disk,
    pool — a need the batch also lists runs once);
-3. order the misses predicted-longest-first
+3. make the misses tasks — replays that share a ``walk_key()`` are one
+   task (:class:`~repro.exec.replay.ReplayWalk`), which walks their
+   trace once — and order the tasks predicted-longest-first
    (:mod:`repro.exec.costmodel`) so the O3/FS stragglers start first;
 4. run them — inline when one worker suffices, otherwise across the
    execute step's process pool — in one completion loop that polls
    ``should_abort``;
-5. store, observe and count every result in one place.
+5. store, observe and count every result in one place: each member of
+   a walk under its own key, observed at the walk's seconds over its
+   member count.
 
 Payloads are plain builtins (see :mod:`repro.g5.serialize`), which is
 also the cache value format — so a result is bit-identical whether it
@@ -138,6 +142,22 @@ def execute_job(job, *values) -> tuple[object, float]:
 def _needs(job) -> tuple:
     """The sub-jobs ``job`` executes on (none unless it says so)."""
     return job.needs() if hasattr(job, "needs") else ()
+
+
+def _tasks(jobs: list) -> list:
+    """The execute-step tasks of ``jobs``: jobs with equal ``walk_key()``
+    run as one ``walk(members)`` task, in first-member order."""
+    groups: dict = {}
+    for job in jobs:
+        key = job.walk_key() if hasattr(job, "walk_key") else job
+        groups.setdefault(key, []).append(job)
+    return [group[0] if len(group) == 1 else group[0].walk(group)
+            for group in groups.values()]
+
+
+def _members(task) -> tuple:
+    """The jobs a task resolves: a walk's members, else the task."""
+    return getattr(task, "members", (task,))
 
 
 def _run_now(fn: Callable, *args) -> Future:
@@ -349,13 +369,13 @@ class ExecutionEngine:
         misses = [job for job in keys if job not in resolved]
         hits = len(keys) - len(misses)
         values = self._resolve_needs(misses, keys, resolved, should_abort)
-        ordered = self.cost_model.schedule(
-            [job for job in misses if job not in resolved])
+        misses = [job for job in misses if job not in resolved]
+        ordered = self.cost_model.schedule(_tasks(misses))
         workers = max(1, min(self.jobs, len(ordered)))
         # One job is not a batch: it reports its own line, no header.
         batch = len(keys) > 1
         if batch:
-            self.progress.batch_start(len(ordered), hits, workers)
+            self.progress.batch_start(len(misses), hits, workers)
         if ordered:
             try:
                 self._execute(ordered, workers, should_abort, keys, resolved,
@@ -383,8 +403,9 @@ class ExecutionEngine:
     def _execute(self, ordered: list, workers: int,
                  should_abort: Optional[Callable[[], bool]],
                  keys: dict, resolved: dict, values: dict) -> None:
-        """Run the misses on their needs' ``values``; fill ``resolved``."""
-        total = len(resolved) + len(ordered)
+        """Run the miss tasks on their needs' ``values``; fill
+        ``resolved``."""
+        total = len(resolved) + sum(len(_members(task)) for task in ordered)
         waiting = ordered[::-1]
         pending: dict[Future, object] = {}
         poll = _ABORT_POLL_SECONDS if should_abort is not None else None
@@ -407,14 +428,17 @@ class ExecutionEngine:
                                    return_when=FIRST_COMPLETED)
                     errors = []
                     for future in done:
-                        job = pending.pop(future)
+                        task = pending.pop(future)
                         try:
                             payload, seconds = future.result()
                         except Exception as exc:  # noqa: BLE001
                             errors.append(exc)
-                        else:
+                            continue
+                        members = _members(task)
+                        payloads = payload if len(members) > 1 else [payload]
+                        for job, each in zip(members, payloads):
                             resolved[job] = self._record(
-                                job, keys[job], payload, seconds)
+                                job, keys[job], each, seconds / len(members))
                     if errors:
                         raise errors[0]
             finally:

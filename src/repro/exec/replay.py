@@ -6,6 +6,12 @@ the replay of a trace — a g5 run's recording, or a SPEC synthetic
 knobs.  It speaks the job protocol of :mod:`repro.exec.pool`: its g5 run
 is its one ``needs()`` sub-job, resolved only when the replay is a miss,
 so a replay runs wherever a g5 job runs — inline, or in a pool child.
+
+Replays with equal :meth:`ReplayJob.walk_key` share a trace, an image and
+a front end; the engine runs such misses as one :class:`ReplayWalk` task,
+which walks the trace once for all of them
+(:meth:`~repro.host.cpu.HostCPU.replay_walk`) and returns one result per
+member, each equal to the member's replay alone.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from operator import attrgetter
 from typing import Optional, Union
 
 from ..g5.system import SimResult
-from ..host.corun import Contention
-from ..host.cpu import HostCPU, HostRunResult, profile_g5_run
+from ..host.corun import Contention, no_contention
+from ..host.cpu import HostCPU, HostRunResult, profile_g5_walk, walk_key
 from ..host.hugepages import HugePagePolicy
 from ..host.platform import HostPlatform
 from ..workloads import spec
@@ -58,11 +64,17 @@ class ReplayJob:
 
     @property
     def label(self) -> str:
+        """Names the replay, with every knob that is not its default."""
         source = self.source
         if self.kind == "spec":
             return f"spec {source.workload} on {self.platform.name}"
-        return (f"host {source.cpu_model}/{source.workload} "
-                f"on {self.platform.name}")
+        label = (f"host {source.cpu_model}/{source.workload} "
+                 f"on {self.platform.name}")
+        changed = ", ".join(
+            f"{knob.name}={_knob_text(getattr(self, knob.name))}"
+            for knob in fields(self)[2:]
+            if getattr(self, knob.name) != knob.default)
+        return f"{label} ({changed})" if changed else label
 
     def sort_key(self) -> tuple:
         return (self.label, self.cache_key().digest)
@@ -94,17 +106,64 @@ class ReplayJob:
         """A g5 source's run; a SPEC synthetic builds its own trace."""
         return () if self.kind == "spec" else (self.source,)
 
+    def walk_key(self) -> tuple:
+        """Replays with equal keys walk their trace once, together: the
+        same trace and image, and platforms that differ only where
+        :func:`~repro.host.cpu.walk_key` allows.  A replay with
+        contention walks alone."""
+        if self.contention not in (None, no_contention()):
+            return (self,)
+        image = () if self.kind == "spec" else tuple(
+            (name, value) for name, value in self.knobs().items()
+            if name not in ("hugepages", "contention"))
+        return (self.source, image, walk_key(self.platform))
+
+    @staticmethod
+    def walk(members: list) -> "ReplayWalk":
+        """The one task that runs ``members`` (equal walk keys)."""
+        return ReplayWalk(tuple(members))
+
     def execute(self, g5: Optional[SimResult] = None) -> HostRunResult:
         """Replay ``g5``'s recording (the value of :meth:`needs`), or
         build the SPEC synthetic and replay that."""
-        if self.kind == "spec":
-            synthetic = spec.build_spec(self.source.workload,
-                                        n_records=self.source.n_records)
-            cpu = HostCPU(self.platform, synthetic.image)
-            return cpu.replay(synthetic.trace_fns, synthetic.trace_daddrs,
-                              synthetic.fn_names)
-        return profile_g5_run(g5.recorder, self.platform, **self.knobs())
+        return ReplayWalk((self,)).execute(g5)[0]
 
     @staticmethod
     def decode(stored: object) -> Optional[HostRunResult]:
         return stored if isinstance(stored, HostRunResult) else None
+
+
+@dataclass(frozen=True)
+class ReplayWalk:
+    """Replays of one trace that walk it once: one execute-step task,
+    whose payload is each member's result, in member order."""
+
+    members: tuple
+
+    def sort_key(self) -> tuple:
+        return self.members[0].sort_key()
+
+    def needs(self) -> tuple:
+        return self.members[0].needs()
+
+    def execute(self, g5: Optional[SimResult] = None) -> list:
+        first = self.members[0]
+        if first.kind == "spec":
+            synthetic = spec.build_spec(first.source.workload,
+                                        n_records=first.source.n_records)
+            cpus = [HostCPU(job.platform, synthetic.image)
+                    for job in self.members]
+            return HostCPU.replay_walk(cpus, synthetic.trace_fns,
+                                       synthetic.trace_daddrs,
+                                       synthetic.fn_names)
+        knobs = first.knobs()
+        del knobs["hugepages"], knobs["contention"]
+        return profile_g5_walk(
+            g5.recorder, [(job.platform, job.hugepages, job.contention)
+                          for job in self.members], **knobs)
+
+
+def _knob_text(value: object) -> str:
+    if isinstance(value, Contention):
+        return f"x{value.n_processes}" + ("+smt" if value.smt_shared else "")
+    return str(getattr(value, "value", value))

@@ -14,6 +14,7 @@ slot.  Everything is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from dataclasses import replace as _dc_replace
@@ -198,24 +199,72 @@ class HostCPU:
         from laying out clusters the image lacks, a replay only reads
         the image: two replays of one image give equal results.
         """
-        counters = TopDownCounters(pipeline_width=self._effective_width())
-        width = counters.pipeline_width
-        image = self.image
-        descriptor = self._function_descriptor
+        return HostCPU._replay_all([self], trace_fns, trace_daddrs,
+                                   fn_names)[0]
+
+    @staticmethod
+    def replay_walk(cpus: list["HostCPU"], trace_fns: list[int],
+                    trace_daddrs: list[int],
+                    fn_names: list[str]) -> list[HostRunResult]:
+        """Replay one trace on every CPU of ``cpus`` in one walk; each
+        result equals (``==``) that CPU's :meth:`replay` alone, which is
+        what one CPU runs.
+
+        The CPUs share one image and :func:`walk_key`, and one with
+        contention walks alone: its quantum evictions break inclusion.
+        Build them all before the walk: it may lay clusters out, which
+        moves huge-page backing.
+        """
+        lead = cpus[0]
+        if len(cpus) == 1:
+            return [lead.replay(trace_fns, trace_daddrs, fn_names)]
+        if any(cpu.image is not lead.image
+               or cpu.contention != no_contention()
+               or cpu.tuning != lead.tuning
+               or walk_key(cpu.platform) != walk_key(lead.platform)
+               for cpu in cpus):
+            raise ValueError("these replays cannot share one walk")
+        return HostCPU._replay_all(cpus, trace_fns, trace_daddrs, fn_names)
+
+    @staticmethod
+    def _replay_all(cpus: list["HostCPU"], trace_fns: list[int],
+                    trace_daddrs: list[int],
+                    fn_names: list[str]) -> list[HostRunResult]:
+        """Start-up, then the trace, in one walk for ``cpus``."""
+        lead = cpus[0]
+        width = lead._effective_width()
+        image = lead.image
+        pages, page_of = _lanes(cpus, attrgetter("backing"))
+        caches, cache_of = _lanes(cpus, _cache_lane)
+        descriptor = lead._function_descriptor
         # ``cluster_for`` lays clusters out on demand, so the schedules
         # come first: only then is ``image.functions`` complete.
         schedules: list = [None]
         for name in fn_names[1:]:
             cluster = image.cluster_for(name)
-            schedules.append([[descriptor(fn, width) for fn in cluster.hot],
-                              [descriptor(fn, width) for fn in cluster.cold],
-                              0])
-        startup = [[descriptor(fn, width) for fn in image.startup], [], 0]
-        profile_cycles = [0.0] * len(image.functions)
-        self._run_records([startup], [0], [0], counters, profile_cycles)
-        self._run_records(schedules, trace_fns, trace_daddrs, counters,
-                          profile_cycles)
-        return self._finalize(counters, profile_cycles)
+            schedules.append(
+                [[descriptor(fn, width, pages) for fn in cluster.hot],
+                 [descriptor(fn, width, pages) for fn in cluster.cold], 0])
+        startup = [[descriptor(fn, width, pages) for fn in image.startup],
+                   [], 0]
+        counters = [TopDownCounters(pipeline_width=width) for _ in cpus]
+        profiles = [[0.0] * len(image.functions) for _ in cpus]
+        HostCPU._walk(cpus, [startup], [0], [0], counters, profiles)
+        HostCPU._walk(cpus, schedules, trace_fns, trace_daddrs, counters,
+                      profiles)
+        # A CPU's L1 is the top of the shared tag stacks; everything else
+        # it reads from the structures of the walk that served it.
+        stacks = lead.hierarchy.l1i.sets, lead.hierarchy.l1d.sets
+        for owner in caches:
+            for mine, stack in zip((owner.hierarchy.l1i,
+                                    owner.hierarchy.l1d), stacks):
+                mine.sets = [tags[:mine.assoc] for tags in stack]
+        for cpu, page, cache in zip(cpus, page_of, cache_of):
+            cpu.dsb, cpu.branch, cpu.dtlb = lead.dsb, lead.branch, lead.dtlb
+            cpu.itlb, cpu.stlb = pages[page].itlb, pages[page].stlb
+            cpu.hierarchy = caches[cache].hierarchy
+        return [cpu._finalize(mine, profile)
+                for cpu, mine, profile in zip(cpus, counters, profiles)]
 
     # ------------------------------------------------------------------
     # internals
@@ -225,19 +274,21 @@ class HostCPU:
         width = self.platform.pipeline_width * self.contention.width_factor
         return max(1.0, width)
 
-    def _function_descriptor(self, fn: SimFunction, width: float):
-        """Precompute everything the replay loop needs for one function."""
+    def _function_descriptor(self, fn: SimFunction, width: float,
+                             pages: list["HostCPU"]):
+        """Precompute everything the replay loop needs for one function:
+        its L1I lines, its iTLB key per code page policy of ``pages``,
+        its branch slots with their table indices."""
         platform = self.platform
         tuning = self.tuning
-        line_shift = platform.l1i.line_size.bit_length() - 1
+        line_shift = self.hierarchy.l1i.line_shift
         lines = tuple(range(fn.addr >> line_shift,
                             (fn.addr + fn.size - 1 >> line_shift) + 1))
         base_shift = platform.page_size.bit_length() - 1
-        if self.itlb.page_shift_for is not None:
-            shift = self.itlb.page_shift_for(fn.addr)
-        else:
-            shift = base_shift
-        itlb_key = (fn.addr >> shift) << 6 | shift
+        shifts = [base_shift if page.itlb.page_shift_for is None
+                  else page.itlb.page_shift_for(fn.addr) for page in pages]
+        itlb_keys = tuple([(fn.addr >> shift) << 6 | shift
+                           for shift in shifts])
         ideal = fn.n_uops / width
         dsb_stall = max(0.0, fn.n_uops / (platform.dsb_width
                                           * tuning.dsb_efficiency) - ideal)
@@ -252,67 +303,80 @@ class HostCPU:
         slots = min(len(fn.branch_slots), fn.n_branches)
         slot_specs = []
         base_key = fn.addr >> 2
+        bp_mask = self.branch.table_mask
         for slot in range(slots):
             bias = fn.branch_slots[slot]
             key = (base_key + slot * 97) & ((1 << 64) - 1)
-            if bias >= 1.0:
-                kind = 1
-            elif bias <= 0.0:
-                kind = 0
-            else:
-                kind = 2
-            slot_specs.append((key, kind, int(bias * 255)))
+            # A biased slot always goes one way; the others draw.
+            taken = True if bias >= 1.0 else False if bias <= 0.0 else None
+            slot_specs.append((key & bp_mask, taken, key, int(bias * 255)))
         scale = fn.n_branches / max(1, slots)
         site = (fn.addr ^ 0x5BD1) if fn.n_indirect else -1
-        return (fn.index, lines, itlb_key, fn.n_uops, dsb_stall, mite_stall,
-                dsb_install, tuple(slot_specs), scale, fn.addr, site,
-                fn.data_addr, fn.n_uops * tuning.exec_stall_per_kuop / 1000.0,
-                ideal, fn.n_branches)
+        return (fn.index, lines, itlb_keys, fn.n_uops, dsb_stall,
+                mite_stall, dsb_install, tuple(slot_specs), scale, fn.addr,
+                site, fn.data_addr,
+                fn.n_uops * tuning.exec_stall_per_kuop / 1000.0, ideal,
+                fn.n_branches)
 
-    def _run_records(self, schedules: list, trace_fns: list[int],
-                     trace_daddrs: list[int], counters: TopDownCounters,
-                     profile_cycles: list[float]) -> None:
+    @staticmethod
+    def _walk(cpus: list["HostCPU"], schedules: list, trace_fns: list[int],
+              trace_daddrs: list[int], counters: list[TopDownCounters],
+              profiles: list[list[float]]) -> None:
         """The host model: run every record's schedule through the
-        platform's structures, inlined for speed.
+        platforms' structures once for all ``cpus``, inlined for speed.
 
         A schedule is ``[hot descriptors, cold descriptors, cursor]``;
         the cursor counts the schedule's invocations and rotates its
-        cold tail.  Statistics accumulate in locals and are written to
-        ``counters`` and the structures when the pass ends; contention
-        quanta count the records of one pass.
+        cold tail.  The first CPU's DSB, branch unit, dTLB and L1 tag
+        stacks serve every CPU: a stack is as deep as the largest L1
+        associativity, and a CPU of associativity ``a`` hits where the
+        line's depth is below ``a`` (LRU inclusion).  The first CPU of
+        each code page policy lends its iTLB and STLB to the others, and
+        the first of each :func:`_cache_lane` its L2, LLC and DRAM.  A
+        function's cycles stay one float while every CPU has been
+        charged alike (always, for one CPU) and split into one per CPU
+        at the first charge that differs, so each CPU adds its floats in
+        the order a walk of its own would.
+        Statistics accumulate in locals and are written to ``counters``
+        and the structures when the pass ends; contention quanta count
+        the records of one pass.
         """
-        platform = self.platform
-        tuning = self.tuning
-        width = counters.pipeline_width
+        lead = cpus[0]
+        platform = lead.platform
+        tuning = lead.tuning
+        width = counters[0].pipeline_width
+        n_cpus = len(cpus)
+        pages, page_of = _lanes(cpus, attrgetter("backing"))
+        caches, cache_of = _lanes(cpus, _cache_lane)
+        one_page, one_cache = len(pages) == 1, len(caches) == 1
+        page_lanes, cache_lanes = range(len(pages)), range(len(caches))
         # --- local aliases for every structure --------------------------
-        hier = self.hierarchy
+        hier = lead.hierarchy
         l1i_sets, l1i_nsets = hier.l1i.sets, hier.l1i.n_sets
-        l1i_assoc = platform.l1i.assoc
         l1d_sets, l1d_nsets = hier.l1d.sets, hier.l1d.n_sets
-        l1d_assoc = platform.l1d.assoc
+        l1i_assocs = [owner.platform.l1i.assoc for owner in caches]
+        l1d_assocs = [owner.platform.l1d.assoc for owner in caches]
+        l1i_depth, l1i_min = max(l1i_assocs), min(l1i_assocs)
+        l1d_depth, l1d_min = max(l1d_assocs), min(l1d_assocs)
+        l1i_even, l1d_even = l1i_depth == l1i_min, l1d_depth == l1d_min
         l1d_shift = hier.l1d.line_shift
-        l2_sets, l2_nsets = hier.l2.sets, hier.l2.n_sets
-        l2_assoc, l2_shift = platform.l2.assoc, hier.l2.line_shift
-        llc_sets, llc_nsets = hier.llc.sets, hier.llc.n_sets
-        llc_assoc, llc_shift = platform.llc.assoc, hier.llc.line_shift
         l1i_line_shift = hier.l1i.line_shift
-        l2_latency = platform.l2_latency
-        llc_latency = platform.llc_latency
-        dram_latency = platform.dram_latency_cycles
-        line_bytes = platform.llc.line_size
-        itlb_map, itlb_entries = self.itlb.map, self.itlb.entries
-        dtlb_map, dtlb_entries = self.dtlb.map, self.dtlb.entries
-        dshift = self.dtlb.default_page_shift
-        stlb_access = self.stlb.access
-        bp_table, bp_mask = self.branch.table, self.branch.table_mask
-        slot_state = self.branch._slot_state
-        btb, btb_entries = self.branch.btb, self.branch.btb_entries
-        ind_table = self.branch.ind_table
+        fills = [owner.hierarchy.fill for owner in caches]
+        dram_latencies = [owner.hierarchy.dram_latency for owner in caches]
+        itlb_maps = tuple(enumerate(page.itlb.map for page in pages))
+        itlb_entries = lead.itlb.entries
+        stlb_accesses = [page.stlb.access for page in pages]
+        dtlb_map, dtlb_entries = lead.dtlb.map, lead.dtlb.entries
+        dshift = lead.dtlb.default_page_shift
+        bp_table = lead.branch.table
+        slot_state = lead.branch._slot_state
+        btb, btb_entries = lead.branch.btb, lead.branch.btb_entries
+        ind_table = lead.branch.ind_table
         ind_entries = btb_entries // 2
-        dsb_entries = self.dsb.entries
-        dsb_capacity = self.dsb.capacity_uops
+        dsb_entries = lead.dsb.entries
+        dsb_capacity = lead.dsb.capacity_uops
         dsb_present = dsb_capacity > 0
-        dsb_occupied = self.dsb.occupied_uops
+        dsb_occupied = lead.dsb.occupied_uops
         icache_exposure = tuning.icache_exposure
         data_exposure = tuning.data_exposure
         stlb_hit_cycles = tuning.stlb_hit_cycles
@@ -321,7 +385,7 @@ class HostCPU:
         unknown_penalty = platform.unknown_branch_penalty
         wrong_frac = tuning.wrong_path_cycle_fraction
         indirect_targets = tuning.indirect_targets
-        contention = self.contention
+        contention = lead.contention
         penalty_factor = (contention.dram_penalty_factor
                           if contention.active else 1.0)
         quantum = contention.quantum_records if contention.active else 0
@@ -329,20 +393,14 @@ class HostCPU:
                       if contention.active else 0)
         since_disturb = 0
         since_l1_disturb = 0
-        # --- local stat accumulators -------------------------------------
+        # --- local stat accumulators: shared, then per lane -------------
         retired_uops = 0
         bad_spec = 0.0
-        icache_stall = itlb_stall = 0.0
         mispredict_stall = clear_stall = unknown_stall = 0.0
         mite_bw = dsb_bw = 0.0
-        dcache_stall = dtlb_stall = exec_stall_total = 0.0
-        l1i_hits = l1i_misses = 0
-        l1d_hits = l1d_misses = 0
-        dram_reads = 0
-        dram_bytes = 0
-        l1i_pen_total = 0
-        l1d_pen_total = 0
-        itlb_hits = itlb_misses = 0
+        exec_stall_total = 0.0
+        l1i_lookups = l1d_lookups = 0
+        itlb_lookups = 0
         dtlb_hits = dtlb_misses = 0
         dsb_hits = dsb_misses = 0
         uops_dsb = uops_mite = 0
@@ -350,6 +408,16 @@ class HostCPU:
         ind_lookups = ind_misses = 0
         cond_branches = 0
         cond_mispredicts = 0.0
+        itlb_misses = [0 for _ in pages]
+        itlb_stall = [0.0 for _ in pages]
+        dtlb_stall = [0.0 for _ in pages]
+        l1i_misses = [0 for _ in caches]
+        l1d_misses = [0 for _ in caches]
+        l1i_pen_total = [0 for _ in caches]
+        l1d_pen_total = [0 for _ in caches]
+        icache_stall = [0.0 for _ in caches]
+        dcache_stall = [0.0 for _ in caches]
+        charged = [0.0 for _ in caches]     # one L1 miss's stall, by lane
         lcg_mul = 6364136223846793005
         lcg_inc = 1442695040888963407
         mask64 = (1 << 64) - 1
@@ -369,10 +437,11 @@ class HostCPU:
             else:
                 todo = hot
             for desc in todo:
-                (fn_index, lines, itlb_key, n_uops, dsb_stall, mite_stall,
+                (fn_index, lines, itlb_keys, n_uops, dsb_stall, mite_stall,
                  dsb_install, slot_specs, scale, fn_addr, site, data_addr,
                  exec_stall, ideal, n_branches) = desc
                 fn_cycles = 0.0
+                split = None        # per-CPU fn_cycles once they differ
                 retired_uops += n_uops
                 # --- µop supply (DSB hit bypasses the fetch path) --------
                 if dsb_present and fn_index in dsb_entries:
@@ -396,86 +465,80 @@ class HostCPU:
                     if mite_stall:
                         mite_bw += mite_stall
                         fn_cycles += mite_stall
-                    # --- iTLB --------------------------------------------
-                    if itlb_key in itlb_map:
-                        itlb_hits += 1
-                        del itlb_map[itlb_key]
-                        itlb_map[itlb_key] = None
-                    else:
-                        itlb_misses += 1
+                    # --- iTLB, once per code page policy -----------------
+                    itlb_lookups += 1
+                    for lane, itlb_map in itlb_maps:
+                        itlb_key = itlb_keys[lane]
+                        if itlb_key in itlb_map:
+                            del itlb_map[itlb_key]
+                            itlb_map[itlb_key] = None
+                            continue
+                        itlb_misses[lane] += 1
                         itlb_map[itlb_key] = None
                         if len(itlb_map) > itlb_entries:
                             del itlb_map[next(iter(itlb_map))]
-                        stall = (stlb_hit_cycles if stlb_access(fn_addr)
+                        stall = (stlb_hit_cycles
+                                 if stlb_accesses[lane](fn_addr)
                                  else walk_cycles)
-                        itlb_stall += stall
-                        fn_cycles += stall
-                    # --- iCache ------------------------------------------
+                        itlb_stall[lane] += stall
+                        if one_page:
+                            fn_cycles += stall
+                        else:
+                            split = [cycles + stall if mine == lane
+                                     else cycles for cycles, mine in zip(
+                                         split or [fn_cycles] * n_cpus,
+                                         page_of)]
+                    # --- iCache: one tag stack, misses once per lane ----
+                    l1i_lookups += len(lines)
                     for line in lines:
                         cache_set = l1i_sets[line % l1i_nsets]
                         if line in cache_set:
-                            l1i_hits += 1
-                            if cache_set[0] != line:
+                            if cache_set[0] == line:
+                                continue
+                            if l1i_even:
                                 cache_set.remove(line)
                                 cache_set.insert(0, line)
-                            continue
-                        l1i_misses += 1
-                        cache_set.insert(0, line)
-                        if len(cache_set) > l1i_assoc:
-                            cache_set.pop()
-                        addr = line << l1i_line_shift
-                        # L2
-                        l2_line = addr >> l2_shift
-                        l2_set = l2_sets[l2_line % l2_nsets]
-                        if l2_line in l2_set:
-                            hier.l2.hits += 1
-                            if l2_set[0] != l2_line:
-                                l2_set.remove(l2_line)
-                                l2_set.insert(0, l2_line)
-                            penalty = l2_latency
+                                continue
+                            depth = cache_set.index(line)
+                            del cache_set[depth]
+                            cache_set.insert(0, line)
+                            if depth < l1i_min:
+                                continue
                         else:
-                            hier.l2.misses += 1
-                            l2_set.insert(0, l2_line)
-                            if len(l2_set) > l2_assoc:
-                                l2_set.pop()
-                            llc_line = addr >> llc_shift
-                            llc_set = llc_sets[llc_line % llc_nsets]
-                            if llc_line in llc_set:
-                                hier.llc.hits += 1
-                                if llc_set[0] != llc_line:
-                                    llc_set.remove(llc_line)
-                                    llc_set.insert(0, llc_line)
-                                penalty = llc_latency
-                            else:
-                                hier.llc.misses += 1
-                                llc_set.insert(0, llc_line)
-                                if len(llc_set) > llc_assoc:
-                                    llc_set.pop()
-                                penalty = dram_latency
-                                dram_reads += 1
-                                dram_bytes += line_bytes
-                        l1i_pen_total += penalty
-                        # Bandwidth contention stretches every L1I miss,
-                        # wherever it is served from; the data side
-                        # (below) stretches DRAM accesses only.
-                        stall = penalty * icache_exposure * penalty_factor
-                        icache_stall += stall
-                        fn_cycles += stall
+                            depth = l1i_depth
+                            cache_set.insert(0, line)
+                            if len(cache_set) > l1i_depth:
+                                cache_set.pop()
+                        addr = line << l1i_line_shift
+                        for lane in cache_lanes:
+                            if l1i_assocs[lane] > depth:
+                                charged[lane] = 0.0
+                                continue
+                            l1i_misses[lane] += 1
+                            penalty = fills[lane](addr)
+                            l1i_pen_total[lane] += penalty
+                            # Bandwidth contention stretches every L1I
+                            # miss, wherever it is served from; the data
+                            # side (below) stretches DRAM accesses only.
+                            stall = penalty * icache_exposure * penalty_factor
+                            icache_stall[lane] += stall
+                            charged[lane] = stall
+                        if one_cache and split is None:
+                            fn_cycles += stall
+                        else:
+                            split = [cycles + charged[lane] for cycles, lane
+                                     in zip(split or [fn_cycles] * n_cpus,
+                                            cache_of)]
                 # --- conditional branches --------------------------------
                 mispredicted = 0
-                for key, kind, threshold in slot_specs:
-                    if kind == 1:
-                        taken = True
-                    elif kind == 0:
-                        taken = False
-                    else:
+                for index, taken, key, threshold in slot_specs:
+                    if taken is None:
                         state = slot_state.get(key)
                         if state is None:
                             state = key ^ 0x9E3779B9
                         state = (state * lcg_mul + lcg_inc) & mask64
                         slot_state[key] = state
                         taken = ((state >> 40) & 0xFF) < threshold
-                    index = key & bp_mask
                     counter = bp_table[index]
                     if (counter >= 2) != taken:
                         mispredicted += 1
@@ -492,6 +555,8 @@ class HostCPU:
                     mispredict_stall += stall
                     bad_spec += stall * width * wrong_frac
                     fn_cycles += stall
+                    if split is not None:
+                        split = [cycles + stall for cycles in split]
                 # --- BTB -------------------------------------------------
                 btb_lookups += 1
                 if fn_addr in btb:
@@ -504,6 +569,9 @@ class HostCPU:
                         del btb[next(iter(btb))]
                     unknown_stall += unknown_penalty
                     fn_cycles += unknown_penalty
+                    if split is not None:
+                        split = [cycles + unknown_penalty
+                                 for cycles in split]
                 # --- indirect (virtual) calls ----------------------------
                 # The target depends on the object's dynamic type,
                 # modelled as a function of the data address.
@@ -522,6 +590,9 @@ class HostCPU:
                         clear_stall += mispredict_penalty
                         bad_spec += (mispredict_penalty * width * wrong_frac)
                         fn_cycles += mispredict_penalty
+                        if split is not None:
+                            split = [cycles + mispredict_penalty
+                                     for cycles in split]
                 # --- data side -------------------------------------------
                 for addr in (daddr, data_addr) if daddr else (data_addr,):
                     dkey = (addr >> dshift) << 6 | dshift
@@ -534,111 +605,117 @@ class HostCPU:
                         dtlb_map[dkey] = None
                         if len(dtlb_map) > dtlb_entries:
                             del dtlb_map[next(iter(dtlb_map))]
-                        if stlb_access(addr):
-                            stall = stlb_hit_cycles * data_exposure
-                        else:
-                            stall = walk_cycles * data_exposure
-                        dtlb_stall += stall
-                        fn_cycles += stall
+                        for lane in page_lanes:
+                            if stlb_accesses[lane](addr):
+                                stall = stlb_hit_cycles * data_exposure
+                            else:
+                                stall = walk_cycles * data_exposure
+                            dtlb_stall[lane] += stall
+                            if one_page and split is None:
+                                fn_cycles += stall
+                            else:
+                                split = [cycles + stall if mine == lane
+                                         else cycles for cycles, mine in zip(
+                                             split or [fn_cycles] * n_cpus,
+                                             page_of)]
+                    l1d_lookups += 1
                     dline = addr >> l1d_shift
                     d_set = l1d_sets[dline % l1d_nsets]
                     if dline in d_set:
-                        l1d_hits += 1
-                        if d_set[0] != dline:
+                        if d_set[0] == dline:
+                            continue
+                        if l1d_even:
                             d_set.remove(dline)
                             d_set.insert(0, dline)
-                        continue
-                    l1d_misses += 1
-                    d_set.insert(0, dline)
-                    if len(d_set) > l1d_assoc:
-                        d_set.pop()
-                    l2_line = addr >> l2_shift
-                    l2_set = l2_sets[l2_line % l2_nsets]
-                    if l2_line in l2_set:
-                        hier.l2.hits += 1
-                        if l2_set[0] != l2_line:
-                            l2_set.remove(l2_line)
-                            l2_set.insert(0, l2_line)
-                        penalty = l2_latency
+                            continue
+                        depth = d_set.index(dline)
+                        del d_set[depth]
+                        d_set.insert(0, dline)
+                        if depth < l1d_min:
+                            continue
                     else:
-                        hier.l2.misses += 1
-                        l2_set.insert(0, l2_line)
-                        if len(l2_set) > l2_assoc:
-                            l2_set.pop()
-                        llc_line = addr >> llc_shift
-                        llc_set = llc_sets[llc_line % llc_nsets]
-                        if llc_line in llc_set:
-                            hier.llc.hits += 1
-                            if llc_set[0] != llc_line:
-                                llc_set.remove(llc_line)
-                                llc_set.insert(0, llc_line)
-                            penalty = llc_latency
-                        else:
-                            hier.llc.misses += 1
-                            llc_set.insert(0, llc_line)
-                            if len(llc_set) > llc_assoc:
-                                llc_set.pop()
-                            penalty = dram_latency
-                            dram_reads += 1
-                            dram_bytes += line_bytes
-                    l1d_pen_total += penalty
-                    if penalty >= dram_latency:
-                        penalty *= penalty_factor
-                    stall = penalty * data_exposure
-                    dcache_stall += stall
-                    fn_cycles += stall
+                        depth = l1d_depth
+                        d_set.insert(0, dline)
+                        if len(d_set) > l1d_depth:
+                            d_set.pop()
+                    for lane in cache_lanes:
+                        if l1d_assocs[lane] > depth:
+                            charged[lane] = 0.0
+                            continue
+                        l1d_misses[lane] += 1
+                        penalty = fills[lane](addr)
+                        l1d_pen_total[lane] += penalty
+                        if penalty >= dram_latencies[lane]:
+                            penalty *= penalty_factor
+                        stall = penalty * data_exposure
+                        dcache_stall[lane] += stall
+                        charged[lane] = stall
+                    if one_cache and split is None:
+                        fn_cycles += stall
+                    else:
+                        split = [cycles + charged[lane] for cycles, lane
+                                 in zip(split or [fn_cycles] * n_cpus,
+                                        cache_of)]
                 # --- intrinsic back-end stalls ---------------------------
                 exec_stall_total += exec_stall
-                fn_cycles += exec_stall
-                profile_cycles[fn_index] += fn_cycles + ideal
+                if split is None:
+                    fn_cycles += exec_stall
+                    fn_cycles += ideal
+                    for profile in profiles:
+                        profile[fn_index] += fn_cycles
+                else:
+                    for profile, cycles in zip(profiles, split):
+                        profile[fn_index] += cycles + exec_stall + ideal
             if quantum:
                 since_disturb += 1
                 if since_disturb >= quantum:
                     since_disturb = 0
-                    self.dsb.occupied_uops = dsb_occupied
-                    self._disturb()
-                    dsb_occupied = self.dsb.occupied_uops
+                    lead.dsb.occupied_uops = dsb_occupied
+                    lead._disturb()
+                    dsb_occupied = lead.dsb.occupied_uops
                 if l1_quantum:
                     since_l1_disturb += 1
                     if since_l1_disturb >= l1_quantum:
                         since_l1_disturb = 0
-                        self._disturb_l1()
+                        lead._disturb_l1()
         # --- write the accumulators back ----------------------------------
-        counters.retired_uops += retired_uops
-        counters.bad_spec_uops += bad_spec
-        counters.icache_stall_cycles += icache_stall
-        counters.itlb_stall_cycles += itlb_stall
-        counters.mispredict_resteer_cycles += mispredict_stall
-        counters.clear_resteer_cycles += clear_stall
-        counters.unknown_branch_cycles += unknown_stall
-        counters.mite_bw_cycles += mite_bw
-        counters.dsb_bw_cycles += dsb_bw
-        counters.dcache_stall_cycles += dcache_stall
-        counters.dtlb_stall_cycles += dtlb_stall
-        counters.exec_stall_cycles += exec_stall_total
-        hier.l1i.hits += l1i_hits
-        hier.l1i.misses += l1i_misses
-        hier.l1d.hits += l1d_hits
-        hier.l1d.misses += l1d_misses
-        hier.dram_reads += dram_reads
-        hier.dram_bytes += dram_bytes
-        hier.l1i_miss_penalty_total += l1i_pen_total
-        hier.l1d_miss_penalty_total += l1d_pen_total
-        self.itlb.hits += itlb_hits
-        self.itlb.misses += itlb_misses
-        self.dtlb.hits += dtlb_hits
-        self.dtlb.misses += dtlb_misses
-        self.dsb.hits += dsb_hits
-        self.dsb.misses += dsb_misses
-        self.dsb.uops_from_dsb += uops_dsb
-        self.dsb.uops_from_mite += uops_mite
-        self.dsb.occupied_uops = dsb_occupied
-        self.branch.btb_lookups += btb_lookups
-        self.branch.btb_misses += btb_misses
-        self.branch.ind_lookups += ind_lookups
-        self.branch.ind_misses += ind_misses
-        self.branch.cond_branches += cond_branches
-        self.branch.cond_mispredicts += cond_mispredicts
+        for mine, page, cache in zip(counters, page_of, cache_of):
+            mine.retired_uops += retired_uops
+            mine.bad_spec_uops += bad_spec
+            mine.icache_stall_cycles += icache_stall[cache]
+            mine.itlb_stall_cycles += itlb_stall[page]
+            mine.mispredict_resteer_cycles += mispredict_stall
+            mine.clear_resteer_cycles += clear_stall
+            mine.unknown_branch_cycles += unknown_stall
+            mine.mite_bw_cycles += mite_bw
+            mine.dsb_bw_cycles += dsb_bw
+            mine.dcache_stall_cycles += dcache_stall[cache]
+            mine.dtlb_stall_cycles += dtlb_stall[page]
+            mine.exec_stall_cycles += exec_stall_total
+        for lane, owner in enumerate(caches):
+            owner_hier = owner.hierarchy
+            owner_hier.l1i.hits += l1i_lookups - l1i_misses[lane]
+            owner_hier.l1i.misses += l1i_misses[lane]
+            owner_hier.l1d.hits += l1d_lookups - l1d_misses[lane]
+            owner_hier.l1d.misses += l1d_misses[lane]
+            owner_hier.l1i_miss_penalty_total += l1i_pen_total[lane]
+            owner_hier.l1d_miss_penalty_total += l1d_pen_total[lane]
+        for lane, page in enumerate(pages):
+            page.itlb.hits += itlb_lookups - itlb_misses[lane]
+            page.itlb.misses += itlb_misses[lane]
+        lead.dtlb.hits += dtlb_hits
+        lead.dtlb.misses += dtlb_misses
+        lead.dsb.hits += dsb_hits
+        lead.dsb.misses += dsb_misses
+        lead.dsb.uops_from_dsb += uops_dsb
+        lead.dsb.uops_from_mite += uops_mite
+        lead.dsb.occupied_uops = dsb_occupied
+        lead.branch.btb_lookups += btb_lookups
+        lead.branch.btb_misses += btb_misses
+        lead.branch.ind_lookups += ind_lookups
+        lead.branch.ind_misses += ind_misses
+        lead.branch.cond_branches += cond_branches
+        lead.branch.cond_mispredicts += cond_mispredicts
 
     def _disturb(self) -> None:
         """Apply one scheduling quantum of shared-resource pressure."""
@@ -734,6 +811,38 @@ class HostCPU:
         )
 
 
+def walk_key(platform: HostPlatform) -> tuple:
+    """What replays must share to walk one trace together
+    (:meth:`HostCPU.replay_walk`): every parameter but the L1
+    associativities, the L2, the LLC, the latencies and the clock."""
+    return (platform.pipeline_width, platform.mite_width,
+            platform.dsb_width, platform.dsb_uops, platform.page_size,
+            platform.itlb_entries, platform.dtlb_entries,
+            platform.stlb_entries, platform.tlb_walk_cycles,
+            platform.btb_entries, platform.bp_table_bits,
+            platform.mispredict_penalty, platform.unknown_branch_penalty,
+            platform.l1i.n_sets, platform.l1i.line_size,
+            platform.l1d.n_sets, platform.l1d.line_size)
+
+
+def _lanes(cpus: list[HostCPU], key) -> tuple[list[HostCPU], list[int]]:
+    """The first CPU of each distinct ``key(cpu)``, and each CPU's index
+    into that list."""
+    keys = [key(cpu) for cpu in cpus]
+    distinct = list(dict.fromkeys(keys))
+    return ([cpus[keys.index(each)] for each in distinct],
+            [distinct.index(each) for each in keys])
+
+
+def _cache_lane(cpu: HostCPU) -> tuple:
+    """What replays in one walk must share to share L2/LLC state: the L1
+    miss streams that feed it, its geometry and its latencies."""
+    platform = cpu.platform
+    return (platform.l1i.assoc, platform.l1d.assoc, platform.l2,
+            platform.llc, platform.l2_latency, platform.llc_latency,
+            platform.dram_latency_cycles)
+
+
 def profile_g5_run(recorder: ExecutionRecorder, platform: HostPlatform,
                    opt_level: int = 2,
                    hugepages: HugePagePolicy = HugePagePolicy.NONE,
@@ -750,6 +859,20 @@ def profile_g5_run(recorder: ExecutionRecorder, platform: HostPlatform,
     interest (m5 work begin/end), the paper's counter-read window;
     ``max_records`` truncates what is left.
     """
+    return profile_g5_walk(recorder, [(platform, hugepages, contention)],
+                           opt_level=opt_level, seed=seed,
+                           layout_quality=layout_quality,
+                           cluster_scale=cluster_scale, roi_only=roi_only,
+                           max_records=max_records)[0]
+
+
+def profile_g5_walk(recorder: ExecutionRecorder, hosts: list[tuple],
+                    opt_level: int = 2, seed: int = 1,
+                    layout_quality: float = 1.0, cluster_scale: float = 1.0,
+                    roi_only: bool = False,
+                    max_records: Optional[int] = None) -> list[HostRunResult]:
+    """:func:`profile_g5_run` for every ``(platform, hugepages,
+    contention)`` of ``hosts``: one image, one walk of the trace."""
     if roi_only:
         trace_fns, trace_daddrs = recorder.roi_slice()
     else:
@@ -760,6 +883,8 @@ def profile_g5_run(recorder: ExecutionRecorder, platform: HostPlatform,
     image = BinaryImage.for_recorder_functions(
         recorder.known_functions(), opt_level=opt_level, seed=seed,
         layout_quality=layout_quality, cluster_scale=cluster_scale)
-    cpu = HostCPU(platform, image, hugepages=hugepages,
-                  contention=contention)
-    return cpu.replay(trace_fns, trace_daddrs, recorder.fn_names)
+    cpus = [HostCPU(platform, image, hugepages=hugepages,
+                    contention=contention)
+            for platform, hugepages, contention in hosts]
+    return HostCPU.replay_walk(cpus, trace_fns, trace_daddrs,
+                               recorder.fn_names)

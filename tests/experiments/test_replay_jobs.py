@@ -15,7 +15,9 @@ from collections import Counter
 import pytest
 
 from repro.core.report import Figure
-from repro.exec import ResultCache
+from repro.exec import ResultCache, pool
+from repro.exec.costmodel import job_class
+from repro.exec.pool import G5Job
 from repro.experiments import FIGURES
 from repro.experiments.common import GEM5_CONFIGS
 from repro.experiments.runner import ExperimentRunner
@@ -28,15 +30,17 @@ FIG14 = FIGURES["fig14"]
 
 @pytest.fixture
 def replay_calls(monkeypatch):
-    """Counts ``HostCPU.replay`` calls made while the test runs."""
+    """The platforms replayed in this process while the test runs: one
+    per member of every ``HostCPU.replay_walk``, the path every replay
+    job takes, alone or with others."""
     calls = []
-    real = HostCPU.replay
+    real = HostCPU.replay_walk
 
-    def counting(self, *args, **kwargs):
-        calls.append(self.platform.name)
-        return real(self, *args, **kwargs)
+    def counting(cpus, *args, **kwargs):
+        calls.extend(cpu.platform.name for cpu in cpus)
+        return real(cpus, *args, **kwargs)
 
-    monkeypatch.setattr(HostCPU, "replay", counting)
+    monkeypatch.setattr(HostCPU, "replay_walk", staticmethod(counting))
     return calls
 
 
@@ -142,3 +146,48 @@ def test_a_cold_campaign_never_reads_g5_results_back_from_disk(tmp_path):
     assert stats["g5_executed"] == stats["g5_runs"] == len(rows) + 1
     assert stats["host_replays"] == 2 * len(rows) + 2
     assert stats["host_disk_hits"] == 0
+
+
+def test_fig14_walks_each_trace_once_and_stores_every_member(
+        tmp_path, monkeypatch):
+    """Fig. 14's 21 replays are 3 traces on 7 geometries: 3 pool tasks,
+    21 cache entries and 21 counted replays; warm, all 21 are hits."""
+    tasks = []
+    real_tasks = pool._tasks
+
+    def spying(jobs):
+        made = real_tasks(jobs)
+        tasks.extend(task for task in made if not isinstance(task, G5Job))
+        return made
+
+    monkeypatch.setattr(pool, "_tasks", spying)
+    cache = ResultCache(tmp_path)
+
+    def campaign():
+        runner = ExperimentRunner(scale="test", max_records=5000, jobs=2,
+                                  cache=cache)
+        runner.prefetch_figures([FIG14])
+        return runner.engine.stats, FIG14.run(runner).render()
+
+    cold, cold_text = campaign()
+    assert [len(task.members) for task in tasks] == [7, 7, 7]
+    assert cold.replays_executed == {"host": 21}
+    assert sum(entry.kind == "host" for entry in cache.entries()) == 21
+    del tasks[:]
+    warm, warm_text = campaign()
+    assert tasks == []
+    assert warm.replay_hits == {"host": 21} and not warm.replays_executed
+    assert warm_text == cold_text
+
+
+def test_fig10_replays_have_distinct_labels_and_cost_classes():
+    """4KB, THP and EHP replays of one trace differ in their knobs, so
+    their progress lines, ``by_label`` entries and cost classes do."""
+    runner = ExperimentRunner(scale="test", max_records=60000)
+    jobs = FIGURES["fig10"].required_replays(runner)
+    assert len(jobs) == 12
+    assert len({job.label for job in jobs}) == 12
+    assert len({job_class(job) for job in jobs}) == 12
+    assert ("host o3/water_nsquared on Intel_Xeon "
+            "(hugepages=thp, max_records=60000)") \
+        in {job.label for job in jobs}

@@ -10,7 +10,8 @@ from repro.host.binary import BinaryImage
 from repro.host.corun import Contention, corun_contention, no_contention
 from repro.host.cpu import HostCPU, ReplayTuning, profile_g5_run
 from repro.host.hugepages import HugePagePolicy
-from repro.host.platform import firesim_rocket, intel_xeon, m1_pro
+from repro.host.firesim import FIG14_CONFIGS, platform_for
+from repro.host.platform import firesim_rocket, intel_xeon, m1_pro, m1_ultra
 
 GOLDEN = Path(__file__).parent / "golden" / "replay_counters.json"
 
@@ -49,6 +50,11 @@ def golden_cells():
         for policy in (HugePagePolicy.NONE, HugePagePolicy.THP):
             cells[f"{name}-{policy.value}"] = (platform,
                                                {"hugepages": policy})
+    # The shapes one walk shares: Fig. 14's largest L1s, the M1 Ultra's
+    # uncore and the Xeon's third code page policy.
+    cells["firesim_64k-none"] = (platform_for(FIG14_CONFIGS[-1]), {})
+    cells["m1_ultra-none"] = (m1_ultra(), {})
+    cells["xeon-ehp"] = (xeon, {"hugepages": HugePagePolicy.EHP})
     return cells
 
 
