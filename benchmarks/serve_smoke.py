@@ -10,7 +10,9 @@ exercises the serving contract end to end:
 3. wait for all three — parked server-side, so the waits cost a
    handful of status requests, not one per poll interval — and check
    the coalesce counter on ``/metrics``;
-4. ``POST /api/v1/drain`` and require a clean exit (code 0 with the
+4. resubmit a finished document: the memo hit must come back in one
+   round trip, ``source == "memo"``, with the first reply's result;
+5. ``POST /api/v1/drain`` and require a clean exit (code 0 with the
    drain report on stdout).
 
 Exits non-zero with a diagnostic on any violation; CI runs it as::
@@ -38,6 +40,16 @@ from repro.serve import ServeClient  # noqa: E402
 def fail(message: str) -> "NoReturn":  # noqa: F821
     print(f"SMOKE FAIL: {message}", file=sys.stderr)
     raise SystemExit(1)
+
+
+class CountingClient(ServeClient):
+    """A client that counts the requests it puts on the wire."""
+
+    round_trips = 0
+
+    def _open(self, request):
+        self.round_trips += 1
+        return super()._open(request)
 
 
 def main() -> int:
@@ -104,13 +116,28 @@ def main() -> int:
             fail(f"duplicate source: {dup_result['source']}")
         print("3 jobs done via 2 executions; coalesce counter == 1")
 
-        # 4. clean drain over HTTP.
+        # 4. a finished document again: answered from the memo by the
+        # submission itself.
+        first = client.result(primary["id"])
+        counting = CountingClient(match.group(1), timeout=15.0)
+        hit = counting.run({"kind": "g5", "workload": "canneal",
+                            "cpu": "timing", "scale": "simsmall"},
+                           timeout=60.0)
+        if counting.round_trips != 1:
+            fail(f"memo hit took {counting.round_trips} round trips")
+        if hit["source"] != "memo":
+            fail(f"resubmission source: {hit['source']}")
+        if hit["result"] != first["result"]:
+            fail("memo hit result differs from the first reply's")
+        print("resubmission answered from the memo in one round trip")
+
+        # 5. clean drain over HTTP.
         client.drain()
         returncode = proc.wait(timeout=60.0)
         output = banner + proc.stdout.read()
         if returncode != 0:
             fail(f"daemon exited {returncode}:\n{output}")
-        if "drained: 3 done, 0 cancelled, 0 failed" not in output:
+        if "drained: 4 done, 0 cancelled, 0 failed" not in output:
             fail(f"unexpected drain report:\n{output}")
         print("daemon drained cleanly (exit 0)")
     finally:

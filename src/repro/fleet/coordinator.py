@@ -30,6 +30,7 @@ as the fleet serves traffic.
 
 from __future__ import annotations
 
+import json
 import threading
 import urllib.error
 from dataclasses import dataclass, field
@@ -363,7 +364,10 @@ class Coordinator:
             self._requeue(job, worker, exclude=True,
                           why=f"connection failed: {exc}")
             return
-        self._settle(job, worker, DONE, result=reply.get("result"),
+        # Stored as its JSON text, like a daemon's result: the relayed
+        # dict is dropped here and every reply splices the text in.
+        self._settle(job, worker, DONE,
+                     result=json.dumps(reply["result"], sort_keys=True),
                      source=reply.get("source"))
         if reply.get("source") == "executed":
             self._observe_duration(job, client, remote_id)

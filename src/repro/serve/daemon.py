@@ -27,7 +27,7 @@ from typing import Optional, TextIO
 
 from ..exec.cache import ResultCache
 from . import clock
-from .http import API_PREFIX, Route, Service, run_until_signal
+from .http import API_PREFIX, JSONText, Route, Service, run_until_signal
 from .jobs import JobRecord, JobRequestError, parse_job_request
 from .metrics import ServeMetrics
 from .queue import JobQueue, QueueFull, ServerDraining
@@ -62,7 +62,8 @@ def job_routes(queue: JobQueue, submit) -> list[Route]:
     result.  The coordinator's jobs live in a :class:`JobQueue` too, so
     it serves these as is.  With ``?wait=`` each parks the request on
     the job's ``finished`` event (set by a finish or a drain's cancel)
-    instead of answering "not yet"."""
+    instead of answering "not yet".  A result reply splices the
+    record's stored JSON text in, so no reply re-encodes a payload."""
 
     def parked(answer):
         def route(job_id: str, wait: float) -> tuple[int, dict]:
@@ -89,7 +90,7 @@ def job_routes(queue: JobQueue, submit) -> list[Route]:
         if record.state == "done":
             return 200, {"id": record.id, "state": record.state,
                          "source": record.source,
-                         "result": record.result}
+                         "result": JSONText(record.result)}
         if record.state == "failed":
             return 500, {"id": record.id, "state": record.state,
                          "error": record.error}
@@ -177,17 +178,25 @@ class SimServer(Service):
     # application responses (the route table's callables)
     # ------------------------------------------------------------------
     def submit_response(self, doc: object) -> tuple:
+        """Admit a job document.  A memo hit is answered here, on the
+        request thread: admitted already done, it never enters the
+        queue, wakes a worker or is priced by the cost model."""
         try:
             request = parse_job_request(doc)
         except JobRequestError as exc:
             return 400, {"error": str(exc)}
-        record = JobRecord(
-            id=self.queue.next_id(),
-            request=request,
-            digest=request.digest(),
-            predicted_seconds=self.scheduler.predict(request))
+        record = JobRecord(id=self.queue.next_id(), request=request,
+                           digest=request.digest())
+        memo = self.scheduler.memo_get(record.digest)
         try:
-            self.queue.submit(record)
+            if memo is None:
+                record.predicted_seconds = self.scheduler.predict(request)
+                self.queue.submit(record)
+            else:
+                record.started_at = clock.wall()
+                self.queue.submit_settled(record, result=memo,
+                                          source="memo",
+                                          finished_at=record.started_at)
         except ServerDraining as exc:
             self.metrics.rejected.inc()
             return 503, {"error": str(exc), "state": "rejected"}
@@ -200,6 +209,9 @@ class SimServer(Service):
         self.metrics.submitted.inc()
         if record.coalesced_into is not None:
             self.metrics.coalesced.inc()
+        if memo is not None:
+            self.metrics.memo_hits.inc()
+            self.metrics.completed[record.state].inc()
         return 202, {
             "id": record.id,
             "state": record.state,

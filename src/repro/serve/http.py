@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import clock
 
-__all__ = ["API_PREFIX", "CHECKSUM_HEADER", "Route", "Service",
-           "run_until_signal"]
+__all__ = ["API_PREFIX", "CHECKSUM_HEADER", "JSONText", "Route",
+           "Service", "encode_json", "run_until_signal"]
 
 API_PREFIX = "/api/v1"
 
@@ -54,6 +54,27 @@ def parse_wait(query: str) -> float:
     return min(wait, MAX_WAIT_SECONDS)
 
 
+class JSONText(str):
+    """A value already encoded as ``json.dumps(value, sort_keys=True)``.
+
+    As a member of a reply document it is spliced in verbatim by
+    :func:`encode_json`, so a stored result is encoded once, not once
+    per reply.
+    """
+
+
+def encode_json(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True)`` with each :class:`JSONText`
+    member spliced in as is: byte-identical to encoding the document
+    with that member decoded."""
+    if not any(isinstance(value, JSONText) for value in doc.values()):
+        return json.dumps(doc, sort_keys=True)
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: " + (value if isinstance(value, JSONText)
+                                  else json.dumps(value, sort_keys=True))
+        for key, value in sorted(doc.items())) + "}"
+
+
 class Route(NamedTuple):
     """One row of an application's route table.
 
@@ -63,8 +84,9 @@ class Route(NamedTuple):
     body is ``None``) or ``"blob"`` (raw bytes up to
     :data:`MAX_STORE_BYTES`, checked against :data:`CHECKSUM_HEADER`
     when the peer sent it).  ``call`` returns ``(status, payload)`` or
-    ``(status, payload, headers)``; a dict payload goes out as JSON,
-    ``str`` as Prometheus text, ``bytes`` as a checksummed blob.
+    ``(status, payload, headers)``; a dict payload goes out as JSON
+    (:func:`encode_json`), ``str`` as Prometheus text, ``bytes`` as a
+    checksummed blob.
     ``endpoint`` labels the request in the latency histogram.  A
     ``wait`` route gets one more argument, :func:`parse_wait`'s seconds:
     how long it may park the request for a job to settle.
@@ -162,7 +184,7 @@ class _Handler(BaseHTTPRequestHandler):
             body, content_type = (payload.encode(),
                                   "text/plain; version=0.0.4")
         else:
-            body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+            body = (encode_json(payload) + "\n").encode()
             content_type = "application/json"
         self.send_response(status)
         self.send_header("Content-Type", content_type)

@@ -249,8 +249,10 @@ class JobRecord:
     #: how the result was obtained: "executed" | "disk-cache" | "memo"
     #: | "coalesced:<primary job id>"
     source: Optional[str] = None
-    #: packed, JSON-safe payload (see repro.g5.serialize for g5 jobs)
-    result: Optional[dict] = None
+    #: the packed payload (see repro.g5.serialize for g5 jobs) as its
+    #: JSON text, ``json.dumps(payload, sort_keys=True)``, encoded once
+    #: when the result is produced or relayed
+    result: Optional[str] = None
     #: primary job this submission was coalesced into, if any
     coalesced_into: Optional[str] = None
     #: job ids coalesced into this primary

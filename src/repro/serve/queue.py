@@ -19,7 +19,9 @@ full-system boot.
 Submissions beyond that raise :class:`QueueFull`, which the HTTP layer
 maps to ``429 Too Many Requests``.  Coalesced submissions are exempt:
 they add a waiter entry to an existing in-flight job instead of queue
-depth, which is the whole point of coalescing.
+depth, which is the whole point of coalescing.  So are memo hits:
+the daemon admits one already settled (:meth:`JobQueue.submit_settled`),
+so it never occupies the queue or wakes a worker.
 
 **Coalescing.**  Submissions whose digest matches a queued or running
 job attach to that primary and complete with it — one execution, many
@@ -108,6 +110,26 @@ class JobQueue:
             self.submitted += 1
             return record
 
+    def submit_settled(self, record: JobRecord, *, result: str,
+                       source: str, finished_at: float) -> JobRecord:
+        """Admit ``record`` already done (a memo hit answered on the
+        request thread): counted as submitted, settled and retained
+        like a finished job, but never queued.
+
+        Raises :class:`ServerDraining` like :meth:`submit`.
+        """
+        with self._lock:
+            if self._draining:
+                self.rejected += 1
+                raise ServerDraining("server is draining")
+            self._jobs[record.id] = record
+            self.submitted += 1
+            self._settle(record, state=DONE, result=result, error=None,
+                         source=source, finished_at=finished_at)
+            self._evict_history()
+        record.finished.set()
+        return record
+
     def _enqueue(self, record: JobRecord) -> None:
         bisect.insort(self._queued, (record.predicted_seconds,
                                      next(self._seq), record.id))
@@ -155,7 +177,7 @@ class JobQueue:
             return True
 
     def finish(self, record: JobRecord, *, state: str,
-               result: Optional[dict] = None,
+               result: Optional[str] = None,
                error: Optional[str] = None,
                source: Optional[str] = None,
                finished_at: Optional[float] = None) -> list[JobRecord]:

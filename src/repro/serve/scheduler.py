@@ -3,9 +3,13 @@
 ``workers`` scheduler threads claim jobs off the :class:`JobQueue`
 (cheapest-predicted-first) and resolve each through:
 
-1. **memo** — a bounded in-process map of recently produced packed
-   results, so a burst of identical requests after the first completes
-   never touches the disk;
+1. **memo** — a bounded, least-recently-used map from digest to the
+   JSON text of a recently produced packed result (encoded once, when
+   it is produced), so a burst of identical requests after the first
+   completes never touches the disk or the encoder.  The daemon reads
+   it through :meth:`Scheduler.memo_get` before admission and answers
+   a hit on the request thread; the check here catches jobs that were
+   queued before their twin finished;
 2. **the exec engine** — g5 and sampled jobs go through
    :meth:`ExecutionEngine.resolve <repro.exec.pool.ExecutionEngine
    .resolve>`, the pipeline the batch CLI uses (disk cache shared with
@@ -26,9 +30,11 @@ regression answers the queue's priority estimates and ETAs.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import threading
+from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, \
     ThreadPoolExecutor
 from typing import Callable, Optional
@@ -55,7 +61,7 @@ def predict_request(cost_model: CostModel, request: JobRequest) -> float:
                                                   request.scale))
                for requirement in FIGURES[request.figure_id].required_g5())
 
-#: How many result payloads the in-process memo retains.
+#: How many encoded results the in-process memo retains.
 MEMO_CAPACITY = 256
 
 #: Disk-cache stores between prune sweeps (when a byte cap is set).
@@ -113,7 +119,8 @@ class Scheduler:
         #: test seam: replaces pool execution for g5 jobs; signature
         #: ``fn(g5job) -> (packed_result, seconds)``.
         self._execute_fn = execute_fn
-        self._memo: dict[str, dict] = {}
+        #: digest -> the payload's JSON text, least recently used first
+        self._memo: OrderedDict[str, str] = OrderedDict()
         self._memo_lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -200,7 +207,7 @@ class Scheduler:
                                      record.predicted_seconds, actual)
 
     def _finish(self, record: JobRecord, *, state: str,
-                result: Optional[dict] = None,
+                result: Optional[str] = None,
                 error: Optional[str] = None,
                 source: Optional[str] = None) -> None:
         settled = self.queue.finish(record, state=state, result=result,
@@ -215,9 +222,10 @@ class Scheduler:
     # ------------------------------------------------------------------
     # resolution layers
     # ------------------------------------------------------------------
-    def _obtain(self, record: JobRecord) -> tuple[dict, str]:
-        """The packed payload for a job plus where it came from."""
-        memo = self._memo_get(record.digest)
+    def _obtain(self, record: JobRecord) -> tuple[str, str]:
+        """The packed payload's JSON text for a job plus where it came
+        from."""
+        memo = self.memo_get(record.digest)
         if memo is not None:
             self._count("memo_hits")
             return memo, "memo"
@@ -225,8 +233,9 @@ class Scheduler:
             payload, source = self._run_figure(record.request), "executed"
         else:
             payload, source = self._obtain_cached(record)
-        self._memo_put(record.digest, payload)
-        return payload, source
+        text = json.dumps(payload, sort_keys=True)
+        self._memo_put(record.digest, text)
+        return text, source
 
     def _obtain_cached(self, record: JobRecord) -> tuple[dict, str]:
         """Resolve a g5 or sampled job on the engine (disk probe,
@@ -337,15 +346,21 @@ class Scheduler:
     # ------------------------------------------------------------------
     # memo + prune
     # ------------------------------------------------------------------
-    def _memo_get(self, digest: str) -> Optional[dict]:
+    def memo_get(self, digest: str) -> Optional[str]:
+        """The memoised JSON text for ``digest`` (a hit makes it the
+        most recently used entry), or None."""
         with self._memo_lock:
-            return self._memo.get(digest)
+            text = self._memo.get(digest)
+            if text is not None:
+                self._memo.move_to_end(digest)
+            return text
 
-    def _memo_put(self, digest: str, payload: dict) -> None:
+    def _memo_put(self, digest: str, text: str) -> None:
         with self._memo_lock:
-            self._memo[digest] = payload
+            self._memo[digest] = text
+            self._memo.move_to_end(digest)
             while len(self._memo) > MEMO_CAPACITY:
-                self._memo.pop(next(iter(self._memo)))
+                self._memo.popitem(last=False)
 
     def _maybe_prune(self) -> None:
         if self.cache is None or self.cache_max_bytes is None:

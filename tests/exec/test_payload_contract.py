@@ -55,7 +55,8 @@ def resolve_with_scheduler(cache, job):
     finally:
         scheduler.stop()
     assert record.state == "done", record.error
-    return record.result, record.source, scheduler.stats
+    # The scheduler keeps a result as its JSON text.
+    return json.loads(record.result), record.source, scheduler.stats
 
 
 OWNERS = {"engine": resolve_with_engine, "scheduler": resolve_with_scheduler}

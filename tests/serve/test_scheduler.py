@@ -12,7 +12,7 @@ from repro.exec.cache import ResultCache
 from repro.serve.jobs import JobRecord, parse_job_request
 from repro.serve.metrics import ServeMetrics
 from repro.serve.queue import JobQueue
-from repro.serve.scheduler import Scheduler, WorkerCrashed
+from repro.serve.scheduler import MEMO_CAPACITY, Scheduler, WorkerCrashed
 
 from .conftest import GatedExecutor, fake_packed
 
@@ -174,4 +174,21 @@ def test_sharded_payloads_feed_the_engine_counters():
     assert doc["boundary_deliveries"] == 4
     metrics.attach_engine(scheduler.stats)
     assert "repro_engine_sharded_runs 1" in metrics.render()
+    scheduler.stop()
+
+
+def test_a_memo_hit_refreshes_its_entry(rig):
+    _, _, _, build = rig
+    scheduler = build()
+    for index in range(MEMO_CAPACITY):
+        scheduler._memo_put(f"digest{index}", f"[{index}]")
+
+    # The first-produced entry is hit before the 257th insert, so the
+    # least recently used one is now the second.
+    assert scheduler.memo_get("digest0") == "[0]"
+    scheduler._memo_put("digest-new", "[]")
+
+    assert scheduler.memo_get("digest0") == "[0]"
+    assert scheduler.memo_get("digest1") is None
+    assert scheduler.memo_get("digest-new") == "[]"
     scheduler.stop()
