@@ -32,11 +32,6 @@ GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" \
     / "kernel_digests.json"
 
 
-def _sieve(model):
-    return (SimConfig(cpu_model=model),
-            get_workload("sieve").build("test"), "sieve")
-
-
 def _stream_nextline(model):
     return (SimConfig(cpu_model=model, l1d=CacheParams(
                 size=64 * 1024, assoc=2, prefetcher="nextline")),
@@ -76,14 +71,23 @@ def _rw_stream_tiny_nextline(model):
             _rw_stream_program(), "guest")
 
 
+def _workload(name):
+    def build(model):
+        return (SimConfig(cpu_model=model),
+                get_workload(name).build("test"), name)
+    return build
+
+
 def _ocean_cp_4core(model):
     return (SimConfig(cpu_model=model, cores=4),
             get_workload("ocean_cp").build("test", threads=4), "ocean_cp")
 
 
 CELLS = {
-    **{f"sieve/test/{m}": (_sieve, m)
+    **{f"sieve/test/{m}": (_workload("sieve"), m)
        for m in ("atomic", "timing", "minor", "o3")},
+    **{f"{w}/test/{m}": (_workload(w), m)
+       for w in ("canneal", "ocean_cp") for m in ("minor", "o3")},
     **{f"stream/nextline/{m}": (_stream_nextline, m)
        for m in ("atomic", "timing")},
     **{f"rwstream/tiny/nextline/{m}": (_rw_stream_tiny_nextline, m)
