@@ -26,7 +26,7 @@ from ..engine import LintPass, register_pass
 #: per-access hot paths.
 HOT_FUNCTIONS = frozenset({
     "tick", "step", "process",
-    "next_inst", "fetch_decode", "decode_inst", "execute_inst", "decode",
+    "next_inst", "fetch_decode", "execute_inst", "decode",
     "recv_atomic_fast", "recv_atomic_wb_fast", "send_timing_req",
     "recv_timing_req", "recv_timing_resp", "make_ifetch", "make_data_req",
     "record", "host_record", "advance_if_idle", "schedule", "schedule_in",

@@ -59,9 +59,6 @@ class Event:
         self._scheduled = True
         self._squashed = False
 
-    def _mark_done(self) -> None:
-        self._scheduled = False
-
     @property
     def scheduled(self) -> bool:
         """True while the event sits in an event queue."""

@@ -234,21 +234,33 @@ class EventQueue:
         self._run_max_tick = max_tick
         self._run_limited = max_events is not None
         processed_this_run = 0
+        heap = self._heap
+        heappop = heapq.heappop
         try:
+            # Inlined _peek_live, as in run_window: this loop runs once
+            # per event of every single-queue simulation.
             while True:
-                entry = self._peek_live()
+                entry = self._next
+                if entry is not None and (entry[2]._squashed
+                                          or entry[2]._seq != entry[1]):
+                    self._next = entry = None
                 if entry is None:
-                    return ExitEvent("event queue empty", code=0)
-                key, seq, event = entry
+                    while heap and (heap[0][2]._squashed
+                                    or heap[0][2]._seq != heap[0][1]):
+                        heappop(heap)
+                    if not heap:
+                        return ExitEvent("event queue empty", code=0)
+                    entry = heap[0]
+                event = entry[2]
                 if max_tick is not None and event.when > max_tick:
                     self.now = max_tick
                     return ExitEvent("simulate() limit reached", code=0)
                 if entry is self._next:
                     self._next = None
                 else:
-                    heapq.heappop(self._heap)
+                    heappop(heap)
                 self.now = event.when
-                event._mark_done()
+                event._scheduled = False
                 self._events_processed += 1
                 processed_this_run += 1
                 if isinstance(event, ExitEvent):
@@ -296,7 +308,7 @@ class EventQueue:
         heap = self._heap
         heappop = heapq.heappop
         try:
-            # Inlined _peek_live/_mark_done: this loop runs once per
+            # Inlined _peek_live: this loop runs once per
             # event of the whole sharded simulation, and the method-call
             # and property overhead is what the speedup gate measures.
             while True:
@@ -342,10 +354,10 @@ class EventQueue:
 
     def _drop_squashed_head(self) -> None:
         nxt = self._next
-        if nxt is not None and (nxt[2].squashed or nxt[2]._seq != nxt[1]):
+        if nxt is not None and (nxt[2]._squashed or nxt[2]._seq != nxt[1]):
             self._next = None
         heap = self._heap
-        while heap and (heap[0][2].squashed or heap[0][2]._seq != heap[0][1]):
+        while heap and (heap[0][2]._squashed or heap[0][2]._seq != heap[0][1]):
             heapq.heappop(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -78,7 +78,8 @@ class SimObject:
     @property
     def now(self) -> int:
         """Current simulated tick."""
-        return self._eventq().now
+        eventq = self.eventq
+        return (eventq if eventq is not None else self._eventq()).now
 
     def cycles(self, n: int) -> int:
         """Ticks spanned by ``n`` cycles of this object's clock domain."""
@@ -134,8 +135,10 @@ class SimObject:
         hot loops may also read ``_rec_live`` directly and skip the
         call entirely.
         """
-        if self._rec_live:
-            self.recorder.record(fn_id, daddr)
+        if self._rec_live and fn_id:
+            recorder = self.recorder
+            recorder.trace_fns.append(fn_id)
+            recorder.trace_daddrs.append(daddr)
 
     def host_alloc(self, nbytes: int, label: str = "") -> int:
         """Reserve ``nbytes`` of host heap for this object's state."""

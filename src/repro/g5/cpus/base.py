@@ -171,10 +171,11 @@ class BaseCPU(SimObject):
     # ExecContext protocol
     # ------------------------------------------------------------------
     def read_int(self, index: int) -> int:
-        return self.regs.read_int(index)
+        return self.regs.ints[index]
 
     def write_int(self, index: int, value: int) -> None:
-        self.regs.write_int(index, value)
+        if index:  # x0 is hard-wired to zero
+            self.regs.ints[index] = value & 0xFFFF_FFFF_FFFF_FFFF
 
     def read_fp(self, index: int) -> float:
         return self.regs.read_fp(index)
@@ -280,17 +281,13 @@ class BaseCPU(SimObject):
             return self._memory().read(pc, INST_BYTES)
         return mem.read(pc, INST_BYTES)
 
-    def decode_inst(self, word: int, pc: Optional[int] = None) -> StaticInst:
-        self.host_record(self._fn_decode)
-        return self.decoder.decode(word, pc)
-
     def fetch_decode(self, pc: int) -> StaticInst:
         """Fetch + decode through the per-page decoded-instruction cache.
 
-        Equivalent to ``decode_inst(fetch_word(pc), pc)`` (including the
-        host-trace record) but caches the decoded StaticInst per code
-        page so the hot path is two shifts and a list index.  write_mem
-        invalidates pages on stores (self-modifying code).
+        Records ``Decoder::decode`` and decodes ``fetch_word(pc)``, but
+        caches the decoded StaticInst per code page so the hot path is
+        two shifts and a list index.  write_mem invalidates pages on
+        stores (self-modifying code).
         """
         if self._rec_live:
             self.recorder.record(self._fn_decode, 0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional, TYPE_CHECKING
 
-from ..isa import INST_BYTES, Opcode, StaticInst
+from ..isa import INST_BYTES, StaticInst
 
 if TYPE_CHECKING:  # pragma: no cover
     from .base import BaseCPU
@@ -26,7 +26,8 @@ class DynInst:
 
     __slots__ = ("seq", "pc", "inst", "next_pc", "mem_addr", "taken",
                  "src_regs", "dst_reg", "complete_tick", "issued",
-                 "mispredicted", "fetch_stalled", "deps")
+                 "mispredicted", "fetch_stalled", "deps", "waiters",
+                 "pending", "ready_at")
 
     def __init__(self, seq: int, pc: int, inst: StaticInst, next_pc: int,
                  mem_addr: Optional[int], taken: bool) -> None:
@@ -36,56 +37,16 @@ class DynInst:
         self.next_pc = next_pc
         self.mem_addr = mem_addr
         self.taken = taken
-        self.src_regs = self._sources(inst)
-        self.dst_reg = self._destination(inst)
+        self.src_regs = inst.src_regs
+        self.dst_reg = inst.dst_reg
         self.complete_tick: Optional[int] = None  # None = not complete
         self.issued = False
         self.mispredicted = False
         self.fetch_stalled = False
         self.deps: tuple["DynInst", ...] = ()  # producers captured at rename
-
-    @staticmethod
-    def _sources(inst: StaticInst) -> tuple[tuple[bool, int], ...]:
-        """(is_fp, index) source registers, excluding x0."""
-        sources: list[tuple[bool, int]] = []
-        fp = inst.is_fp
-        op = inst.opcode
-        if op in (Opcode.LUI, Opcode.JAL, Opcode.NOP, Opcode.HALT,
-                  Opcode.ECALL, Opcode.M5OP):
-            return ()
-        if fp and not inst.is_mem:
-            sources.append((True, inst.rs1))
-            if op not in (Opcode.FSQRT, Opcode.FMV, Opcode.FCVT_D_L,
-                          Opcode.FCVT_L_D):
-                sources.append((True, inst.rs2))
-            if op == Opcode.FMADD:
-                sources.append((True, inst.rd))
-            if op == Opcode.FCVT_D_L:
-                sources = [(False, inst.rs1)]
-        else:
-            if inst.rs1:
-                sources.append((False, inst.rs1))
-            if inst.is_store or inst.is_branch or (
-                    not inst.is_mem and not inst.is_jump and inst.rs2):
-                if inst.opcode == Opcode.FSD:
-                    sources.append((True, inst.rs2))
-                elif inst.rs2:
-                    sources.append((False, inst.rs2))
-        return tuple(sources)
-
-    @staticmethod
-    def _destination(inst: StaticInst) -> Optional[tuple[bool, int]]:
-        if inst.is_store or inst.is_branch or inst.is_halt or inst.is_syscall:
-            return None
-        if inst.opcode in (Opcode.NOP, Opcode.M5OP):
-            return None
-        if inst.opcode == Opcode.FLD or (inst.is_fp and inst.opcode not in
-                                         (Opcode.FLT, Opcode.FLE,
-                                          Opcode.FCVT_L_D)):
-            return (True, inst.rd)
-        if inst.rd == 0:
-            return None
-        return (False, inst.rd)
+        # O3 wakeup: IQ entries to release when this completes.
+        # ``pending``/``ready_at`` are set by InstructionQueue.insert.
+        self.waiters: list["DynInst"] = []
 
     @property
     def done(self) -> bool:
@@ -113,8 +74,7 @@ class InstStream:
             self.exhausted = True
             return None
         pc = cpu.regs.pc
-        word = cpu.fetch_word(pc)
-        inst = cpu.decode_inst(word, pc)
+        inst = cpu.fetch_decode(pc)
         mem_addr = inst.ea(cpu) if inst.is_mem else None
         next_pc = cpu.execute_inst(inst)
         cpu.regs.pc = next_pc

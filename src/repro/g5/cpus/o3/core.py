@@ -179,8 +179,8 @@ class O3CPU(BaseCPU):
             head = self.rob.head()
             if head is None or not head.is_ready(self.now):
                 break
-            self.host_record(self._fn_rob_fn,
-                             self._rob_host + (head.seq % 192) * 64)
+            self.host_record(self._fn_rob_fn, self._rob_host
+                             + (head.seq % self.rob.entries) * 64)
             self.rob.retire_head()
             if head.inst.is_mem:
                 self.lsq.retire(head)
@@ -214,19 +214,26 @@ class O3CPU(BaseCPU):
                 self._issue_load(dyn)
             elif dyn.inst.is_store:
                 # Address generation only; data leaves at commit.
-                dyn.complete_tick = self.now + self.cycles(1)
+                self._complete(dyn, self.now + self.cycles(1))
             else:
-                dyn.complete_tick = self.now + self.cycles(dyn.inst.op_latency)
+                self._complete(dyn, self.now + self.cycles(dyn.inst.op_latency))
+
+    def _complete(self, dyn: DynInst, tick: int) -> None:
+        """Set ``dyn``'s completion tick (the only place it is set) and
+        wake the IQ entries waiting on it."""
+        dyn.complete_tick = tick
+        if dyn.waiters:
+            self.iq.wake(dyn, tick)
 
     def _issue_load(self, dyn: DynInst) -> None:
         assert dyn.mem_addr is not None
         self.host_record(self._fn_lsq_push, self._lsq_host)
         if self._device_at(dyn.mem_addr) is not None:
-            dyn.complete_tick = self.now + self.cycles(2)
+            self._complete(dyn, self.now + self.cycles(2))
             return
         store = self.lsq.forwarding_store(dyn)
         if store is not None:
-            dyn.complete_tick = self.now + self.cycles(1)
+            self._complete(dyn, self.now + self.cycles(1))
             return
         pkt = self.make_data_req(dyn.inst, dyn.mem_addr)
         pkt.push_state(self)
@@ -255,7 +262,7 @@ class O3CPU(BaseCPU):
             self.rob.insert(dyn)
             self.lsq.insert(dyn)
             if self._is_pipelined_nop(dyn):
-                dyn.complete_tick = self.now + self.cycles(1)
+                self._complete(dyn, self.now + self.cycles(1))
             else:
                 self.iq.insert(dyn)
             dispatched += 1
@@ -338,8 +345,7 @@ class O3CPU(BaseCPU):
         elif pkt.packet_id in self._store_resps_pending:
             self._store_resps_pending.discard(pkt.packet_id)
         else:
-            dyn = self._inflight_loads.pop(pkt.packet_id)
-            dyn.complete_tick = self.now
+            self._complete(self._inflight_loads.pop(pkt.packet_id), self.now)
         self._schedule_tick(1)
 
     # ------------------------------------------------------------------

@@ -74,8 +74,7 @@ class TimingSimpleCPU(BaseCPU):
         self._fetch_outstanding = False
         if self._halted:
             return
-        word = self.fetch_word(self.regs.pc)
-        inst = self.decode_inst(word, self.regs.pc)
+        inst = self.fetch_decode(self.regs.pc)
         if inst.is_mem:
             addr = inst.ea(self)
             if self._device_at(addr) is None:

@@ -139,18 +139,21 @@ class StaticInst:
     """One decoded SimRISC instruction.
 
     Decode-time precomputation (the threaded-code interpreter): all
-    classification flags, the micro-op latency, and the bound per-opcode
-    executor (``_exec``) are materialised as plain attributes when the
-    instruction is decoded, so CPU models pay attribute loads — not
-    property calls or dispatch chains — per executed instruction.  The
-    decode cache makes this a one-time cost per distinct machine word.
+    classification flags, the register dataflow (``src_regs``/
+    ``dst_reg``), the functional-unit class, the micro-op latency, and
+    the bound per-opcode executor (``_exec``) are materialised as plain
+    attributes when the instruction is decoded, so CPU models pay
+    attribute loads — not property calls or dispatch chains — per
+    executed instruction.  The decode cache makes this a one-time cost
+    per distinct machine word.
     """
 
     __slots__ = ("machine_word", "opcode", "rd", "rs1", "rs2", "imm",
                  "_exec", "_msize", "op_latency",
                  "is_load", "is_store", "is_mem", "is_branch", "is_jump",
                  "is_control", "is_indirect", "is_call", "is_return",
-                 "is_fp", "is_syscall", "is_halt")
+                 "is_fp", "is_syscall", "is_halt",
+                 "src_regs", "dst_reg", "fu_class")
 
     def __init__(self, machine_word: int) -> None:
         self.machine_word = machine_word
@@ -190,6 +193,10 @@ class StaticInst:
             self._msize = 8
         self.op_latency = _OP_LATENCY.get(op, 1)
         self._exec = _EXECUTORS.get(op)
+        # -- register dataflow and issue class (detailed CPU models) ------
+        self.src_regs = _sources(self)
+        self.dst_reg = _destination(self)
+        self.fu_class = _fu_class(self)
 
     # -- classification -------------------------------------------------
     @property
@@ -244,6 +251,63 @@ class StaticInst:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<StaticInst {self.mnemonic} rd={self.rd} rs1={self.rs1} "
                 f"rs2={self.rs2} imm={self.imm}>")
+
+
+def _sources(inst: StaticInst) -> tuple[tuple[bool, int], ...]:
+    """(is_fp, index) source registers, excluding x0."""
+    sources: list[tuple[bool, int]] = []
+    op = inst.opcode
+    if op in (Opcode.LUI, Opcode.JAL, Opcode.NOP, Opcode.HALT,
+              Opcode.ECALL, Opcode.M5OP):
+        return ()
+    if inst.is_fp and not inst.is_mem:
+        sources.append((True, inst.rs1))
+        if op not in (Opcode.FSQRT, Opcode.FMV, Opcode.FCVT_D_L,
+                      Opcode.FCVT_L_D):
+            sources.append((True, inst.rs2))
+        if op == Opcode.FMADD:
+            sources.append((True, inst.rd))
+        if op == Opcode.FCVT_D_L:
+            sources = [(False, inst.rs1)]
+    else:
+        if inst.rs1:
+            sources.append((False, inst.rs1))
+        if inst.is_store or inst.is_branch or (
+                not inst.is_mem and not inst.is_jump and inst.rs2):
+            if op == Opcode.FSD:
+                sources.append((True, inst.rs2))
+            elif inst.rs2:
+                sources.append((False, inst.rs2))
+    return tuple(sources)
+
+
+def _destination(inst: StaticInst) -> Optional[tuple[bool, int]]:
+    """(is_fp, index) destination register, or None."""
+    if inst.is_store or inst.is_branch or inst.is_halt or inst.is_syscall:
+        return None
+    if inst.opcode in (Opcode.NOP, Opcode.M5OP):
+        return None
+    if inst.opcode == Opcode.FLD or (inst.is_fp and inst.opcode not in
+                                     (Opcode.FLT, Opcode.FLE,
+                                      Opcode.FCVT_L_D)):
+        return (True, inst.rd)
+    if inst.rd == 0:
+        return None
+    return (False, inst.rd)
+
+
+def _fu_class(inst: StaticInst) -> str:
+    """Functional-unit class an instruction issues to (O3's FUPool)."""
+    if inst.is_mem:
+        return "mem"
+    op = inst.opcode
+    if op in (Opcode.MUL, Opcode.DIV, Opcode.REM):
+        return "int_muldiv"
+    if op in (Opcode.FMUL, Opcode.FDIV, Opcode.FSQRT, Opcode.FMADD):
+        return "fp_muldiv"
+    if inst.is_fp:
+        return "fp_alu"
+    return "int_alu"
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ class Cache(SimObject):
         # Snooping bus membership (multi-core L1 data caches only); set
         # by CoherenceDomain.attach.  None keeps every hook dormant.
         self.coherence = None
-        self._sets = [[_Line() for _ in range(params.assoc)]
-                      for _ in range(params.n_sets)]
+        # Sets start empty and grow to ``assoc`` lines on fill.
+        self._sets: list[list[_Line]] = [[] for _ in range(params.n_sets)]
         self._lru_clock = 0
         self._mshrs: dict[int, _MSHR] = {}
         # Latencies in ticks, precomputed for the atomic protocol.
@@ -172,7 +172,14 @@ class Cache(SimObject):
         """Insert ``line_addr``; evict (and maybe write back) the LRU victim."""
         set_index = self._index(line_addr)
         self.host_record(self._fn_fill, self._set_host_addr(set_index))
-        victim = min(self._sets[set_index], key=lambda line: line.lru)
+        cache_set = self._sets[set_index]
+        if len(cache_set) < self.params.assoc:
+            # A never-used way: what min(lru) would pick (lru 0, after
+            # every used way) if the set were built up front.
+            victim = _Line()
+            cache_set.append(victim)
+        else:
+            victim = min(cache_set, key=lambda line: line.lru)
         if victim.valid:
             self.host_record(self._fn_evict, self._set_host_addr(set_index))
             if victim.dirty and self.params.write_back:

@@ -19,7 +19,7 @@ structure, branch behaviour) is attached later by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 #: Host heap starts well above the (synthetic) code segment.
 HEAP_BASE = 0x10_000_000
@@ -53,16 +53,8 @@ class ExecutionRecorder:
         data address it touched (0 when none).
     """
 
-    def __init__(self, enabled: bool = True, sample_period: int = 1) -> None:
-        if sample_period < 1:
-            raise ValueError(
-                f"sample_period must be >= 1, got {sample_period}")
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        #: Keep every Nth record (1 = keep all).  Sampling keeps long
-        #: profiled runs tractable; daddr/fn distributions survive because
-        #: the trace is locally repetitive (tick loops).
-        self.sample_period = sample_period
-        self._sample_phase = 0
         self.fn_names: list[str] = ["<reserved>"]
         self._ids: dict[str, int] = {"<reserved>": 0}
         self.trace_fns: list[int] = []
@@ -93,25 +85,7 @@ class ExecutionRecorder:
     # ------------------------------------------------------------------
     def record(self, fn_id: int, daddr: int = 0) -> None:
         """Append one function invocation to the trace."""
-        if not self.enabled or fn_id == 0:
-            return
-        if self.sample_period > 1:
-            self._sample_phase += 1
-            if self._sample_phase < self.sample_period:
-                return
-            self._sample_phase = 0
-        self.trace_fns.append(fn_id)
-        self.trace_daddrs.append(daddr)
-
-    def record_many(self, fn_id: int, daddrs: Iterable[int]) -> None:
-        """Append one invocation per data address (batch helper)."""
-        if not self.enabled or fn_id == 0:
-            return
-        if self.sample_period > 1:
-            for daddr in daddrs:
-                self.record(fn_id, daddr)
-            return
-        for daddr in daddrs:
+        if self.enabled and fn_id:
             self.trace_fns.append(fn_id)
             self.trace_daddrs.append(daddr)
 
@@ -186,7 +160,4 @@ class NullRecorder(ExecutionRecorder):
         super().__init__(enabled=False)
 
     def record(self, fn_id: int, daddr: int = 0) -> None:  # noqa: D102
-        pass
-
-    def record_many(self, fn_id: int, daddrs: Iterable[int]) -> None:  # noqa: D102
         pass

@@ -194,14 +194,16 @@ class TestO3Structures:
             ROB(0)
 
     def test_fu_classification(self):
-        from repro.g5.cpus.o3.iq import fu_class
         from repro.g5.isa import Opcode, StaticInst, encode
 
-        assert fu_class(StaticInst(encode(Opcode.ADD, 1, 2, 3))) == "int_alu"
-        assert fu_class(StaticInst(encode(Opcode.MUL, 1, 2, 3))) == "int_muldiv"
-        assert fu_class(StaticInst(encode(Opcode.FMUL, 1, 2, 3))) == "fp_muldiv"
-        assert fu_class(StaticInst(encode(Opcode.FADD, 1, 2, 3))) == "fp_alu"
-        assert fu_class(StaticInst(encode(Opcode.LD, 1, 2))) == "mem"
+        def fu_class(word):
+            return StaticInst(word).fu_class
+
+        assert fu_class(encode(Opcode.ADD, 1, 2, 3)) == "int_alu"
+        assert fu_class(encode(Opcode.MUL, 1, 2, 3)) == "int_muldiv"
+        assert fu_class(encode(Opcode.FMUL, 1, 2, 3)) == "fp_muldiv"
+        assert fu_class(encode(Opcode.FADD, 1, 2, 3)) == "fp_alu"
+        assert fu_class(encode(Opcode.LD, 1, 2)) == "mem"
 
     def test_lsq_capacity_and_forwarding(self):
         from repro.g5.cpus.dyninst import DynInst
@@ -259,3 +261,208 @@ class TestBranchPredictor:
         for index in range(8):
             bp.update(0x1000 + index * 4, jal, True, 0x2000, False)
         assert len(bp._btb) <= 4
+
+
+def _dyn(seq, opcode, deps=(), **fields):
+    from repro.g5.cpus.dyninst import DynInst
+    from repro.g5.isa import StaticInst, encode
+
+    dyn = DynInst(seq, 0x1000 + 4 * seq, StaticInst(encode(opcode, **fields)),
+                  0x1004 + 4 * seq, None, False)
+    dyn.deps = tuple(deps)
+    return dyn
+
+
+def _complete(iq, dyn, tick):
+    """What O3CPU._complete does: set the tick, wake the waiters."""
+    dyn.complete_tick = tick
+    iq.wake(dyn, tick)
+
+
+def _spy_issue(cpu):
+    """Wrap ``cpu.iq.schedule_ready``; returns the list of calls it saw,
+    as ``(now, schedulable(now) before the call, picked)``."""
+    iq = cpu.iq
+    schedule_ready = iq.schedule_ready
+    calls = []
+
+    def spy(now, width):
+        expect = iq.schedulable(now)
+        picked = schedule_ready(now, width)
+        calls.append((now, expect, picked))
+        return picked
+
+    iq.schedule_ready = spy
+    return calls
+
+
+def _old_sources(inst):
+    """The per-DynInst source derivation StaticInst.src_regs replaced."""
+    from repro.g5.isa import Opcode
+
+    sources = []
+    fp = inst.is_fp
+    op = inst.opcode
+    if op in (Opcode.LUI, Opcode.JAL, Opcode.NOP, Opcode.HALT,
+              Opcode.ECALL, Opcode.M5OP):
+        return ()
+    if fp and not inst.is_mem:
+        sources.append((True, inst.rs1))
+        if op not in (Opcode.FSQRT, Opcode.FMV, Opcode.FCVT_D_L,
+                      Opcode.FCVT_L_D):
+            sources.append((True, inst.rs2))
+        if op == Opcode.FMADD:
+            sources.append((True, inst.rd))
+        if op == Opcode.FCVT_D_L:
+            sources = [(False, inst.rs1)]
+    else:
+        if inst.rs1:
+            sources.append((False, inst.rs1))
+        if inst.is_store or inst.is_branch or (
+                not inst.is_mem and not inst.is_jump and inst.rs2):
+            if inst.opcode == Opcode.FSD:
+                sources.append((True, inst.rs2))
+            elif inst.rs2:
+                sources.append((False, inst.rs2))
+    return tuple(sources)
+
+
+def _old_destination(inst):
+    """The per-DynInst destination derivation StaticInst.dst_reg replaced."""
+    from repro.g5.isa import Opcode
+
+    if inst.is_store or inst.is_branch or inst.is_halt or inst.is_syscall:
+        return None
+    if inst.opcode in (Opcode.NOP, Opcode.M5OP):
+        return None
+    if inst.opcode == Opcode.FLD or (inst.is_fp and inst.opcode not in
+                                     (Opcode.FLT, Opcode.FLE,
+                                      Opcode.FCVT_L_D)):
+        return (True, inst.rd)
+    if inst.rd == 0:
+        return None
+    return (False, inst.rd)
+
+
+class TestO3Wakeup:
+    def test_oldest_first_under_each_fu_cap(self):
+        from repro.g5.cpus.o3.iq import FUPool, InstructionQueue
+        from repro.g5.isa import Opcode
+
+        iq = InstructionQueue(16, FUPool(int_alu=2, int_muldiv=1,
+                                         mem_ports=1))
+        ops = [Opcode.MUL, Opcode.ADD, Opcode.MUL, Opcode.LD, Opcode.ADD,
+               Opcode.LD, Opcode.ADD, Opcode.DIV]
+        for seq, op in enumerate(ops, start=1):
+            iq.insert(_dyn(seq, op, rd=1, rs1=2, rs2=3))
+        assert [d.seq for d in iq.schedule_ready(0, 8)] == [1, 2, 4, 5]
+        assert [d.seq for d in iq.schedule_ready(0, 2)] == [3, 6]
+        assert [d.seq for d in iq.schedule_ready(0, 8)] == [7, 8]
+        assert len(iq) == 0 and not iq.schedulable(0)
+
+    def test_woken_entry_issues_before_younger_ready_ones(self):
+        from repro.g5.cpus.o3.iq import FUPool, InstructionQueue
+        from repro.g5.isa import Opcode
+
+        iq = InstructionQueue(8, FUPool(int_alu=1))
+        producer = _dyn(1, Opcode.ADD, rd=1, rs1=2)
+        consumer = _dyn(2, Opcode.ADD, deps=(producer,), rd=3, rs1=1)
+        younger = [_dyn(seq, Opcode.ADD, rd=4, rs1=5) for seq in (3, 4)]
+        for dyn in (producer, consumer, *younger):
+            iq.insert(dyn)
+        assert iq.schedule_ready(0, 8) == [producer]
+        _complete(iq, producer, 2)
+        assert iq.schedule_ready(1, 8) == [younger[0]]
+        assert iq.schedule_ready(2, 8) == [consumer]
+        assert iq.schedule_ready(3, 8) == [younger[1]]
+
+    def test_schedulable_tracks_wakeup(self):
+        from repro.g5.cpus.o3.iq import FUPool, InstructionQueue
+        from repro.g5.isa import Opcode
+
+        iq = InstructionQueue(4, FUPool())
+        producer = _dyn(1, Opcode.LD, rd=1, rs1=2)
+        consumer = _dyn(2, Opcode.ADD, deps=(producer,), rd=3, rs1=1)
+        iq.insert(producer)
+        iq.insert(consumer)
+        assert iq.schedule_ready(0, 8) == [producer]
+        assert not iq.schedulable(100)
+        _complete(iq, producer, 50)
+        assert not iq.schedulable(49)
+        assert iq.schedule_ready(49, 8) == []
+        assert iq.schedulable(50)
+        assert iq.schedule_ready(50, 8) == [consumer]
+
+    @pytest.mark.parametrize("program", [fib_program, memory_program,
+                                         lambda: build_sieve(limit=120)])
+    def test_schedulable_agrees_with_schedule_ready(self, program):
+        system = System(SimConfig(cpu_model="o3"))
+        system.set_se_workload(program())
+        calls = _spy_issue(system.cpu)
+        simulate(system, max_ticks=10**12)
+        assert calls
+        assert all(expect == bool(picked) for _, expect, picked in calls)
+        assert {expect for _, expect, _ in calls} == {True, False}
+
+    def test_load_miss_consumer_waits_for_response(self):
+        asm = Assembler(base=0x1000)
+        asm.li("s0", 0x40000)
+        asm.ld("t0", "s0", 0)
+        asm.add("a0", "t0", "t0")
+        asm.li("a7", 93)
+        asm.ecall()
+        asm.halt()
+        system = System(SimConfig(cpu_model="o3"))
+        system.set_se_workload(asm.assemble())
+        cpu = system.cpu
+        calls = _spy_issue(cpu)
+        responses = []
+        recv_timing_resp = cpu.recv_timing_resp
+
+        def spy_resp(pkt):
+            if not pkt.is_instruction and pkt.is_read:
+                responses.append(cpu.now)
+            recv_timing_resp(pkt)
+
+        cpu.recv_timing_resp = spy_resp
+        simulate(system, max_ticks=10**12)
+        issued = {dyn.seq: (now, dyn) for now, _, picked in calls
+                  for dyn in picked}
+        (load_at, load), = [(now, dyn) for now, dyn in issued.values()
+                            if dyn.inst.is_load]
+        (use_at, use), = [(now, dyn) for now, dyn in issued.values()
+                          if load in dyn.deps]
+        assert load.complete_tick in responses
+        assert load.complete_tick - load_at > cpu.cycles(10)  # a miss
+        assert use_at >= load.complete_tick
+
+    def test_rob_records_stay_inside_rob_allocation(self, monkeypatch):
+        from functools import partial
+
+        from repro.g5.cpus import CPU_MODELS
+        from repro.g5.cpus.o3 import O3CPU
+
+        monkeypatch.setitem(CPU_MODELS, "o3", partial(O3CPU, rob_entries=32))
+        result, _, system = run_program(build_sieve(limit=120), "o3",
+                                        record=True)
+        assert system.cpu.rob.entries == 32
+        recorder = result.recorder
+        rob, = [a for a in recorder.allocations if a.label == "rob"]
+        retire = recorder.intern("o3::ROB::retireHead")
+        daddrs = {daddr for fn, daddr in recorder.iter_records()
+                  if fn == retire}
+        assert len(daddrs) == 32
+        assert all(rob.base <= daddr < rob.end for daddr in daddrs)
+
+
+class TestStaticInstDataflow:
+    def test_src_and_dst_match_per_dyninst_derivation(self):
+        from repro.g5.isa import StaticInst, encode
+        from repro.g5.isa.instructions import MNEMONICS
+
+        fields = [(0, 0, 0), (1, 2, 3), (5, 0, 7), (0, 4, 0), (9, 9, 9)]
+        for opcode in MNEMONICS:
+            for rd, rs1, rs2 in fields:
+                inst = StaticInst(encode(opcode, rd, rs1, rs2))
+                assert inst.src_regs == _old_sources(inst), inst
+                assert inst.dst_reg == _old_destination(inst), inst

@@ -29,12 +29,6 @@ class TestExecutionRecorder:
         assert recorder.invocation_counts() == {"X::y": 2}
         assert recorder.functions_touched() == 1
 
-    def test_record_many(self):
-        recorder = ExecutionRecorder()
-        fn = recorder.intern("X::y")
-        recorder.record_many(fn, [1, 2, 3])
-        assert recorder.trace_daddrs == [1, 2, 3]
-
     def test_alloc_bump_pointer(self):
         recorder = ExecutionRecorder()
         a = recorder.alloc(10, "a")
@@ -59,7 +53,6 @@ class TestExecutionRecorder:
         recorder = NullRecorder()
         fn = recorder.intern("X::y")
         recorder.record(fn, 1)
-        recorder.record_many(fn, [1, 2])
         assert len(recorder) == 0
 
     def test_iter_records(self):
