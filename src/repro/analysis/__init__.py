@@ -4,10 +4,9 @@ Two halves, wired into the ``repro-g5 lint`` CLI subcommand:
 
 - a host-side **lint framework** (:mod:`.engine`, :mod:`.passes`):
   visitor-based AST passes enforcing simulator invariants —
-  determinism, event-scheduling safety, ``__slots__`` coverage on
-  the tick loop, stats conformance, and the shared
-  figure-requirement vocabulary — with pragma suppression, a
-  fingerprint baseline, and text/JSON/SARIF output;
+  determinism, event-scheduling safety, cross-domain races,
+  ``__slots__`` coverage on the tick loop and stats conformance —
+  with pragma suppression and text/JSON output;
 - a **guest-binary analyzer** (:mod:`.guestcfg`): basic blocks and a
   CFG over SimRISC programs via the simulator's own decoder, producing
   static footprint/branch-density reports that cross-check the dynamic
@@ -16,8 +15,6 @@ Two halves, wired into the ``repro-g5 lint`` CLI subcommand:
 
 from __future__ import annotations
 
-from .baseline import Baseline, BaselineError, find_default_baseline
-from .cache import default_lint_cache, lint_file_key, passes_fingerprint
 from .engine import (
     Engine,
     LintPass,
@@ -53,12 +50,10 @@ from .guestcfg import (
     render_guest_report,
     run_dynamic_trace,
 )
-from .output import render_json, render_sarif, render_text
+from .output import render_json, render_text
 
 __all__ = [
     "BOUNDARY",
-    "Baseline",
-    "BaselineError",
     "BasicBlock",
     "ClassSummaries",
     "CrossCheckReport",
@@ -82,18 +77,13 @@ __all__ = [
     "class_summaries",
     "cross_check",
     "decoder_totality_failures",
-    "default_lint_cache",
     "default_lint_root",
     "export_ownership_map",
     "finalize_findings",
-    "find_default_baseline",
     "join",
-    "lint_file_key",
-    "passes_fingerprint",
     "register_pass",
     "render_guest_report",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_lint",
 ]

@@ -10,8 +10,8 @@ instead of re-walking the tree.
 Suppression is explicit and local: a finding is dropped when the
 flagged line — or the line immediately above it — carries a
 ``# lint: <token>`` pragma naming the pass's pragma token (or the
-catch-all ``off``).  There is no global disable; grandfathered findings
-belong in the baseline file instead (:mod:`repro.analysis.baseline`).
+catch-all ``off``).  There is no global disable: every unsuppressed
+finding fails the lint.
 """
 
 from __future__ import annotations
@@ -163,11 +163,6 @@ class LintPass(ast.NodeVisitor):
     #: ``# lint: <pragma>`` token that silences this pass on a line.
     pragma: str = ""
     severity: str = "error"
-    #: True for passes whose findings depend on project-wide state (the
-    #: class index, the ownership map) rather than the visited file
-    #: alone; the lint result cache keys such findings by a digest over
-    #: the whole lint root instead of just the file.
-    cross_file: bool = False
 
     def __init__(self, source: SourceFile, project: ProjectIndex) -> None:
         self.source = source
@@ -228,15 +223,12 @@ class Engine:
 
     def __init__(self, root: Path,
                  passes: Optional[Iterable[Type[LintPass]]] = None,
-                 respect_scope: bool = True, cache=None) -> None:
+                 respect_scope: bool = True) -> None:
         self.root = Path(root)
         self.passes = list(passes) if passes is not None else all_passes()
         #: Tests set False to run a pass on fixture files that live
         #: outside the directory layout its ``applies_to`` expects.
         self.respect_scope = respect_scope
-        #: Optional :class:`repro.exec.cache.ResultCache`: per-file
-        #: findings are served content-addressed (see analysis.cache).
-        self.cache = cache
         self.errors: list[Finding] = []   # parse failures, as findings
 
     # ------------------------------------------------------------------
@@ -261,38 +253,13 @@ class Engine:
         """Lint the tree; returns finalized (sorted, fingerprinted)
         findings, including parse errors."""
         files = self.collect_files()
-        project: Optional[ProjectIndex] = None
+        project = ProjectIndex(files)
         findings: list[Finding] = list(self.errors)
-        project_fp: Optional[str] = None
-        if self.cache is not None:
-            from .cache import lint_file_key, project_digest
-
-            project_fp = project_digest(files)
         for source in files:
-            applicable = [
-                pass_cls for pass_cls in self.passes
-                if not self.respect_scope
-                or pass_cls.applies_to(source.relpath)]
-            if not applicable:
-                continue
-            if self.cache is not None:
-                key = lint_file_key(
-                    source, [p.rule for p in applicable],
-                    self.respect_scope,
-                    project_fp if any(p.cross_file for p in applicable)
-                    else None)
-                cached = self.cache.get(key)
-                if isinstance(cached, list):
-                    findings.extend(cached)
-                    continue
-            if project is None:
-                project = ProjectIndex(files)
-            file_findings: list[Finding] = []
-            for pass_cls in applicable:
-                file_findings.extend(pass_cls(source, project).run())
-            if self.cache is not None:
-                self.cache.put(key, file_findings)
-            findings.extend(file_findings)
+            for pass_cls in self.passes:
+                if not self.respect_scope \
+                        or pass_cls.applies_to(source.relpath):
+                    findings.extend(pass_cls(source, project).run())
         return finalize_findings(findings)
 
 
@@ -303,8 +270,8 @@ def default_lint_root() -> Path:
 
 def run_lint(root: Optional[Path] = None,
              passes: Optional[Iterable[Type[LintPass]]] = None,
-             respect_scope: bool = True, cache=None) -> list[Finding]:
+             respect_scope: bool = True) -> list[Finding]:
     """Convenience wrapper: lint ``root`` (default: the repro package)."""
     engine = Engine(root or default_lint_root(), passes=passes,
-                    respect_scope=respect_scope, cache=cache)
+                    respect_scope=respect_scope)
     return engine.run()

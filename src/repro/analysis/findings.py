@@ -3,10 +3,9 @@
 A :class:`Finding` pins one rule violation to a file location.  Findings
 carry a *fingerprint* — a content hash of the rule, file, and offending
 source line (plus an occurrence index for repeated identical lines) —
-that stays stable when unrelated edits shift line numbers.  Baselines
-(:mod:`repro.analysis.baseline`) match on fingerprints, not line
-numbers, so grandfathered findings survive refactors that merely move
-code around.
+that stays stable when unrelated edits shift line numbers, so a report
+consumer can track one finding across refactors that merely move code
+around.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-independent identity used by baselines."""
+        """Line-number-independent identity of the finding."""
         payload = "\0".join([self.rule, self.path, self.snippet.strip(),
                              str(self.occurrence)])
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]

@@ -1,39 +1,27 @@
-"""Rendering lint findings: text, JSON, and SARIF 2.1.0.
+"""Rendering lint findings: text and JSON.
 
-The JSON form is the stable machine interface (tests golden-diff it);
-SARIF is what CI uploads so code hosts can annotate diffs.  Both are
-emitted with sorted keys and deterministic ordering — the renderers
-are themselves subject to the determinism rules they help enforce.
+The JSON form is the stable machine interface (tests golden-diff it).
+It is emitted with sorted keys and deterministic ordering — the
+renderers are themselves subject to the determinism rules they help
+enforce.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Type
 
-from .engine import LintPass
 from .findings import Finding
 
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json")
 TOOL_NAME = "repro-g5-lint"
 
-#: Finding severity -> SARIF result level.
-_SARIF_LEVELS = {"error": "error", "warning": "warning", "note": "note"}
 
-
-def render_text(findings: list[Finding],
-                baselined: int = 0) -> str:
+def render_text(findings: list[Finding]) -> str:
     """Human-readable report, one line per finding plus a summary."""
     lines = [finding.render() for finding in findings]
     if findings:
         lines.append("")
-    summary = f"{len(findings)} finding{'s' if len(findings) != 1 else ''}"
-    if baselined:
-        summary += f" ({baselined} baselined finding" \
-                   f"{'s' if baselined != 1 else ''} suppressed)"
-    lines.append(summary)
+    lines.append(f"{len(findings)} finding"
+                 f"{'s' if len(findings) != 1 else ''}")
     return "\n".join(lines)
 
 
@@ -50,13 +38,12 @@ def findings_to_dict(findings: list[Finding]) -> list[dict]:
     } for f in findings]
 
 
-def render_json(findings: list[Finding], baselined: int = 0) -> str:
+def render_json(findings: list[Finding]) -> str:
     payload = {
         "tool": TOOL_NAME,
         "findings": findings_to_dict(findings),
         "summary": {
             "total": len(findings),
-            "baselined": baselined,
             "by_rule": _counts_by_rule(findings),
         },
     }
@@ -68,58 +55,3 @@ def _counts_by_rule(findings: list[Finding]) -> dict[str, int]:
     for finding in findings:
         counts[finding.rule] = counts.get(finding.rule, 0) + 1
     return dict(sorted(counts.items()))
-
-
-def render_sarif(findings: list[Finding],
-                 passes: Optional[Iterable[Type[LintPass]]] = None) -> str:
-    """A minimal, valid SARIF 2.1.0 log of the findings."""
-    rules = []
-    if passes is not None:
-        for pass_cls in passes:
-            rules.append({
-                "id": pass_cls.rule,
-                "name": pass_cls.title or pass_cls.rule,
-                "shortDescription": {"text": pass_cls.title
-                                     or pass_cls.rule},
-                "fullDescription": {"text": " ".join(
-                    pass_cls.description.split())},
-                "defaultConfiguration": {
-                    "level": _SARIF_LEVELS.get(pass_cls.severity, "error"),
-                },
-            })
-    results = []
-    for finding in findings:
-        results.append({
-            "ruleId": finding.rule,
-            "level": _SARIF_LEVELS.get(finding.severity, "error"),
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        "startLine": finding.line,
-                        "startColumn": finding.col + 1,
-                        "snippet": {"text": finding.snippet},
-                    },
-                },
-            }],
-            "partialFingerprints": {
-                "reproLintFingerprint/v1": finding.fingerprint,
-            },
-        })
-    log = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": TOOL_NAME,
-                    "informationUri":
-                        "https://github.com/repro-g5/repro",
-                    "rules": rules,
-                },
-            },
-            "results": results,
-        }],
-    }
-    return json.dumps(log, indent=2, sort_keys=True) + "\n"

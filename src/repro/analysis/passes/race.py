@@ -79,7 +79,6 @@ class RacePass(LintPass):
         "touching another domain's mutable state without going through "
         "the port/boundary-link channel breaks threaded domains.")
     pragma = "race"
-    cross_file = True
 
     SCOPE_PREFIXES = ("g5/cpus/", "g5/mem/", "g5/fs/", "g5/se/", "race/")
     #: The channel itself and its payload are exempt: ports *are* the

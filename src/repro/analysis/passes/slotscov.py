@@ -50,7 +50,6 @@ class SlotsCoveragePass(LintPass):
                    "define __slots__ (directly or via a slotted base) to "
                    "avoid per-instance dict churn on the hot path.")
     pragma = "no-slots"
-    cross_file = True   # verdicts read the project-wide class index
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:

@@ -284,26 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--path", default=None,
                       help="directory to lint (default: the repro package)")
     lint.add_argument("--format", default="text", dest="fmt",
-                      choices=["text", "json", "sarif"],
+                      choices=["text", "json"],
                       help="report format (default: text)")
-    lint.add_argument("--output", default=None,
-                      help="write the report to this file instead of stdout")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline file (default: lint-baseline.json "
-                           "found from the working directory upward)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file (report everything)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline to the current findings "
-                           "and exit 0")
     lint.add_argument("--list-passes", action="store_true",
                       help="list the registered lint passes and exit")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the content-addressed lint result "
-                           "cache for this run")
-    lint.add_argument("--cache-dir", default=None,
-                      help="lint cache location (default: $REPRO_CACHE_DIR "
-                           "or ~/.cache/repro-g5)")
     lint.add_argument("--ownership-map", default=None, metavar="FILE",
                       dest="ownership_map",
                       help="export the runtime domain-ownership map (plus "
@@ -496,7 +480,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     stats = cache.stats()
     print(f"cache root   : {cache.root}")
-    kinds = ", ".join(f"{kind} {stats.get(kind, 0)}" for kind in KEY_KINDS)
+    # Entries of a retired kind are still on disk (and in the total)
+    # until a plain `cache clear`: list them under their stored name.
+    retired = sorted(set(stats) - set(KEY_KINDS)
+                     - {"entries", "total_bytes"})
+    kinds = ", ".join(f"{kind} {stats.get(kind, 0)}"
+                      for kind in (*KEY_KINDS, *retired))
     print(f"entries      : {stats['entries']} ({kinds})")
     print(f"total size   : {stats['total_bytes'] / 1024:.1f} KB")
     from .exec.costmodel import CostModel
@@ -543,12 +532,7 @@ def _lint_guest(args: argparse.Namespace) -> int:
         import json
 
         text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+    print(text)
     if report["totality_failures"]:
         print(f"FAIL: decoder totality: "
               f"{len(report['totality_failures'])} opcode(s) unhandled",
@@ -565,11 +549,9 @@ def _lint_guest(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .analysis import (Baseline, all_passes, default_lint_cache,
-                           default_lint_root, export_ownership_map,
-                           find_default_baseline, render_json, render_sarif,
-                           render_text, run_lint)
-    from .analysis.baseline import DEFAULT_BASELINE_NAME, BaselineError
+    from .analysis import (all_passes, default_lint_root,
+                           export_ownership_map, render_json, render_text,
+                           run_lint)
 
     if args.list_passes:
         for pass_cls in sorted(all_passes(), key=lambda cls: cls.rule):
@@ -579,57 +561,24 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return _lint_guest(args)
 
     root = Path(args.path) if args.path else default_lint_root()
+    if not root.is_dir():
+        print(f"error: --path {args.path} is not a directory",
+              file=sys.stderr)
+        return 2
     if args.ownership_map:
         from .analysis.passes.race import RacePass
 
-        # Run the race pass alone, uncached, to populate its access
-        # inventory for the export (cached runs skip the visitor).
+        # Run the race pass alone to populate its access inventory.
         RacePass.reset_inventory()
         run_lint(root, passes=[RacePass])
         export_ownership_map(args.ownership_map,
                              inventory=RacePass.snapshot_inventory())
         print(f"wrote {args.ownership_map}")
         return 0
-    cache = None if args.no_cache else default_lint_cache(args.cache_dir)
-    findings = run_lint(root, cache=cache)
-
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else find_default_baseline(Path.cwd()))
-    if args.update_baseline:
-        target = baseline_path or Path.cwd() / DEFAULT_BASELINE_NAME
-        Baseline.from_findings(findings).save(target)
-        print(f"wrote {target} ({len(findings)} finding"
-              f"{'s' if len(findings) != 1 else ''})")
-        return 0
-
-    baseline = Baseline()
-    if baseline_path is not None and not args.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    new, baselined = baseline.split(findings)
-
-    if args.fmt == "json":
-        text = render_json(new, baselined=len(baselined))
-    elif args.fmt == "sarif":
-        text = render_sarif(new, passes=all_passes())
-    else:
-        text = render_text(new, baselined=len(baselined))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
-
-    stale = baseline.stale_fingerprints(findings)
-    if stale:
-        print(f"note: {len(stale)} stale baseline entr"
-              f"{'y' if len(stale) == 1 else 'ies'} (fixed debt); run "
-              "--update-baseline to drop them", file=sys.stderr)
-    return 1 if new else 0
+    findings = run_lint(root)
+    print(render_json(findings) if args.fmt == "json"
+          else render_text(findings))
+    return 1 if findings else 0
 
 
 def _sample_job_from_args(args: argparse.Namespace):

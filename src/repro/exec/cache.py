@@ -93,10 +93,6 @@ class CacheEntry:
             return (f"window {d.get('cpu_model')}/{d.get('workload')} "
                     f"({d.get('scale')}, interval {d.get('interval')}, "
                     f"ckpt {str(d.get('ckpt_digest'))[:12]})")
-        if self.kind == "lint":
-            passes = d.get("passes") or []
-            return (f"lint {d.get('relpath')} ({len(passes)} pass"
-                    f"{'es' if len(passes) != 1 else ''})")
         return self.kind
 
 

@@ -31,9 +31,8 @@ from typing import Any, Optional
 #: Bump when the key schema itself changes (forces a cold cache).
 KEY_SCHEMA_VERSION = 1
 
-#: Every entry kind a key can name (``lint`` keys are made by
-#: :mod:`repro.analysis.cache`); the cache CLI offers exactly these.
-KEY_KINDS = ("g5", "host", "spec", "sample", "window", "lint")
+#: Every entry kind a key can name; the cache CLI offers exactly these.
+KEY_KINDS = ("g5", "host", "spec", "sample", "window")
 
 #: Package directories (relative to the repro package root) hashed into
 #: the simulation-side and host-side code fingerprints.

@@ -49,11 +49,10 @@ def model_sweep_required_g5(workloads, cpu_models,
                             mode=None) -> list[tuple]:
     """Requirement tuples for a workload × CPU-model sweep.
 
-    The shared vocabulary for every figure module's ``required_g5()``
-    (the ``figreq`` lint pass rejects inline tuple construction so the
-    fifteen fig modules cannot drift).  ``workloads`` may be a single
-    name or a list; ``mode`` is passed through unchanged (``None`` lets
-    the runner infer it from the workload registry).
+    The shared vocabulary for every figure module's ``required_g5()``.
+    ``workloads`` may be a single name or a list; ``mode`` is passed
+    through unchanged (``None`` lets the runner infer it from the
+    workload registry).
     """
     if isinstance(workloads, str):
         workloads = [workloads]

@@ -1,8 +1,8 @@
 """Shared fixtures for the static-analysis tests.
 
 The fixture tree under ``fixtures/`` mirrors the lint scopes (``g5/``,
-``experiments/``, plus the out-of-scope ``tools/``); one engine run over
-it is shared by every per-pass test.
+``serve/``, ``race/`` and the rest, plus the out-of-scope ``tools/``);
+one engine run over it is shared by every per-pass test.
 """
 
 from __future__ import annotations

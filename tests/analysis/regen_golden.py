@@ -1,4 +1,4 @@
-"""Regenerate the golden lint reports after an intentional format
+"""Regenerate the golden lint report after an intentional format
 change: ``PYTHONPATH=src python -m tests.analysis.regen_golden``
 (from the repository root)."""
 
@@ -8,18 +8,14 @@ from pathlib import Path
 
 
 def main() -> None:
-    from repro.analysis import all_passes, render_json, render_sarif
+    from repro.analysis import render_json
     from tests.analysis.test_output import _fixed_findings
 
     golden = Path(__file__).parent / "golden"
     golden.mkdir(exist_ok=True)
-    findings = _fixed_findings()
     (golden / "lint.json").write_text(
-        render_json(findings, baselined=1) + "\n", encoding="utf-8")
-    (golden / "lint.sarif").write_text(
-        render_sarif(findings, passes=all_passes()) + "\n",
-        encoding="utf-8")
-    print(f"regenerated {golden / 'lint.json'} and {golden / 'lint.sarif'}")
+        render_json(_fixed_findings()) + "\n", encoding="utf-8")
+    print(f"regenerated {golden / 'lint.json'}")
 
 
 if __name__ == "__main__":

@@ -101,5 +101,5 @@ def test_register_pass_rejects_duplicate_rules():
 
 
 def test_repo_lints_clean():
-    """The shipped tree must stay lint-clean (empty baseline)."""
+    """The shipped tree must stay lint-clean."""
     assert run_lint() == []

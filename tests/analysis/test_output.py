@@ -1,6 +1,6 @@
-"""Golden-output tests: JSON and SARIF reports are byte-stable.
+"""Golden-output tests: the JSON report is byte-stable.
 
-The golden files under ``golden/`` pin the exact serialized form of a
+The golden file under ``golden/`` pins the exact serialized form of a
 fixed findings list; any accidental format change (key renames, order
 instability, fingerprint scheme drift) fails the comparison.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis import all_passes, render_json, render_sarif, render_text
+from repro.analysis import render_json, render_text
 from repro.analysis.findings import Finding, finalize_findings
 
 from .conftest import GOLDEN
@@ -39,44 +39,22 @@ def _check_golden(name, text):
 
 
 def test_text_report():
-    text = render_text(_fixed_findings(), baselined=1)
+    text = render_text(_fixed_findings())
     lines = text.splitlines()
     assert lines[0] == ("g5/clock.py:12:12: error "
                         "[determinism/wall-clock] wall-clock read "
                         "time.time() in simulation-core code; results "
                         "must not depend on host time")
-    assert lines[-1] == "2 findings (1 baselined finding suppressed)"
+    assert lines[-1] == "2 findings"
 
 
 def test_golden_json():
-    _check_golden("lint.json", render_json(_fixed_findings(), baselined=1))
-
-
-def test_golden_sarif():
-    _check_golden("lint.sarif", render_sarif(_fixed_findings(),
-                                             passes=all_passes()))
-
-
-def test_sarif_is_valid_shape():
-    log = json.loads(render_sarif(_fixed_findings(), passes=all_passes()))
-    run = log["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-g5-lint"
-    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert rule_ids == {"determinism", "event-safety", "figreq", "race",
-                        "slots-coverage", "stats-conformance"}
-    results = run["results"]
-    assert len(results) == 2
-    for result in results:
-        assert result["partialFingerprints"]["reproLintFingerprint/v1"]
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"]
-        assert location["region"]["startLine"] >= 1
+    _check_golden("lint.json", render_json(_fixed_findings()))
 
 
 def test_json_summary_counts():
-    payload = json.loads(render_json(_fixed_findings(), baselined=3))
+    payload = json.loads(render_json(_fixed_findings()))
     assert payload["summary"]["total"] == 2
-    assert payload["summary"]["baselined"] == 3
     assert payload["summary"]["by_rule"] == {
         "determinism/wall-clock": 1,
         "stats-conformance/write-only-stat": 1}

@@ -156,24 +156,6 @@ def test_stats_conformance_quiet(fixture_findings):
                          path="g5/stats_quiet.py") == []
 
 
-# -- figure requirements ------------------------------------------------
-def test_figreq_fires_on_inline_tuples(fixture_findings):
-    hits = rule_findings(fixture_findings, "figreq",
-                         path="experiments/fig90_inline.py")
-    assert _suffixes(hits) == ["inline-tuples", "no-helper"]
-
-
-def test_figreq_fires_on_missing_required_g5(fixture_findings):
-    hits = rule_findings(fixture_findings, "figreq",
-                         path="experiments/fig91_missing.py")
-    assert _suffixes(hits) == ["missing"]
-
-
-def test_figreq_quiet(fixture_findings):
-    assert rule_findings(fixture_findings, "figreq",
-                         path="experiments/fig92_quiet.py") == []
-
-
 # -- scoping ------------------------------------------------------------
 def test_out_of_scope_files_produce_nothing(fixture_findings):
     assert [f for f in fixture_findings
@@ -188,6 +170,6 @@ def test_fixture_tree_total():
 
     findings = Engine(FIXTURES).run()
     # determinism(g5) + event + xdomain + slots + stats
-    # + figreq + determinism(serve) + determinism(sample)
+    # + determinism(serve) + determinism(sample)
     # + determinism(fleet) + race
-    assert len(findings) == 7 + 5 + 6 + 1 + 2 + 3 + 3 + 3 + 3 + 8
+    assert len(findings) == 7 + 5 + 6 + 1 + 2 + 3 + 3 + 3 + 8

@@ -57,7 +57,7 @@ def test_race_quiet(fixture_findings):
 
 
 def test_race_real_tree_is_clean():
-    """The simulator itself must lint clean — no baselined debt."""
+    """The simulator itself must lint clean."""
     from repro.analysis import run_lint
 
     assert rule_findings(run_lint(), "race") == []

@@ -1,14 +1,12 @@
 """Tests for the repro-g5 command-line interface."""
 
 import re
-from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.cache import lint_file_key
 from repro.cli import main
 from repro.exec import G5Job, ResultCache
-from repro.exec.keys import KEY_KINDS
+from repro.exec.keys import KEY_KINDS, CacheKey, sample_key
 
 
 @pytest.fixture(autouse=True)
@@ -120,17 +118,35 @@ class TestCliCommands:
                                                _isolated_cache):
         cache = ResultCache(_isolated_cache)
         cache.put(G5Job("sieve", "atomic", "se", "test").cache_key(), {})
-        lint = lint_file_key(SimpleNamespace(relpath="a.py", text=""),
-                             ["figreq"], True, None)
-        cache.put(lint, [])
+        cache.put(sample_key("sieve", "atomic", "test", 100, 200, 2, 4, 0),
+                  {})
 
         assert main(["cache", "info"]) == 0
         entries = re.search(r"entries\s*: (\d+) \((.*)\)",
                             capsys.readouterr().out)
         counts = dict(part.split() for part in entries.group(2).split(", "))
         assert list(counts) == list(KEY_KINDS)
-        assert counts["g5"] == counts["lint"] == "1"
+        assert counts["g5"] == counts["sample"] == "1"
         assert sum(map(int, counts.values())) == int(entries.group(1)) == 2
+
+    def test_cache_info_lists_retired_kinds(self, capsys, _isolated_cache):
+        # An entry whose kind has left KEY_KINDS (an older release's
+        # lint results) is still counted, under its stored kind name.
+        cache = ResultCache(_isolated_cache)
+        cache.put(G5Job("sieve", "atomic", "se", "test").cache_key(), {})
+        cache.put(CacheKey(kind="lint", digest="ab" * 32,
+                           describe={"relpath": "a.py"}), [])
+
+        assert main(["cache", "info"]) == 0
+        entries = re.search(r"entries\s*: (\d+) \((.*)\)",
+                            capsys.readouterr().out)
+        counts = dict(part.split() for part in entries.group(2).split(", "))
+        assert list(counts) == [*KEY_KINDS, "lint"]
+        assert counts["lint"] == "1"
+        assert sum(map(int, counts.values())) == int(entries.group(1)) == 2
+
+        assert main(["cache", "clear"]) == 0
+        assert "removed 2 cache entries" in capsys.readouterr().out
 
     def test_cache_prune(self, capsys):
         assert main(["figs", "fig13", "--scale", "test",
