@@ -88,7 +88,6 @@ class ClassInfo:
     node: ast.ClassDef
     has_slots: bool
     bases: tuple[str, ...]
-    methods: frozenset[str]
 
     @property
     def line(self) -> int:
@@ -100,7 +99,6 @@ class ProjectIndex:
 
     def __init__(self, files: list[SourceFile]) -> None:
         self.files = files
-        self.by_relpath = {f.relpath: f for f in files}
         # Class name -> definitions (duplicates across modules possible).
         self.classes: dict[str, list[ClassInfo]] = {}
         for source in files:
@@ -118,11 +116,7 @@ class ProjectIndex:
             base.id if isinstance(base, ast.Name)
             else ast.unparse(base)
             for base in node.bases)
-        methods = frozenset(
-            stmt.name for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)))
-        info = ClassInfo(node.name, source.relpath, node, has_slots,
-                         bases, methods)
+        info = ClassInfo(node.name, source.relpath, node, has_slots, bases)
         self.classes.setdefault(node.name, []).append(info)
 
     def lookup_class(self, name: str) -> list[ClassInfo]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from . import (  # noqa: F401
     determinism,
     eventsafety,
-    race,
     slotscov,
     statsconf,
 )

@@ -12,17 +12,6 @@ invariants that runtime checks only catch after the fact:
   ``priority`` feed its heap sort key; assigning them outside the
   event framework silently corrupts heap order (the slot invariant in
   particular).  Only ``events/`` itself may touch them.
-- **No cross-domain scheduling.**  Sharded simulation
-  (:mod:`repro.g5.sharded`) gives each domain its own queue; model code
-  that schedules directly into *another* object's ``eventq`` bypasses
-  the boundary link, so the sender's window is never clamped and the
-  merged event order silently diverges from the single-queue order.
-  Cross-domain traffic must go through a port (and thus the installed
-  ``BoundaryLink``); only ``self.eventq`` may be scheduled into
-  directly.  The check sees through the two laundering idioms:
-  binding the foreign queue to a local name first (``eq =
-  other.eventq; eq.schedule(...)``) and fetching it reflectively
-  (``getattr(other, "eventq").schedule(...)``).
 
 Suppress a justified site with ``# lint: no-event-safety``.
 """
@@ -49,28 +38,6 @@ def _is_negative_constant(node: ast.AST) -> bool:
             and isinstance(node.operand.value, (int, float)))
 
 
-def _eventq_base(node: ast.AST):
-    """The object whose ``eventq`` this expression fetches, or None.
-
-    Matches both the attribute form (``<base>.eventq``) and the
-    reflective form (``getattr(<base>, "eventq")``).
-    """
-    if isinstance(node, ast.Attribute) and node.attr == "eventq":
-        return node.value
-    if (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "getattr"
-            and len(node.args) >= 2
-            and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value == "eventq"):
-        return node.args[0]
-    return None
-
-
-def _is_self(node: ast.AST) -> bool:
-    return isinstance(node, ast.Name) and node.id == "self"
-
-
 def _mentions_now_minus(node: ast.AST) -> bool:
     """True for expressions shaped ``<...>.now - <expr>`` (any depth)."""
     for sub in ast.walk(node):
@@ -88,10 +55,8 @@ class EventSafetyPass(LintPass):
     rule = "event-safety"
     title = "Event scheduling discipline"
     description = ("No negative or now-relative-subtraction scheduling "
-                   "deltas, no mutation of when/priority on events "
-                   "outside the event framework, and no scheduling into "
-                   "another object's event queue (bypasses the sharded "
-                   "boundary link).")
+                   "deltas and no mutation of when/priority on events "
+                   "outside the event framework.")
     pragma = "no-event-safety"
 
     @classmethod
@@ -99,30 +64,9 @@ class EventSafetyPass(LintPass):
         return relpath.startswith(("g5/", "events/", "workloads/",
                                    "host/", "experiments/"))
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: Per-function frames of local names currently bound to a
-        #: *foreign* event queue (``eq = other.eventq``).  Statement
-        #: order is preserved by the visitor, so a rebinding clears the
-        #: mark before later uses are checked.
-        self._alias_frames: list[set] = []
-
     @property
     def _in_framework(self) -> bool:
         return self.source.relpath.startswith("events/")
-
-    def _visit_function(self, node) -> None:
-        self._alias_frames.append(set())
-        try:
-            self.generic_visit(node)
-        finally:
-            self._alias_frames.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def _name_is_foreign_queue(self, name: str) -> bool:
-        return any(name in frame for frame in reversed(self._alias_frames))
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -130,41 +74,9 @@ class EventSafetyPass(LintPass):
             name = func.attr
             if name in _DELAY_METHODS:
                 self._check_delay(node, _DELAY_METHODS[name], name)
-                self._check_cross_domain(node, func, name)
             elif name in _ABSOLUTE_METHODS:
                 self._check_absolute(node, _ABSOLUTE_METHODS[name], name)
-                self._check_cross_domain(node, func, name)
         self.generic_visit(node)
-
-    def _check_cross_domain(self, node: ast.Call, func: ast.Attribute,
-                            name: str) -> None:
-        """Flag ``<other>.eventq.schedule...()`` — bypasses the boundary.
-
-        In a sharded run another object's ``eventq`` may be a different
-        domain's queue; enqueueing there directly skips the boundary
-        link's delivery event and window clamp, so the merged event
-        order (and bit-identity with the single-queue path) is lost.
-        ``self.eventq`` stays legitimate: that is the intra-domain hot
-        path.
-        """
-        owner = func.value
-        base = _eventq_base(owner)
-        if base is not None:
-            # Direct `<other>.eventq.schedule(...)` or reflective
-            # `getattr(other, "eventq").schedule(...)`.
-            if _is_self(base):
-                return
-        elif isinstance(owner, ast.Name):
-            # Aliased: `eq = other.eventq; eq.schedule(...)`.
-            if not self._name_is_foreign_queue(owner.id):
-                return
-        else:
-            return
-        self.report(node, f"{name}() on another object's .eventq "
-                    "bypasses the sharded boundary link; send through "
-                    "a port (or schedule on self.eventq) so cross-domain "
-                    "delivery stays ordered",
-                    suffix="cross-domain-schedule")
 
     def _argument(self, node: ast.Call, index: int):
         if index < len(node.args):
@@ -199,25 +111,7 @@ class EventSafetyPass(LintPass):
         if not self._in_framework:
             for target in node.targets:
                 self._check_mutation(target)
-        self._track_aliases(node)
         self.generic_visit(node)
-
-    def _track_aliases(self, node: ast.Assign) -> None:
-        if not self._alias_frames:
-            return
-        frame = self._alias_frames[-1]
-        base = _eventq_base(node.value)
-        foreign = base is not None and not _is_self(base)
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                if foreign:
-                    frame.add(target.id)
-                else:
-                    frame.discard(target.id)
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    if isinstance(element, ast.Name):
-                        frame.discard(element.id)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         if not self._in_framework:

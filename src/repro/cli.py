@@ -96,17 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scale", default="simsmall", choices=SCALES)
     sim.add_argument("--stats-file", default=None,
                      help="write gem5-style stats.txt to this path")
-    sim.add_argument("--domains", type=_positive_int, default=1,
-                     help="event-queue domains (2 = CPU + memory shard; "
-                          "default: 1, single queue)")
-    sim.add_argument("--link-latency", type=int, default=0,
-                     help="cross-domain boundary-link latency in cycles "
-                          "(default: 0; >0 changes guest timing)")
-    sim.add_argument("--sanitize", action="store_true",
-                     help="arm the runtime ownership sanitizer (requires "
-                          "--domains >= 2); exits nonzero on any "
-                          "cross-domain write outside the boundary "
-                          "channels")
     sim.add_argument("--threads", "-n", type=_positive_int, default=1,
                      help="guest threads for workloads with a threaded "
                           "variant (default: 1, the legacy kernel)")
@@ -255,9 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: 8)")
     sample.add_argument("--seed", type=int, default=None,
                         help="clustering/projection seed (default: 1234)")
-    sample.add_argument("--domains", type=_positive_int, default=None,
-                        help="event-queue domains for the detailed "
-                             "measurement systems (default: 1)")
     sample.add_argument("--json", action="store_true", dest="as_json",
                         help="emit machine-readable JSON")
     _add_executor_args(sample)
@@ -288,11 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="report format (default: text)")
     lint.add_argument("--list-passes", action="store_true",
                       help="list the registered lint passes and exit")
-    lint.add_argument("--ownership-map", default=None, metavar="FILE",
-                      dest="ownership_map",
-                      help="export the runtime domain-ownership map (plus "
-                           "the race pass's access inventory) as JSON and "
-                           "exit")
     lint.add_argument("--guest", default=None, metavar="WORKLOAD",
                       choices=sorted(WORKLOADS),
                       help="analyze this guest workload's binary instead "
@@ -307,10 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     workload = get_workload(args.workload)
-    if args.sanitize and args.domains < 2:
-        print("error: --sanitize requires --domains >= 2 (it validates "
-              "the sharded domain partition)", file=sys.stderr)
-        return 2
     cores = args.cores if args.cores is not None else max(1, args.threads)
     if args.threads > 1 and not workload.threaded:
         print(f"error: workload {args.workload!r} has no threaded "
@@ -318,9 +295,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     try:
         config = SimConfig(cpu_model=args.cpu, mode=workload.mode,
-                           domains=args.domains, cores=cores,
-                           link_latency_cycles=args.link_latency,
-                           sanitize=args.sanitize)
+                           cores=cores)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -347,26 +322,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"guest IPC      : {result.ipc:.3f}")
     print(f"sim seconds    : {result.sim_seconds:.6f}")
     print(f"trace records  : {len(result.recorder)}")
-    if result.sharding is not None:
-        shard = result.sharding
-        per_domain = ", ".join(
-            f"{name} {count}" for name, count in zip(
-                shard["domain_names"], shard["events_per_domain"]))
-        print(f"domains        : {shard['domains']} ({per_domain})")
-        print(f"sync windows   : {shard['windows']} "
-              f"({shard['deliveries']} boundary deliveries, "
-              f"quantum {shard['quantum_ticks']} ticks)")
-    if result.sanitize is not None:
-        san = result.sanitize
-        print(f"sanitizer      : {san['checked_writes']} writes checked, "
-              f"{san['boundary_crossings']} boundary crossings, "
-              f"{len(san['violations'])} violation"
-              f"{'s' if len(san['violations']) != 1 else ''}")
-        for violation in san["violations"][:10]:
-            print(f"  VIOLATION    : {violation['path']}.{violation['attr']} "
-                  f"(owner {violation['owner_domain']}) written from "
-                  f"{violation['active_domain']} at tick "
-                  f"{violation['tick']}")
     if result.console:
         print(f"console        : {result.console!r}")
     if args.stats_file:
@@ -374,8 +329,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         save_stats(system, args.stats_file)
         print(f"stats          : wrote {args.stats_file}")
-    if result.sanitize is not None and result.sanitize["violations"]:
-        return 1
     return 0
 
 
@@ -549,9 +502,8 @@ def _lint_guest(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .analysis import (all_passes, default_lint_root,
-                           export_ownership_map, render_json, render_text,
-                           run_lint)
+    from .analysis import (all_passes, default_lint_root, render_json,
+                           render_text, run_lint)
 
     if args.list_passes:
         for pass_cls in sorted(all_passes(), key=lambda cls: cls.rule):
@@ -565,16 +517,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"error: --path {args.path} is not a directory",
               file=sys.stderr)
         return 2
-    if args.ownership_map:
-        from .analysis.passes.race import RacePass
-
-        # Run the race pass alone to populate its access inventory.
-        RacePass.reset_inventory()
-        run_lint(root, passes=[RacePass])
-        export_ownership_map(args.ownership_map,
-                             inventory=RacePass.snapshot_inventory())
-        print(f"wrote {args.ownership_map}")
-        return 0
     findings = run_lint(root)
     print(render_json(findings) if args.fmt == "json"
           else render_text(findings))
@@ -594,8 +536,6 @@ def _sample_job_from_args(args: argparse.Namespace):
         kwargs["max_k"] = args.max_k
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if args.domains is not None:
-        kwargs["domains"] = args.domains
     return SampledJob(**kwargs)
 
 

@@ -11,7 +11,6 @@ Public surface:
 from .event import (
     CPU_TICK_PRI,
     DEFAULT_PRI,
-    LINK_PRI,
     SIM_EXIT_PRI,
     STAT_EVENT_PRI,
     CallbackEvent,
@@ -43,7 +42,6 @@ __all__ = [
     "EventQueue",
     "EventQueueError",
     "ExitEvent",
-    "LINK_PRI",
     "PeriodicEvent",
     "Root",
     "SimObject",

@@ -18,11 +18,6 @@ DEBUG_ENABLE_PRI = -101
 CPU_SWITCH_PRI = -31
 DELAYED_WRITEBACK_PRI = -1
 DEFAULT_PRI = 0
-# Reserved for boundary-link delivery events in sharded (multi-queue)
-# simulation.  Sorts after same-tick model events (DEFAULT_PRI) and
-# before CPU ticks, and no model event may use it, so a delivery never
-# ties with local work and cross-queue ordering stays total.
-LINK_PRI = 40
 CPU_TICK_PRI = 50
 DVFS_UPDATE_PRI = 62
 SERIALIZE_PRI = 64

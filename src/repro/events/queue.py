@@ -101,8 +101,8 @@ class EventQueue:
     def schedule_fresh(self, event: Event, when: int) -> None:
         """Minimal-overhead schedule for a freshly built event.
 
-        Boundary links fire one delivery event per cross-domain packet,
-        so scheduling cost is on the sharded hot path.  The event is
+        A thread spawn on a sharded multi-core system starts the worker
+        on its own domain's queue at the caller's tick.  The event is
         constructed at its send site and scheduled exactly once, and the
         sharded engine only ever runs the domain holding the globally
         smallest key, so the past-tick and double-schedule guards of
@@ -167,17 +167,6 @@ class EventQueue:
         """Tick of the next live event, or ``None`` if the queue is empty."""
         entry = self._peek_live()
         return None if entry is None else entry[2].when
-
-    def peek_key(self) -> Optional[tuple[int, int, int]]:
-        """Sort key ``(tick, priority, seq)`` of the next live event.
-
-        ``None`` if the queue is empty.  Because every queue draws event
-        sequence numbers from the same global counter, keys from
-        different queues are directly comparable: the smaller key is the
-        event that a single merged queue would fire first.
-        """
-        entry = self._peek_live()
-        return None if entry is None else entry[0]
 
     @property
     def events_processed(self) -> int:
@@ -276,18 +265,14 @@ class EventQueue:
     # ------------------------------------------------------------------
     # windowed execution (sharded simulation)
     # ------------------------------------------------------------------
-    @property
-    def window_bound(self) -> Optional[tuple[int, int, int]]:
-        """The active window's exclusive bound, or None outside one."""
-        return self._window_bound
-
     def clamp_window(self, key: tuple[int, int, int]) -> None:
         """Shrink the active window so no event at/after ``key`` fires.
 
-        Called by boundary links when a cross-queue delivery is
-        scheduled mid-window: the sender must stop before the delivery's
-        global position so the merged order stays exact.  A no-op
-        outside a window (single-queue runs pop in global order anyway).
+        Called by boundary links and cross-queue thread spawns when they
+        schedule onto another queue mid-window: the sender must stop
+        before that event's global position so the merged order stays
+        exact.  A no-op outside a window (single-queue runs pop in
+        global order anyway).
         """
         if self._window_bound is not None and key < self._window_bound:
             self._window_bound = key

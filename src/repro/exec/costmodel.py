@@ -246,15 +246,19 @@ class CostModel:
                 del self._observations[:-OBSERVATION_CAP]
                 self._fits.pop(obs["kind"], None)
 
+    def predict_task(self, task: Any) -> float:
+        """Predicted duration of one execute-step task: a task of
+        several ``members`` (a walk) predicts their sum."""
+        return sum(map(self.predict, getattr(task, "members", (task,))))
+
     def schedule(self, jobs: Sequence[Any]) -> list[Any]:
-        """Jobs ordered predicted-longest-first (LPT minimises makespan);
-        a task of several ``members`` predicts their sum.  Ties break on
-        the stable sort key, so the order is deterministic."""
+        """Tasks ordered predicted-longest-first (LPT minimises
+        makespan).  Ties break on the stable sort key, so the order is
+        deterministic."""
         if len(jobs) < 2:
             return list(jobs)      # nothing to order: predict nothing
-        return sorted(jobs, key=lambda j: (
-            -sum(map(self.predict, getattr(j, "members", (j,)))),
-            j.sort_key()))
+        return sorted(jobs, key=lambda j: (-self.predict_task(j),
+                                           j.sort_key()))
 
     def observations(self) -> list[dict]:
         """The training history (for inspection)."""

@@ -167,8 +167,7 @@ def host_key(g5: CacheKey, platform: Any, opt_level: int, hugepages: Any,
 
 def sample_key(workload: str, cpu_model: str, scale: str,
                interval_insts: int, warmup_insts: int, k: int,
-               max_k: int, seed: int, mode: str = "se",
-               domains: int = 1) -> CacheKey:
+               max_k: int, seed: int, mode: str = "se") -> CacheKey:
     """Key of one sampled-simulation payload (repro.sample)."""
     return _make_key("sample", {
         "code": sample_fingerprint(),
@@ -181,14 +180,12 @@ def sample_key(workload: str, cpu_model: str, scale: str,
         "k": k,
         "max_k": max_k,
         "seed": seed,
-        "domains": domains,
     })
 
 
 def window_key(workload: str, cpu_model: str, scale: str, interval: int,
                start_inst: int, length: int, pre_insts: int,
-               ckpt_digest: str, mode: str = "se",
-               domains: int = 1) -> CacheKey:
+               ckpt_digest: str, mode: str = "se") -> CacheKey:
     """Key of one measured SimPoint window (repro.sample.parallel).
 
     The checkpoint *content* digest is part of the key — two windows at
@@ -208,7 +205,6 @@ def window_key(workload: str, cpu_model: str, scale: str, interval: int,
         "length": length,
         "pre_insts": pre_insts,
         "ckpt_digest": ckpt_digest,
-        "domains": domains,
     })
 
 

@@ -155,6 +155,13 @@ def _tasks(jobs: list) -> list:
             for group in groups.values()]
 
 
+def predict_jobs(cost_model: CostModel, jobs: Iterable) -> float:
+    """Predicted seconds of executing ``jobs``: the cost model's price
+    of each task :meth:`ExecutionEngine.resolve` would run for them."""
+    tasks = _tasks(list(dict.fromkeys(jobs)))
+    return sum(map(cost_model.predict_task, tasks))
+
+
 def _members(task) -> tuple:
     """The jobs a task resolves: a walk's members, else the task."""
     return getattr(task, "members", (task,))
@@ -211,9 +218,6 @@ class EngineStats:
     #: but counted apart so ``executed`` keeps meaning g5 work
     replays_executed: Counter = field(default_factory=Counter)
     replay_hits: Counter = field(default_factory=Counter)
-    sharded_runs: int = 0          # simulations executed with domains > 1
-    domain_windows: int = 0        # quantum windows across sharded runs
-    boundary_deliveries: int = 0   # cross-domain packet deliveries
     by_label: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
@@ -254,20 +258,6 @@ class EngineStats:
             else:
                 self.disk_hits += count
 
-    def note_sharded_run(self, sharding: Optional[dict]) -> None:
-        """Fold in one executed simulation's sharding counters.
-
-        ``sharding`` is :attr:`~repro.g5.system.SimResult.sharding`
-        (``None`` for single-queue runs, which keeps this a no-op on
-        the default path).
-        """
-        if not sharding:
-            return
-        with self._lock:
-            self.sharded_runs += 1
-            self.domain_windows += int(sharding.get("windows", 0))
-            self.boundary_deliveries += int(sharding.get("deliveries", 0))
-
     def as_dict(self) -> dict[str, float]:
         with self._lock:
             return {"g5_executed": self.executed,
@@ -275,10 +265,7 @@ class EngineStats:
                     "g5_executed_seconds": round(self.executed_seconds, 3),
                     "windows_executed": self.windows_executed,
                     "window_hits": self.window_hits,
-                    "window_seconds": round(self.window_seconds, 3),
-                    "sharded_runs": self.sharded_runs,
-                    "domain_windows": self.domain_windows,
-                    "boundary_deliveries": self.boundary_deliveries}
+                    "window_seconds": round(self.window_seconds, 3)}
 
 
 class ExecutionEngine:
@@ -475,6 +462,5 @@ class ExecutionEngine:
             self.cache.put(key, payload)
         self.cost_model.observe(job, seconds)
         self.stats.note_execution(job.label, seconds, kind=key.kind)
-        self.stats.note_sharded_run(getattr(value, "sharding", None))
         self.progress.job_done(job.label, seconds)
         return Resolved(payload, value, "executed")

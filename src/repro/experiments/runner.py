@@ -82,17 +82,22 @@ class ExperimentRunner:
         self.engine.run_batch(requirement_job(requirement, self.scale)
                               for requirement in requirements)
 
-    def prefetch_figures(self, modules: Iterable, **args) -> None:
-        """Resolve in one batch every job the figure modules declare
-        for ``run(self, **args)`` (``required_g5``, ``required_replays``),
-        so ``run`` reads only the memo."""
+    def figure_jobs(self, modules: Iterable, **args) -> list:
+        """Every job the figure modules declare for ``run(self, **args)``:
+        their g5 runs (``required_g5``) and replays
+        (``required_replays``)."""
         jobs = []
         for module in modules:
             jobs += [requirement_job(requirement, self.scale)
                      for requirement in module.required_g5(**args)]
             if hasattr(module, "required_replays"):
                 jobs += module.required_replays(self, **args)
-        self.engine.run_batch(jobs)
+        return jobs
+
+    def prefetch_figures(self, modules: Iterable, **args) -> None:
+        """Resolve :meth:`figure_jobs` in one batch, so ``run`` reads
+        only the memo."""
+        self.engine.run_batch(self.figure_jobs(modules, **args))
 
     # ------------------------------------------------------------------
     # host side

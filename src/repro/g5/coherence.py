@@ -77,17 +77,13 @@ class CoherenceDomain:
 
     Like a port, this is a boundary object: a member cache's fills and
     write upgrades call :meth:`snoop_read`/:meth:`snoop_write`, and the
-    domain walks the *peer* caches' tag stores on their behalf.  When a
-    runtime ownership sanitizer is armed the domain publishes each probe
-    through ``sanitizer.enter``/``leave`` so cross-core tag writes are
-    recorded as mediated, not racy.
+    domain walks the *peer* caches' tag stores on their behalf.
     """
 
-    __slots__ = ("caches", "sanitizer")
+    __slots__ = ("caches",)
 
     def __init__(self) -> None:
         self.caches: List["Cache"] = []
-        self.sanitizer = None
 
     def attach(self, cache: "Cache") -> None:
         cache.coherence = self
@@ -103,15 +99,6 @@ class CoherenceDomain:
 
     def _probe(self, requester: "Cache", line_addr: int,
                invalidate: bool) -> None:
-        sanitizer = self.sanitizer
         for cache in self.caches:
-            if cache is requester:
-                continue
-            if sanitizer is not None:
-                sanitizer.enter(cache)
-                try:
-                    cache.handle_snoop(line_addr, invalidate)
-                finally:
-                    sanitizer.leave()
-            else:
+            if cache is not requester:
                 cache.handle_snoop(line_addr, invalidate)

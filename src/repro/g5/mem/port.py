@@ -10,7 +10,7 @@ access protocols:
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Optional
 
 from .packet import Packet
 
@@ -19,36 +19,14 @@ class PortError(RuntimeError):
     """Raised on unbound ports or protocol misuse."""
 
 
-class TimingTarget(Protocol):
-    """What a ResponsePort owner must implement.
-
-    The atomic protocol carries no Packet: a read/write names its
-    address, size and direction (``recv_atomic_fast``), a dirty-line
-    writeback its address and size (``recv_atomic_wb_fast``).
-    """
-
-    def recv_atomic_fast(self, addr: int, size: int,
-                         is_write: bool) -> int: ...
-    def recv_atomic_wb_fast(self, addr: int, size: int) -> int: ...
-    def recv_timing_req(self, pkt: Packet) -> bool: ...
-    def recv_functional(self, pkt: Packet) -> None: ...
-
-
-class TimingSource(Protocol):
-    """What a RequestPort owner must implement."""
-
-    def recv_timing_resp(self, pkt: Packet) -> None: ...
-    def recv_req_retry(self) -> None: ...
-
-
 class Port:
     """Common port plumbing: naming and peer binding.
 
     ``link`` is normally ``None`` (peer calls are direct).  Sharded
     simulation installs a :class:`~repro.g5.sharded.BoundaryLink` on
     both ports of a pair whose owners live on different event queues;
-    the timing protocol then routes through the link's boundary buffer
-    instead of calling the peer synchronously (atomic and functional
+    the timing protocol then routes through the link, which calls the
+    peer and keeps the merged event order exact (atomic and functional
     accesses stay direct — they carry no event-queue state).
     """
 
@@ -102,8 +80,8 @@ class RequestPort(Port):
         The port is the mediation point for every cross-object access:
         model code that wants to cache the peer's fast atomic callable
         must obtain it here rather than reaching through
-        ``.peer.owner`` itself, so instrumentation layers (the ownership
-        sanitizer, future boundary interposition) can wrap the crossing.
+        ``.peer.owner`` itself, so a boundary layer can wrap the
+        crossing.
         """
         return self._require_peer().owner.recv_atomic_fast
 

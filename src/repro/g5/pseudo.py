@@ -56,7 +56,7 @@ class PseudoOpHandler:
 
     Control plane: every pseudo-op executes synchronously at a
     guest-visible serialization point, so the handler may touch any
-    domain's state (the ownership map classifies it accordingly).  The
+    domain's state.  The
     thread ops implement a minimal runtime on top of the N-core system:
     ``spawn`` assigns a parked core, seeds its registers (pc, a
     per-thread stack, the argument in a0, the tid in tp) and schedules
@@ -134,19 +134,12 @@ class PseudoOpHandler:
         tid = self._next_tid
         self._next_tid += 1
         self.threads[tid] = _Thread(tid, worker)
-        sanitizer = self.system.sanitizer
-        if sanitizer is not None:
-            sanitizer.enter(worker)
-        try:
-            worker.regs.pc = entry
-            worker.regs.write_int(2, process.stack_top_for(tid))  # sp
-            worker.regs.write_int(_A0, arg)
-            worker.regs.write_int(_TP, tid)
-            worker.unpark()
-            self._start_worker(caller, worker)
-        finally:
-            if sanitizer is not None:
-                sanitizer.leave()
+        worker.regs.pc = entry
+        worker.regs.write_int(2, process.stack_top_for(tid))  # sp
+        worker.regs.write_int(_A0, arg)
+        worker.regs.write_int(_TP, tid)
+        worker.unpark()
+        self._start_worker(caller, worker)
         caller.regs.write_int(_A0, tid)
 
     def _start_worker(self, caller, worker) -> None:
@@ -162,10 +155,7 @@ class PseudoOpHandler:
         when = caller_queue.now
         event = worker.thread_start_event(when)
         if worker_queue is caller_queue:
-            # Same-domain spawn: the guard above proves the worker's
-            # queue IS the caller's, so this is an intra-domain
-            # schedule, not a boundary bypass.
-            caller_queue.schedule(event, when)  # lint: no-event-safety
+            caller_queue.schedule(event, when)
         else:
             worker_queue.schedule_fresh(event, when)
             caller_queue.clamp_window((when, event.priority, event._seq))

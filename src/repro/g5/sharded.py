@@ -19,20 +19,12 @@ Design
   queue would fire next ever execute, so the total event order is
   exactly the single-queue order.
 - Cross-domain timing traffic goes through a :class:`BoundaryLink`
-  installed on the port pair.  Zero-latency links run the receiver
+  installed on the port pair.  A link runs the receiver
   *synchronously* at the sender's position in the merged order (the
-  single-queue call graph, reproduced exactly), then clamp the
+  single-queue call graph, reproduced exactly), then clamps the
   sender's window to the receiver's new head so no later local event
-  can overtake the packet's consequences.  Links with real latency
-  buffer the packet as a delivery event (reserved ``LINK_PRI``) in the
-  receiver's queue instead; pending deliveries drain when the
-  receiving domain's window opens — the boundary-buffer flush.
-- The synchronization quantum is the minimum cross-domain link latency.
-  At the default (zero-latency links) the quantum degenerates to exact
-  per-event synchronization and guest timing is untouched; a positive
-  ``SimConfig.link_latency_cycles`` buys real lookahead (bigger windows,
-  fewer flushes) at the cost of added guest-visible latency — see
-  EXPERIMENTS.md for the sensitivity study.
+  can overtake the packet's consequences.  Links carry no latency, so
+  guest timing is untouched.
 
 Intra-domain scheduling is completely untouched: each domain queue keeps
 the zero-heap tick loop, and the atomic protocol bypasses the
@@ -45,8 +37,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..events import EventQueue, ExitEvent, LINK_PRI
-from ..events.event import Event
+from ..events import EventQueue, ExitEvent
 from ..events.queue import EventQueueError
 from .mem.port import Port, RequestPort
 
@@ -57,69 +48,30 @@ _NO_BOUND = (2 ** 63, 2 ** 31, 0)
 _MIN_PRI = -(2 ** 31)
 
 
-class DeliveryEvent(Event):
-    """One buffered cross-domain packet (or retry) delivery.
-
-    A dedicated slotted event instead of ``CallbackEvent`` + lambda:
-    links fire one of these per boundary crossing, so construction cost
-    is on the sharded hot path.  ``target`` is the receiver-side bound
-    method; ``pkt`` is ``None`` for retries.
-    """
-
-    __slots__ = ("target", "pkt")
-
-    def __init__(self, name: str, target, pkt) -> None:
-        super().__init__(name=name, priority=LINK_PRI)
-        self.target = target
-        self.pkt = pkt
-
-    def process(self) -> None:
-        pkt = self.pkt
-        if pkt is None:
-            self.target()
-        else:
-            self.target(pkt)
-
-
 class BoundaryLink:
     """Cross-domain connection between a request/response port pair.
 
-    A zero-latency link (the default) runs the receiver's protocol
-    callback *synchronously*, inside the sender's window, exactly where
-    a single merged queue would run it — so every schedule the receiver
-    performs draws the same global sequence number it would on a single
-    queue.  That is what keeps same-``(tick, priority)`` ties anywhere
-    downstream resolving identically, and therefore registers, memory,
-    stats, and traces bit-identical.  (A deferred delivery event cannot
-    guarantee this: it would execute after every same-tick lower-``
-    LINK_PRI`` event, so the receiver's schedules — and hence later tie
-    breaks — could reorder against the sender's.  Harmless with one CPU
-    in flight; observable the moment two cores race a spinlock.)
-
-    A link with real latency buffers the packet as a delivery event
-    scheduled into the receiving domain's queue at ``sender.now +
-    latency_ticks`` with the reserved ``LINK_PRI`` — added guest-visible
-    latency is the modeled behavior there, and the reference path
-    emulates the same event shape on a single queue.
+    The link runs the receiver's protocol callback *synchronously*,
+    inside the sender's window, exactly where a single merged queue
+    would run it — so every schedule the receiver performs draws the
+    same global sequence number it would on a single queue.  That is
+    what keeps same-``(tick, priority)`` ties anywhere downstream
+    resolving identically, and therefore registers, memory, stats, and
+    traces bit-identical.  (A deferred delivery event cannot guarantee
+    this: it would execute after every same-tick event of lower
+    priority, so the receiver's schedules — and hence later tie breaks
+    — could reorder against the sender's.  Harmless with one CPU in
+    flight; observable the moment two cores race a spinlock.)
     """
 
-    __slots__ = ("name", "req_queue", "resp_queue", "latency_ticks",
-                 "deliveries", "sanitizer", "_req_name", "_resp_name",
-                 "_retry_name")
+    __slots__ = ("name", "req_queue", "resp_queue", "deliveries")
 
     def __init__(self, name: str, req_queue: EventQueue,
-                 resp_queue: EventQueue, latency_ticks: int = 0) -> None:
+                 resp_queue: EventQueue) -> None:
         self.name = name
         self.req_queue = req_queue      # queue of the request-port owner
         self.resp_queue = resp_queue    # queue of the response-port owner
-        self.latency_ticks = latency_ticks
         self.deliveries = 0
-        #: Ownership sanitizer (:mod:`repro.g5.sanitize`); when armed,
-        #: synchronous crossings are published as mediated accesses.
-        self.sanitizer = None
-        self._req_name = f"{name}.req"
-        self._resp_name = f"{name}.resp"
-        self._retry_name = f"{name}.retry"
 
     def install(self, req_port: Port, resp_port: Port) -> None:
         req_port.link = self
@@ -127,61 +79,38 @@ class BoundaryLink:
 
     # -- timing protocol (called from repro.g5.mem.port) ----------------
     def send_req(self, resp_port: Port, pkt) -> bool:
-        owner = resp_port.owner
         self._deliver(self.req_queue, self.resp_queue,
-                      owner.recv_timing_req, pkt, self._req_name,
-                      owner=owner)
+                      resp_port.owner.recv_timing_req, pkt)
         # Boundary targets are never busy: the receiver accepts at
         # delivery time (no model in this tree rejects requests).
         return True
 
     def send_resp(self, req_port: Port, pkt) -> None:
         self._deliver(self.resp_queue, self.req_queue,
-                      req_port.recv_timing_resp, pkt, self._resp_name,
-                      owner=req_port.owner)
+                      req_port.recv_timing_resp, pkt)
 
     def send_retry(self, req_port: Port) -> None:
         self._deliver(self.resp_queue, self.req_queue,
-                      req_port.recv_req_retry, None, self._retry_name,
-                      owner=req_port.owner)
+                      req_port.recv_req_retry, None)
 
     # -- internals ------------------------------------------------------
     def _deliver(self, sender: EventQueue, receiver: EventQueue,
-                 target: Callable, pkt, name: str, owner=None) -> None:
+                 target: Callable, pkt) -> None:
         self.deliveries += 1
-        when = sender.now + self.latency_ticks
-        if self.latency_ticks == 0:
-            # Synchronous crossing at the sender's merged-order position
-            # (see the class docstring).  The receiver's clock may lag —
-            # pull it up so the callback's relative schedules land at
-            # the global tick, exactly as they would after a delivery
-            # event had set ``receiver.now``.
-            if receiver.now < when:
-                receiver.now = when
-            sanitizer = self.sanitizer
-            if sanitizer is not None and owner is not None:
-                sanitizer.enter(owner)
-                try:
-                    target(pkt) if pkt is not None else target()
-                finally:
-                    sanitizer.leave()
-            elif pkt is not None:
-                target(pkt)
-            else:
-                target()
-            # The callback may have scheduled receiver-side events below
-            # the sender's window bound; stop the sender there so the
-            # merged order stays exact.  No-op outside a window.
-            head = receiver._peek_live()
-            if head is not None:
-                sender.clamp_window(head[0])
-            return
-        event = DeliveryEvent(name, target, pkt)
-        receiver.schedule_fresh(event, when)
-        # The delivery may sort before the sender's own remaining events
-        # (e.g. a same-tick stat dump); stop the sender's window there so
-        # the merged order stays exact.  No-op on a shared single queue.
-        sender.clamp_window((when, LINK_PRI, event._seq))
+        # The receiver's clock may lag — pull it up so the callback's
+        # relative schedules land at the global tick.
+        if receiver.now < sender.now:
+            receiver.now = sender.now
+        if pkt is not None:
+            target(pkt)
+        else:
+            target()
+        # The callback may have scheduled receiver-side events below
+        # the sender's window bound; stop the sender there so the
+        # merged order stays exact.  No-op outside a window.
+        head = receiver._peek_live()
+        if head is not None:
+            sender.clamp_window(head[0])
 
 
 class ShardedEngine:
@@ -194,18 +123,12 @@ class ShardedEngine:
     """
 
     def __init__(self, domains: List[EventQueue],
-                 links: List[BoundaryLink],
-                 quantum_ticks: int = 0) -> None:
+                 links: List[BoundaryLink]) -> None:
         if len(domains) < 2:
             raise ValueError("a sharded engine needs at least two domains")
         self.domains = list(domains)
         self.links = list(links)
-        self.quantum_ticks = quantum_ticks
         self.windows = 0                 # domain windows executed
-        #: Ownership sanitizer (:mod:`repro.g5.sanitize`), installed by
-        #: ``SimConfig(sanitize=True)``; the run loop publishes the
-        #: executing domain's index on it before every window.
-        self.sanitizer = None
 
     # -- EventQueue-facade inspection -----------------------------------
     @property
@@ -240,7 +163,6 @@ class ShardedEngine:
                                   for queue in self.domains],
             "windows": self.windows,
             "deliveries": self.deliveries,
-            "quantum_ticks": self.quantum_ticks,
         }
 
     # -- execution ------------------------------------------------------
@@ -258,97 +180,46 @@ class ShardedEngine:
                 "use max_tick or run unsharded")
         limit_key = (None if max_tick is None
                      else (max_tick + 1, _MIN_PRI, 0))
-        if len(self.domains) == 2 and self.sanitizer is None:
-            return self._run_pair(max_tick, limit_key)
         return self._run_many(max_tick, limit_key)
 
-    def _run_pair(self, max_tick, limit_key) -> ExitEvent:
-        """Two-domain loop with the selection inlined (the common case).
-
-        One CPU plus one memory domain is what ``SimConfig(domains=2)``
-        builds, and selection runs once per window, so the generic
-        best/bound scan is worth specialising away.
-        """
-        qa, qb = self.domains
-        windows = 0
-        try:
-            while True:
-                ea = qa._peek_live()
-                eb = qb._peek_live()
-                if ea is None:
-                    if eb is None:
-                        return ExitEvent("event queue empty", code=0)
-                    queue, best_key, bound = qb, eb[0], _NO_BOUND
-                elif eb is None or ea[0] < eb[0]:
-                    queue, best_key = qa, ea[0]
-                    bound = _NO_BOUND if eb is None else eb[0]
-                else:
-                    queue, best_key, bound = qb, eb[0], ea[0]
-                if limit_key is not None:
-                    if best_key >= limit_key:
-                        qa.now = qb.now = max_tick
-                        return ExitEvent("simulate() limit reached",
-                                         code=0)
-                    if limit_key < bound:
-                        bound = limit_key
-                exit_event = queue.run_window(bound)
-                windows += 1
-                if exit_event is not None:
-                    when = exit_event.when
-                    if qa.now < when:
-                        qa.now = when
-                    if qb.now < when:
-                        qb.now = when
-                    return exit_event
-        finally:
-            self.windows += windows
-
     def _run_many(self, max_tick, limit_key) -> ExitEvent:
-        """Generic N-domain loop; also the sanitized path, which
-        publishes the executing domain before every window."""
+        """The N-domain loop: run the domain holding the globally
+        smallest head key up to the smallest head key of any other."""
         domains = self.domains
-        sanitizer = self.sanitizer
-        try:
-            while True:
-                best = -1
-                best_key = None
-                bound = None    # smallest head key of any *other* domain
-                for index, queue in enumerate(domains):
-                    entry = queue._peek_live()
-                    if entry is None:
-                        continue
-                    key = entry[0]
-                    if best_key is None or key < best_key:
-                        bound = best_key
-                        best_key = key
-                        best = index
-                    elif bound is None or key < bound:
-                        bound = key
-                if best_key is None:
-                    return ExitEvent("event queue empty", code=0)
-                if limit_key is not None and best_key >= limit_key:
-                    for queue in domains:
-                        queue.now = max_tick
-                    return ExitEvent("simulate() limit reached", code=0)
-                if bound is None:
-                    bound = _NO_BOUND
-                if limit_key is not None and limit_key < bound:
-                    bound = limit_key
-                if sanitizer is not None:
-                    sanitizer.current_domain = best
-                exit_event = domains[best].run_window(bound)
-                self.windows += 1
-                if exit_event is not None:
-                    # Bring lagging domains up to the exit tick; no live
-                    # event below it can exist (the exit was globally
-                    # next).
-                    for queue in domains:
-                        if queue.now < exit_event.when:
-                            queue.now = exit_event.when
-                    return exit_event
-        finally:
-            if sanitizer is not None:
-                sanitizer.current_domain = None
+        while True:
+            best = -1
+            best_key = None
+            bound = None    # smallest head key of any *other* domain
+            for index, queue in enumerate(domains):
+                entry = queue._peek_live()
+                if entry is None:
+                    continue
+                key = entry[0]
+                if best_key is None or key < best_key:
+                    bound = best_key
+                    best_key = key
+                    best = index
+                elif bound is None or key < bound:
+                    bound = key
+            if best_key is None:
+                return ExitEvent("event queue empty", code=0)
+            if limit_key is not None and best_key >= limit_key:
+                for queue in domains:
+                    queue.now = max_tick
+                return ExitEvent("simulate() limit reached", code=0)
+            if bound is None:
+                bound = _NO_BOUND
+            if limit_key is not None and limit_key < bound:
+                bound = limit_key
+            exit_event = domains[best].run_window(bound)
+            self.windows += 1
+            if exit_event is not None:
+                # Bring lagging domains up to the exit tick; no live
+                # event below it can exist (the exit was globally next).
+                for queue in domains:
+                    if queue.now < exit_event.when:
+                        queue.now = exit_event.when
+                return exit_event
 
 
 # ----------------------------------------------------------------------
@@ -446,8 +317,6 @@ def shard_system(system) -> Optional[ShardedEngine]:
     identical link semantics and one event queue.
     """
     config = system.config
-    latency_ticks = (system.clock.cycles_to_ticks(config.link_latency_cycles)
-                     if config.link_latency_cycles else 0)
     engine: Optional[ShardedEngine] = None
     if config.domains > 1:
         cpu_queue = system.eventq
@@ -474,13 +343,11 @@ def shard_system(system) -> Optional[ShardedEngine]:
             name=f"link:{req_port.full_name}",
             req_queue=req_port.owner.eventq,
             resp_queue=resp_port.owner.eventq,
-            latency_ticks=latency_ticks,
         )
         link.install(req_port, resp_port)
         links.append(link)
     system.boundary_links = links
     if config.domains > 1:
-        engine = ShardedEngine(core_queues + [mem_queue], links,
-                               quantum_ticks=latency_ticks)
+        engine = ShardedEngine(core_queues + [mem_queue], links)
         system.eventq = engine
     return engine

@@ -56,22 +56,10 @@ class SimConfig:
     #: a single-CPU system shards into at most 2 domains.  Sharded runs
     #: are bit-identical to single-queue runs.
     domains: int = 1
-    #: Extra latency (in CPU cycles) charged on every cross-domain
-    #: boundary crossing.  This is the synchronization quantum knob: 0
-    #: (the default) keeps guest timing bit-identical to the unsharded
-    #: system; larger values buy scheduling lookahead at the cost of
-    #: guest-visible latency (see EXPERIMENTS.md).
-    link_latency_cycles: int = 0
     #: Install the sharded boundary links but keep every SimObject on
     #: one event queue — the single-queue reference partner for the
     #: sharded differential suite (identical link semantics, one queue).
     boundary_reference: bool = False
-    #: Arm the runtime ownership sanitizer (:mod:`repro.g5.sanitize`):
-    #: attribute tripwires on the hot SimObjects record any cross-domain
-    #: write that bypasses the boundary channels.  Observe-only — a
-    #: sanitized run stays bit-identical — but it adds per-write Python
-    #: overhead, so it is off by default.  Requires ``domains >= 2``.
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         if self.cpu_model not in CPU_MODELS:
@@ -91,27 +79,16 @@ class SimConfig:
                     f"(atomic/timing), got {self.cpu_model!r}")
         if self.domains < 1:
             raise ValueError(f"domains must be >= 1, got {self.domains}")
-        if self.link_latency_cycles < 0:
-            raise ValueError(
-                f"link_latency_cycles must be >= 0, "
-                f"got {self.link_latency_cycles}")
         if self.boundary_reference and self.domains > 1:
             raise ValueError(
                 "boundary_reference is the single-queue partner of a "
                 "sharded run; it requires domains=1")
-        if self.sanitize and self.domains < 2:
-            raise ValueError(
-                "the ownership sanitizer validates the sharded domain "
-                "partition; sanitize=True requires domains >= 2")
 
     def with_cpu(self, cpu_model: str) -> "SimConfig":
         return replace(self, cpu_model=cpu_model)
 
     def with_mode(self, mode: str) -> "SimConfig":
         return replace(self, mode=mode)
-
-    def with_domains(self, domains: int) -> "SimConfig":
-        return replace(self, domains=domains)
 
     def with_cores(self, cores: int) -> "SimConfig":
         return replace(self, cores=cores)
@@ -173,15 +150,10 @@ class System(Root):
         self.reg_all_stats()
         self.boundary_links: list = []
         self.sharded = None
-        self.sanitizer = None
         if config.domains > 1 or config.boundary_reference:
             from .sharded import shard_system
 
             self.sharded = shard_system(self)
-        if config.sanitize:
-            from .sanitize import install_sanitizer
-
-            self.sanitizer = install_sanitizer(self)
 
     def _wire(self) -> None:
         for cpu, icache, dcache in zip(self.cpus, self.icaches,
@@ -250,9 +222,6 @@ class SimResult:
     #: Sharding counters (:meth:`repro.g5.sharded.ShardedEngine.
     #: describe`); ``None`` for single-queue runs.
     sharding: Optional[dict] = None
-    #: Ownership-sanitizer report (:meth:`repro.g5.sanitize.
-    #: OwnershipSanitizer.describe`); ``None`` unless sanitize=True.
-    sanitize: Optional[dict] = None
 
     @property
     def sim_seconds(self) -> float:
@@ -287,6 +256,4 @@ def simulate(system: System, max_ticks: Optional[int] = None) -> SimResult:
         exit_code=exit_code,
         sharding=(system.sharded.describe()
                   if system.sharded is not None else None),
-        sanitize=(system.sanitizer.describe()
-                  if system.sanitizer is not None else None),
     )

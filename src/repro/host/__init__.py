@@ -11,7 +11,7 @@ from .binary import BinaryImage, FunctionCluster, SimFunction, synthetic_image
 from .branch import HostBranchUnit
 from .caches import HostCache, HostHierarchy
 from .corun import Contention, corun_contention, no_contention
-from .cpu import HostCPU, HostRunResult, ReplayTuning, profile_g5_run
+from .cpu import HostCPU, HostRunResult, profile_g5_run
 from .frontend import DSB
 from .hugepages import CodeBacking, HugePagePolicy, resolve_backing
 from .platform import (
@@ -32,7 +32,7 @@ __all__ = [
     "ExecutionRecorder", "FunctionCluster", "HostBranchUnit", "HostCPU",
     "HostCache", "HostHierarchy", "HostPlatform", "HostRunResult",
     "HostTLB", "HugePagePolicy", "NullRecorder", "PLATFORMS",
-    "ReplayTuning", "SimFunction", "corun_contention", "firesim_rocket",
+    "SimFunction", "corun_contention", "firesim_rocket",
     "get_platform", "intel_xeon", "m1_pro", "m1_ultra", "no_contention",
     "profile_g5_run", "resolve_backing", "synthetic_image",
 ]

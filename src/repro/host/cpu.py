@@ -31,24 +31,19 @@ from .tlb import HostTLB
 from .trace import ExecutionRecorder
 
 
-@dataclass(frozen=True)
-class ReplayTuning:
-    """Exposure/penalty factors converting miss events to stall cycles.
-
-    Out-of-order cores overlap much of each miss with useful work; these
-    factors are the modelled *exposed* fraction.  They are global model
-    constants, not per-platform knobs.
-    """
-
-    icache_exposure: float = 0.22      # exposed fraction of ifetch penalty
-    data_exposure: float = 0.3         # exposed fraction of load penalty
-    stlb_hit_cycles: int = 8           # L1-TLB miss hitting the STLB
-    mite_cold_efficiency: float = 0.7   # MITE µops/cycle factor, cold code
-    mite_loopy_efficiency: float = 0.9  # ... for loop bodies
-    dsb_efficiency: float = 0.62        # DSB µops/cycle factor
-    wrong_path_cycle_fraction: float = 0.35  # mispredict slots wasted
-    indirect_targets: int = 4          # distinct targets per virtual site
-    exec_stall_per_kuop: float = 2.0   # intrinsic scheduler stalls
+# Exposure/penalty factors converting miss events to stall cycles.
+# Out-of-order cores overlap much of each miss with useful work; these
+# are the modelled *exposed* fraction, global model constants rather
+# than per-platform knobs.
+ICACHE_EXPOSURE = 0.22          # exposed fraction of ifetch penalty
+DATA_EXPOSURE = 0.3             # exposed fraction of load penalty
+STLB_HIT_CYCLES = 8             # L1-TLB miss hitting the STLB
+MITE_COLD_EFFICIENCY = 0.7      # MITE µops/cycle factor, cold code
+MITE_LOOPY_EFFICIENCY = 0.9     # ... for loop bodies
+DSB_EFFICIENCY = 0.62           # DSB µops/cycle factor
+WRONG_PATH_CYCLE_FRACTION = 0.35  # mispredict slots wasted
+INDIRECT_TARGETS = 4            # distinct targets per virtual site
+EXEC_STALL_PER_KUOP = 2.0       # intrinsic scheduler stalls
 
 
 def _smt_shared_platform(platform: HostPlatform) -> HostPlatform:
@@ -156,9 +151,7 @@ class HostCPU:
 
     def __init__(self, platform: HostPlatform, image: BinaryImage,
                  hugepages: HugePagePolicy = HugePagePolicy.NONE,
-                 contention: Optional[Contention] = None,
-                 tuning: Optional[ReplayTuning] = None) -> None:
-        self.tuning = tuning or ReplayTuning()
+                 contention: Optional[Contention] = None) -> None:
         self.contention = contention or no_contention()
         if self.contention.smt_shared:
             platform = _smt_shared_platform(platform)
@@ -220,7 +213,6 @@ class HostCPU:
             return [lead.replay(trace_fns, trace_daddrs, fn_names)]
         if any(cpu.image is not lead.image
                or cpu.contention != no_contention()
-               or cpu.tuning != lead.tuning
                or walk_key(cpu.platform) != walk_key(lead.platform)
                for cpu in cpus):
             raise ValueError("these replays cannot share one walk")
@@ -280,7 +272,6 @@ class HostCPU:
         its L1I lines, its iTLB key per code page policy of ``pages``,
         its branch slots with their table indices."""
         platform = self.platform
-        tuning = self.tuning
         line_shift = self.hierarchy.l1i.line_shift
         lines = tuple(range(fn.addr >> line_shift,
                             (fn.addr + fn.size - 1 >> line_shift) + 1))
@@ -291,9 +282,9 @@ class HostCPU:
                            for shift in shifts])
         ideal = fn.n_uops / width
         dsb_stall = max(0.0, fn.n_uops / (platform.dsb_width
-                                          * tuning.dsb_efficiency) - ideal)
-        efficiency = (tuning.mite_loopy_efficiency if fn.loopy
-                      else tuning.mite_cold_efficiency)
+                                          * DSB_EFFICIENCY) - ideal)
+        efficiency = (MITE_LOOPY_EFFICIENCY if fn.loopy
+                      else MITE_COLD_EFFICIENCY)
         mite_stall = max(0.0, fn.n_uops / (platform.mite_width * efficiency)
                          - ideal)
         # Only loop bodies are retainable: the DSB caches 32B fetch
@@ -315,7 +306,7 @@ class HostCPU:
         return (fn.index, lines, itlb_keys, fn.n_uops, dsb_stall,
                 mite_stall, dsb_install, tuple(slot_specs), scale, fn.addr,
                 site, fn.data_addr,
-                fn.n_uops * tuning.exec_stall_per_kuop / 1000.0, ideal,
+                fn.n_uops * EXEC_STALL_PER_KUOP / 1000.0, ideal,
                 fn.n_branches)
 
     @staticmethod
@@ -343,7 +334,6 @@ class HostCPU:
         """
         lead = cpus[0]
         platform = lead.platform
-        tuning = lead.tuning
         width = counters[0].pipeline_width
         n_cpus = len(cpus)
         pages, page_of = _lanes(cpus, attrgetter("backing"))
@@ -377,14 +367,14 @@ class HostCPU:
         dsb_capacity = lead.dsb.capacity_uops
         dsb_present = dsb_capacity > 0
         dsb_occupied = lead.dsb.occupied_uops
-        icache_exposure = tuning.icache_exposure
-        data_exposure = tuning.data_exposure
-        stlb_hit_cycles = tuning.stlb_hit_cycles
+        icache_exposure = ICACHE_EXPOSURE
+        data_exposure = DATA_EXPOSURE
+        stlb_hit_cycles = STLB_HIT_CYCLES
         walk_cycles = platform.tlb_walk_cycles
         mispredict_penalty = platform.mispredict_penalty
         unknown_penalty = platform.unknown_branch_penalty
-        wrong_frac = tuning.wrong_path_cycle_fraction
-        indirect_targets = tuning.indirect_targets
+        wrong_frac = WRONG_PATH_CYCLE_FRACTION
+        indirect_targets = INDIRECT_TARGETS
         contention = lead.contention
         penalty_factor = (contention.dram_penalty_factor
                           if contention.active else 1.0)

@@ -106,11 +106,9 @@ class IntervalMeasurement:
 
 
 def build_restore_system(program: Program, process_name: str,
-                         cpu_model: str, checkpoint: Checkpoint,
-                         domains: int = 1) -> System:
+                         cpu_model: str, checkpoint: Checkpoint) -> System:
     """A fresh detailed system with ``checkpoint`` restored into it."""
-    system = System(SimConfig(cpu_model=cpu_model, mode="se", record=False,
-                              domains=domains))
+    system = System(SimConfig(cpu_model=cpu_model, mode="se", record=False))
     system.set_se_workload(program, process_name=process_name)
     restore_checkpoint(system, checkpoint)
     return system
@@ -188,8 +186,7 @@ def functional_warmup(system: System, n_insts: int) -> int:
 def measure_from_checkpoint(checkpoint: Checkpoint, program: Program,
                             process_name: str, cpu_model: str,
                             interval: int, length: int,
-                            pre_insts: int,
-                            domains: int = 1) -> IntervalMeasurement:
+                            pre_insts: int) -> IntervalMeasurement:
     """Restore, warm up, and measure one interval on a detailed CPU.
 
     ``checkpoint`` must sit ``pre_insts`` instructions before the
@@ -206,7 +203,7 @@ def measure_from_checkpoint(checkpoint: Checkpoint, program: Program,
         raise ValueError(f"warmup cannot be negative, got {pre_insts}")
     detailed_warm = min(pre_insts, DETAILED_WARMUP_INSTS)
     system = build_restore_system(program, process_name, cpu_model,
-                                  checkpoint, domains=domains)
+                                  checkpoint)
     bulk_warm_caches(system, checkpoint)
     functional_warmup(system, pre_insts - detailed_warm)
     system.cpu.activate()

@@ -48,11 +48,6 @@ class SampledJob:
     max_k: int = 8
     seed: int = 1234
     mode: str = "se"               # sampling requires SE checkpoints
-    #: Event-queue domains for the detailed measurement systems
-    #: (:mod:`repro.g5.sharded`); sharded measurements are bit-identical
-    #: to single-queue ones, so the payload does not change with this
-    #: knob — but the key covers it, like every other execution input.
-    domains: int = 1
 
     @property
     def label(self) -> str:
@@ -88,7 +83,6 @@ class SampledJob:
             "max_k": self.max_k,
             "seed": self.seed,
             "mode": self.mode,
-            "domains": self.domains,
         }
 
     def fan_out(self, engine, should_abort=None) -> dict:

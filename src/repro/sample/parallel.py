@@ -110,7 +110,6 @@ class WindowJob:
     pre_insts: int                 # warmup instructions before the window
     ckpt_digest: str               # content digest of the restore point
     mode: str = "se"
-    domains: int = 1               # event-queue domains for measurement
     #: the restore point itself; travels with the job to its worker
     checkpoint: Optional[Checkpoint] = field(default=None, compare=False,
                                              repr=False)
@@ -155,7 +154,6 @@ class WindowJob:
             pre_insts=self.pre_insts,
             ckpt_digest=self.ckpt_digest,
             mode=self.mode,
-            domains=self.domains,
         )
 
     def execute(self) -> dict:
@@ -168,7 +166,7 @@ class WindowJob:
         return pack_measurement(measure_from_checkpoint(
             self.checkpoint, program, self.workload, self.cpu_model,
             interval=self.interval, length=self.length,
-            pre_insts=self.pre_insts, domains=self.domains))
+            pre_insts=self.pre_insts))
 
     @staticmethod
     def decode(stored: object) -> Optional[IntervalMeasurement]:
@@ -257,7 +255,6 @@ class SamplePlan:
                           pre_insts=w.pre_insts,
                           ckpt_digest=self.digests[w.warm_start],
                           mode=job.mode,
-                          domains=getattr(job, "domains", 1),
                           checkpoint=self.checkpoints[w.warm_start])
                 for w in self.windows]
 
@@ -369,8 +366,7 @@ def exact_payload(job: Any, profile: IntervalProfile) -> dict:
     """Full detailed run — the degenerate (k >= n_intervals) case."""
     program = get_workload(job.workload).build(job.scale)
     system = System(SimConfig(cpu_model=job.cpu_model, mode="se",
-                              record=False,
-                              domains=getattr(job, "domains", 1)))
+                              record=False))
     system.set_se_workload(program, process_name=job.workload)
     simulate(system)
     finals = scalar_snapshot(system)

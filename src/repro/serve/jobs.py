@@ -85,9 +85,6 @@ class JobRequest:
             doc = {"kind": "g5", "workload": self.g5.workload,
                    "cpu_model": self.g5.cpu_model, "mode": self.g5.mode,
                    "scale": self.g5.scale}
-            if self.g5.sim_config is not None \
-                    and self.g5.sim_config.domains > 1:
-                doc["domains"] = self.g5.sim_config.domains
             if self.g5.threads > 1:
                 doc["threads"] = self.g5.threads
             if self.g5.cores > 1:
@@ -143,19 +140,18 @@ def _parse_g5(doc: dict) -> JobRequest:
     if mode not in ("se", "fs"):
         raise JobRequestError(f"unknown mode {mode!r}; expected 'se' "
                               "or 'fs'")
-    domains = _parse_int(doc, "domains", 1, 1)
     threads = _parse_int(doc, "threads", 1, 1)
     cores = _parse_int(doc, "cores", max(1, threads), 1)
     if threads > 1 and not get_workload(workload).threaded:
         raise JobRequestError(
             f"workload {workload!r} has no threaded variant")
     sim_config = None
-    if domains > 1 or cores > 1:
+    if cores > 1:
         from ..g5.system import SimConfig
 
         try:
             sim_config = SimConfig(cpu_model=cpu_model, mode=mode,
-                                   domains=domains, cores=cores)
+                                   cores=cores)
         except ValueError as exc:
             raise JobRequestError(str(exc)) from None
     job = G5Job(workload=workload, cpu_model=cpu_model, mode=mode,
@@ -201,7 +197,6 @@ def _parse_sampled(doc: dict) -> JobRequest:
         k=_parse_int(doc, "k", defaults.k, 0),
         max_k=_parse_int(doc, "max_k", defaults.max_k, 1),
         seed=_parse_int(doc, "seed", defaults.seed, 0),
-        domains=_parse_int(doc, "domains", defaults.domains, 1),
     )
     return JobRequest(kind="sample", sampled=job, scale=scale)
 

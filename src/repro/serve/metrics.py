@@ -311,12 +311,6 @@ class ServeMetrics:
              "Sampled windows served from the disk cache"),
             ("window_seconds",
              "Total wall-clock seconds spent measuring windows"),
-            ("sharded_runs",
-             "Simulations executed with a domain-sharded event queue"),
-            ("domain_windows",
-             "Quantum windows executed across sharded simulations"),
-            ("boundary_deliveries",
-             "Cross-domain packet deliveries across sharded simulations"),
         ):
             self.registry.gauge(f"repro_engine_{key}", help_text,
                                 fn=reader(key))

@@ -41,7 +41,8 @@ from typing import Callable, Optional
 
 from ..exec.cache import ResultCache
 from ..exec.costmodel import CostModel, job_class
-from ..exec.pool import ExecutionEngine, G5Job, WindowsCancelled, execute_job
+from ..exec.pool import ExecutionEngine, G5Job, WindowsCancelled, \
+    execute_job, predict_jobs
 from . import clock
 from .jobs import CANCELLED, DONE, FAILED, JobRecord, JobRequest
 from .queue import JobQueue
@@ -51,15 +52,20 @@ __all__ = ["Scheduler", "WorkerCrashed", "JobTimeout", "predict_request"]
 
 def predict_request(cost_model: CostModel, request: JobRequest) -> float:
     """Predicted duration of one job request (shared by the daemon's
-    admission/ETA path and the fleet coordinator's routing)."""
+    admission/ETA path and the fleet coordinator's routing).
+
+    A figure is priced as everything its run resolves: the g5 runs and
+    replays :meth:`ExperimentRunner.figure_jobs` declares, grouped into
+    the tasks (walks) the engine would execute."""
     if request.kind != "figure":
         return cost_model.predict(request.g5 or request.sampled)
     from ..experiments import FIGURES
-    from ..experiments.common import requirement_job
+    from ..experiments.runner import ExperimentRunner
 
-    return sum(cost_model.predict(requirement_job(requirement,
-                                                  request.scale))
-               for requirement in FIGURES[request.figure_id].required_g5())
+    runner = ExperimentRunner(scale=request.scale,
+                              max_records=request.max_records)
+    return predict_jobs(cost_model,
+                        runner.figure_jobs([FIGURES[request.figure_id]]))
 
 #: How many encoded results the in-process memo retains.
 MEMO_CAPACITY = 256

@@ -124,19 +124,6 @@ def emit_lock_release(asm: Assembler) -> None:
     asm.sd("zero", "t5", 0)
 
 
-def emit_atomic_add(asm: Assembler, addr_reg: str, delta_reg: str,
-                    old_dst: str, prefix: str) -> None:
-    """``old_dst = *addr_reg; *addr_reg += delta`` via LL/SC.
-
-    Clobbers t5, t6; ``old_dst`` must not be t5/t6 or either operand.
-    """
-    asm.label(f"{prefix}_aa")
-    asm.ll(old_dst, addr_reg)
-    asm.add("t6", old_dst, delta_reg)
-    asm.sc("t5", addr_reg, "t6")
-    asm.bne("t5", "zero", f"{prefix}_aa")
-
-
 def emit_barrier(asm: Assembler, prefix: str) -> None:
     """Generation-counting barrier over all s9 threads.
 

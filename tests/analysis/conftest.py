@@ -1,7 +1,7 @@
 """Shared fixtures for the static-analysis tests.
 
 The fixture tree under ``fixtures/`` mirrors the lint scopes (``g5/``,
-``serve/``, ``race/`` and the rest, plus the out-of-scope ``tools/``);
+``serve/`` and the rest, plus the out-of-scope ``tools/``);
 one engine run over it is shared by every per-pass test.
 """
 

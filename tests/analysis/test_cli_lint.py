@@ -20,8 +20,8 @@ def test_lint_list_passes(capsys):
     assert main(["lint", "--list-passes"]) == 0
     out = capsys.readouterr().out
     assert [line.split()[0] for line in out.splitlines()] == [
-        "determinism", "event-safety", "race",
-        "slots-coverage", "stats-conformance"]
+        "determinism", "event-safety", "slots-coverage",
+        "stats-conformance"]
 
 
 def test_lint_fixture_tree_fails(capsys):
@@ -33,7 +33,7 @@ def test_lint_fixture_tree_fails(capsys):
 def test_lint_json_format(capsys):
     assert main(["lint", "--path", str(FIXTURES), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["summary"]["total"] == 38
+    assert payload["summary"]["total"] == 24
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "README.md"])

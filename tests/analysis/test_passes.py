@@ -116,19 +116,6 @@ def test_event_safety_quiet(fixture_findings):
                          path="g5/event_quiet.py") == []
 
 
-def test_event_safety_cross_domain_fires(fixture_findings):
-    # Three direct `<other>.eventq.schedule*` sites plus three
-    # laundered ones (local alias, getattr, aliased getattr).
-    hits = rule_findings(fixture_findings, "event-safety",
-                         path="g5/xdomain_fires.py")
-    assert _suffixes(hits) == ["cross-domain-schedule"] * 6
-
-
-def test_event_safety_cross_domain_quiet(fixture_findings):
-    assert rule_findings(fixture_findings, "event-safety",
-                         path="g5/xdomain_quiet.py") == []
-
-
 # -- slots coverage -----------------------------------------------------
 def test_slots_coverage_fires(fixture_findings):
     hits = rule_findings(fixture_findings, "slots-coverage",
@@ -169,7 +156,6 @@ def test_fixture_tree_total():
     from repro.analysis import Engine
 
     findings = Engine(FIXTURES).run()
-    # determinism(g5) + event + xdomain + slots + stats
-    # + determinism(serve) + determinism(sample)
-    # + determinism(fleet) + race
-    assert len(findings) == 7 + 5 + 6 + 1 + 2 + 3 + 3 + 3 + 8
+    # determinism(g5) + event + slots + stats
+    # + determinism(serve) + determinism(sample) + determinism(fleet)
+    assert len(findings) == 7 + 5 + 1 + 2 + 3 + 3 + 3

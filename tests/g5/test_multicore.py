@@ -5,12 +5,12 @@ bytes are also frozen in ``tests/golden/kernel_digests.json``):
 
 - **N-core runs are deterministic**: the event queue fixes one
   interleaving, so repeated runs — and runs sharded over any
-  ``--domains`` partition — produce byte-identical stats and the same
-  guest result, which in turn matches the 1-core reference (the
-  threaded kernels are written to be interleaving-independent).  The
-  zero-latency boundary links run receivers synchronously precisely so
-  cross-queue same-tick ties cannot resolve differently (see
-  ``BoundaryLink``).
+  ``SimConfig.domains`` partition — produce byte-identical stats and
+  traces and the same guest result, which in turn matches the 1-core
+  reference (the threaded kernels are written to be
+  interleaving-independent).  The boundary links run receivers
+  synchronously precisely so cross-queue same-tick ties cannot resolve
+  differently (see ``BoundaryLink``).
 - **LL/SC atomics are actually atomic under contention**: N threads
   hammering one counter through the spinlock always sum exactly
   (hypothesis-driven over thread count, iteration count, and model).
@@ -58,13 +58,14 @@ def _stats_text(system) -> str:
     return stream.getvalue()
 
 
-def _run(workload_name, model, *, threads=1, cores=None, domains=1):
+def _run(workload_name, model, *, threads=1, cores=None, domains=1,
+         record=False):
     workload = get_workload(workload_name)
     program = workload.build("test", threads=threads)
     system = System(SimConfig(cpu_model=model, mode="se",
                               cores=cores if cores is not None
                               else max(1, threads),
-                              domains=domains, record=False))
+                              domains=domains, record=record))
     process = system.set_se_workload(program, process_name=workload_name)
     result = simulate(system, max_ticks=10**11)
     assert result.exit_cause == "target called exit()", \
@@ -117,18 +118,40 @@ def test_multicore_runs_are_deterministic(model, workload):
                            f"{workload}/{model}/domains={domains}")
 
 
-def test_multicore_sanitized_run_has_zero_findings():
-    """The runtime ownership sanitizer validates the N-core partition."""
-    workload = get_workload("ocean_cp")
-    program = workload.build("test", threads=4)
-    system = System(SimConfig(cpu_model="timing", mode="se", cores=4,
-                              domains=3, sanitize=True, record=False))
-    system.set_se_workload(program, process_name="ocean_cp")
-    simulate(system, max_ticks=10**11)
-    report = system.sanitizer.describe()
-    assert report["violations"] == []
-    assert report["checked_writes"] > 0
-    assert report["boundary_crossings"] > 0
+@pytest.fixture(scope="module")
+def recorded_single_queue():
+    """``{workload: (state, SimResult)}`` of each recorded 4-core timing
+    run on one event queue, shared by both sharded partitions."""
+    runs = {}
+
+    def get(workload):
+        if workload not in runs:
+            state, result, _ = _run(workload, "timing", threads=4,
+                                    record=True)
+            runs[workload] = (state, result)
+        return runs[workload]
+
+    return get
+
+
+@pytest.mark.parametrize("domains", (3, 5))
+@pytest.mark.parametrize("workload", ("ocean_cp", "sieve", "water_nsquared"))
+def test_recorded_sharded_rounds_match_the_single_queue(
+        recorded_single_queue, workload, domains):
+    """The sharded rounds the benchmark runs, trace recording on: the
+    engine's only oracle is the ``domains=1`` run of the same guest."""
+    single, single_result = recorded_single_queue(workload)
+    state, result, _ = _run(workload, "timing", threads=4, domains=domains,
+                            record=True)
+    assert result.sim_ticks == single_result.sim_ticks
+    assert result.stats == single_result.stats
+    _assert_same_state(single, state,
+                       f"{workload}/timing/domains={domains}")
+    assert result.recorder.trace_fns == single_result.recorder.trace_fns
+    assert result.recorder.trace_daddrs == \
+        single_result.recorder.trace_daddrs
+    assert result.sharding["domains"] == domains
+    assert result.sharding["deliveries"] > 0
 
 
 # ----------------------------------------------------------------------

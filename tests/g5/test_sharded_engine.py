@@ -1,4 +1,4 @@
-"""Unit and property tests for the sharded quantum scheduler.
+"""Unit and property tests for the sharded event-queue scheduler.
 
 The :class:`~repro.g5.sharded.ShardedEngine` promises exactly two
 things, and hypothesis hammers both on synthetic event soups:
@@ -7,24 +7,23 @@ things, and hypothesis hammers both on synthetic event soups:
   when its ``(tick, priority, seq)`` key is the globally smallest live
   key, so at the moment a callback runs, no other domain's clock has
   passed it — the merged order is the single-queue order.
-- **Boundary flush preserves per-tick delivery order.**  Cross-domain
-  sends buffered by a :class:`~repro.g5.sharded.BoundaryLink` drain in
-  send order at each tick (the delivery consumes its global sequence
-  number at *send* time).
+- **Boundary delivery preserves per-tick send order.**  Cross-domain
+  sends through a :class:`~repro.g5.sharded.BoundaryLink` reach the
+  receiver in send order at each tick (the receiver runs at the
+  sender's position in the merged order).
 
 The rest pins the engine's EventQueue-facade contract: pause/resume at
 ``max_tick``, drain exits, config validation, and the counters that
-flow out through ``SimResult.sharding`` and ``EngineStats``.
+flow out through ``SimResult.sharding``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.events import EventQueue, LINK_PRI
+from repro.events import EventQueue
 from repro.events.queue import EventQueueError
-from repro.exec.pool import EngineStats
 from repro.g5.serialize import pack_sim_result, unpack_sim_result
-from repro.g5.sharded import BoundaryLink, DeliveryEvent, ShardedEngine
+from repro.g5.sharded import BoundaryLink, ShardedEngine
 from repro.g5.system import SimConfig
 
 
@@ -66,14 +65,14 @@ def test_no_domain_executes_past_the_global_horizon(plan):
     assert engine.events_processed == len(plan)
 
 
-# -- property: boundary flush order ------------------------------------
+# -- property: boundary delivery order ---------------------------------
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 3)),
                 min_size=1, max_size=15))
 def test_boundary_flush_preserves_per_tick_delivery_order(plan):
     """Same-tick cross-domain sends drain in exactly send order."""
     sender, receiver = _fresh_queues()
-    link = BoundaryLink("l", sender, receiver, latency_ticks=0)
+    link = BoundaryLink("l", sender, receiver)
     received = []
     # Sender-side events emit their payload bursts through the link.
     for index, (tick, sends) in enumerate(plan):
@@ -83,7 +82,7 @@ def test_boundary_flush_preserves_per_tick_delivery_order(plan):
             def burst():
                 for payload in payloads:
                     link._deliver(sender, receiver, received.append,
-                                  payload, "pkt")
+                                  payload)
             return burst
 
         sender.call_at(tick, make_burst())
@@ -102,11 +101,12 @@ def test_boundary_flush_preserves_per_tick_delivery_order(plan):
 
 def test_delivery_event_retry_shape():
     """``pkt=None`` deliveries (retries) invoke the target bare."""
+    sender, receiver = _fresh_queues()
+    link = BoundaryLink("l", sender, receiver)
     calls = []
-    event = DeliveryEvent("retry", lambda: calls.append("bare"), None)
-    event.process()
+    link._deliver(sender, receiver, lambda: calls.append("bare"), None)
     assert calls == ["bare"]
-    assert event.priority == LINK_PRI
+    assert link.deliveries == 1
 
 
 # -- engine facade ------------------------------------------------------
@@ -145,8 +145,8 @@ def test_pause_at_max_tick_and_resume_matches_uninterrupted():
     assert log == straight_log == [5, 10, 20]
 
 
-def _run_soup(monkeypatch, n_domains, sanitized=False):
-    """One fixed cross-scheduling soup; returns what ran and which loop."""
+def _run_soup(n_domains):
+    """One fixed cross-scheduling soup; returns what ran."""
     queues = _fresh_queues(n_domains)
     log = []
 
@@ -169,14 +169,6 @@ def _run_soup(monkeypatch, n_domains, sanitized=False):
     queues[1].call_at(30, fire("b30"))
     queues[0].call_at(40, fire("a40"))
     engine = ShardedEngine(queues, links=[])
-    if sanitized:
-        engine.sanitizer = type("Armed", (), {"current_domain": None})()
-    taken = []
-    for name in ("_run_pair", "_run_many"):
-        def spy(*args, _name=name, _inner=getattr(engine, name)):
-            taken.append(_name)
-            return _inner(*args)
-        monkeypatch.setattr(engine, name, spy)
     paused = engine.run(max_tick=10)
     parked = [queue.now for queue in queues[:2]]
     done = engine.run()
@@ -184,23 +176,15 @@ def _run_soup(monkeypatch, n_domains, sanitized=False):
         "log": log, "parked": parked, "windows": engine.windows,
         "events": engine.events_processed, "now": engine.now,
         "exits": (paused.cause, done.cause),
-    }, taken
+    }
 
 
-def test_two_domains_take_the_pair_loop_and_it_matches_the_generic_one(
-        monkeypatch):
-    """``_run_pair`` is ``_run_many`` specialised, never a second order.
-
-    Two bare domains select the inlined pair loop; a third domain or an
-    armed sanitizer selects the generic loop; all three fire the same
-    events at the same clocks in the same number of windows.
-    """
-    pair, pair_taken = _run_soup(monkeypatch, 2)
-    armed, armed_taken = _run_soup(monkeypatch, 2, sanitized=True)
-    many, many_taken = _run_soup(monkeypatch, 3)
-    assert pair_taken == ["_run_pair", "_run_pair"]
-    assert armed_taken == many_taken == ["_run_many", "_run_many"]
-    assert pair == armed == many
+def test_an_empty_domain_changes_nothing():
+    """A third, empty domain fires the same events at the same clocks
+    in the same number of windows as two."""
+    pair = _run_soup(2)
+    many = _run_soup(3)
+    assert pair == many
     assert [tag for tag, _, _ in pair["log"]] == [
         "a1", "b1", "a1>b", "a3", "a4", "b4", "b4>a", "a5", "b30", "a40"]
     assert pair["exits"] == ("simulate() limit reached",
@@ -224,7 +208,7 @@ def test_facade_inspection_mirrors_the_queues():
 def test_describe_is_json_safe_counters():
     queues = _fresh_queues()
     queues[0].call_at(1, lambda: None)
-    engine = ShardedEngine(queues, links=[], quantum_ticks=500)
+    engine = ShardedEngine(queues, links=[])
     engine.run()
     doc = engine.describe()
     assert doc == {
@@ -233,7 +217,6 @@ def test_describe_is_json_safe_counters():
         "events_per_domain": [1, 0],
         "windows": doc["windows"],
         "deliveries": 0,
-        "quantum_ticks": 500,
     }
     assert doc["windows"] >= 1
 
@@ -243,12 +226,7 @@ def test_sim_config_validates_sharding_knobs():
     with pytest.raises(ValueError):
         SimConfig(domains=0)
     with pytest.raises(ValueError):
-        SimConfig(link_latency_cycles=-1)
-    with pytest.raises(ValueError):
         SimConfig(boundary_reference=True, domains=2)
-    config = SimConfig()
-    assert config.with_domains(4).domains == 4
-    assert config.domains == 1  # with_domains copies, never mutates
 
 
 def test_sim_result_sharding_survives_serialization():
@@ -265,18 +243,3 @@ def test_sim_result_sharding_survives_serialization():
     restored = unpack_sim_result(packed)
     assert restored.sharding == result.sharding
     assert restored.sharding["deliveries"] > 0
-
-
-def test_engine_stats_accumulate_sharding_counters():
-    stats = EngineStats()
-    stats.note_sharded_run(None)            # unsharded runs are a no-op
-    assert stats.sharded_runs == 0
-    stats.note_sharded_run({"windows": 10, "deliveries": 4})
-    stats.note_sharded_run({"windows": 5, "deliveries": 1})
-    assert stats.sharded_runs == 2
-    assert stats.domain_windows == 15
-    assert stats.boundary_deliveries == 5
-    doc = stats.as_dict()
-    assert doc["sharded_runs"] == 2
-    assert doc["domain_windows"] == 15
-    assert doc["boundary_deliveries"] == 5

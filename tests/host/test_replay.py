@@ -8,7 +8,7 @@ import pytest
 
 from repro.host.binary import BinaryImage
 from repro.host.corun import Contention, corun_contention, no_contention
-from repro.host.cpu import HostCPU, ReplayTuning, profile_g5_run
+from repro.host.cpu import HostCPU, profile_g5_run
 from repro.host.hugepages import HugePagePolicy
 from repro.host.firesim import FIG14_CONFIGS, platform_for
 from repro.host.platform import firesim_rocket, intel_xeon, m1_pro, m1_ultra

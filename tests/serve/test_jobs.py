@@ -134,17 +134,6 @@ def test_status_doc_shape():
     assert not record.terminal
 
 
-def test_g5_domains_builds_a_sharded_sim_config():
-    request = parse_job_request(_g5_doc(cpu="timing", domains=2))
-    assert request.g5.sim_config is not None
-    assert request.g5.sim_config.domains == 2
-    assert request.describe()["domains"] == 2
-    # Sharding is part of the job identity: never coalesce a sharded
-    # run with its single-queue twin.
-    plain = parse_job_request(_g5_doc(cpu="timing"))
-    assert request.digest() != plain.digest()
-
-
 def test_g5_domains_default_stays_on_the_single_queue():
     request = parse_job_request(_g5_doc(cpu="timing"))
     assert request.g5.sim_config is None
@@ -153,19 +142,25 @@ def test_g5_domains_default_stays_on_the_single_queue():
 
 def test_sampled_doc_accepts_domains():
     request = parse_job_request(_sample_doc(domains=2))
-    assert request.sampled.domains == 2
-    assert request.digest() != parse_job_request(_sample_doc()).digest()
+    assert "domains" not in request.describe()
+    assert request.digest() == parse_job_request(_sample_doc()).digest()
 
 
 @pytest.mark.parametrize("doc", [
+    _g5_doc(domains=2),
     _g5_doc(domains=0),
     _g5_doc(domains="two"),
     _g5_doc(domains=True),
     _sample_doc(domains=0),
 ])
-def test_invalid_domains_rejected(doc):
-    with pytest.raises(JobRequestError):
-        parse_job_request(doc)
+def test_domains_field_is_ignored(doc):
+    """``domains`` is no job field: like any unknown key it selects
+    nothing, so the job is its twin without the key."""
+    request = parse_job_request(doc)
+    twin = parse_job_request({key: value for key, value in doc.items()
+                              if key != "domains"})
+    assert request.describe() == twin.describe()
+    assert request.digest() == twin.digest()
 
 
 @pytest.mark.parametrize("doc", [

@@ -170,15 +170,11 @@ def test_attach_engine_exports_every_engine_counter():
     stats = EngineStats()
     metrics.attach_engine(stats)
     stats.note_execution("sieve", 0.5)
-    stats.note_sharded_run({"windows": 7, "deliveries": 3})
     text = metrics.render()
     # Scrape-time gauges: the render must reflect the stats object's
-    # current counters, sharding included, with no extra plumbing.
+    # current counters with no extra plumbing.
     assert "repro_engine_g5_executed 1" in text
     assert "repro_engine_g5_executed_seconds 0.5" in text
-    assert "repro_engine_sharded_runs 1" in text
-    assert "repro_engine_domain_windows 7" in text
-    assert "repro_engine_boundary_deliveries 3" in text
     for key in ("g5_disk_hits", "windows_executed", "window_hits",
                 "window_seconds"):
         assert f"repro_engine_{key} 0" in text

@@ -14,7 +14,7 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.queue import JobQueue
 from repro.serve.scheduler import MEMO_CAPACITY, Scheduler, WorkerCrashed
 
-from .conftest import GatedExecutor, fake_packed
+from .conftest import GatedExecutor
 
 
 def _submit(queue: JobQueue, **doc_overrides) -> JobRecord:
@@ -147,6 +147,8 @@ def test_figure_prediction_reads_requirements_as_the_runner_does(
     scheduler = build()
     monkeypatch.setattr(FIGURES["fig3"], "required_g5",
                         lambda: [("boot_exit", "o3", None)])
+    monkeypatch.setattr(FIGURES["fig3"], "required_replays",
+                        lambda runner: [], raising=False)
     figure = parse_job_request({"kind": "figure", "figure": "fig3",
                                 "scale": "test"})
     assert scheduler.predict(figure) == scheduler.cost_model.predict(
@@ -154,26 +156,29 @@ def test_figure_prediction_reads_requirements_as_the_runner_does(
     scheduler.stop()
 
 
-def test_sharded_payloads_feed_the_engine_counters():
-    """An executed sharded g5 job must land in the sharding gauges."""
-    queue = JobQueue()
-    metrics = ServeMetrics()
+def test_figure_prediction_covers_its_replays(rig):
+    """A warm model prices Fig 14 as everything it runs: its three g5
+    runs plus its 21 replays (three walks), not the g5 runs alone."""
+    from repro.experiments import FIGURES
+    from repro.experiments.common import requirement_job
+    from repro.experiments.runner import ExperimentRunner
 
-    def fake_execute(job):
-        assert job.sim_config.domains == 2
-        return (fake_packed(label=job.label,
-                            sharding={"windows": 11, "deliveries": 4}),
-                0.01)
-
-    scheduler = Scheduler(queue, metrics=metrics, execute_fn=fake_execute)
-    _submit(queue, cpu="timing", domains=2)
-    scheduler._resolve(queue.claim_next(timeout=0))
-    doc = scheduler.stats.as_dict()
-    assert doc["sharded_runs"] == 1
-    assert doc["domain_windows"] == 11
-    assert doc["boundary_deliveries"] == 4
-    metrics.attach_engine(scheduler.stats)
-    assert "repro_engine_sharded_runs 1" in metrics.render()
+    _, _, _, build = rig
+    scheduler = build()
+    model = scheduler.cost_model
+    module = FIGURES["fig14"]
+    replays = module.required_replays(ExperimentRunner(scale="test"))
+    assert len(replays) == 21
+    for job in replays:
+        model.observe(job, 2.0)
+    replay_s = sum(map(model.predict, replays))
+    g5_s = sum(model.predict(requirement_job(requirement, "test"))
+               for requirement in module.required_g5())
+    figure = parse_job_request({"kind": "figure", "figure": "fig14",
+                                "scale": "test"})
+    assert replay_s > 0
+    assert scheduler.predict(figure) >= replay_s
+    assert scheduler.predict(figure) == pytest.approx(g5_s + replay_s)
     scheduler.stop()
 
 
