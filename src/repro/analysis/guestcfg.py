@@ -344,10 +344,6 @@ class CrossCheckReport:
         return not (self.phantom_pcs or self.phantom_leaders
                     or self.phantom_edges)
 
-    @property
-    def full_coverage(self) -> bool:
-        return self.coverage == 1.0
-
 
 def cross_check(cfg: GuestCFG, trace: DynamicTrace) -> CrossCheckReport:
     """Validate a dynamic trace against the static CFG.

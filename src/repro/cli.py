@@ -117,16 +117,18 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("figure_id", choices=sorted(FIGURES))
     fig.add_argument("--scale", default="simsmall", choices=SCALES)
     fig.add_argument("--max-records", type=int, default=None,
-                     help="truncate traces before replay (sampling)")
+                     help="replay only the first N records of each "
+                          "trace (a prefix, not a sample)")
     _add_executor_args(fig)
 
     figs = sub.add_parser(
         "figs", help="regenerate many figures via the parallel executor")
     figs.add_argument("figures", nargs="*", metavar="FIG",
-                      help="figure ids (default: all fifteen)")
+                      help="figure ids (default: all seventeen)")
     figs.add_argument("--scale", default="simsmall", choices=SCALES)
     figs.add_argument("--max-records", type=int, default=None,
-                      help="truncate traces before replay (sampling)")
+                      help="replay only the first N records of each "
+                           "trace (a prefix, not a sample)")
     figs.add_argument("--quiet", action="store_true",
                       help="suppress per-run progress lines")
     _add_executor_args(figs)
@@ -218,8 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--timeout", type=float, default=None,
                        help="per-job wall-clock budget in seconds")
     fleet.add_argument("--cache-dir", default=None,
-                       help="cache location (default: $REPRO_CACHE_DIR "
-                            "or ~/.cache/repro-g5)")
+                       help="worker: cache location (default: "
+                            "$REPRO_CACHE_DIR or ~/.cache/repro-g5)")
     fleet.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
 
@@ -441,10 +443,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                       for kind in (*KEY_KINDS, *retired))
     print(f"entries      : {stats['entries']} ({kinds})")
     print(f"total size   : {stats['total_bytes'] / 1024:.1f} KB")
-    from .exec.costmodel import CostModel
-
-    observed = len(CostModel(cache.costs_path).observations())
-    print(f"cost history : {observed} observed run(s)")
     return 0
 
 
@@ -685,8 +683,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     if args.action == "coordinator":
         from .fleet.coordinator import CoordinatorConfig, run_coordinator
 
@@ -696,8 +692,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             max_pending=args.max_pending,
             dispatchers=args.dispatchers,
-            cost_path=(Path(args.cache_dir) / "costs.json"
-                       if args.cache_dir is not None else None),
             quiet=not args.verbose,
             log=sys.stderr)
         if args.timeout is not None:

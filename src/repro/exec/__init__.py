@@ -3,14 +3,13 @@
 The scaling backbone under the experiment runner, the CLI and the serve
 daemon: content-addressed result caching (:mod:`~repro.exec.cache`,
 :mod:`~repro.exec.keys`), the one job-resolution pipeline with its
-cost-model-scheduled process pool (:mod:`~repro.exec.pool`,
+price-ordered process pool (:mod:`~repro.exec.pool`,
 :mod:`~repro.exec.costmodel`), host replays as a job kind of it
 (:mod:`~repro.exec.replay`), and progress reporting
 (:mod:`~repro.exec.progress`).
 """
 
 from .cache import CacheEntry, ResultCache, default_cache_dir
-from .costmodel import CostModel
 from .keys import (
     CacheKey,
     g5_key,
@@ -27,7 +26,6 @@ from .replay import ReplayJob, SpecTrace
 __all__ = [
     "CacheEntry",
     "CacheKey",
-    "CostModel",
     "EngineStats",
     "ExecutionEngine",
     "G5Job",

@@ -4,7 +4,6 @@ Layout (under the cache root, default ``~/.cache/repro-g5`` or
 ``$REPRO_CACHE_DIR``)::
 
     objects/<digest[:2]>/<digest>.pkl    # one pickled envelope per entry
-    costs.json                           # cost-model history (see costmodel)
 
 Each envelope records the entry kind (``g5`` / ``host`` / ``spec`` /
 ``sample`` / ``window``), the
@@ -109,10 +108,6 @@ class ResultCache:
     def _path(self, digest: str) -> Path:
         return self._objects / digest[:2] / f"{digest}.pkl"
 
-    @property
-    def costs_path(self) -> Path:
-        return self.root / "costs.json"
-
     # ------------------------------------------------------------------
     # store / fetch
     # ------------------------------------------------------------------
@@ -201,7 +196,9 @@ class ResultCache:
     # inspection / maintenance
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[CacheEntry]:
-        """Yield every readable entry (unreadable ones are skipped)."""
+        """Yield every readable entry: one that is unreadable, lacks an
+        envelope field or is deleted mid-scan (a concurrent prune) is
+        skipped."""
         if not self._objects.is_dir():
             return
         for path in sorted(self._objects.rglob("*.pkl")):
@@ -210,14 +207,13 @@ class ResultCache:
                     envelope = pickle.load(handle)
                 if envelope.get("version") != ENVELOPE_VERSION:
                     continue
+                entry = CacheEntry(digest=envelope["digest"],
+                                   kind=envelope["kind"],
+                                   describe=envelope["describe"],
+                                   size_bytes=path.stat().st_size)
             except Exception:
                 continue
-            yield CacheEntry(
-                digest=envelope["digest"],
-                kind=envelope["kind"],
-                describe=envelope["describe"],
-                size_bytes=path.stat().st_size,
-            )
+            yield entry
 
     def stats(self) -> dict[str, int]:
         """Entry counts by kind plus total size in bytes."""

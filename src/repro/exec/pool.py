@@ -6,7 +6,7 @@ A *job* names one cacheable unit of work: a g5 simulation
 (:class:`~repro.sample.parallel.WindowJob`) or a whole sampled run
 (:class:`~repro.sample.orchestrate.SampledJob`).  Every kind speaks one
 protocol — ``cache_key()``, ``label``, ``sort_key()``, the cost-model
-hooks, ``decode(stored)`` (the decoded value, or None to reject a cache
+features, ``decode(stored)`` (the decoded value, or None to reject a cache
 entry) and either ``execute(*values)`` (run anywhere, return the stored
 payload) or ``fan_out(engine, should_abort)`` (run here, resolving
 sub-jobs on the engine); ``needs()``, if defined, names the sub-jobs
@@ -19,14 +19,13 @@ serve daemon) goes through:
    pool — a need the batch also lists runs once);
 3. make the misses tasks — replays that share a ``walk_key()`` are one
    task (:class:`~repro.exec.replay.ReplayWalk`), which walks their
-   trace once — and order the tasks predicted-longest-first
+   trace once — and order the tasks highest-price-first
    (:mod:`repro.exec.costmodel`) so the O3/FS stragglers start first;
 4. run them — inline when one worker suffices, otherwise across the
    execute step's process pool — in one completion loop that polls
    ``should_abort``;
-5. store, observe and count every result in one place: each member of
-   a walk under its own key, observed at the walk's seconds over its
-   member count.
+5. store and count every result in one place: each member of a walk
+   under its own key, at the walk's seconds over its member count.
 
 Payloads are plain builtins (see :mod:`repro.g5.serialize`), which is
 also the cache value format — so a result is bit-identical whether it
@@ -51,7 +50,7 @@ from ..g5.serialize import pack_sim_result, unpack_sim_result
 from ..g5.system import SimConfig, SimResult, System, simulate
 from ..workloads.registry import get_workload
 from .cache import ResultCache
-from .costmodel import CostModel
+from . import costmodel
 from .keys import CacheKey, g5_key
 from .progress import NullReporter, ProgressReporter
 
@@ -75,12 +74,12 @@ class G5Job:
     #: default system gets one core per thread.
     threads: int = 1
 
-    #: the cache-key kind; the cost model fits each kind on its own runs
+    #: the cache-key kind
     kind = "g5"
 
     @property
     def cores(self) -> int:
-        """Simulated core count (feeds the cost model's class/weight)."""
+        """Simulated core count (feeds the cost model's weight)."""
         if self.sim_config is not None:
             return self.sim_config.cores
         return max(1, self.threads)
@@ -155,11 +154,11 @@ def _tasks(jobs: list) -> list:
             for group in groups.values()]
 
 
-def predict_jobs(cost_model: CostModel, jobs: Iterable) -> float:
-    """Predicted seconds of executing ``jobs``: the cost model's price
-    of each task :meth:`ExecutionEngine.resolve` would run for them."""
+def predict_jobs(jobs: Iterable) -> float:
+    """The price of executing ``jobs``: the cost model's price of each
+    task :meth:`ExecutionEngine.resolve` would run for them."""
     tasks = _tasks(list(dict.fromkeys(jobs)))
-    return sum(map(cost_model.predict_task, tasks))
+    return sum(map(costmodel.predict_task, tasks))
 
 
 def _members(task) -> tuple:
@@ -285,7 +284,6 @@ class ExecutionEngine:
 
     def __init__(self, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
-                 cost_model: Optional[CostModel] = None,
                  progress: Optional[ProgressReporter] = None,
                  submit: Optional[Callable[..., Future]] = None,
                  memo: Optional[dict] = None) -> None:
@@ -293,10 +291,6 @@ class ExecutionEngine:
             raise ValueError(f"need at least one worker, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        if cost_model is None:
-            history = cache.costs_path if cache is not None else None
-            cost_model = CostModel(history)
-        self.cost_model = cost_model
         self.progress = progress if progress is not None else NullReporter()
         self.stats = EngineStats()
         self._submit = submit
@@ -357,18 +351,15 @@ class ExecutionEngine:
         hits = len(keys) - len(misses)
         values = self._resolve_needs(misses, keys, resolved, should_abort)
         misses = [job for job in misses if job not in resolved]
-        ordered = self.cost_model.schedule(_tasks(misses))
+        ordered = costmodel.schedule(_tasks(misses))
         workers = max(1, min(self.jobs, len(ordered)))
         # One job is not a batch: it reports its own line, no header.
         batch = len(keys) > 1
         if batch:
             self.progress.batch_start(len(misses), hits, workers)
         if ordered:
-            try:
-                self._execute(ordered, workers, should_abort, keys, resolved,
-                              values)
-            finally:
-                self.cost_model.flush()
+            self._execute(ordered, workers, should_abort, keys, resolved,
+                          values)
         if batch:
             self.progress.batch_end()
         memo.update((job, resolved[job].value) for job in keys)
@@ -453,14 +444,13 @@ class ExecutionEngine:
 
     def _record(self, job, key: CacheKey, payload: object,
                 seconds: float) -> Resolved:
-        """Store, observe and count one executed job."""
+        """Store and count one executed job."""
         value = job.decode(payload)
         if value is None:
             raise RuntimeError(f"{job.label} produced a payload its own "
                                "decode rule rejects")
         if self.cache is not None:
             self.cache.put(key, payload)
-        self.cost_model.observe(job, seconds)
         self.stats.note_execution(job.label, seconds, kind=key.kind)
         self.progress.job_done(job.label, seconds)
         return Resolved(payload, value, "executed")

@@ -79,14 +79,8 @@ class ReplayJob:
     def sort_key(self) -> tuple:
         return (self.label, self.cache_key().digest)
 
-    #: Cost-model hooks: replays are fitted as their own kind (``kind``
-    #: above), and the "CPU model" doing the work is the host platform —
-    #: so their durations never reorder g5 jobs.
-    @property
-    def cost_class(self) -> str:
-        return f"replay|{self.label}|{self.scale}"
-
-    workload = property(attrgetter("source.workload"))
+    #: Cost-model features: the source's scale, and the host platform
+    #: as the "CPU model" doing the work.
     scale = property(attrgetter("source.scale"))
     cpu_model = property(attrgetter("platform.name"))
 

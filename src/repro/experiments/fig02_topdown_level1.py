@@ -49,9 +49,6 @@ def gem5_rows(figure: Figure) -> list[str]:
     return [s.name for s in figure.series if not s.name[0].isdigit()]
 
 
-def spec_rows(figure: Figure) -> list[str]:
-    return [s.name for s in figure.series if s.name[0].isdigit()]
-
 def required_g5() -> list[tuple]:
     """g5 runs to prefetch before regenerating this figure."""
     return topdown_required_g5()

@@ -9,7 +9,7 @@ resolves it on its :class:`~repro.exec.ExecutionEngine` through one
 process; behind the memo the engine probes the content-addressed disk
 cache, when one is attached, and executes what is left — inline at
 ``jobs == 1``, otherwise g5 runs and then replays fanned across a
-process pool predicted-longest-first.
+process pool highest-price-first.
 
 :meth:`ExperimentRunner.prefetch_figures` resolves everything a set of
 figure modules declares (``required_g5()`` and, for figures that
@@ -17,9 +17,10 @@ replay, ``required_replays(runner)``) in pooled batches; the per-figure
 accessors then hit the memo.  By default the runner is purely in-memory
 (seed behaviour); the CLI attaches the default disk cache.
 
-Traces can be truncated to ``max_records`` before replay (documented
-sampling: rate/percentage metrics are stable under truncation; only
-absolute wall-clock shrinks proportionally).
+``max_records`` replays only the first N records of each trace (Fig.
+14's sweep excepted): a start-up prefix, not a sample of the run, so
+rate and percentage metrics read the prefix and can differ from the
+whole run's.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class ExperimentRunner:
         g5 runs.
 
         Disk-cache misses execute in parallel across the engine's worker
-        pool, longest-predicted-first; everything lands in the in-process
+        pool, highest-price-first; everything lands in the in-process
         memo so subsequent figure accessors are pure lookups.  The
         fourth tuple element (guest thread count) is optional and
         defaults to 1; the multi-core figures append it.

@@ -302,11 +302,8 @@ def render_markdown(rows: list[ClaimRow], runner: ExperimentRunner) -> str:
         "",
         "- `--jobs N` fans disk-cache misses across `N` worker",
         "  processes — every figure's declared g5 runs, then its host",
-        "  and SPEC replays — each set scheduled predicted-longest-first",
-        "  by a cost model",
-        "  (one ridge regression centred on static CPU-model/scale/mode",
-        "  weights, fitted to measured durations persisted as",
-        "  `costs.json`).",
+        "  and SPEC replays — each set scheduled highest-price-first",
+        "  by a static cost model (CPU-model/scale/mode/core weights).",
         "- Results land in a content-addressed cache at",
         "  `~/.cache/repro-g5` (override with `--cache-dir` or",
         "  `$REPRO_CACHE_DIR`). Keys hash the simulated-machine config,",
@@ -321,13 +318,13 @@ def render_markdown(rows: list[ClaimRow], runner: ExperimentRunner) -> str:
         "- A warm rerun executes zero simulations and renders",
         "  bit-identical output (property-tested in `tests/exec/`).",
         "  `--no-cache` forces a cold run; `repro-g5 cache",
-        "  info|list|clear [--kind g5|host|spec|sample|window|lint]`",
+        "  info|list|clear [--kind g5|host|spec|sample|window]`",
         "  inspects the store",
         "  and `repro-g5 cache prune --max-bytes SIZE` bounds it",
         "  (oldest entries evicted first).",
         "- Figures can also be generated against a **warm shared",
         "  daemon**: `repro-g5 serve` keeps one process holding the",
-        "  open cache, the learned cost model, and an in-memory result",
+        "  open cache and an in-memory result",
         "  memo, and submissions whose cache key matches an in-flight",
         "  job coalesce onto a single execution. Served payloads are",
         "  bit-for-bit the direct-run payloads (under test), so",

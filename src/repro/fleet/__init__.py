@@ -13,8 +13,8 @@ One **coordinator** process fronts N **worker** daemons:
   replicates new entries, so any worker can serve any cached result
   bit-identically (``store``);
 - admission control is end-to-end: worker 429s propagate into
-  coordinator backpressure, and coordinator 429s carry Retry-After
-  computed from the cost model's predictions (``http``).
+  coordinator backpressure, and coordinator 429s carry the daemon's
+  constant Retry-After.
 """
 
 from .coordinator import Coordinator, CoordinatorConfig, CoordinatorServer

@@ -8,11 +8,11 @@ coalescing (fleet-wide: with digest routing, N identical requests cost
 one execution on one worker), admission depth, drain-cancel and bounded
 history are the queue's.  What the coordinator adds:
 
-- **admission** — submissions are also rejected (429, with a
-  Retry-After of the queued jobs' predicted seconds per live worker)
-  while every live worker reports a saturated queue; that is how
-  worker-level backpressure propagates end to end;
-- **dispatch** — ``dispatchers`` threads claim the shortest-predicted
+- **admission** — submissions are also rejected (429, with the
+  daemon's constant Retry-After) while every live worker reports a
+  saturated queue; that is how worker-level backpressure propagates
+  end to end;
+- **dispatch** — ``dispatchers`` threads claim the cheapest-priced
   job that has a route through the registry's rendezvous hash, submit
   it to the worker over the ordinary
   :class:`~repro.serve.client.ServeClient`, and park on the worker
@@ -22,10 +22,8 @@ history are the queue's.  What the coordinator adds:
   retry deterministically lands on the digest's next-choice worker;
   jobs fail only after ``max_job_attempts`` distinct attempts.
 
-Executed durations reported by workers are observations of the
-coordinator's own :class:`~repro.exec.costmodel.CostModel`, the one
-regression its ETAs, claim order and Retry-After read, so they sharpen
-as the fleet serves traffic.
+A job's ETA and claim order are its static price
+(:func:`~repro.serve.scheduler.predict_request`), as on a daemon.
 """
 
 from __future__ import annotations
@@ -34,10 +32,8 @@ import json
 import threading
 import urllib.error
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import ClassVar, Optional, TextIO, Union
+from typing import ClassVar, Optional, TextIO
 
-from ..exec.costmodel import CostModel
 from ..serve import clock
 from ..serve.client import ServeClient, ServeError
 from ..serve.daemon import job_routes
@@ -68,8 +64,6 @@ class CoordinatorConfig:
     max_job_attempts: int = 3
     dispatchers: int = 8
     job_timeout: float = 300.0
-    #: costs.json path for the learned predictor
-    cost_path: Union[str, Path, None] = None
     quiet: bool = True
     log: Optional[TextIO] = None
 
@@ -105,11 +99,9 @@ class Coordinator:
         self.log = log
         self.registry = WorkerRegistry(
             heartbeat_timeout=config.heartbeat_timeout)
-        self.cost_model = CostModel(config.cost_path)
         self.queue = JobQueue(max_depth=config.max_pending)
-        #: guards job ids, each job's dispatch state (worker, attempts,
-        #: exclusions) and the cost model's observe + flush; taken
-        #: before the queue's lock.
+        #: guards job ids and each job's dispatch state (worker,
+        #: attempts, exclusions); taken before the queue's lock.
         self._lock = threading.Lock()
         #: one client per worker URL, made when the worker registers
         self._clients: dict[str, ServeClient] = {}
@@ -194,7 +186,7 @@ class Coordinator:
             job_id = f"f{self._next_job}"
         job = FleetJob(
             id=job_id, request=request, digest=request.digest(),
-            predicted_seconds=predict_request(self.cost_model, request),
+            predicted_seconds=predict_request(request),
             doc=dict(doc))
         live = self.registry.live_workers()
         try:
@@ -211,12 +203,9 @@ class Coordinator:
                          "state": "rejected"}
         except QueueFull as exc:
             self.m_rejected.inc()
-            # Seconds until capacity should free up, from the predictor.
-            retry_after = max(1, round(self.queue.backlog_seconds()
-                                       / max(1, len(live))))
             return (429, {"error": str(exc), "state": "rejected",
                           "pending": self.queue.depth()},
-                    {"Retry-After": str(retry_after)})
+                    {"Retry-After": "1"})
         self.m_submitted.inc()
         if job.coalesced_into is not None:
             self.m_coalesced.inc()
@@ -236,9 +225,6 @@ class Coordinator:
                      for state in (QUEUED, DISPATCHED, DONE, FAILED,
                                    CANCELLED) if counts.get(state)},
             "pending": counts["depth"],
-            "predictor": {
-                "observations": len(self.cost_model.observations()),
-            },
         }
 
     def health_doc(self) -> dict:
@@ -369,27 +355,6 @@ class Coordinator:
         self._settle(job, worker, DONE,
                      result=json.dumps(reply["result"], sort_keys=True),
                      source=reply.get("source"))
-        if reply.get("source") == "executed":
-            self._observe_duration(job, client, remote_id)
-
-    def _observe_duration(self, job: FleetJob, client: ServeClient,
-                          remote_id: str) -> None:
-        """Feed an executed job's measured duration to the predictor
-        (after it settled: no reply waits on this or on costs.json)."""
-        target = job.request.g5 or job.request.sampled
-        if target is None:
-            return  # a figure job: nothing the predictor is keyed on
-        try:
-            status = client.status(remote_id)
-        except (ServeError, urllib.error.URLError, OSError):
-            return
-        started = status.get("started_at")
-        finished = status.get("finished_at")
-        if not started or not finished or finished <= started:
-            return
-        with self._lock:
-            self.cost_model.observe(target, finished - started)
-            self.cost_model.flush()
 
     # ------------------------------------------------------------------
     # job settlement

@@ -75,11 +75,3 @@ class LSQ:
             self._loads.remove(dyn)
         elif dyn.inst.is_store and dyn in self._stores:
             self._stores.remove(dyn)
-
-    @property
-    def load_count(self) -> int:
-        return len(self._loads)
-
-    @property
-    def store_count(self) -> int:
-        return len(self._stores)

@@ -123,10 +123,6 @@ class Packet:
                 f"packet {self.packet_id} has no sender state to pop")
         return self._sender_states.pop()
 
-    @property
-    def has_state(self) -> bool:
-        return bool(self._sender_states)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Packet #{self.packet_id} {self.cmd.name} "
                 f"addr={self.addr:#x} size={self.size}>")

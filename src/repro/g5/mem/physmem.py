@@ -63,10 +63,6 @@ class PhysicalMemory(SimObject):
     def pages_touched(self) -> int:
         return len(self._pages)
 
-    @property
-    def bytes_touched(self) -> int:
-        return len(self._pages) * PAGE_SIZE
-
     # ------------------------------------------------------------------
     # raw access
     # ------------------------------------------------------------------

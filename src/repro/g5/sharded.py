@@ -260,24 +260,6 @@ def core_domain_objects(system, index: int) -> list:
     return members
 
 
-def domain_groups(system) -> dict:
-    """Map ``id(obj)`` to its domain-group name.
-
-    ``"cpu"``/``"mem"`` for single-core systems (the legacy two-way
-    partition), ``"cpu<i>"``/``"mem"`` per core otherwise.  Objects not
-    mapped (the system root, control plane) default to the boot core's
-    group.
-    """
-    groups: dict = {}
-    for obj in memory_domain_objects(system):
-        groups[id(obj)] = "mem"
-    if len(system.cpus) > 1:
-        for index in range(len(system.cpus)):
-            for obj in core_domain_objects(system, index):
-                groups[id(obj)] = f"cpu{index}"
-    return groups
-
-
 def object_ports(obj) -> list:
     """Every Port reachable from ``obj``'s attributes (lists included)."""
     ports = []

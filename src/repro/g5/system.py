@@ -90,9 +90,6 @@ class SimConfig:
     def with_mode(self, mode: str) -> "SimConfig":
         return replace(self, mode=mode)
 
-    def with_cores(self, cores: int) -> "SimConfig":
-        return replace(self, cores=cores)
-
 
 class System(Root):
     """The simulated machine: CPU + caches + interconnect + memory."""

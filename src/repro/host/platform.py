@@ -68,10 +68,6 @@ class HostPlatform:
         return replace(self, name=f"{self.name}@{freq_ghz:.1f}GHz",
                        freq_ghz=freq_ghz)
 
-    def with_l1(self, l1i: CacheGeometry,
-                l1d: CacheGeometry) -> "HostPlatform":
-        return replace(self, l1i=l1i, l1d=l1d)
-
     @property
     def dram_latency_cycles(self) -> int:
         return int(self.dram_latency_ns * self.freq_ghz)

@@ -54,15 +54,8 @@ class SampledJob:
         return (f"sample:{self.workload}/{self.cpu_model}/{self.scale}"
                 f"@{self.interval_insts}")
 
-    #: Cost-model hooks: sampled jobs are fitted as their own kind, form
-    #: their own prediction class and cost a fraction of the full
-    #: detailed run they replace.
-    kind = "sample"
-
-    @property
-    def cost_class(self) -> str:
-        return f"{self.workload}|{self.cpu_model}|sample|{self.scale}"
-
+    #: Cost-model weight: a sampled run costs a fraction of the full
+    #: detailed run it replaces.
     cost_weight_factor = 0.4
 
     def sort_key(self) -> tuple:

@@ -119,17 +119,9 @@ class WindowJob:
         return (f"window:{self.workload}/{self.cpu_model}"
                 f"/{self.scale}#{self.interval}")
 
-    #: Cost-model hooks: windows are fitted as their own kind, windows of
-    #: one size form one prediction class, and the static prior scales
-    #: with the instructions the window actually simulates (warmup +
-    #: measured) so LPT scheduling launches the longest windows first.
-    kind = "window"
-
-    @property
-    def cost_class(self) -> str:
-        return (f"{self.workload}|{self.cpu_model}|window|{self.scale}"
-                f"|{self.total_insts}")
-
+    #: Cost-model weight: it scales with the instructions the window
+    #: actually simulates (warmup + measured), so LPT scheduling
+    #: launches the longest windows first.
     @property
     def cost_weight_factor(self) -> float:
         return self.total_insts / 1000.0

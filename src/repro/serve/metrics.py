@@ -247,38 +247,6 @@ class ServeMetrics:
             "Disk-cache entries evicted by the byte-cap pruner")
         self.request_seconds = endpoint_histograms(
             reg, "repro_serve_request_seconds", ENDPOINTS)
-        # Per-cost-class predictor drift gauges, registered lazily the
-        # first time a class completes a job (the label set is open).
-        self._prediction_lock = threading.Lock()
-        self._prediction_error: dict[str, Gauge] = {}
-        self._prediction_ratio: dict[str, Gauge] = {}
-
-    def note_prediction(self, cost_class: str, predicted: float,
-                        actual: float) -> None:
-        """Record predicted-vs-actual duration for one finished job.
-
-        Exports, per cost class, the absolute error in seconds and the
-        predicted/actual ratio (1.0 = perfect; >1 over-predicts), so a
-        drifting predictor is visible on any Prometheus scrape.
-        """
-        with self._prediction_lock:
-            error = self._prediction_error.get(cost_class)
-            if error is None:
-                labels = {"class": cost_class}
-                error = self.registry.gauge(
-                    "repro_serve_prediction_error_seconds",
-                    "Absolute predicted-vs-actual duration error of the "
-                    "last finished job, by cost class",
-                    labels=labels)
-                self._prediction_error[cost_class] = error
-                self._prediction_ratio[cost_class] = self.registry.gauge(
-                    "repro_serve_prediction_error_ratio",
-                    "Predicted/actual duration ratio of the last "
-                    "finished job, by cost class (1.0 = perfect)",
-                    labels=labels)
-            ratio = self._prediction_ratio[cost_class]
-        error.set(abs(predicted - actual))
-        ratio.set(predicted / actual if actual > 0 else 0.0)
 
     def attach_queue(self, queue) -> None:
         """Register scrape-time gauges over the job queue."""

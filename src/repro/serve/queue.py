@@ -7,12 +7,11 @@ variable wakes idle workers.  The fleet coordinator's job table is
 this class too: its dispatchers claim, and requeue what a dead worker
 held.
 
-**Scheduling.**  Ready jobs pop in predicted-shortest-first order
-(priority = the cost model's duration estimate, ties broken by
-submission sequence).  A batch CLI wants longest-first to minimise
-makespan; an interactive service wants shortest-first to minimise mean
-response time — a queued microbenchmark should never wait behind an O3
-full-system boot.
+**Scheduling.**  Ready jobs pop in cheapest-first order (priority =
+the cost model's static price, ties broken by submission sequence).
+A batch CLI wants longest-first to minimise makespan; an interactive
+service wants shortest-first to minimise mean response time — a queued
+microbenchmark should never wait behind an O3 full-system boot.
 
 **Admission control.**  At most ``max_depth`` jobs may be queued
 (running jobs do not count — they occupy workers, not the queue).
@@ -65,7 +64,7 @@ class JobQueue:
         self._terminal_order: deque[str] = deque()
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
-        #: (predicted seconds, sequence, job id), cheapest first.
+        #: (price, sequence, job id), cheapest first.
         self._queued: list[tuple[float, int, str]] = []
         self._jobs: dict[str, JobRecord] = {}
         #: digest -> primary job id, for every queued or running primary.
@@ -273,11 +272,6 @@ class JobQueue:
     def depth(self) -> int:
         """Queued (not yet claimed) primary jobs."""
         return len(self._queued)
-
-    def backlog_seconds(self) -> float:
-        """Predicted seconds of queued work (feeds Retry-After)."""
-        with self._lock:
-            return sum(entry[0] for entry in self._queued)
 
     def running(self) -> int:
         return len(self.running_records())

@@ -1,7 +1,7 @@
 """The daemon's execution core: workers resolving jobs through layers.
 
 ``workers`` scheduler threads claim jobs off the :class:`JobQueue`
-(cheapest-predicted-first) and resolve each through:
+(cheapest-first) and resolve each through:
 
 1. **memo** — a bounded, least-recently-used map from digest to the
    JSON text of a recently produced packed result (encoded once, when
@@ -23,9 +23,9 @@ What the scheduler adds on top is policy: a worker-process crash
 (``BrokenProcessPool``) rebuilds the pool and retries with exponential
 backoff up to ``max_retries`` times; a per-job ``timeout`` fails a g5
 job without retry (a deterministic simulation that ran long once will
-run long again); a drain aborts a sampled fan-out.  Every executed job
-is an observation of the shared :class:`CostModel`, whose one
-regression answers the queue's priority estimates and ETAs.
+run long again); a drain aborts a sampled fan-out.  The queue's
+priorities and the ETAs are each job's static price
+(:func:`predict_request`).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, \
     ThreadPoolExecutor
 from typing import Callable, Optional
 
+from ..exec import costmodel
 from ..exec.cache import ResultCache
-from ..exec.costmodel import CostModel, job_class
 from ..exec.pool import ExecutionEngine, G5Job, WindowsCancelled, \
     execute_job, predict_jobs
 from . import clock
@@ -50,22 +50,21 @@ from .queue import JobQueue
 __all__ = ["Scheduler", "WorkerCrashed", "JobTimeout", "predict_request"]
 
 
-def predict_request(cost_model: CostModel, request: JobRequest) -> float:
-    """Predicted duration of one job request (shared by the daemon's
+def predict_request(request: JobRequest) -> float:
+    """The static price of one job request (shared by the daemon's
     admission/ETA path and the fleet coordinator's routing).
 
     A figure is priced as everything its run resolves: the g5 runs and
     replays :meth:`ExperimentRunner.figure_jobs` declares, grouped into
     the tasks (walks) the engine would execute."""
     if request.kind != "figure":
-        return cost_model.predict(request.g5 or request.sampled)
+        return costmodel.predict(request.g5 or request.sampled)
     from ..experiments import FIGURES
     from ..experiments.runner import ExperimentRunner
 
     runner = ExperimentRunner(scale=request.scale,
                               max_records=request.max_records)
-    return predict_jobs(cost_model,
-                        runner.figure_jobs([FIGURES[request.figure_id]]))
+    return predict_jobs(runner.figure_jobs([FIGURES[request.figure_id]]))
 
 #: How many encoded results the in-process memo retains.
 MEMO_CAPACITY = 256
@@ -104,7 +103,6 @@ class Scheduler:
                  max_retries: int = 2,
                  backoff_base: float = 0.25,
                  cache_max_bytes: Optional[int] = None,
-                 cost_model: Optional[CostModel] = None,
                  metrics=None,
                  execute_fn: Optional[Callable] = None) -> None:
         if workers < 1:
@@ -118,9 +116,7 @@ class Scheduler:
         self.cache_max_bytes = cache_max_bytes
         self.metrics = metrics
         self.engine = ExecutionEngine(jobs=workers, cache=cache,
-                                      cost_model=cost_model,
                                       submit=self._submit)
-        self.cost_model = self.engine.cost_model
         self.stats = self.engine.stats
         #: test seam: replaces pool execution for g5 jobs; signature
         #: ``fn(g5job) -> (packed_result, seconds)``.
@@ -157,11 +153,10 @@ class Scheduler:
         if self._thread_pool is not None:
             self._thread_pool.shutdown(wait=False, cancel_futures=True)
             self._thread_pool = None
-        self.cost_model.flush()
 
     def predict(self, request: JobRequest) -> float:
-        """Predicted duration for admission/ETA (seconds-ish)."""
-        return predict_request(self.cost_model, request)
+        """The static price for admission/ETA (seconds-ish)."""
+        return predict_request(request)
 
     # ------------------------------------------------------------------
     # worker loop
@@ -192,25 +187,8 @@ class Scheduler:
             self._finish(record, state=FAILED,
                          error=f"{type(exc).__name__}: {exc}")
         else:
-            if source == "executed":
-                self._note_prediction(record)
             self._finish(record, state=DONE, result=payload,
                          source=source)
-
-    def _note_prediction(self, record: JobRecord) -> None:
-        """Export predicted-vs-actual drift for an executed job."""
-        if self.metrics is None or record.started_at is None:
-            return
-        actual = clock.wall() - record.started_at
-        if actual <= 0:
-            return
-        request = record.request
-        if request.kind == "figure":
-            cost_class = f"figure|{request.figure_id}|{request.scale}"
-        else:
-            cost_class = job_class(request.g5 or request.sampled)
-        self.metrics.note_prediction(cost_class,
-                                     record.predicted_seconds, actual)
 
     def _finish(self, record: JobRecord, *, state: str,
                 result: Optional[str] = None,

@@ -90,6 +90,41 @@ def test_entries_stats_and_clear_by_kind(tmp_path):
     assert cache.stats()["entries"] == 0
 
 
+def test_an_entry_missing_an_envelope_field_is_skipped(tmp_path):
+    cache = ResultCache(tmp_path)
+    cache.put(_key(), {"a": 1})
+    cache.put(_key(cpu="o3"), {"b": 2})
+    path = cache._path(_key().digest)
+    with open(path, "rb") as handle:
+        envelope = pickle.load(handle)
+    del envelope["kind"]               # still the current version
+    with open(path, "wb") as handle:
+        pickle.dump(envelope, handle)
+
+    assert [e.digest for e in cache.entries()] == [_key(cpu="o3").digest]
+    assert cache.stats()["entries"] == 1
+
+
+def test_an_entry_deleted_mid_scan_is_skipped(tmp_path, monkeypatch):
+    """A concurrent prune can unlink an entry between its load and its
+    stat: the scan skips it."""
+    cache = ResultCache(tmp_path)
+    cache.put(_key(), {"a": 1})
+    cache.put(_key(cpu="o3"), {"b": 2})
+    victim = cache._path(_key().digest)
+    real_load = pickle.load
+
+    def load_then_prune(handle):
+        envelope = real_load(handle)
+        if handle.name == str(victim):
+            victim.unlink()
+        return envelope
+
+    monkeypatch.setattr(pickle, "load", load_then_prune)
+    assert [e.digest for e in cache.entries()] == [_key(cpu="o3").digest]
+    assert cache.stats()["entries"] == 1
+
+
 def test_empty_cache_operations(tmp_path):
     cache = ResultCache(tmp_path / "never-created")
     assert list(cache.entries()) == []

@@ -4,8 +4,8 @@ import pytest
 
 import io
 
-from repro.exec import (CostModel, ExecutionEngine, G5Job, ProgressReporter,
-                        ReplayJob, ResultCache)
+from repro.exec import (ExecutionEngine, G5Job, ProgressReporter, ReplayJob,
+                        ResultCache, costmodel)
 from repro.host.platform import get_platform
 from repro.g5.serialize import pack_sim_result
 
@@ -72,25 +72,18 @@ def test_parallel_batch_matches_serial(tmp_path):
                 == pack_sim_result(serial_results[job]))
 
 
-def test_batch_learns_costs_into_the_cache_dir(tmp_path):
+def test_a_batch_leaves_nothing_but_entries_in_the_cache_dir(tmp_path):
+    """Prices are static: an executed batch records no duration."""
     cache = ResultCache(tmp_path)
-    engine = ExecutionEngine(cache=cache)
-    engine.run_batch([ATOMIC])
-    assert cache.costs_path.exists()
-    (observed,) = CostModel(cache.costs_path).observations()
-    assert (observed["kind"], observed["workload"], observed["cpu_model"]) \
-        == ("g5", "sieve", "atomic")
-    assert observed["seconds"] > 0
+    ExecutionEngine(cache=cache).run_batch([ATOMIC, TIMING])
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["objects"]
+    assert len(list(cache.entries())) == 2
 
 
-def test_replays_report_one_line_and_flush_costs_once_each(
-        tmp_path, monkeypatch):
+def test_replays_report_one_line_each(tmp_path):
     """Resolved one at a time behind a memo, as the experiment runner
-    does: an executed replay is one progress line and one ``costs.json``
-    write; a memo or disk hit is neither."""
-    flushes = []
-    monkeypatch.setattr(CostModel, "flush",
-                        lambda self: flushes.append(1))
+    does: an executed replay is one progress line; a memo or disk hit
+    is none."""
     replays = [ReplayJob(ATOMIC, get_platform(name), max_records=2000)
                for name in ("Intel_Xeon", "M1_Pro", "M1_Ultra")]
 
@@ -100,7 +93,6 @@ def test_replays_report_one_line_and_flush_costs_once_each(
                                  progress=ProgressReporter(stream))
         engine.run_batch([ATOMIC, TIMING])
         prefetch_lines = len(stream.getvalue().splitlines())
-        del flushes[:]
         for replay in replays + replays:          # second pass: memo
             engine.run(replay)
         return engine, stream.getvalue().splitlines()[prefetch_lines:]
@@ -108,12 +100,11 @@ def test_replays_report_one_line_and_flush_costs_once_each(
     engine, lines = campaign()
     assert [line.rsplit(" (run, ", 1)[0] for line in lines] \
         == [f"[exec] {replay.label}" for replay in replays]
-    assert len(flushes) == len(replays)
     assert engine.stats.executed == 2 and engine.stats.disk_hits == 0
     assert engine.stats.replays_executed == {"host": 3}
 
     warm, lines = campaign()
-    assert lines == [] and flushes == []
+    assert lines == []
     assert warm.stats.replay_hits == {"host": 3}
     assert warm.stats.executed == 0 and not warm.stats.replays_executed
 
@@ -153,12 +144,12 @@ def test_a_need_answered_by_memo_or_disk_is_not_executed(tmp_path, where):
 
 def test_a_failing_need_raises_keeps_finished_needs_and_starts_no_dependant(
         tmp_path):
-    """The bad need is predicted cheapest, so the good one finishes
+    """The bad need is priced cheapest, so the good one finishes
     first; neither replay starts once a need has failed."""
     bad = G5Job("no-such-workload", "atomic", "se", "test")
     cache = ResultCache(tmp_path)
     engine = ExecutionEngine(cache=cache)
-    assert engine.cost_model.schedule([bad, TIMING]) == [TIMING, bad]
+    assert costmodel.schedule([bad, TIMING]) == [TIMING, bad]
 
     with pytest.raises(KeyError):
         engine.run_batch([xeon_replay(TIMING), xeon_replay(bad)])

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.report import Figure
 from repro.exec import ResultCache, pool
-from repro.exec.costmodel import job_class
 from repro.exec.pool import G5Job
 from repro.experiments import FIGURES
 from repro.experiments.common import GEM5_CONFIGS
@@ -180,14 +179,13 @@ def test_fig14_walks_each_trace_once_and_stores_every_member(
     assert warm_text == cold_text
 
 
-def test_fig10_replays_have_distinct_labels_and_cost_classes():
+def test_fig10_replays_have_distinct_labels():
     """4KB, THP and EHP replays of one trace differ in their knobs, so
-    their progress lines, ``by_label`` entries and cost classes do."""
+    their progress lines and ``by_label`` entries do."""
     runner = ExperimentRunner(scale="test", max_records=60000)
     jobs = FIGURES["fig10"].required_replays(runner)
     assert len(jobs) == 12
     assert len({job.label for job in jobs}) == 12
-    assert len({job_class(job) for job in jobs}) == 12
     assert ("host o3/water_nsquared on Intel_Xeon "
             "(hugepages=thp, max_records=60000)") \
         in {job.label for job in jobs}

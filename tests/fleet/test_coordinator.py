@@ -105,7 +105,7 @@ def test_worker_saturation_propagates_429_with_retry_after(tmp_path):
         assert rejected is not None, \
             "coordinator admitted every job despite a saturated worker"
         assert rejected.status == 429
-        # The 429 carries a predictor-derived Retry-After header.
+        # The 429 carries the daemon's constant Retry-After header.
         request = urllib.request.Request(
             f"{fleet.client.base_url}/api/v1/jobs",
             data=json.dumps(docs[-1]).encode(),
@@ -114,7 +114,7 @@ def test_worker_saturation_propagates_429_with_retry_after(tmp_path):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=5.0)
         assert err.value.code == 429
-        assert int(err.value.headers["Retry-After"]) >= 1
+        assert err.value.headers["Retry-After"] == "1"
         executor.release()
     finally:
         fleet.stop()
@@ -189,10 +189,7 @@ def test_fleet_doc_and_metrics_expose_the_fleet(fleet):
     doc = fleet.client._json("GET", "/api/v1/fleet")
     assert doc["jobs"]["done"] == 1
     assert doc["workers"][0]["jobs_completed"] == 1
-    # The executed job becomes the predictor's one observation once the
-    # dispatcher has read its duration off the worker.
-    wait_until(lambda: fleet.client._json("GET", "/api/v1/fleet")[
-        "predictor"] == {"observations": 1})
+    assert "predictor" not in doc
     metrics = fleet.client.metrics()
     assert metrics[
         'repro_fleet_jobs_completed_total{state="done"}'] == 1
@@ -275,14 +272,12 @@ def test_relayed_hit_costs_the_worker_exactly_one_request(fleet):
                 for endpoint in ("submit", "status", "result")]
 
     assert fleet.client.run(DOC)["source"] == "executed"
-    # A miss: the submission that carried the result back, plus the one
-    # status read the predictor learns the executed duration from.
-    wait_until(lambda: counts() == [1, 1, 0])
+    # A miss: only the submission that carried the result back.
+    wait_until(lambda: counts() == [1, 0, 0])
     assert fleet.client.run(DOC)["source"] == "memo"
     wait_until(lambda: counts()[0] == 2)
     clock.sleep(0.2)                    # anything more would land by now
-    assert counts() == [2, 1, 0]
-    assert len(fleet.coordinator.cost_model.observations()) == 1
+    assert counts() == [2, 0, 0]
 
 
 def test_late_verdict_from_a_rerouted_worker_is_void(tmp_path):
@@ -385,45 +380,3 @@ def test_coordinator_drain_answers_parked_waiters_with_cancelled(fleet):
     waiter.join(timeout=5.0)
     assert verdicts and verdicts[0]["state"] == "cancelled"
     assert clock.monotonic() - started < 1.0
-
-
-def test_concurrent_duration_observations_are_serialised(tmp_path):
-    import json
-    import sys
-    import threading
-
-    from repro.fleet.coordinator import FleetJob
-    from repro.serve.jobs import parse_job_request
-    from tests.fleet.conftest import FleetHarness
-
-    class Timed:
-        """A worker client whose every job ran for one second."""
-
-        def status(self, remote_id):
-            return {"started_at": 100.0, "finished_at": 101.0}
-
-    path = tmp_path / "costs.json"
-    fleet = FleetHarness(tmp_path, cost_path=path)
-    coordinator = fleet.coordinator
-    request = parse_job_request(DOC)
-    job = FleetJob(id="f0", request=request, digest=request.digest())
-    threads = [threading.Thread(target=lambda: [
-        coordinator._observe_duration(job, Timed(), "j1")
-        for _ in range(12)]) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(interval)
-        fleet.stop()
-    # Every observation was folded in, and every flush along the way
-    # (the last one included) wrote a whole document.
-    assert len(coordinator.cost_model.observations()) == 96
-    assert len(json.loads(path.read_text())["observations"]) == 96
-    assert [p.name for p in tmp_path.iterdir()
-            if p.suffix == ".tmp"] == []

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.costmodel import CostModel, job_class
+from repro.exec import costmodel
 from repro.exec.pool import G5Job
 from repro.g5 import SimConfig, System, simulate
 from repro.g5.isa import Assembler
@@ -210,14 +210,12 @@ def test_llsc_contended_counter_sums_exactly(threads, iters, model):
 # ----------------------------------------------------------------------
 # cost/cache plumbing: core counts are part of a job's identity
 # ----------------------------------------------------------------------
-def test_multicore_jobs_get_distinct_cache_keys_and_cost_classes():
+def test_multicore_jobs_get_distinct_cache_keys_and_prices():
     single = G5Job(workload="sieve", cpu_model="timing", mode="se",
                    scale="test")
     quad = G5Job(workload="sieve", cpu_model="timing", mode="se",
                  scale="test", threads=4)
     assert single.cache_key().digest != quad.cache_key().digest
     assert quad.cores == 4
-    assert job_class(single) != job_class(quad)
-    assert job_class(quad).endswith("|c4")
-    # The cold model's answer is the static prior, core overhead included.
-    assert CostModel().predict(quad) > CostModel().predict(single)
+    # The static price includes the per-extra-core overhead.
+    assert costmodel.predict(quad) > costmodel.predict(single)

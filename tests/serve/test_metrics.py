@@ -99,55 +99,6 @@ def test_serve_metrics_render_is_parseable():
         float(value)  # every sample line must end in a number
 
 
-def test_note_prediction_exports_error_and_ratio_gauges():
-    metrics = ServeMetrics()
-    metrics.note_prediction("sieve|o3|se|test", predicted=2.0,
-                            actual=4.0)
-    text = metrics.render()
-    assert ("# TYPE repro_serve_prediction_error_seconds gauge"
-            in text)
-    assert ('repro_serve_prediction_error_seconds'
-            '{class="sieve|o3|se|test"} 2' in text)
-    assert ('repro_serve_prediction_error_ratio'
-            '{class="sieve|o3|se|test"} 0.5' in text)
-    # Gauges track the latest job per class, and classes are
-    # independent series under one family header.
-    metrics.note_prediction("sieve|o3|se|test", predicted=4.0,
-                            actual=4.0)
-    metrics.note_prediction("fmm|atomic|se|test", predicted=1.0,
-                            actual=0.5)
-    text = metrics.render()
-    assert ('repro_serve_prediction_error_seconds'
-            '{class="sieve|o3|se|test"} 0' in text)
-    assert ('repro_serve_prediction_error_ratio'
-            '{class="sieve|o3|se|test"} 1' in text)
-    assert ('repro_serve_prediction_error_ratio'
-            '{class="fmm|atomic|se|test"} 2' in text)
-    assert text.count(
-        "# TYPE repro_serve_prediction_error_ratio gauge") == 1
-
-
-def test_note_prediction_tolerates_zero_actual():
-    metrics = ServeMetrics()
-    metrics.note_prediction("c", predicted=1.0, actual=0.0)
-    assert ('repro_serve_prediction_error_ratio{class="c"} 0'
-            in metrics.render())
-
-
-def test_executed_jobs_surface_prediction_drift_in_scrape(gated):
-    """End to end: an executed job's predicted-vs-actual lands in
-    /metrics under its cost class."""
-    server, client, executor = gated
-    executor.release()
-    ack = client.submit(workload="sieve", cpu="atomic", scale="test")
-    assert client.wait(ack["id"], timeout=10.0)["state"] == "done"
-    text = client.metrics_text()
-    assert ('repro_serve_prediction_error_seconds'
-            '{class="sieve|atomic|se|test"}' in text)
-    assert ('repro_serve_prediction_error_ratio'
-            '{class="sieve|atomic|se|test"}' in text)
-
-
 def test_counter_is_thread_safe():
     counter = Counter("c_total", {})
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exec import costmodel
 from repro.exec.cache import ResultCache
 from repro.serve.jobs import JobRecord, parse_job_request
 from repro.serve.metrics import ServeMetrics
@@ -151,28 +152,25 @@ def test_figure_prediction_reads_requirements_as_the_runner_does(
                         lambda runner: [], raising=False)
     figure = parse_job_request({"kind": "figure", "figure": "fig3",
                                 "scale": "test"})
-    assert scheduler.predict(figure) == scheduler.cost_model.predict(
+    assert scheduler.predict(figure) == costmodel.predict(
         G5Job("boot_exit", "o3", "fs", "test"))
     scheduler.stop()
 
 
 def test_figure_prediction_covers_its_replays(rig):
-    """A warm model prices Fig 14 as everything it runs: its three g5
-    runs plus its 21 replays (three walks), not the g5 runs alone."""
+    """Fig 14 is priced as everything it runs: its three g5 runs plus
+    its 21 replays (three walks), not the g5 runs alone."""
     from repro.experiments import FIGURES
     from repro.experiments.common import requirement_job
     from repro.experiments.runner import ExperimentRunner
 
     _, _, _, build = rig
     scheduler = build()
-    model = scheduler.cost_model
     module = FIGURES["fig14"]
     replays = module.required_replays(ExperimentRunner(scale="test"))
     assert len(replays) == 21
-    for job in replays:
-        model.observe(job, 2.0)
-    replay_s = sum(map(model.predict, replays))
-    g5_s = sum(model.predict(requirement_job(requirement, "test"))
+    replay_s = sum(map(costmodel.predict, replays))
+    g5_s = sum(costmodel.predict(requirement_job(requirement, "test"))
                for requirement in module.required_g5())
     figure = parse_job_request({"kind": "figure", "figure": "fig14",
                                 "scale": "test"})
