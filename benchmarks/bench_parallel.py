@@ -34,6 +34,7 @@ regressions are diffable in review.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -94,7 +95,7 @@ def parallel_run(job: SampledJob, jobs: int,
                  cache_dir: str) -> tuple[dict, dict]:
     engine = ExecutionEngine(jobs=jobs, cache=ResultCache(cache_dir))
     start = time.perf_counter()
-    payload = engine.run_sampled(job)
+    payload = engine.run(job)
     seconds = time.perf_counter() - start
     doc = {
         "seconds": round(seconds, 4),
@@ -107,12 +108,14 @@ def parallel_run(job: SampledJob, jobs: int,
 
 def window_cache_rerun(job: SampledJob, jobs: int, cache_dir: str,
                        reference: dict) -> dict:
-    """Re-plan with the payload entry evicted: pure per-window hits."""
+    """Re-plan with the payload entry evicted: pure per-window hits.
+
+    An equal job, because ``job`` still holds the plan it cached."""
     cache = ResultCache(cache_dir)
     assert cache.clear(kind="sample") == 1, "expected one payload entry"
     engine = ExecutionEngine(jobs=jobs, cache=cache)
     start = time.perf_counter()
-    payload = engine.run_sampled(job)
+    payload = engine.run(dataclasses.replace(job))
     seconds = time.perf_counter() - start
     assert engine.stats.windows_executed == 0, \
         "rerun must not re-measure any window"

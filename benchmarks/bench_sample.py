@@ -13,7 +13,7 @@ axes that make sampling worth having::
 - **accuracy**: the extrapolated IPC must land within
   ``--max-ipc-error`` (relative) of the full run's ROI IPC.
 
-A second sampled invocation goes through ``ExecutionEngine.run_sampled``
+A second sampled invocation goes through ``ExecutionEngine.run``
 against a disk cache and must be served without executing anything.
 
 Writes ``BENCH_sample.json`` with the timings, the IPC comparison, and
@@ -77,10 +77,10 @@ def cached_rerun(job: SampledJob, reference: dict) -> dict:
     cache_dir = tempfile.mkdtemp(prefix="bench-sample-")
     try:
         cold_engine = ExecutionEngine(cache=ResultCache(cache_dir))
-        cold = cold_engine.run_sampled(job)
+        cold = cold_engine.run(job)
         warm_engine = ExecutionEngine(cache=ResultCache(cache_dir))
         start = time.perf_counter()
-        warm = warm_engine.run_sampled(job)
+        warm = warm_engine.run(job)
         warm_seconds = time.perf_counter() - start
         assert cold_engine.stats.executed == 1, "cold run must execute"
         assert warm_engine.stats.disk_hits == 1, "warm run must hit disk"

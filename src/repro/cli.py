@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .core.profiler import analyze_profile
 from .exec import (ExecutionEngine, ProgressReporter, ReplayJob,
@@ -30,16 +30,18 @@ from .host.platform import get_platform
 from .workloads.registry import SCALES, WORKLOADS, get_workload
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: the integer bound serve's job documents use."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
@@ -66,7 +68,7 @@ def _byte_size(text: str) -> int:
 
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every command that goes through the executor."""
-    parser.add_argument("--jobs", type=_positive_int, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker processes for cache misses, g5 "
                              "runs and host replays (default: 1)")
     parser.add_argument("--no-cache", action="store_true",
@@ -96,10 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scale", default="simsmall", choices=SCALES)
     sim.add_argument("--stats-file", default=None,
                      help="write gem5-style stats.txt to this path")
-    sim.add_argument("--threads", "-n", type=_positive_int, default=1,
+    sim.add_argument("--threads", "-n", type=_int_at_least(1), default=1,
                      help="guest threads for workloads with a threaded "
                           "variant (default: 1, the legacy kernel)")
-    sim.add_argument("--cores", type=_positive_int, default=None,
+    sim.add_argument("--cores", type=_int_at_least(1), default=None,
                      help="simulated cores (default: one per guest "
                           "thread; SE mode, atomic/timing models only)")
 
@@ -116,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="regenerate one paper figure")
     fig.add_argument("figure_id", choices=sorted(FIGURES))
     fig.add_argument("--scale", default="simsmall", choices=SCALES)
-    fig.add_argument("--max-records", type=int, default=None,
+    fig.add_argument("--max-records", type=_int_at_least(1), default=None,
                      help="replay only the first N records of each "
                           "trace (a prefix, not a sample)")
     _add_executor_args(fig)
@@ -126,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figs.add_argument("figures", nargs="*", metavar="FIG",
                       help="figure ids (default: all seventeen)")
     figs.add_argument("--scale", default="simsmall", choices=SCALES)
-    figs.add_argument("--max-records", type=int, default=None,
+    figs.add_argument("--max-records", type=_int_at_least(1), default=None,
                       help="replay only the first N records of each "
                            "trace (a prefix, not a sample)")
     figs.add_argument("--quiet", action="store_true",
@@ -155,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="regenerate EXPERIMENTS.md's claim table "
                        "(hand-written sections are kept)")
     report.add_argument("--scale", default="simsmall", choices=SCALES)
-    report.add_argument("--max-records", type=int, default=60000)
+    report.add_argument("--max-records", type=_int_at_least(1), default=60000)
     report.add_argument("--output", default="EXPERIMENTS.md",
                         help="file to write (default: EXPERIMENTS.md)")
     _add_executor_args(report)
@@ -166,15 +168,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="bind address (default: 127.0.0.1)")
     srv.add_argument("--port", type=int, default=8091,
                      help="listen port (default: 8091; 0 = ephemeral)")
-    srv.add_argument("--jobs", type=_positive_int, default=2,
+    srv.add_argument("--jobs", type=_int_at_least(1), default=2,
                      help="concurrent simulation workers (default: 2)")
-    srv.add_argument("--max-queue", type=_positive_int, default=64,
+    srv.add_argument("--max-queue", type=_int_at_least(1), default=64,
                      help="admission-control queue depth; beyond this "
                           "submissions get 429 (default: 64)")
     srv.add_argument("--timeout", type=float, default=None,
                      help="per-job wall-clock budget in seconds "
                           "(default: unlimited)")
-    srv.add_argument("--retries", type=int, default=2,
+    srv.add_argument("--retries", type=_int_at_least(0), default=2,
                      help="retries after worker crashes (default: 2)")
     srv.add_argument("--cache-max-bytes", type=_byte_size, default=None,
                      help="prune the disk cache back under this size "
@@ -198,10 +200,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--coordinator", default="http://127.0.0.1:8090",
                        help="worker: coordinator base URL "
                             "(default: http://127.0.0.1:8090)")
-    fleet.add_argument("--jobs", type=_positive_int, default=2,
+    fleet.add_argument("--jobs", type=_int_at_least(1), default=2,
                        help="worker: concurrent simulation executors "
                             "(default: 2)")
-    fleet.add_argument("--max-queue", type=_positive_int, default=64,
+    fleet.add_argument("--max-queue", type=_int_at_least(1), default=64,
                        help="worker: admission-control queue depth "
                             "(default: 64)")
     fleet.add_argument("--advertise-url", default=None,
@@ -211,10 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="coordinator: seconds without a heartbeat "
                             "before a worker is declared dead "
                             "(default: 3.0)")
-    fleet.add_argument("--max-pending", type=_positive_int, default=256,
+    fleet.add_argument("--max-pending", type=_int_at_least(1), default=256,
                        help="coordinator: queued jobs before 429s "
                             "(default: 256)")
-    fleet.add_argument("--dispatchers", type=_positive_int, default=8,
+    fleet.add_argument("--dispatchers", type=_int_at_least(1), default=8,
                        help="coordinator: concurrent dispatch threads "
                             "(default: 8)")
     fleet.add_argument("--timeout", type=float, default=None,
@@ -234,17 +236,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--cpu", default="o3",
                         choices=["atomic", "timing", "minor", "o3"])
     sample.add_argument("--scale", default="simsmall", choices=SCALES)
-    sample.add_argument("--interval", type=_positive_int, default=None,
+    sample.add_argument("--interval", type=_int_at_least(1), default=None,
                         help="instructions per interval (default: 250)")
-    sample.add_argument("--warmup", type=int, default=None,
+    sample.add_argument("--warmup", type=_int_at_least(0), default=None,
                         help="warmup instructions before each measured "
                              "window (default: 1000)")
-    sample.add_argument("--k", type=int, default=0,
+    sample.add_argument("--k", type=_int_at_least(0), default=0,
                         help="cluster count (0 = BIC-select, default)")
-    sample.add_argument("--max-k", type=_positive_int, default=None,
+    sample.add_argument("--max-k", type=_int_at_least(1), default=None,
                         help="largest k the BIC selection may pick "
                              "(default: 8)")
-    sample.add_argument("--seed", type=int, default=None,
+    sample.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="clustering/projection seed (default: 1234)")
     sample.add_argument("--json", action="store_true", dest="as_json",
                         help="emit machine-readable JSON")
@@ -258,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=sorted(WORKLOADS),
                       help="guest workload (take/restore)")
     ckpt.add_argument("--scale", default="simsmall", choices=SCALES)
-    ckpt.add_argument("--at", type=_positive_int, default=None,
+    ckpt.add_argument("--at", type=_int_at_least(1), default=None,
                       help="take: checkpoint after this many committed "
                            "instructions")
     ckpt.add_argument("--cpu", default="o3",
@@ -589,7 +591,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
         engine = ExecutionEngine(jobs=args.jobs,
                                  cache=_cache_from_args(args))
-        payload = engine.run_sampled(job)
+        payload = engine.run(job)
         if args.as_json:
             print(json_mod.dumps(payload, indent=2, sort_keys=True))
             return 0

@@ -7,12 +7,11 @@ A *job* names one cacheable unit of work: a g5 simulation
 (:class:`~repro.sample.orchestrate.SampledJob`).  Every kind speaks one
 protocol — ``cache_key()``, ``label``, ``sort_key()``, the cost-model
 features, ``decode(stored)`` (the decoded value, or None to reject a cache
-entry) and either ``execute(*values)`` (run anywhere, return the stored
-payload) or ``fan_out(engine, should_abort)`` (run here, resolving
-sub-jobs on the engine); ``needs()``, if defined, names the sub-jobs
-whose values ``execute`` takes — and :meth:`ExecutionEngine.resolve` is
-the one pipeline every kind and every owner (CLI, experiment runner,
-serve daemon) goes through:
+entry) and ``execute(*values)`` (run anywhere, return the stored
+payload) on the decoded values of the sub-jobs its optional ``needs()``
+names (a sampled run's are its planned windows) — and
+:meth:`ExecutionEngine.resolve` is the one pipeline every kind and every
+owner (CLI, experiment runner, serve daemon) goes through:
 
 1. probe the content-addressed disk cache (:mod:`repro.exec.cache`);
 2. resolve the misses' needs in one nested ``resolve`` (memo, disk,
@@ -177,7 +176,7 @@ def _run_now(fn: Callable, *args) -> Future:
 
 
 class WindowsCancelled(RuntimeError):
-    """``should_abort`` fired before every job of a fan-out resolved."""
+    """``should_abort`` fired before every job of a batch resolved."""
 
     def __init__(self, completed: int, cancelled: int) -> None:
         super().__init__(f"cancelled mid-fan-out: {completed} windows "
@@ -277,9 +276,8 @@ class ExecutionEngine:
 
     ``memo`` is a ``{job: value}`` map its owner keeps (the experiment
     runner: for one campaign).  :meth:`resolve` answers from it first
-    and adds every value it resolves — needs and sub-jobs of a fan-out
-    included, so a replay never probes the disk for a g5 run the
-    process has.
+    and adds every value it resolves — needs included, so a replay
+    never probes the disk for a g5 run the process has.
     """
 
     def __init__(self, jobs: int = 1,
@@ -298,7 +296,8 @@ class ExecutionEngine:
 
     def run(self, job):
         """Resolve one job to its decoded value (a g5 job's
-        :class:`SimResult`, a replay's ``HostRunResult``)."""
+        :class:`SimResult`, a replay's ``HostRunResult``, a sampled
+        run's payload dict)."""
         return self.resolve([job])[job].value
 
     def run_batch(self, jobs: Iterable) -> dict:
@@ -310,15 +309,6 @@ class ExecutionEngine:
         return {job: resolved.value
                 for job, resolved in self.resolve(jobs).items()}
 
-    def run_sampled(self, job) -> dict:
-        """Resolve one :class:`~repro.sample.SampledJob` payload.
-
-        The job plans its windows and resolves them on this engine, each
-        as its own content-addressed entry; the merged payload is
-        byte-identical at every ``jobs``.
-        """
-        return self.resolve([job])[job].payload
-
     # ------------------------------------------------------------------
     # the pipeline: probe -> needs -> schedule -> execute -> store
     # ------------------------------------------------------------------
@@ -328,11 +318,12 @@ class ExecutionEngine:
         """Resolve every job; returns ``{job: Resolved}``.
 
         ``should_abort`` is polled before each start and between
-        completions; when it returns true the fan-out stops with
-        :class:`WindowsCancelled` (it may also raise, e.g. a timeout).
-        However a fan-out ends, every job that completed is stored and
-        counted, not-yet-started ones are cancelled, and the first
-        error is raised.
+        completions; when it returns true the batch stops with
+        :class:`WindowsCancelled` (it may also raise, e.g. a timeout),
+        but a job with needs only before it plans them: its started
+        ``execute`` finishes.  However a batch ends, every job that
+        completed is stored and counted, not-yet-started ones are
+        cancelled, and the first error is raised.
         """
         jobs = list(dict.fromkeys(jobs))
         memo = self.memo if self.memo is not None else {}
@@ -369,6 +360,9 @@ class ExecutionEngine:
                        should_abort: Optional[Callable[[], bool]]) -> dict:
         """``{need: value}`` for the needs of ``misses``: those this batch
         has not answered resolve in one nested :meth:`resolve`, once."""
+        if should_abort and any(hasattr(job, "needs") for job in misses) \
+                and should_abort():
+            raise WindowsCancelled(len(resolved), len(misses))
         needs = list(dict.fromkeys(
             need for job in misses for need in _needs(job)))
         nested = self.resolve([need for need in needs if need not in resolved],
@@ -387,20 +381,18 @@ class ExecutionEngine:
         waiting = ordered[::-1]
         pending: dict[Future, object] = {}
         poll = _ABORT_POLL_SECONDS if should_abort is not None else None
+        stoppable = not all(hasattr(job, "needs") for task in ordered
+                            for job in _members(task))
         with self._execute_step(workers) as (submit, capacity):
             try:
                 while waiting or pending:
-                    if should_abort is not None and should_abort():
+                    if should_abort and should_abort() and stoppable:
                         raise WindowsCancelled(len(resolved),
                                                total - len(resolved))
                     while waiting and len(pending) < capacity:
                         job = waiting.pop()
-                        if hasattr(job, "fan_out"):
-                            future = _run_now(self._fan_out, job,
-                                              should_abort)
-                        else:
-                            future = submit(job, *(values[need]
-                                                   for need in _needs(job)))
+                        future = submit(job, *(values[need]
+                                               for need in _needs(job)))
                         pending[future] = job
                     done, _ = wait(pending, timeout=poll,
                                    return_when=FIRST_COMPLETED)
@@ -436,11 +428,6 @@ class ExecutionEngine:
                 yield partial(pool.submit, execute_job), float("inf")
         else:
             yield partial(_run_now, execute_job), 1
-
-    def _fan_out(self, job, should_abort) -> tuple[dict, float]:
-        start = time.perf_counter()
-        payload = job.fan_out(self, should_abort)
-        return payload, time.perf_counter() - start
 
     def _record(self, job, key: CacheKey, payload: object,
                 seconds: float) -> Resolved:

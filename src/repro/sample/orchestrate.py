@@ -5,7 +5,9 @@
 :meth:`~SampledJob.cache_key` covers every input (workload, CPU model,
 interval geometry, clustering seed, and the sampling code itself).
 :func:`execute_sampled_job` turns it into a JSON-safe payload that the
-exec disk cache, the serve daemon, and the CLI all share.
+exec disk cache, the serve daemon, and the CLI all share.  Its
+``needs()`` are the windows its :attr:`~SampledJob.plan` picks, which
+``execute`` merges in plan order.
 
 The degenerate configuration — ``k`` at least the number of intervals —
 skips sampling entirely and runs one uninterrupted detailed simulation,
@@ -16,12 +18,13 @@ That path is what the differential tests pin the machinery against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..exec.keys import CacheKey, sample_key
 from ..exec.pool import ExecutionEngine
 from .bbv import DEFAULT_INTERVAL_INSTS
-from .parallel import (SAMPLE_FORMAT_VERSION, exact_payload,
-                       merge_measurements, plan_sampled_job)
+from .parallel import (SAMPLE_FORMAT_VERSION, SamplePlan, WindowJob,
+                       exact_payload, merge_measurements, plan_sampled_job)
 
 #: Stats surfaced by name in the rendered report (beyond the ratios).
 _REPORT_KEYS = (
@@ -78,17 +81,20 @@ class SampledJob:
             "mode": self.mode,
         }
 
-    def fan_out(self, engine, should_abort=None) -> dict:
-        """The sampling pipeline: plan, resolve each window as a job on
-        ``engine`` (cache, pool and abort poll included), merge in plan
-        order.  Returns the JSON-safe payload."""
-        plan = plan_sampled_job(self)
-        if plan.exact:
-            return exact_payload(self, plan.profile)
-        windows = plan.window_jobs()
-        resolved = engine.resolve(windows, should_abort)
-        return merge_measurements(
-            self, plan, [resolved[window].value for window in windows])
+    @cached_property
+    def plan(self) -> SamplePlan:
+        """Profile, clusters, checkpoints: planned once per instance."""
+        return plan_sampled_job(self)
+
+    def needs(self) -> tuple[WindowJob, ...]:
+        """The planned windows (none for an exact plan)."""
+        return tuple(self.plan.window_jobs())
+
+    def execute(self, *measurements) -> dict:
+        """The payload: ``measurements`` merged, or one exact full run."""
+        if self.plan.exact:
+            return exact_payload(self, self.plan.profile)
+        return merge_measurements(self, self.plan, list(measurements))
 
     @staticmethod
     def decode(stored: object):
@@ -100,7 +106,7 @@ class SampledJob:
 
 def execute_sampled_job(job: SampledJob) -> dict:
     """The payload from an uncached one-worker engine (no pool)."""
-    return ExecutionEngine().run_sampled(job)
+    return ExecutionEngine().run(job)
 
 
 def render_sample_report(payload: dict) -> str:

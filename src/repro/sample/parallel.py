@@ -6,10 +6,10 @@ The sequential sampling pipeline interleaves three separable stages:
 one window), and *merging* (weighted reconstruction into the payload).
 Only the measurement stage costs detailed-simulation time, and the
 windows are independent once their checkpoints exist — so this module
-splits the stages apart, and :meth:`SampledJob.fan_out
-<repro.sample.orchestrate.SampledJob.fan_out>` resolves the windows as
-jobs on an :class:`~repro.exec.pool.ExecutionEngine`, inline or across
-its process pool.
+splits the stages apart: a :class:`~repro.sample.orchestrate.SampledJob`
+names its planned windows as its ``needs()``, and an
+:class:`~repro.exec.pool.ExecutionEngine` resolves them as jobs, inline
+or across its process pool, before the job's own merge runs.
 
 The contract is bit-exactness: ``merge_measurements`` consumes
 measurements in **plan order** (representatives sorted by interval

@@ -15,7 +15,7 @@
    .resolve>`, the pipeline the batch CLI uses (disk cache shared with
    every CLI run on the machine, same decode rule, same packing code),
    with this scheduler's one persistent process pool as its execute
-   step — g5 misses and sampled-window fan-outs share that pool;
+   step — g5 misses, sampled windows and their merges share that pool;
    figure jobs run in-thread through an :class:`ExperimentRunner`
    backed by the same disk cache.
 
@@ -23,13 +23,14 @@ What the scheduler adds on top is policy: a worker-process crash
 (``BrokenProcessPool``) rebuilds the pool and retries with exponential
 backoff up to ``max_retries`` times; a per-job ``timeout`` fails a g5
 job without retry (a deterministic simulation that ran long once will
-run long again); a drain aborts a sampled fan-out.  The queue's
+run long again); a drain aborts a sampled run's windows.  The queue's
 priorities and the ETAs are each job's static price
 (:func:`predict_request`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -178,7 +179,7 @@ class Scheduler:
             self._count("timeouts")
             self._finish(record, state=FAILED, error=str(exc))
         except WindowsCancelled as exc:
-            # Drain or shutdown interrupted a sampled fan-out: no partial
+            # Drain or shutdown interrupted a sampled run: no partial
             # payload is published; completed windows stay in the cache
             # for the next submission to reuse.
             self._finish(record, state=CANCELLED,
@@ -226,7 +227,10 @@ class Scheduler:
         execution on the shared pool, store) under this scheduler's
         timeout, drain-abort and crash-retry policy."""
         request = record.request
-        job = request.g5 or request.sampled
+        # An equal copy of a sampled job, so the plan it caches is freed
+        # at the next cyclic GC (plan and job refer to each other), not
+        # kept, checkpoints and all, as long as the record.
+        job = request.g5 or dataclasses.replace(request.sampled)
         source = "executed"              # whatever fails was a miss
         try:
             resolved = self._resolve_with_retry(record, job)
@@ -284,7 +288,8 @@ class Scheduler:
 
     def _interrupt(self, kind: str) -> Optional[Callable[[], bool]]:
         """The engine's abort poll for one attempt: a drain aborts a
-        sampled fan-out (in-flight g5 jobs finish); a g5 job that
+        sampled run's planning or windows (a started merge or exact
+        run, like an in-flight g5 job, finishes); a g5 job that
         outlives the per-job budget raises :class:`JobTimeout`."""
         if kind == "sample":
             return lambda: self._stop.is_set() or self.queue.draining

@@ -85,12 +85,12 @@ def test_run_sampled_hits_the_disk_cache(tmp_path):
                     interval_insts=100, warmup_insts=200, max_k=4)
     cache = ResultCache(tmp_path / "cache")
     first_engine = ExecutionEngine(cache=cache)
-    first = first_engine.run_sampled(job)
+    first = first_engine.run(job)
     assert first_engine.stats.executed == 1
     assert first_engine.stats.disk_hits == 0
 
     second_engine = ExecutionEngine(cache=ResultCache(tmp_path / "cache"))
-    second = second_engine.run_sampled(job)
+    second = second_engine.run(job)
     assert second_engine.stats.executed == 0
     assert second_engine.stats.disk_hits == 1
     assert second == first

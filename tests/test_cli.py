@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.exec import G5Job, ResultCache
 from repro.exec.keys import KEY_KINDS, CacheKey, sample_key
 
@@ -215,3 +215,22 @@ class TestCliCommands:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+@pytest.mark.parametrize("argv, minimum", [
+    (["figure", "fig8", "--max-records", "0"], 1),
+    (["figs", "fig8", "--max-records", "-5"], 1),
+    (["report", "--max-records", "0"], 1),
+    (["sample", "run", "--workload", "sieve", "--k", "-1"], 0),
+    (["sample", "run", "--workload", "sieve", "--warmup", "-400"], 0),
+    (["sample", "run", "--workload", "sieve", "--seed", "-1"], 0),
+    (["serve", "--retries", "-1"], 0),
+], ids=["figure-max-records", "figs-max-records", "report-max-records",
+        "sample-k", "sample-warmup", "sample-seed", "serve-retries"])
+def test_integer_flags_reject_what_serve_rejects(capsys, argv, minimum):
+    """Each flag takes the bound serve's job documents enforce for the
+    same field; a value below it is a usage error, not a run."""
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"must be an integer >= {minimum}" in capsys.readouterr().err
