@@ -14,8 +14,8 @@ processes, then exercises the fleet contract the hard way:
    byte-for-byte identical to a direct in-process execution;
 5. the coordinator must log re-dispatches, eventually declare w1
    dead via heartbeat timeout, and still report a healthy fleet;
-6. a repeat of a finished job, relayed to the survivor, must cost it
-   exactly one request (push, not poll);
+6. a repeat of a finished job the survivor owns, relayed to it, must
+   be a hit that costs it exactly one request (push, not poll);
 7. drain the coordinator and SIGTERM the survivor; both exit 0.
 
 Exits non-zero with a diagnostic on any violation; CI runs it as::
@@ -112,17 +112,16 @@ def main() -> int:
         # The coordinator routes a digest to the worker with the top
         # rendezvous score; compute the same partition here so the kill
         # below provably orphans part of the batch.
-        owned_by_w1 = []
+        owned = {"w1": [], "w2": []}
         for job_doc in BATCH:
             digest = parse_job_request(job_doc).digest()
-            if rendezvous_score(digest, "w1") > \
-                    rendezvous_score(digest, "w2"):
-                owned_by_w1.append(job_doc["workload"] + "/"
-                                   + job_doc["cpu"])
-        if not owned_by_w1 or len(owned_by_w1) == len(BATCH):
-            fail(f"degenerate routing split: {owned_by_w1}")
-        print(f"w1 owns {len(owned_by_w1)}/{len(BATCH)} jobs: "
-              f"{', '.join(owned_by_w1)}")
+            owner = max(owned, key=lambda wid: rendezvous_score(digest, wid))
+            owned[owner].append(job_doc)
+        if not owned["w1"] or not owned["w2"]:
+            fail(f"degenerate routing split: {owned}")
+        print(f"w1 owns {len(owned['w1'])}/{len(BATCH)} jobs: "
+              + ", ".join(f"{doc['workload']}/{doc['cpu']}"
+                          for doc in owned["w1"]))
 
         acks = [client.submit_doc(doc) for doc in BATCH]
         # SIGKILL w1 mid-batch: dispatchers hit connection-refused on
@@ -163,11 +162,15 @@ def main() -> int:
         print(f"w1 declared dead by heartbeat sweep; re-dispatches: "
               f"{metrics['repro_fleet_redispatches_total']:.0f}")
 
+        # Repeat a job w2 owned from the start: w2 computed it, so it
+        # is a hit there.  A w1-owned job would be one only by luck: a
+        # result w1 relayed before the kill lived on w1 alone.
         survivor = ServeClient(urls["w2"], timeout=15.0)
         routes = [f'repro_serve_request_seconds_count{{endpoint="{name}"}}'
                   for name in ("submit", "status", "result")]
         before = survivor.metrics()
-        if client.run(BATCH[0], timeout=60.0)["source"] == "executed":
+        if client.run(owned["w2"][0], timeout=60.0)["source"] == \
+                "executed":
             fail("a finished job was re-executed instead of served")
         time.sleep(0.5)                 # anything more would land by now
         after = survivor.metrics()

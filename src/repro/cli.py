@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--scale", default="simsmall", choices=SCALES)
     prof.add_argument("--platform", default="Intel_Xeon",
                       choices=["Intel_Xeon", "M1_Pro", "M1_Ultra"])
-    prof.add_argument("--hotspots", type=int, default=10,
+    prof.add_argument("--hotspots", type=_int_at_least(1), default=10,
                       help="print the N hottest functions")
 
     fig = sub.add_parser("figure", help="regenerate one paper figure")

@@ -179,8 +179,8 @@ class WindowsCancelled(RuntimeError):
     """``should_abort`` fired before every job of a batch resolved."""
 
     def __init__(self, completed: int, cancelled: int) -> None:
-        super().__init__(f"cancelled mid-fan-out: {completed} windows "
-                         f"resolved, {cancelled} abandoned")
+        super().__init__(f"cancelled: {completed} jobs resolved, "
+                         f"{cancelled} abandoned")
         self.completed = completed
         self.cancelled = cancelled
 

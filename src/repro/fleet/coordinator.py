@@ -259,12 +259,6 @@ class Coordinator:
         return 200, {"ok": True, "state": worker.state,
                      "peers": self.registry.peers_doc()}
 
-    def worker_drain_response(self, worker_id: str) -> tuple[int, dict]:
-        worker = self.registry.drain(worker_id)
-        if worker is None:
-            return 404, {"error": f"unknown worker {worker_id!r}"}
-        return 200, {"id": worker.id, "state": worker.state}
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
@@ -448,8 +442,6 @@ class CoordinatorServer(Service):
                   coord.register_response, body="json"),
             Route("POST", f"{workers}/<id>/heartbeat", "heartbeat",
                   coord.heartbeat_response, body="json"),
-            Route("POST", f"{workers}/<id>/drain", "worker_drain",
-                  coord.worker_drain_response),
         ]
 
     def observe_request(self, endpoint: str, seconds: float) -> None:

@@ -31,7 +31,6 @@ __all__ = ["WorkerInfo", "WorkerRegistry", "rendezvous_score"]
 
 #: Worker lifecycle states.
 UP = "up"
-DRAINING = "draining"
 DEAD = "dead"
 
 
@@ -133,14 +132,6 @@ class WorkerRegistry:
                     "queue_depth", worker.queue_depth))
                 worker.max_queue = int(report.get(
                     "max_queue", worker.max_queue))
-            return worker
-
-    def drain(self, worker_id: str) -> Optional[WorkerInfo]:
-        """Stop routing new jobs to a worker (it keeps finishing)."""
-        with self._lock:
-            worker = self._workers.get(worker_id)
-            if worker is not None and worker.state == UP:
-                worker.state = DRAINING
             return worker
 
     def get(self, worker_id: str) -> Optional[WorkerInfo]:

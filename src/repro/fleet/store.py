@@ -1,19 +1,19 @@
-"""Shared content-addressed result store: read-through + replication.
+"""Shared content-addressed result store: read-through to live peers.
 
 :class:`FleetCache` is a drop-in :class:`~repro.exec.cache.ResultCache`
-whose misses fall through to peer workers over the daemon's store
-endpoint (``GET /api/v1/store/<digest>``).  A fetched envelope is
+whose misses fall through to peer workers over the worker's store
+route (``GET /api/v1/store/<digest>``).  A fetched envelope is
 verified twice before it is trusted — the ``X-Repro-Sha256`` transport
 checksum over the body, then the envelope's own recorded digest against
 the addressed one (``ResultCache.raw_put`` re-checks) — so a corrupt
 or truncated transfer is a miss, never a poisoned cache.
 
-New locally-produced entries are replicated best-effort to one peer,
-chosen by the same rendezvous hash the coordinator routes with: the
-replica lands on the digest's *second*-choice worker, which is exactly
-where the coordinator will re-route that digest if this worker dies.
+Nothing is pushed: an entry lives on the worker that computed it (and
+on every worker that later fetched it), so a result computed only on a
+worker that then dies is recomputed once by whichever worker is next
+asked for it.
 
-All peer I/O is best-effort with short timeouts; a slow or dead peer
+All peer I/O is best-effort with a short timeout; a slow or dead peer
 degrades to a local miss, never an error.
 """
 
@@ -33,24 +33,22 @@ from .registry import rendezvous_score
 
 __all__ = ["FleetCache"]
 
+#: Seconds one peer fetch may take before it counts as a miss.
+PEER_TIMEOUT = 5.0
+
 
 class FleetCache(ResultCache):
     """A ResultCache backed by the fleet's shared store."""
 
     def __init__(self, root: Union[str, Path, None] = None,
-                 self_url: Optional[str] = None,
-                 peer_timeout: float = 5.0,
-                 replicate: bool = True) -> None:
+                 self_url: Optional[str] = None) -> None:
         super().__init__(root)
         self.self_url = self_url.rstrip("/") if self_url else None
-        self.peer_timeout = peer_timeout
-        self.replicate = replicate
         self._peer_lock = threading.Lock()
         self._peers: list[dict] = []
         self._stats_lock = threading.Lock()
         self._stats = {"local_hits": 0, "remote_hits": 0,
-                       "remote_misses": 0, "replications": 0,
-                       "replication_failures": 0, "fetch_failures": 0}
+                       "remote_misses": 0, "fetch_failures": 0}
 
     # ------------------------------------------------------------------
     # peers
@@ -78,7 +76,7 @@ class FleetCache(ResultCache):
             self._stats[name] += 1
 
     # ------------------------------------------------------------------
-    # read-through get / replicating put
+    # read-through get
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[object]:
         local = super().get(key)
@@ -94,11 +92,6 @@ class FleetCache(ResultCache):
         self._count("remote_hits")
         return super().get(key)
 
-    def put(self, key: CacheKey, payload: object) -> None:
-        super().put(key, payload)
-        if self.replicate:
-            self._replicate(key.digest)
-
     # ------------------------------------------------------------------
     # peer transport
     # ------------------------------------------------------------------
@@ -112,7 +105,7 @@ class FleetCache(ResultCache):
             url = f"{peer['url']}/api/v1/store/{digest}"
             try:
                 with urllib.request.urlopen(
-                        url, timeout=self.peer_timeout) as reply:
+                        url, timeout=PEER_TIMEOUT) as reply:
                     blob = reply.read()
                     checksum = reply.headers.get(CHECKSUM_HEADER)
             except (urllib.error.URLError, OSError, ValueError):
@@ -128,30 +121,6 @@ class FleetCache(ResultCache):
             return blob
         self._count("remote_misses")
         return None
-
-    def _replicate(self, digest: str) -> None:
-        """Push the new entry to the digest's top-ranked peer."""
-        ranked = self._ranked_peers(digest)
-        if not ranked:
-            return
-        blob = super().raw_get(digest)
-        if blob is None:
-            return
-        peer = ranked[0]
-        url = f"{peer['url']}/api/v1/store/{digest}"
-        request = urllib.request.Request(
-            url, data=blob, method="PUT",
-            headers={"Content-Type": "application/octet-stream",
-                     CHECKSUM_HEADER: hashlib.sha256(blob).hexdigest()})
-        try:
-            with urllib.request.urlopen(
-                    request, timeout=self.peer_timeout) as reply:
-                if reply.status == 200:
-                    self._count("replications")
-                else:
-                    self._count("replication_failures")
-        except (urllib.error.URLError, OSError, ValueError):
-            self._count("replication_failures")
 
     def _ranked_peers(self, digest: str) -> list[dict]:
         peers = self.peers()

@@ -1,13 +1,13 @@
 """A fleet worker: the ordinary daemon plus a coordinator agent.
 
-:class:`FleetWorker` wraps a stock :class:`~repro.serve.daemon.
-SimServer` with three fleet-specific behaviours:
+:class:`FleetWorker` runs a :class:`WorkerServer` — the stock
+:class:`~repro.serve.daemon.SimServer` plus one route — with three
+fleet-specific behaviours:
 
 - its cache is a :class:`~repro.fleet.store.FleetCache`, so cache
-  misses read through to peer workers and fresh results replicate to
-  the digest's second-choice worker;
-- the shared-store HTTP routes are enabled (``ServeConfig(store=True)``)
-  so peers can read *this* worker's cache;
+  misses read through to live peer workers;
+- its one extra route, the shared store, serves *this* worker's
+  verified cache envelopes to those peers;
 - an agent thread registers with the coordinator and heartbeats at the
   coordinator-assigned interval, reporting queue depth (which is how
   worker backpressure reaches coordinator admission) and refreshing
@@ -28,10 +28,10 @@ from typing import Optional, TextIO, Union
 from ..serve import clock
 from ..serve.client import ServeClient, ServeError
 from ..serve.daemon import ServeConfig, SimServer
-from ..serve.http import run_until_signal
+from ..serve.http import API_PREFIX, Route, run_until_signal
 from .store import FleetCache
 
-__all__ = ["FleetWorker", "WorkerConfig", "run_worker"]
+__all__ = ["FleetWorker", "WorkerConfig", "WorkerServer", "run_worker"]
 
 
 @dataclass
@@ -48,9 +48,25 @@ class WorkerConfig:
     #: URL peers should use to reach this worker (defaults to the
     #: bound address; set when workers sit behind distinct hostnames).
     advertise_url: Optional[str] = None
-    replicate: bool = True
     quiet: bool = True
     log: Optional[TextIO] = None
+
+
+class WorkerServer(SimServer):
+    """The daemon plus the shared-store route peers read through."""
+
+    def routes(self) -> list[Route]:
+        return [*super().routes(),
+                Route("GET", f"{API_PREFIX}/store/<digest>", "store",
+                      self.store_get_response)]
+
+    def store_get_response(self, digest: str):
+        """``(200, bytes)``: the verified envelope, checksummed by the
+        handler; a JSON 404 when this worker holds no valid entry."""
+        blob = self.config.cache.raw_get(digest)
+        if blob is None:
+            return 404, {"error": f"no entry for digest {digest!r}"}
+        return 200, blob
 
 
 class FleetWorker:
@@ -58,15 +74,14 @@ class FleetWorker:
 
     def __init__(self, config: WorkerConfig, execute_fn=None) -> None:
         self.config = config
-        self.cache = FleetCache(config.cache_root,
-                                replicate=config.replicate)
+        self.cache = FleetCache(config.cache_root)
         serve_config = ServeConfig(host=config.host, port=config.port,
                                    workers=config.workers,
                                    max_queue=config.max_queue,
-                                   cache=self.cache, store=True,
+                                   cache=self.cache,
                                    job_timeout=config.job_timeout,
                                    quiet=config.quiet, log=config.log)
-        self.server = SimServer(serve_config, execute_fn=execute_fn)
+        self.server = WorkerServer(serve_config, execute_fn=execute_fn)
         self.url = config.advertise_url or self.server.address
         self.cache.self_url = self.url.rstrip("/")
         self.coordinator = ServeClient(config.coordinator_url)

@@ -13,11 +13,8 @@ HTTP listener stops.  :func:`serve` — the ``repro-g5 serve`` entry
 point — returns exit code 0 on any clean drain, which is what the
 SIGTERM acceptance test pins.
 
-**Shared store** (fleet worker mode, ``ServeConfig(store=True)``).  The
-store routes ship content-addressed cache envelopes between workers:
-bodies carry an ``X-Repro-Sha256`` transport checksum, and both ends
-verify the envelope's recorded digest against the addressed one before
-trusting it (see ``ResultCache.raw_get``/``raw_put``).
+A fleet worker's server (``fleet.worker.WorkerServer``) is this class
+plus the shared-store route; a plain daemon serves no store.
 """
 
 from __future__ import annotations
@@ -49,8 +46,6 @@ class ServeConfig:
     max_retries: int = 2
     backoff_base: float = 0.25
     cache_max_bytes: Optional[int] = None
-    #: Expose the shared-store routes (fleet worker mode).
-    store: bool = False
     quiet: bool = True
     #: stream for http/lifecycle lines (printed unless ``quiet``)
     log: Optional[TextIO] = None
@@ -140,10 +135,6 @@ class SimServer(Service):
                   lambda: (200, self.metrics.render())),
             Route("POST", f"{API_PREFIX}/drain", "drain",
                   lambda: (202, self.drain_response())),
-            Route("GET", f"{API_PREFIX}/store/<digest>", "store",
-                  self.store_get_response),
-            Route("PUT", f"{API_PREFIX}/store/<digest>", "store",
-                  self.store_put_response, body="blob"),
         ]
 
     def observe_request(self, endpoint: str, seconds: float) -> None:
@@ -245,29 +236,6 @@ class SimServer(Service):
         return {"draining": True,
                 "queued_at_drain": counts_before["depth"],
                 "running_at_drain": counts_before["running"]}
-
-    def store_get_response(self, digest: str):
-        """Raw envelope bytes for the shared store, or a JSON error.
-
-        Returns ``(200, bytes)`` on a verified hit; JSON documents
-        otherwise.  Disabled (404 for every digest) unless the daemon
-        runs as a fleet worker with ``ServeConfig(store=True)``.
-        """
-        if not self.config.store or self.config.cache is None:
-            return 404, {"error": "shared store is not enabled"}
-        blob = self.config.cache.raw_get(digest)
-        if blob is None:
-            return 404, {"error": f"no entry for digest {digest!r}"}
-        return 200, blob
-
-    def store_put_response(self, digest: str,
-                           blob: bytes) -> tuple[int, dict]:
-        """Accept a replicated envelope after verifying it end to end."""
-        if not self.config.store or self.config.cache is None:
-            return 404, {"error": "shared store is not enabled"}
-        if not self.config.cache.raw_put(digest, blob):
-            return 400, {"error": "envelope failed digest verification"}
-        return 200, {"stored": True, "digest": digest}
 
 
 def serve(config: ServeConfig) -> int:

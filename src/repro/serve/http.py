@@ -3,12 +3,12 @@
 Daemon, fleet worker and coordinator all serve through this module.  An
 application is a :class:`Service` subclass whose :meth:`Service.routes`
 returns its route table; that table is the wire documentation, so the
-modules that define one (``serve.daemon``, ``fleet.coordinator``) list
-no routes in prose.  The handler parses the path, reads and validates
-the body, times the request into the route's latency histogram, and
-sends whatever the route's callable returns.  ``ThreadingHTTPServer``
-gives each connection its own handler thread; shared state lives behind
-the application's locks.
+modules that define one (``serve.daemon``, ``fleet.worker``,
+``fleet.coordinator``) list no routes in prose.  The handler parses the
+path, reads and validates the body, times the request into the route's
+latency histogram, and sends whatever the route's callable returns.
+``ThreadingHTTPServer`` gives each connection its own handler thread;
+shared state lives behind the application's locks.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ API_PREFIX = "/api/v1"
 #: Largest JSON request body the server will read (a job document is tiny).
 MAX_BODY_BYTES = 1 << 20
 
-#: Largest store envelope a worker will accept over replication.
-MAX_STORE_BYTES = 1 << 26
-
-#: Transport-integrity header on store bodies (hex sha256 of the body).
+#: Transport-integrity header on byte replies (hex sha256 of the body).
 CHECKSUM_HEADER = "X-Repro-Sha256"
 
 #: Longest a ``?wait=<seconds>`` request is parked, whatever it asks for.
@@ -79,14 +76,12 @@ class Route(NamedTuple):
     """One row of an application's route table.
 
     ``pattern`` is a literal path whose ``<name>`` segments are captured
-    and passed to ``call`` positionally, followed by the request body
-    when ``body`` asks for one: ``"json"`` (decoded document; an empty
-    body is ``None``) or ``"blob"`` (raw bytes up to
-    :data:`MAX_STORE_BYTES`, checked against :data:`CHECKSUM_HEADER`
-    when the peer sent it).  ``call`` returns ``(status, payload)`` or
+    and passed to ``call`` positionally, followed by the decoded JSON
+    request body when ``body`` is ``"json"`` (an empty body is
+    ``None``).  ``call`` returns ``(status, payload)`` or
     ``(status, payload, headers)``; a dict payload goes out as JSON
     (:func:`encode_json`), ``str`` as Prometheus text, ``bytes`` as a
-    checksummed blob.
+    blob carrying its :data:`CHECKSUM_HEADER`.
     ``endpoint`` labels the request in the latency histogram.  A
     ``wait`` route gets one more argument, :func:`parse_wait`'s seconds:
     how long it may park the request for a job to settle.
@@ -125,14 +120,12 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             app.observe_request(endpoint, clock.monotonic() - started)
 
-    do_GET = do_POST = do_PUT = _handle  # noqa: N815 - stdlib naming
+    do_GET = do_POST = _handle  # noqa: N815 - stdlib naming
 
     def _respond(self, route: Optional[Route], args: list,
                  path: str) -> tuple:
-        blob = route is not None and route.body == "blob"
         try:
-            body = self._read_body(MAX_STORE_BYTES if blob
-                                   else MAX_BODY_BYTES)
+            body = self._read_body()
         except ValueError as exc:
             # The body stays unread, so the connection cannot be reused:
             # its bytes would be parsed as the next request.
@@ -146,13 +139,6 @@ class _Handler(BaseHTTPRequestHandler):
                 args.append(json.loads(body.decode() or "null"))
             except (ValueError, UnicodeDecodeError) as exc:
                 return 400, {"error": f"bad request body: {exc}"}
-        elif blob:
-            checksum = self.headers.get(CHECKSUM_HEADER)
-            if (checksum is not None
-                    and checksum != hashlib.sha256(body).hexdigest()):
-                return 400, {"error": "body does not match "
-                                      f"{CHECKSUM_HEADER} checksum"}
-            args.append(body)
         if route.wait:
             try:
                 args.append(parse_wait(self.path.partition("?")[2]))
@@ -160,7 +146,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return 400, {"error": f"bad wait parameter: {exc}"}
         return route.call(*args)
 
-    def _read_body(self, limit: int) -> bytes:
+    def _read_body(self) -> bytes:
         """The request body, read in full so a keep-alive connection
         starts its next request at a request line."""
         if self.headers.get("Transfer-Encoding"):
@@ -169,7 +155,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not (raw.isascii() and raw.isdigit()):
             raise ValueError(f"invalid Content-Length {raw!r}")
         length = int(raw)
-        if length > limit:
+        if length > MAX_BODY_BYTES:
             raise ValueError(f"request body too large ({length} bytes)")
         return self.rfile.read(length)
 

@@ -38,14 +38,14 @@ class FleetHarness:
         self.workers: list[FleetWorker] = []
 
     def add_worker(self, execute_fn=None, *, workers: int = 2,
-                   max_queue: int = 64, replicate: bool = True,
+                   max_queue: int = 64,
                    job_timeout=None) -> FleetWorker:
         index = len(self.workers)
         worker = FleetWorker(
             WorkerConfig(coordinator_url=self.server.address,
                          port=0, workers=workers, max_queue=max_queue,
                          cache_root=self.tmp_path / f"cache{index}",
-                         replicate=replicate, job_timeout=job_timeout),
+                         job_timeout=job_timeout),
             execute_fn=execute_fn)
         worker.start()
         self.workers.append(worker)

@@ -199,22 +199,6 @@ def test_fleet_doc_and_metrics_expose_the_fleet(fleet):
     assert health["workers_live"] == 1
 
 
-def test_worker_drain_endpoint_stops_routing(fleet):
-    a = GatedExecutor()
-    b = GatedExecutor()
-    a.release()
-    b.release()
-    fleet.add_worker(a)
-    fleet.add_worker(b)
-    fleet.client._json("POST", "/api/v1/workers/w1/drain")
-    for cpu in ("atomic", "timing", "minor", "o3"):
-        _, status = _submit_and_wait(
-            fleet, {"kind": "g5", "workload": "sieve", "cpu": cpu,
-                    "scale": "test"})
-        assert status["state"] == "done"
-        assert status["worker"] == "w2"
-
-
 def test_job_table_is_bounded_by_the_queue_history(fleet):
     # The coordinator's jobs live in the daemon's JobQueue, so terminal
     # ones (and their result payloads) are evicted beyond max_history.

@@ -60,8 +60,8 @@ def test_mixed_batch_matches_direct_runs_bit_for_bit(fleet):
 def test_any_worker_serves_any_cached_result(fleet):
     """The shared store makes results location-transparent.
 
-    A result executed via the fleet lands in one worker's cache (and
-    its replica's).  Submitting the same work *directly* to each
+    A result executed via the fleet lands in one worker's cache.
+    Submitting the same work *directly* to each
     worker daemon must then be served from cache everywhere — either
     the local disk or a peer fetch — never re-executed.
     """

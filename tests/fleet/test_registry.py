@@ -2,8 +2,7 @@
 
 import hashlib
 
-from repro.fleet.registry import (DEAD, DRAINING, UP, WorkerRegistry,
-                                  rendezvous_score)
+from repro.fleet.registry import DEAD, UP, WorkerRegistry, rendezvous_score
 from repro.serve import clock
 
 
@@ -77,17 +76,6 @@ def test_heartbeat_revives_a_dead_worker():
     assert registry.get(worker.id).state == DEAD
     registry.heartbeat(worker.id, {})
     assert registry.get(worker.id).state == UP
-
-
-def test_draining_worker_gets_no_new_routes():
-    registry = WorkerRegistry()
-    registry.register("http://127.0.0.1:1001")
-    registry.register("http://127.0.0.1:1002")
-    registry.drain("w1")
-    assert registry.get("w1").state == DRAINING
-    assert all(registry.route(d).id == "w2" for d in _digests(16))
-    assert registry.peers_doc() == [
-        {"id": "w2", "url": "http://127.0.0.1:1002"}]
 
 
 def test_route_exclusion_falls_to_second_choice():

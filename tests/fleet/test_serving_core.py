@@ -1,11 +1,11 @@
-"""The serving core as a contract, checked against both applications.
+"""The serving core as a contract, checked against every application.
 
-The daemon (with the shared store on) and the coordinator serve through
-one handler (:mod:`repro.serve.http`); these tests walk each
-application's route table over real HTTP and pin what a later refactor
-must not change silently: the status of every route's happy path, JSON
-errors for everything else, the latency histogram every request lands
-in, and the key sets of the job documents.
+The daemon, the fleet worker (the daemon plus the shared store) and the
+coordinator serve through one handler (:mod:`repro.serve.http`); these
+tests walk each application's route table over real HTTP and pin what a
+later refactor must not change silently: the status of every route's
+happy path, JSON errors for everything else, the latency histogram
+every request lands in, and the key sets of the job documents.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import socket
 import pytest
 
 from repro.serve import clock
-from repro.serve.http import MAX_BODY_BYTES, MAX_STORE_BYTES
+from repro.serve.http import MAX_BODY_BYTES
 
 from tests.fleet.conftest import FleetHarness, GatedExecutor
 from tests.serve.conftest import make_server
@@ -78,12 +78,12 @@ class App:
         raise AssertionError(f"{ack['id']} never finished")
 
 
-@pytest.fixture(params=["daemon", "coordinator"])
+@pytest.fixture(params=["daemon", "worker", "coordinator"])
 def app(request, tmp_path):
     executor = GatedExecutor()
     executor.release()
     if request.param == "daemon":
-        server, _ = make_server(tmp_path, execute_fn=executor, store=True)
+        server, _ = make_server(tmp_path, execute_fn=executor)
         made = App("daemon", server,
                    lambda: server.metrics.request_seconds,
                    server.drain_and_stop)
@@ -92,30 +92,36 @@ def app(request, tmp_path):
         # land in the histograms the walk counts exactly.
         fleet = FleetHarness(tmp_path, heartbeat_interval=30.0,
                              heartbeat_timeout=120.0)
-        fleet.add_worker(executor)
-        made = App("coordinator", fleet.server,
-                   lambda: fleet.server.request_seconds, fleet.stop)
+        worker = fleet.add_worker(executor)
+        if request.param == "worker":
+            made = App("worker", worker.server,
+                       lambda: worker.server.metrics.request_seconds,
+                       fleet.stop)
+        else:
+            made = App("coordinator", fleet.server,
+                       lambda: fleet.server.request_seconds, fleet.stop)
     yield made
     made.teardown()
 
 
 #: (method, pattern) -> (path template, JSON body, documented status),
 #: in the order the walk exercises them (drains last).
+DAEMON = {
+    ("POST", "/api/v1/jobs"): ("/api/v1/jobs", DOC, 202),
+    ("GET", "/api/v1/jobs/<id>"): ("/api/v1/jobs/{id}", None, 200),
+    ("GET", "/api/v1/jobs/<id>/result"):
+        ("/api/v1/jobs/{id}/result", None, 200),
+    ("GET", "/api/v1/stats"): ("/api/v1/stats", None, 200),
+    ("GET", "/healthz"): ("/healthz", None, 200),
+    ("GET", "/metrics"): ("/metrics", None, 200),
+}
+DRAIN = {("POST", "/api/v1/drain"): ("/api/v1/drain", None, 202)}
 HAPPY = {
-    "daemon": {
-        ("POST", "/api/v1/jobs"): ("/api/v1/jobs", DOC, 202),
-        ("GET", "/api/v1/jobs/<id>"): ("/api/v1/jobs/{id}", None, 200),
-        ("GET", "/api/v1/jobs/<id>/result"):
-            ("/api/v1/jobs/{id}/result", None, 200),
-        ("GET", "/api/v1/stats"): ("/api/v1/stats", None, 200),
-        ("GET", "/healthz"): ("/healthz", None, 200),
-        ("GET", "/metrics"): ("/metrics", None, 200),
-        ("GET", "/api/v1/store/<digest>"):
-            ("/api/v1/store/{digest}", None, 200),
-        ("PUT", "/api/v1/store/<digest>"):
-            ("/api/v1/store/{digest}", "blob", 200),
-        ("POST", "/api/v1/drain"): ("/api/v1/drain", None, 202),
-    },
+    "daemon": {**DAEMON, **DRAIN},
+    "worker": {**DAEMON,
+               ("GET", "/api/v1/store/<digest>"):
+                   ("/api/v1/store/{digest}", None, 200),
+               **DRAIN},
     "coordinator": {
         ("POST", "/api/v1/jobs"): ("/api/v1/jobs", DOC, 202),
         ("GET", "/api/v1/jobs/<id>"): ("/api/v1/jobs/{id}", None, 200),
@@ -129,8 +135,6 @@ HAPPY = {
              {"url": "http://127.0.0.1:9"}, 200),
         ("POST", "/api/v1/workers/<id>/heartbeat"):
             ("/api/v1/workers/w1/heartbeat", {"queue_depth": 0}, 200),
-        ("POST", "/api/v1/workers/<id>/drain"):
-            ("/api/v1/workers/w2/drain", None, 200),
         ("POST", "/api/v1/drain"): ("/api/v1/drain", None, 202),
     },
 }
@@ -143,26 +147,19 @@ def test_route_table_conformance(app):
     assert set(routes) == set(happy), \
         "route table and documented happy paths disagree"
     ack = app.finished_job()
-    blob = None
     for key, (template, body, documented) in happy.items():
         route = routes[key]
         method = key[0]
         path = template.format(id=ack["id"], digest=ack["digest"])
         before = app.count(route.endpoint)
-        if body == "blob":
-            assert blob is not None, "store GET must precede store PUT"
-            status, _, _ = app.request(method, path, blob)
-        else:
-            raw = None if body is None else json.dumps(body).encode()
-            status, _, reply = app.request(method, path, raw)
-            if key == ("GET", "/api/v1/store/<digest>"):
-                blob = reply
+        raw = None if body is None else json.dumps(body).encode()
+        status, _, _ = app.request(method, path, raw)
         assert status == documented, (key, status)
         assert app.timed(route.endpoint, before + 1), \
             f"{key} was not timed under {route.endpoint!r}"
         # The same path under a method it is not routed for, then a
         # path nothing routes: JSON errors, timed as "other".
-        wrong = next(method for method in ("GET", "POST", "PUT")
+        wrong = next(method for method in ("GET", "POST")
                      if (method, key[1]) not in routes)
         for method, unrouted in ((wrong, path),
                                  ("GET", "/api/v1/no/such/route")):
@@ -177,20 +174,16 @@ def test_body_routes_reject_malformed_and_oversized_bodies(app):
     for route in app.server.routes():
         if route.body is None:
             continue
-        path = route.pattern.replace("<id>", "w1").replace(
-            "<digest>", "0" * 64)
-        if route.body == "json":
-            status, doc = _json_reply(
-                app.request(route.method, path, b"{not json"))
-            assert status == 400 and "error" in doc, (route, doc)
-        limit = MAX_STORE_BYTES if route.body == "blob" \
-            else MAX_BODY_BYTES
+        path = route.pattern.replace("<id>", "w1")
+        status, doc = _json_reply(
+            app.request(route.method, path, b"{not json"))
+        assert status == 400 and "error" in doc, (route, doc)
         # Announce an oversized body without sending it: the reply must
         # come at once and close the connection.
         conn = http.client.HTTPConnection(app.host, app.port, timeout=10)
         try:
             conn.putrequest(route.method, path)
-            conn.putheader("Content-Length", str(limit + 1))
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
             conn.endheaders()
             reply = conn.getresponse()
             doc = json.loads(reply.read())
@@ -261,6 +254,7 @@ WIRE_KEYS = {
                     "status": STATUS_KEYS | {"label", "worker",
                                              "remote_id"}},
 }
+WIRE_KEYS["worker"] = WIRE_KEYS["daemon"]
 
 
 def test_job_document_key_sets_are_pinned(app):

@@ -1,4 +1,4 @@
-"""The shared result store: raw transport, HTTP routes, read-through.
+"""The shared result store: raw transport, the store route, read-through.
 
 Integrity is the theme: every path that moves an envelope between
 machines verifies it twice (transport checksum, then the envelope's
@@ -15,7 +15,11 @@ import pytest
 
 from repro.exec.cache import ENVELOPE_VERSION, ResultCache
 from repro.exec.pool import G5Job
+from repro.fleet import store
 from repro.fleet.store import FleetCache
+from repro.fleet.worker import WorkerServer
+from repro.serve import clock
+from tests.fleet.conftest import GatedExecutor
 from tests.serve.conftest import make_server
 
 
@@ -69,11 +73,11 @@ def test_raw_get_purges_corrupt_entries(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the daemon's store routes
+# the fleet worker's store route
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def store_server(tmp_path):
-    server, client = make_server(tmp_path, store=True)
+    server, client = make_server(tmp_path, server_class=WorkerServer)
     yield server, client
     server.drain_and_stop()
 
@@ -92,38 +96,8 @@ def test_store_get_serves_verified_envelopes(store_server, tmp_path):
     assert sink.get(key) == _payload()
 
 
-def test_store_put_roundtrips_and_verifies(store_server, tmp_path):
-    server, client = store_server
-    source = ResultCache(tmp_path / "source")
-    key = _key()
-    source.put(key, _payload("replicated"))
-    blob = source.raw_get(key.digest)
-
-    def put(digest, body, checksum=None):
-        headers = {"Content-Type": "application/octet-stream"}
-        if checksum is not None:
-            headers["X-Repro-Sha256"] = checksum
-        request = urllib.request.Request(
-            f"{client.base_url}/api/v1/store/{digest}", data=body,
-            headers=headers, method="PUT")
-        try:
-            with urllib.request.urlopen(request, timeout=5.0) as reply:
-                return reply.status
-        except urllib.error.HTTPError as exc:
-            return exc.code
-
-    # Wrong transport checksum: rejected before the cache sees it.
-    assert put(key.digest, blob, checksum="0" * 64) == 400
-    # Envelope/digest mismatch: rejected by the cache layer.
-    assert put("f" * 64, blob) == 400
-    # Correct replication lands and is served back.
-    good = hashlib.sha256(blob).hexdigest()
-    assert put(key.digest, blob, checksum=good) == 200
-    assert server.config.cache.get(key) == _payload("replicated")
-
-
 def test_store_routes_disabled_by_default(tmp_path):
-    server, client = make_server(tmp_path)   # store=False
+    server, client = make_server(tmp_path)   # a plain daemon
     try:
         url = f"{client.base_url}/api/v1/store/{'0' * 64}"
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -134,7 +108,7 @@ def test_store_routes_disabled_by_default(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# FleetCache: read-through + replication
+# FleetCache: read-through, nothing pushed
 # ---------------------------------------------------------------------------
 def test_fleet_cache_reads_through_to_a_peer(store_server, tmp_path):
     server, client = store_server
@@ -158,17 +132,6 @@ def test_fleet_cache_miss_everywhere_is_a_miss(store_server, tmp_path):
     assert local.fleet_stats()["remote_misses"] == 1
 
 
-def test_fleet_cache_replicates_new_entries(store_server, tmp_path):
-    server, client = store_server
-    local = FleetCache(tmp_path / "local")
-    local.set_peers([{"id": "w1", "url": client.base_url}])
-    key = _key(workload="matmul")
-    local.put(key, _payload("fresh"))
-    assert local.fleet_stats()["replications"] == 1
-    # The peer can now serve it without ever executing anything.
-    assert server.config.cache.get(key) == _payload("fresh")
-
-
 def test_fleet_cache_filters_itself_from_peers(tmp_path):
     cache = FleetCache(tmp_path, self_url="http://127.0.0.1:9999")
     cache.set_peers([{"id": "w1", "url": "http://127.0.0.1:9999/"},
@@ -177,14 +140,36 @@ def test_fleet_cache_filters_itself_from_peers(tmp_path):
                               "url": "http://127.0.0.1:8888"}]
 
 
-def test_fleet_cache_survives_dead_peers(tmp_path):
-    local = FleetCache(tmp_path / "local", peer_timeout=0.2)
-    # Nothing listens here; both reads and writes degrade gracefully.
+def test_fleet_cache_survives_dead_peers(tmp_path, monkeypatch):
+    monkeypatch.setattr(store, "PEER_TIMEOUT", 0.2)
+    local = FleetCache(tmp_path / "local")
+    # Nothing listens here; a read degrades to a miss.
     local.set_peers([{"id": "w1", "url": "http://127.0.0.1:1"}])
     key = _key()
     assert local.get(key) is None
     local.put(key, _payload())
     stats = local.fleet_stats()
     assert stats["fetch_failures"] >= 1
-    assert stats["replication_failures"] == 1
     assert local.get(key) == _payload()  # local entry still fine
+
+
+def test_a_fresh_result_stays_on_the_worker_that_computed_it(fleet):
+    executor = GatedExecutor()
+    executor.release()
+    workers = [fleet.add_worker(executor), fleet.add_worker(executor)]
+    # Both peer lists must be full, or nothing could have been pushed.
+    for _ in range(500):
+        if all(worker.cache.peers() for worker in workers):
+            break
+        clock.sleep(0.01)
+    else:
+        raise AssertionError("the workers never listed each other")
+    doc = {"kind": "g5", "workload": "sieve", "cpu": "atomic",
+           "scale": "test"}
+    ack = fleet.client.submit_doc(doc)
+    status = fleet.client.wait(ack["id"], timeout=30.0)
+    assert status["state"] == "done", status
+    owner, = (w for w in workers if w.worker_id == status["worker"])
+    other, = (w for w in workers if w is not owner)
+    assert owner.cache.raw_get(ack["digest"]) is not None
+    assert other.cache.raw_get(ack["digest"]) is None

@@ -73,12 +73,14 @@ class GatedExecutor:
 
 def make_server(tmp_path, *, execute_fn=None, workers=1, max_queue=64,
                 cache=True, start=True, run_scheduler=True,
+                server_class=SimServer,
                 **config_kwargs) -> tuple[SimServer, ServeClient]:
-    """A SimServer on an ephemeral port plus a client pointed at it."""
+    """A SimServer (or ``server_class``) on an ephemeral port plus a
+    client pointed at it."""
     result_cache = (ResultCache(tmp_path / "cache") if cache else None)
     config = ServeConfig(port=0, workers=workers, max_queue=max_queue,
                          cache=result_cache, **config_kwargs)
-    server = SimServer(config, execute_fn=execute_fn)
+    server = server_class(config, execute_fn=execute_fn)
     if start:
         server.start(run_scheduler=run_scheduler)
     return server, ServeClient(server.address, timeout=10.0)

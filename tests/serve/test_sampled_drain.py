@@ -74,5 +74,5 @@ def test_a_sampled_run_claimed_after_the_drain_never_plans(tmp_path,
     queue.start_drain()
     scheduler._resolve(record)
     assert record.state == CANCELLED
-    assert "cancelled mid-fan-out" in record.error
+    assert "cancelled: " in record.error
     assert plans == []

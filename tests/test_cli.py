@@ -225,8 +225,10 @@ class TestCliCommands:
     (["sample", "run", "--workload", "sieve", "--warmup", "-400"], 0),
     (["sample", "run", "--workload", "sieve", "--seed", "-1"], 0),
     (["serve", "--retries", "-1"], 0),
+    (["profile", "--workload", "sieve", "--hotspots", "0"], 1),
 ], ids=["figure-max-records", "figs-max-records", "report-max-records",
-        "sample-k", "sample-warmup", "sample-seed", "serve-retries"])
+        "sample-k", "sample-warmup", "sample-seed", "serve-retries",
+        "profile-hotspots"])
 def test_integer_flags_reject_what_serve_rejects(capsys, argv, minimum):
     """Each flag takes the bound serve's job documents enforce for the
     same field; a value below it is a usage error, not a run."""
