@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import base64
 import json
+import sys
+import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -31,7 +34,14 @@ if TYPE_CHECKING:  # pragma: no cover
 CHECKPOINT_VERSION = 1
 
 #: Format version of packed traces / SimResults (the exec cache payload).
-TRACE_FORMAT_VERSION = 1
+#: Version 2 packs each trace column as compressed fixed-width integers;
+#: an entry of any other version is unreadable, so it is recomputed.
+TRACE_FORMAT_VERSION = 2
+
+#: ``array`` typecodes of the packed trace columns: 32-bit function ids
+#: and 64-bit host data addresses, both little-endian on the wire.
+FN_TYPECODE = "I"
+DADDR_TYPECODE = "Q"
 
 
 class CheckpointError(RuntimeError):
@@ -197,20 +207,43 @@ def restore_checkpoint(system: "System", checkpoint: Checkpoint) -> None:
 # ----------------------------------------------------------------------
 # packed traces and SimResults (the repro.exec cache payload)
 # ----------------------------------------------------------------------
+def _pack_column(values: list[int], typecode: str) -> str:
+    """Base64 text of the zlib-compressed little-endian ``array`` of
+    ``values``; ``OverflowError`` for a value its typecode cannot hold."""
+    column = array(typecode, values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return base64.b64encode(zlib.compress(column.tobytes())).decode("ascii")
+
+
+def _unpack_column(text: str, typecode: str) -> list[int]:
+    """The list of ints :func:`_pack_column` packed into ``text``."""
+    column = array(typecode)
+    column.frombytes(zlib.decompress(base64.b64decode(text)))
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tolist()
+
+
 def pack_recorder(recorder: ExecutionRecorder) -> dict:
     """Flatten an :class:`ExecutionRecorder` into plain builtins.
 
     The packed form is the exec cache's value format: everything a host
     replay needs (interned names, the record stream, ROI markers, and the
-    host heap map), with no live objects.
+    host heap map), with no live objects.  The record stream is its two
+    columns, ``trace_fns`` and ``trace_daddrs``, each a string: base64
+    of the zlib-compressed little-endian bytes of an ``array`` of
+    :data:`FN_TYPECODE` / :data:`DADDR_TYPECODE` integers.  Every hop
+    that carries a result (pool, disk cache, HTTP reply, fleet store)
+    moves and parses that text instead of a JSON list of integers.
     """
     return {
         "format": TRACE_FORMAT_VERSION,
         "enabled": recorder.enabled,
         "fn_names": list(recorder.fn_names),
-        "trace_fns": list(recorder.trace_fns),
-        "trace_daddrs": list(recorder.trace_daddrs),
-        "allocations": [(a.base, a.size, a.label)
+        "trace_fns": _pack_column(recorder.trace_fns, FN_TYPECODE),
+        "trace_daddrs": _pack_column(recorder.trace_daddrs, DADDR_TYPECODE),
+        "allocations": [[a.base, a.size, a.label]
                         for a in recorder.allocations],
         "brk": recorder._brk,
         "roi_begin": recorder.roi_begin,
@@ -219,7 +252,8 @@ def pack_recorder(recorder: ExecutionRecorder) -> dict:
 
 
 def unpack_recorder(data: dict) -> ExecutionRecorder:
-    """Rebuild an :class:`ExecutionRecorder` from :func:`pack_recorder`."""
+    """Rebuild an :class:`ExecutionRecorder` from :func:`pack_recorder`;
+    its trace columns come back as plain lists of ints."""
     if data.get("format") != TRACE_FORMAT_VERSION:
         raise CheckpointError(
             f"packed trace format {data.get('format')} not supported "
@@ -227,8 +261,9 @@ def unpack_recorder(data: dict) -> ExecutionRecorder:
     recorder = ExecutionRecorder(enabled=data["enabled"])
     recorder.fn_names = list(data["fn_names"])
     recorder._ids = {name: i for i, name in enumerate(recorder.fn_names)}
-    recorder.trace_fns = list(data["trace_fns"])
-    recorder.trace_daddrs = list(data["trace_daddrs"])
+    recorder.trace_fns = _unpack_column(data["trace_fns"], FN_TYPECODE)
+    recorder.trace_daddrs = _unpack_column(data["trace_daddrs"],
+                                           DADDR_TYPECODE)
     recorder.allocations = [HostAllocation(base, size, label)
                             for base, size, label in data["allocations"]]
     recorder._brk = data["brk"]

@@ -122,6 +122,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     do_GET = do_POST = _handle  # noqa: N815 - stdlib naming
 
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's own error replies (an unbound method's 501, a
+        malformed request line's 400, 414, ...) with the stdlib's status
+        and ``Connection: close``, but a JSON ``{"error": ...}`` body,
+        observed under the ``other`` endpoint."""
+        started = clock.monotonic()
+        message = message or self.responses.get(code, ("error",))[0]
+        self.log_error("code %d, message %s", code, message)
+        try:
+            self._send(code, {"error": message}, {"Connection": "close"})
+        finally:
+            self.server.app.observe_request(
+                "other", clock.monotonic() - started)
+
     def _respond(self, route: Optional[Route], args: list,
                  path: str) -> tuple:
         try:
@@ -178,7 +192,8 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
 
 class _HTTPServer(ThreadingHTTPServer):

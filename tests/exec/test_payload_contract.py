@@ -15,6 +15,7 @@ import pytest
 
 from repro.exec import (ExecutionEngine, G5Job, ReplayJob, ResultCache,
                         SpecTrace)
+from repro.g5.serialize import unpack_sim_result
 from repro.host.platform import get_platform
 from repro.sample import SampledJob, plan_sampled_job
 from repro.serve.jobs import JobRecord, JobRequest
@@ -112,6 +113,31 @@ def test_a_good_entry_is_served_from_disk(tmp_path, reference, owner):
         assert source == "disk-cache"
         assert stats.executed == 0
         assert canonical(payload) == canonical(good)
+
+
+@pytest.mark.parametrize("owner", sorted(OWNERS))
+def test_a_version_1_trace_entry_is_recomputed_once(tmp_path, reference,
+                                                   owner):
+    # Version 1 carried the trace columns as JSON lists of ints; no
+    # reader for it is kept, so an old entry is a miss, and its
+    # replacement is served from disk from then on.
+    _, good = reference["g5"]
+    recorder = unpack_sim_result(good).recorder
+    old = {**good, "format": 1, "recorder": {
+        **good["recorder"], "format": 1,
+        "trace_fns": list(recorder.trace_fns),
+        "trace_daddrs": list(recorder.trace_daddrs)}}
+    cache = ResultCache(tmp_path / "cache")
+    cache.put(G5.cache_key(), old)
+
+    payload, source, stats = OWNERS[owner](cache, G5)
+    assert (source, stats.executed, stats.disk_hits) == ("executed", 1, 0)
+    assert canonical(payload) == canonical(good)
+    assert canonical(cache.get(G5.cache_key())) == canonical(good)
+
+    rerun = ExecutionEngine(cache=cache)
+    assert rerun.resolve([G5])[G5].source == "disk-cache"
+    assert rerun.stats.executed == 0
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,15 @@ import pytest
 
 from repro.fleet.coordinator import CoordinatorConfig, CoordinatorServer
 from repro.fleet.worker import FleetWorker, WorkerConfig
-from repro.serve import ServeClient
+from repro.serve import ServeClient, clock
 
 from tests.serve.conftest import GatedExecutor  # noqa: F401 - re-export
 
 #: Fast cadence for tests: death detection within ~0.6s.
 FAST = {"heartbeat_timeout": 0.6, "heartbeat_interval": 0.1}
+
+#: Longest :meth:`FleetHarness.add_worker` waits for the peer lists.
+PEER_WAIT_SECONDS = 10.0
 
 
 class FleetHarness:
@@ -49,7 +52,27 @@ class FleetHarness:
             execute_fn=execute_fn)
         worker.start()
         self.workers.append(worker)
+        self.wait_for_peers()
         return worker
+
+    def wait_for_peers(self) -> None:
+        """Block until every live worker's peer list names every other
+        live worker.
+
+        Registration returns only the peers that already exist, so an
+        earlier worker learns of a new one at its next heartbeat; a job
+        submitted before then could route a read-through to a worker
+        that cannot see the peer holding the result.
+        """
+        live = [w for w in self.workers if not w._stop.is_set()]
+        deadline = clock.monotonic() + PEER_WAIT_SECONDS
+        while not all(
+                {peer["id"] for peer in worker.cache.peers()}
+                >= {other.worker_id for other in live if other is not worker}
+                for worker in live):
+            if clock.monotonic() > deadline:
+                raise AssertionError("the workers never listed each other")
+            clock.sleep(0.01)
 
     def kill_worker(self, worker: FleetWorker) -> None:
         """Abrupt death: stop heartbeats and the HTTP listener without

@@ -243,6 +243,42 @@ def test_unread_bodies_do_not_poison_keep_alive(app, path):
         True, False)
 
 
+@pytest.mark.parametrize("method", ["PUT", "DELETE", "HEAD"])
+def test_unbound_methods_answer_json_501(app, method):
+    # No do_PUT/do_DELETE/do_HEAD: the stdlib answers these itself, and
+    # send_error must make that a timed JSON error.
+    other = app.count("other")
+    status, headers, body = app.request(method, "/api/v1/jobs")
+    assert status == 501
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"
+    if method == "HEAD":
+        assert body == b""
+    else:
+        doc = json.loads(body)
+        assert set(doc) == {"error"} and method in doc["error"]
+    assert app.timed("other", other + 1)
+
+
+@pytest.mark.parametrize("raw, status", [
+    (b"GET /a b HTTP/1.1\r\nHost: x\r\n\r\n", 400),
+    # One byte past the stdlib's 65536-byte request line, and no more:
+    # unread bytes would reset the connection before the reply is read.
+    ((b"GET /" + b"a" * 65536)[:65537], 414),
+], ids=["four-words", "line-too-long"])
+def test_malformed_request_lines_answer_json(app, raw, status):
+    other = app.count("other")
+    with socket.create_connection((app.host, app.port), timeout=5) as sock:
+        sock.sendall(raw)
+        reply = sock.makefile("rb").read()      # the server closes
+    head, body = reply.split(b"\r\n\r\n", 1)
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"Content-Type: application/json" in head
+    assert b"Connection: close" in head
+    assert set(json.loads(body)) == {"error"}
+    assert app.timed("other", other + 1)
+
+
 ACK_KEYS = {"id", "state", "digest", "coalesced_into", "eta_seconds"}
 STATUS_KEYS = {"id", "state", "digest", "predicted_seconds",
                "submitted_at", "finished_at", "attempts", "source",
