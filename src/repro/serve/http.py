@@ -128,6 +128,10 @@ class _Handler(BaseHTTPRequestHandler):
         and ``Connection: close``, but a JSON ``{"error": ...}`` body,
         observed under the ``other`` endpoint."""
         started = clock.monotonic()
+        # A request line that did not parse leaves the version at
+        # HTTP/0.9, for which the stdlib writes no status line and no
+        # headers: the body would go out bare.
+        self.request_version = self.protocol_version
         message = message or self.responses.get(code, ("error",))[0]
         self.log_error("code %d, message %s", code, message)
         try:

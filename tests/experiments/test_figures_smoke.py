@@ -14,6 +14,7 @@ from repro.experiments.common import GEM5_CONFIGS, SPEC_CONFIGS
 class TestTables:
     def test_table1_renders(self):
         table = tables.table1()
+        assert len(table.rows) == 9
         text = table.render()
         assert "FireSim" in text
         assert "TournamentBP" in text

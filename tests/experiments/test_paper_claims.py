@@ -2,29 +2,31 @@
 
 Each test regenerates (part of) a paper figure with the session runner
 (simsmall traces) and checks the paper's *shape*: who wins, by roughly
-what factor, where the crossovers fall.  Bands are deliberately loose —
-our substrate is a simulator, not the authors' testbed (see DESIGN.md §2
-and EXPERIMENTS.md for the per-figure accounting).
+what factor, where the crossovers fall.  A claim the report tabulates
+is checked against its acceptance band in
+``repro.experiments.summary.CLAIMS``, the one place it is declared;
+structural asserts (orderings, ladders, extension figures) stay inline.
+Bands are deliberately loose — our substrate is a simulator, not the
+authors' testbed (see DESIGN.md §2 and EXPERIMENTS.md for the
+per-figure accounting).
 """
 
 import pytest
 
 from repro.experiments import FIGURES
-from repro.experiments.fig01_platform_comparison import smt_off_benefit
-from repro.experiments.fig03_frontend_split import latency_share
 from repro.experiments.fig04_fe_latency_breakdown import (
     branching_overhead,
     category_value,
 )
 from repro.experiments.fig05_fe_bandwidth_breakdown import mite_share
-from repro.experiments.fig07_m1_ipc import ipc_ratio
-from repro.experiments.fig08_miss_rates import platform_ratio
+from repro.experiments.fig08_miss_rates import METRICS, platform_ratio
 from repro.experiments.fig12_compiler_o3 import mean_speedup
-from repro.experiments.fig13_frequency import slowdown_at
+from repro.experiments.fig14_firesim_sweep import speedup_for
 from repro.experiments.fig15_hot_functions import (
     functions_executed,
     hottest_share,
 )
+from repro.experiments.summary import FIG1_CLAIM_ARGS, Figures, claim_for
 
 GEM5_ROWS = ["O3_BOOT_EXIT", "O3_PARSEC", "MINOR_BOOT_EXIT", "MINOR_PARSEC",
              "TIMING_BOOT_EXIT", "TIMING_PARSEC", "ATOMIC_BOOT_EXIT",
@@ -32,86 +34,71 @@ GEM5_ROWS = ["O3_BOOT_EXIT", "O3_PARSEC", "MINOR_BOOT_EXIT", "MINOR_PARSEC",
 
 
 @pytest.fixture(scope="module")
-def fig2(runner):
-    return FIGURES["fig2"].run(runner)
+def figures(runner):
+    return Figures(runner)
 
 
 @pytest.fixture(scope="module")
-def fig4(runner):
-    return FIGURES["fig4"].run(runner)
+def check(figures):
+    """Assert every measured value of a claim inside its acceptance band."""
+    def check(text):
+        claim = claim_for(text)
+        values, _ = claim.measure(figures)
+        for value, band in zip(values, claim.bands(values)):
+            assert value in band, (text, values, band)
+    return check
 
 
 class TestFig1PlatformSpeedups:
     """Paper: M1 1.7-3.02x faster single-run, up to 4.15x co-running;
     SMT-off ~47% faster per process."""
 
-    @pytest.fixture(scope="class")
-    def fig1(self, runner):
-        return FIGURES["fig1"].run(
-            runner, workloads=["water_nsquared", "dedup", "canneal"],
-            cpu_models=["atomic", "o3"])
+    def test_m1_single_run_speedup_band(self, check):
+        check("M1 single-run speedup over the Xeon")
 
-    def test_m1_single_run_speedup_band(self, fig1):
-        for platform in ("M1_Pro", "M1_Ultra"):
-            series = fig1.get_series(f"single/{platform}")
-            speedups = [1.0 / value for value in series.y]
-            assert min(speedups) > 1.3, (platform, speedups)
-            assert max(speedups) < 4.0, (platform, speedups)
-
-    def test_corun_widens_the_gap(self, fig1):
+    def test_corun_widens_the_gap(self, figures):
+        fig1 = figures.run("fig1", **FIG1_CLAIM_ARGS)
         single = fig1.get_series("single/M1_Ultra").y
         corun = fig1.get_series("per_core/M1_Ultra").y
         # Normalized times: smaller is faster; co-running should make
         # the M1 look at least as good as single-run on average.
         assert sum(corun) / len(corun) <= sum(single) / len(single) * 1.1
 
-    def test_max_corun_speedup_approaches_paper(self, fig1):
-        best = 0.0
-        for series in fig1.series:
-            scenario, platform = series.name.split("/")
-            if platform.startswith("M1"):
-                best = max(best, max(1.0 / value for value in series.y))
-        assert 2.0 < best < 6.5  # paper: up to 4.15x
+    def test_max_corun_speedup_approaches_paper(self, check):
+        check("max co-running speedup (M1_Ultra vs Xeon-SMT)")
 
-    def test_smt_off_benefit_near_47_percent(self, runner):
-        benefit = smt_off_benefit(runner)
-        assert 0.25 < benefit < 0.65  # paper: ~0.47
+    def test_smt_off_benefit_near_47_percent(self, check):
+        check("SMT-off per-process time saving")
 
 
 class TestFig2TopDownLevel1:
     """Paper: gem5 retiring 43.5-64.7%, FE 30.1-41.5%, BE 0.9-11.3%."""
 
-    def test_gem5_retiring_band(self, fig2):
-        for label in GEM5_ROWS:
-            retiring = fig2.get_series(label).y[0]
-            assert 0.30 <= retiring <= 0.70, (label, retiring)
+    def test_gem5_retiring_band(self, check):
+        check("gem5 retiring slots")
 
-    def test_gem5_frontend_dominates(self, fig2):
+    def test_gem5_frontend_dominates(self, check, figures):
+        check("gem5 front-end bound slots")
         for label in GEM5_ROWS:
-            series = fig2.get_series(label)
-            retiring, fe, bad, be = series.y
+            retiring, fe, bad, be = figures.run("fig2").get_series(label).y
             assert fe > be, label
             assert fe > bad, label
-            assert 0.25 <= fe <= 0.60, (label, fe)
 
-    def test_gem5_backend_is_small(self, fig2):
-        for label in GEM5_ROWS:
-            be = fig2.get_series(label).y[3]
-            assert be < 0.15, (label, be)
+    def test_gem5_backend_is_small(self, check):
+        check("gem5 back-end bound slots")
 
-    def test_mcf_is_backend_bound(self, fig2):
-        series = fig2.get_series("505.MCF_R")
-        retiring, fe, bad, be = series.y
-        assert be > 0.30           # paper: 53.7%
-        assert retiring < 0.35     # paper: 13.2%
+    def test_mcf_is_backend_bound(self, check):
+        check("505.mcf_r back-end bound / retiring")
 
-    def test_x264_retires_most(self, fig2):
+    def test_x264_retires_most(self, figures):
+        fig2 = figures.run("fig2")
         x264_retiring = fig2.get_series("525.X264_R").y[0]
         assert x264_retiring > 0.55  # paper: 82.2%
         for label in GEM5_ROWS:
             assert x264_retiring > fig2.get_series(label).y[0]
 
-    def test_spec_retiring_span_wider_than_gem5(self, fig2):
+    def test_spec_retiring_span_wider_than_gem5(self, figures):
+        fig2 = figures.run("fig2")
         gem5_span = [fig2.get_series(label).y[0] for label in GEM5_ROWS]
         spec_span = [fig2.get_series(name).y[0]
                      for name in ("525.X264_R", "531.DEEPSJENG_R",
@@ -123,12 +110,8 @@ class TestFig2TopDownLevel1:
 class TestFig3FrontendSplit:
     """Paper: detail shifts the front-end from bandwidth- to latency-bound."""
 
-    def test_o3_more_latency_bound_than_atomic(self, runner):
-        figure = FIGURES["fig3"].run(runner)
-        assert latency_share(figure, "O3_PARSEC") > \
-            latency_share(figure, "ATOMIC_PARSEC")
-        assert latency_share(figure, "O3_BOOT_EXIT") > \
-            latency_share(figure, "ATOMIC_BOOT_EXIT")
+    def test_o3_more_latency_bound_than_atomic(self, check):
+        check("detail shifts the front-end toward latency-bound")
 
 
 class TestFig4LatencyBreakdown:
@@ -136,22 +119,21 @@ class TestFig4LatencyBreakdown:
     overhead 6.0x (O3) / 4.7x (Minor) Atomic's; SPEC latency stalls are
     mostly branch-related."""
 
-    def test_detailed_models_have_more_icache_stalls(self, fig4):
+    def test_detailed_models_have_more_icache_stalls(self, check, figures):
+        check("O3 iCache stalls vs Atomic")
+        fig4 = figures.run("fig4")
         atomic = category_value(fig4, "ATOMIC_PARSEC", "icache")
-        o3 = category_value(fig4, "O3_PARSEC", "icache")
         minor = category_value(fig4, "MINOR_PARSEC", "icache")
-        assert o3 > atomic
         assert minor > atomic * 0.8
 
-    def test_branching_overhead_grows_with_detail(self, fig4):
+    def test_branching_overhead_grows_with_detail(self, check):
         # Paper: 6.0x.  Our instrumentation amortizes cold-branch state
         # differently, compressing the ratio; the direction must hold
         # (see EXPERIMENTS.md, Fig. 4).
-        atomic = branching_overhead(fig4, "ATOMIC_PARSEC")
-        o3 = branching_overhead(fig4, "O3_PARSEC")
-        assert o3 > atomic * 1.1
+        check("O3 branching overhead vs Atomic")
 
-    def test_spec_latency_is_branch_dominated(self, fig4):
+    def test_spec_latency_is_branch_dominated(self, figures):
+        fig4 = figures.run("fig4")
         for name in ("525.X264_R", "505.MCF_R"):
             series = fig4.get_series(name)
             total = sum(series.y)
@@ -165,14 +147,11 @@ class TestFig4LatencyBreakdown:
 class TestFig5MiteShare:
     """Paper: 92-97% of gem5's FE bandwidth stalls wait on the MITE."""
 
-    def test_gem5_is_mite_bound(self, runner):
-        figure = FIGURES["fig5"].run(runner)
-        for label in GEM5_ROWS:
-            share = mite_share(figure, label)
-            assert share > 0.80, (label, share)
+    def test_gem5_is_mite_bound(self, check):
+        check("gem5 MITE share of FE bandwidth stalls")
 
-    def test_x264_uses_the_dsb_more_than_gem5(self, runner):
-        figure = FIGURES["fig5"].run(runner)
+    def test_x264_uses_the_dsb_more_than_gem5(self, figures):
+        figure = figures.run("fig5")
         x264 = mite_share(figure, "525.X264_R")
         gem5_min = min(mite_share(figure, label) for label in GEM5_ROWS)
         assert x264 < gem5_min
@@ -181,27 +160,22 @@ class TestFig5MiteShare:
 class TestFig6DsbCoverage:
     """Paper: gem5's DSB coverage is far below SPEC's."""
 
-    def test_coverage_gap(self, runner):
-        figure = FIGURES["fig6"].run(runner)
+    def test_coverage_gap(self, check, figures):
+        check("DSB coverage: gem5 far below SPEC")
+        figure = figures.run("fig6")
         gem5_max = max(figure.get_series("gem5").y)
         spec = figure.get_series("SPEC")
-        x264_coverage = spec.y[spec.x.index("525.X264_R")]
-        assert gem5_max < 0.40
-        assert x264_coverage > 0.60
-        assert x264_coverage > gem5_max * 1.5
+        assert spec.y[spec.x.index("525.X264_R")] > gem5_max * 1.5
 
 
 class TestFig7IpcRatios:
     """Paper: M1 IPC is ~2.22x/2.24x the Xeon's running gem5."""
 
-    def test_m1_ipc_ratio_band(self, runner):
-        figure = FIGURES["fig7"].run(runner)
-        for platform in ("M1_Pro", "M1_Ultra"):
-            ratio = ipc_ratio(figure, platform)
-            assert 1.5 < ratio < 3.2, (platform, ratio)
+    def test_m1_ipc_ratio_band(self, check):
+        check("M1 IPC vs Xeon IPC running gem5")
 
-    def test_xeon_stalls_more(self, runner):
-        figure = FIGURES["fig7"].run(runner)
+    def test_xeon_stalls_more(self, figures):
+        figure = figures.run("fig7")
         xeon = figure.get_series("stall_fraction/Intel_Xeon").y
         m1 = figure.get_series("stall_fraction/M1_Pro").y
         assert sum(xeon) > sum(m1) * 0.9
@@ -211,26 +185,20 @@ class TestFig8MissRates:
     """Paper: Xeon iTLB/dTLB rates ~11.7x/10.5x M1_Ultra's; dCache
     10.1-13.4x; branch mispredicts 0.22% vs ~0.14%."""
 
-    @pytest.fixture(scope="class")
-    def fig8(self, runner):
-        return FIGURES["fig8"].run(runner)
+    def test_xeon_itlb_much_worse(self, check):
+        check("Xeon iTLB / dTLB miss-rate vs M1_Ultra")
 
-    def test_xeon_itlb_much_worse(self, fig8):
-        ratio = platform_ratio(fig8, "itlb_miss_rate", "Intel_Xeon",
-                               "M1_Ultra")
-        assert ratio > 3.0
-
-    def test_xeon_l1_miss_rates_worse(self, fig8):
+    def test_xeon_l1_miss_rates_worse(self, check, figures):
         # Paper: ~10x for the dCache.  Our synthetic cold-code churn is
         # uncacheable on both platforms, compressing the ratio (see
         # EXPERIMENTS.md, Fig. 8); the direction must hold clearly.
-        for metric in ("l1i_miss_rate", "l1d_miss_rate"):
-            ratio = platform_ratio(fig8, metric, "Intel_Xeon", "M1_Pro")
-            assert ratio > 1.25, metric
+        check("Xeon dCache miss-rate vs M1")
+        ratio = platform_ratio(figures.run("fig8"), "l1i_miss_rate",
+                               "Intel_Xeon", "M1_Pro")
+        assert ratio in claim_for("Xeon dCache miss-rate vs M1").band
 
-    def test_branch_mispredict_rates_low_and_ordered(self, fig8):
-        from repro.experiments.fig08_miss_rates import METRICS
-
+    def test_branch_mispredict_rates_low_and_ordered(self, figures):
+        fig8 = figures.run("fig8")
         index = METRICS.index("branch_mispredict_rate")
         xeon = fig8.get_series("Intel_Xeon/O3").y[index]
         m1 = fig8.get_series("M1_Pro/O3").y[index]
@@ -242,74 +210,58 @@ class TestFig9LlcDram:
     """Paper: LLC occupancy 255KB-3.1MB growing with detail; DRAM
     bandwidth negligible."""
 
-    @pytest.fixture(scope="class")
-    def fig9(self, runner):
-        return FIGURES["fig9"].run(runner)
+    def test_occupancy_in_paper_band(self, check):
+        check("LLC occupancy per gem5 process")
 
-    def test_occupancy_in_paper_band(self, fig9):
-        for mode in ("SE", "FS"):
-            values = fig9.get_series(f"llc_occupancy/{mode}").y
-            for value in values:
-                assert 100 * 1024 <= value <= 8 * 1024 * 1024, (mode, value)
+    def test_occupancy_grows_with_detail(self, figures):
+        values = figures.run("fig9").get_series("llc_occupancy/SE").y
+        assert values[-1] > values[0]  # atomic..o3
 
-    def test_occupancy_grows_with_detail(self, fig9):
-        values = fig9.get_series("llc_occupancy/SE").y  # atomic..o3
-        assert values[-1] > values[0]
-
-    def test_dram_bandwidth_negligible(self, fig9):
-        for mode in ("SE", "FS"):
-            for value in fig9.get_series(f"dram_bw/{mode}").y:
-                assert value < 5.0  # GB/s, vs 141 GB/s peak
+    def test_dram_bandwidth_negligible(self, check):
+        check("DRAM bandwidth of a gem5 process")  # GB/s, vs 141 peak
 
 
 class TestFig10Fig11HugePages:
     """Paper: huge pages help up to 5.9%, detailed models most; THP cuts
     iTLB overhead ~63% on average."""
 
-    def test_speedups_nonnegative_and_bounded(self, runner):
-        figure = FIGURES["fig10"].run(runner)
-        for series in figure.series:
+    def test_speedups_nonnegative_and_bounded(self, check, figures):
+        check("huge-page speedup (best case)")
+        check("detailed CPUs benefit more than simple")
+        band = claim_for("huge-page speedup (best case)").band
+        for series in figures.run("fig10").series:
             for value in series.y:
-                assert -0.02 <= value <= 0.15, (series.name, value)
+                assert value in band, (series.name, value)
 
-    def test_thp_cuts_itlb_overhead(self, runner):
-        figure = FIGURES["fig11"].run(runner)
-        reductions = figure.get_series("itlb_overhead_reduction").y
-        assert max(reductions) > 0.4
-        retiring = figure.get_series("retiring_improvement").y
+    def test_thp_cuts_itlb_overhead(self, check, figures):
+        check("THP mean iTLB-overhead reduction")
+        retiring = figures.run("fig11").get_series("retiring_improvement").y
         assert all(value >= -0.01 for value in retiring)
 
 
 class TestFig12CompilerO3:
     """Paper: -O3 buys ~1.4%/1.0%/0.8% on Xeon/M1_Pro/M1_Ultra."""
 
-    def test_small_positive_speedups(self, runner):
-        figure = FIGURES["fig12"].run(runner, platforms=["Intel_Xeon",
-                                                         "M1_Pro"])
-        for platform in ("Intel_Xeon", "M1_Pro"):
-            speedup = mean_speedup(figure, platform)
-            assert -0.01 < speedup < 0.10, (platform, speedup)
+    def test_small_positive_speedups(self, check, figures):
+        check("-O3 build speedup on the Xeon")
+        speedup = mean_speedup(figures.run("fig12"), "M1_Pro")
+        assert speedup in claim_for("-O3 build speedup on the Xeon").band
 
 
 class TestFig13Frequency:
     """Paper: 3.1 -> 1.2GHz costs 2.67x; scaling is linear."""
 
-    @pytest.fixture(scope="class")
-    def fig13(self, runner):
-        return FIGURES["fig13"].run(runner)
+    def test_slowdown_at_1_2ghz(self, check):
+        check("slowdown at 1.2GHz (vs 3.1GHz)")  # paper: perfectly linear
 
-    def test_slowdown_at_1_2ghz(self, fig13):
-        slowdown = slowdown_at(fig13, 1.2)
-        assert 2.0 < slowdown < 2.7  # paper: 2.67 (perfectly linear)
-
-    def test_monotone_in_frequency(self, fig13):
-        series = fig13.get_series("normalized_time")
+    def test_monotone_in_frequency(self, figures):
+        series = figures.run("fig13").get_series("normalized_time")
         ladder = [series.y[series.x.index(f"{f:.1f}GHz")]
                   for f in (1.2, 1.6, 2.0, 2.4, 2.8, 3.1)]
         assert ladder == sorted(ladder, reverse=True)
 
-    def test_near_linear(self, fig13):
-        series = fig13.get_series("normalized_time")
+    def test_near_linear(self, figures):
+        series = figures.run("fig13").get_series("normalized_time")
         time_12 = series.y[series.x.index("1.2GHz")]
         perfect = 3.1 / 1.2
         assert time_12 > perfect * 0.70  # within 30% of perfectly linear
@@ -319,47 +271,26 @@ class TestFig14FireSimSweep:
     """Paper: 16KB L1 saves 30/25/18% (Atomic/Timing/O3); best config
     68.7/68.2/43.8%; L2 size does not matter; O3 benefits least."""
 
-    @pytest.fixture(scope="class")
-    def fig14(self, runner):
-        return FIGURES["fig14"].run(runner)
+    def test_16k_speedup_band(self, check):
+        check("speedup at 16KB L1 (Atomic/Timing/O3)")
 
-    def test_16k_speedup_band(self, fig14):
-        from repro.experiments.fig14_firesim_sweep import speedup_for
+    def test_best_config_speedup_band(self, check):
+        check("speedup at best config (Atomic/Timing/O3)")
 
-        for model in ("ATOMIC", "TIMING", "O3"):
-            speedup = speedup_for(fig14, model, "16KB/4:16KB/4:512KB/8")
-            assert 0.05 < speedup < 0.80, (model, speedup)
-
-    def test_best_config_speedup_band(self, fig14):
-        from repro.experiments.fig14_firesim_sweep import speedup_for
-
-        best = "64KB/16:64KB/16:512KB/8"
-        atomic = speedup_for(fig14, "ATOMIC", best)
-        o3 = speedup_for(fig14, "O3", best)
-        assert atomic > 0.25          # paper: 0.687
-        assert o3 > 0.10              # paper: 0.438
-
-    def test_o3_benefits_less_than_atomic(self, fig14):
-        from repro.experiments.fig14_firesim_sweep import speedup_for
-
+    def test_o3_benefits_less_than_atomic(self, figures):
+        fig14 = figures.run("fig14")
         best = "64KB/16:64KB/16:512KB/8"
         assert speedup_for(fig14, "O3", best) < \
             speedup_for(fig14, "ATOMIC", best)
 
-    def test_l2_insensitive(self, fig14):
-        from repro.experiments.fig14_firesim_sweep import speedup_for
+    def test_l2_insensitive(self, check):
+        check("doubling L2 has almost no effect")
 
-        for model in ("ATOMIC", "O3"):
-            with_1m = speedup_for(fig14, model, "32KB/8:32KB/8:1024KB/8")
-            with_2m = speedup_for(fig14, model, "32KB/8:32KB/8:2048KB/16")
-            assert abs(with_2m - with_1m) < 0.06, model
-
-    def test_abstract_claim_32k_band(self, fig14):
+    def test_abstract_claim_32k_band(self, figures):
         """Abstract: 32KB L1s improve speed 31-61% over the 8KB baseline."""
-        from repro.experiments.fig14_firesim_sweep import speedup_for
-
         for model in ("ATOMIC", "TIMING", "O3"):
-            speedup = speedup_for(fig14, model, "32KB/8:32KB/8:512KB/8")
+            speedup = speedup_for(figures.run("fig14"), model,
+                                  "32KB/8:32KB/8:512KB/8")
             assert 0.10 < speedup < 0.90, (model, speedup)
 
 
@@ -367,28 +298,45 @@ class TestFig15HotFunctions:
     """Paper: hottest function 10.1/8.5/2.9/4.2%; functions executed
     1602/2557/3957/5209; the CDF flattens with detail."""
 
-    @pytest.fixture(scope="class")
-    def fig15(self, runner):
-        return FIGURES["fig15"].run(runner)
+    def test_no_killer_function(self, check):
+        check("hottest-function time share (A/T/M/O3)")
 
-    def test_no_killer_function(self, fig15):
-        for model in ("atomic", "timing", "minor", "o3"):
-            share = hottest_share(fig15, model)
-            assert share < 0.25, (model, share)
-
-    def test_function_counts_band_and_order(self, fig15):
-        counts = {model: functions_executed(fig15, model)
-                  for model in ("atomic", "timing", "minor", "o3")}
-        assert 1000 < counts["atomic"] < 2400    # paper: 1602
-        assert 1600 < counts["timing"] < 3400    # paper: 2557
-        assert 2000 < counts["minor"] < 5000     # paper: 3957
-        assert 3400 < counts["o3"] < 6800        # paper: 5209
+    def test_function_counts_band_and_order(self, check, figures):
+        check("functions executed (A/T/M/O3)")
+        counts = {model: functions_executed(figures.run("fig15"), model)
+                  for model in ("atomic", "timing", "o3")}
         assert counts["atomic"] < counts["timing"] < counts["o3"]
 
-    def test_o3_profile_flatter_than_atomic(self, fig15):
+    def test_o3_profile_flatter_than_atomic(self, figures):
+        fig15 = figures.run("fig15")
         assert hottest_share(fig15, "o3") < hottest_share(fig15, "atomic")
 
-    def test_cdf_50_functions_cover_less_with_detail(self, fig15):
+    def test_cdf_50_functions_cover_less_with_detail(self, figures):
+        fig15 = figures.run("fig15")
         atomic_cdf = fig15.get_series("ATOMIC").y
         o3_cdf = fig15.get_series("O3").y
         assert o3_cdf[-1] < atomic_cdf[-1]
+
+
+class TestFig16MulticoreScaling:
+    """Extension figure, no paper band: threaded guests must scale."""
+
+    def test_guest_speedup_at_four_threads(self, figures):
+        speedup = FIGURES["fig16"].speedup_for
+        fig16 = figures.run("fig16")
+        assert speedup(fig16, "atomic", 4) > 1.2
+        # And the 4-thread timing run must at least not regress the guest.
+        assert speedup(fig16, "timing", 4) > 1.0
+
+
+class TestFig17CoherenceTraffic:
+    """Extension figure: L1D snoop traffic is zero on one core and grows
+    with the number of sharers."""
+
+    def test_snoops_grow_with_sharers(self, figures):
+        traffic = FIGURES["fig17"].traffic_for
+        fig17 = figures.run("fig17")
+        for name in ("snoops", "snoopInvalidates", "snoopWritebacks"):
+            assert traffic(fig17, name, 1) == 0.0
+            assert traffic(fig17, name, 4) > 0
+        assert traffic(fig17, "snoops", 4) > traffic(fig17, "snoops", 2)

@@ -265,7 +265,11 @@ def test_unbound_methods_answer_json_501(app, method):
     # One byte past the stdlib's 65536-byte request line, and no more:
     # unread bytes would reset the connection before the reply is read.
     ((b"GET /" + b"a" * 65536)[:65537], 414),
-], ids=["four-words", "line-too-long"])
+    # Before a version is parsed the stdlib takes the request for
+    # HTTP/0.9, whose replies carry no status line and no headers.
+    (b"GARBAGE\r\n\r\n", 400),
+    (b"GET / HTTP/x.y\r\n\r\n", 400),
+], ids=["four-words", "line-too-long", "one-word", "bad-version"])
 def test_malformed_request_lines_answer_json(app, raw, status):
     other = app.count("other")
     with socket.create_connection((app.host, app.port), timeout=5) as sock:
@@ -274,6 +278,7 @@ def test_malformed_request_lines_answer_json(app, raw, status):
     head, body = reply.split(b"\r\n\r\n", 1)
     assert head.startswith(b"HTTP/1.1 %d " % status)
     assert b"Content-Type: application/json" in head
+    assert b"Content-Length: %d" % len(body) in head
     assert b"Connection: close" in head
     assert set(json.loads(body)) == {"error"}
     assert app.timed("other", other + 1)

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import _build_parser, main
 from repro.exec import G5Job, ResultCache
 from repro.exec.keys import KEY_KINDS, CacheKey, sample_key
+from repro.experiments.summary import CLAIMS
 
 
 @pytest.fixture(autouse=True)
@@ -194,6 +195,11 @@ class TestCliCommands:
         head, _, tail = text.partition(before)
         assert head.startswith("# EXPERIMENTS")
         assert "| Fig.15 | functions executed (A/T/M/O3) |" in head
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in head.splitlines() if line.startswith("| Fig.")]
+        # One row per claim, each claim text once; a shape row says why.
+        assert len({row[1] for row in rows}) == len(rows) == len(CLAIMS)
+        assert all(row[5] for row in rows if row[4] == "shape")
         assert head.count(owned) == 1 and "`--jobs N` fans" in head
         assert tail == after
         assert "SUPERSEDED" not in text
