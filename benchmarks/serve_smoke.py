@@ -12,7 +12,9 @@ exercises the serving contract end to end:
    the coalesce counter on ``/metrics``;
 4. resubmit a finished document: the memo hit must come back in one
    round trip, ``source == "memo"``, with the first reply's result;
-5. ``POST /api/v1/drain`` and require a clean exit (code 0 with the
+5. serve Fig. 3 at ``--scale test``: its rendered text must equal what
+   ``repro-g5 figs fig3`` prints;
+6. ``POST /api/v1/drain`` and require a clean exit (code 0 with the
    drain report on stdout).
 
 Exits non-zero with a diagnostic on any violation; CI runs it as::
@@ -34,7 +36,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.serve import ServeClient  # noqa: E402
+from repro.serve import ServeClient, ServeError  # noqa: E402
 
 
 def fail(message: str) -> "NoReturn":  # noqa: F821
@@ -131,13 +133,31 @@ def main() -> int:
             fail("memo hit result differs from the first reply's")
         print("resubmission answered from the memo in one round trip")
 
-        # 5. clean drain over HTTP.
+        # 5. a served figure is the CLI's figure.
+        try:
+            served = client.run({"kind": "figure", "figure": "fig3",
+                                 "scale": "test"}, timeout=120.0)
+        except ServeError as exc:
+            fail(f"figure job did not finish: {exc}")
+        printed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "figs", "fig3", "--scale",
+             "test", "--no-cache", "--quiet"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+        rendered = printed.split("== executor summary ==")[0]
+        if rendered != served["result"]["rendered"] + "\n\n":
+            fail("served fig3 differs from `repro-g5 figs fig3`")
+        print("served fig3 == `repro-g5 figs fig3` "
+              f"({served['result']['g5_executed']} g5 runs and "
+              f"{served['result']['replays_executed']} replays executed)")
+
+        # 6. clean drain over HTTP.
         client.drain()
         returncode = proc.wait(timeout=60.0)
         output = banner + proc.stdout.read()
         if returncode != 0:
             fail(f"daemon exited {returncode}:\n{output}")
-        if "drained: 4 done, 0 cancelled, 0 failed" not in output:
+        if "drained: 5 done, 0 cancelled, 0 failed" not in output:
             fail(f"unexpected drain report:\n{output}")
         print("daemon drained cleanly (exit 0)")
     finally:

@@ -239,22 +239,15 @@ class EngineStats:
                 self.executed_seconds += seconds
             self.by_label[label] = round(seconds, 3)
 
-    def note_executed_batch(self, count: int,
-                            seconds: float = 0.0) -> None:
-        """Fold in executions counted elsewhere (e.g. a nested runner)."""
-        with self._lock:
-            self.executed += count
-            self.executed_seconds += seconds
-
-    def note_disk_hit(self, count: int = 1, kind: str = "g5") -> None:
-        """Record results served from the on-disk cache (thread-safe)."""
+    def note_disk_hit(self, kind: str = "g5") -> None:
+        """Record one result served from the on-disk cache (thread-safe)."""
         with self._lock:
             if kind == "window":
-                self.window_hits += count
+                self.window_hits += 1
             elif kind in REPLAY_KINDS:
-                self.replay_hits[kind] += count
+                self.replay_hits[kind] += 1
             else:
-                self.disk_hits += count
+                self.disk_hits += 1
 
     def as_dict(self) -> dict[str, float]:
         with self._lock:
@@ -320,10 +313,10 @@ class ExecutionEngine:
         ``should_abort`` is polled before each start and between
         completions; when it returns true the batch stops with
         :class:`WindowsCancelled` (it may also raise, e.g. a timeout),
-        but a job with needs only before it plans them: its started
-        ``execute`` finishes.  However a batch ends, every job that
-        completed is stored and counted, not-yet-started ones are
-        cancelled, and the first error is raised.
+        but a lone job with needs (a sampled run) only before it plans
+        them: its started ``execute`` finishes.  However a batch ends,
+        every job that completed is stored and counted, not-yet-started
+        ones are cancelled, and the first error is raised.
         """
         jobs = list(dict.fromkeys(jobs))
         memo = self.memo if self.memo is not None else {}
@@ -381,8 +374,10 @@ class ExecutionEngine:
         waiting = ordered[::-1]
         pending: dict[Future, object] = {}
         poll = _ABORT_POLL_SECONDS if should_abort is not None else None
-        stoppable = not all(hasattr(job, "needs") for task in ordered
-                            for job in _members(task))
+        # A lone task that executes on its needs (a sampled run's merge)
+        # is the request's last step: once started, it finishes.
+        stoppable = len(ordered) > 1 or not all(
+            hasattr(job, "needs") for job in _members(ordered[0]))
         with self._execute_step(workers) as (submit, capacity):
             try:
                 while waiting or pending:

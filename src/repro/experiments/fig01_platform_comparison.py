@@ -27,12 +27,6 @@ from .runner import ExperimentRunner
 #: Co-running scenarios (sub-graphs of Fig. 1).
 SCENARIOS = ["single", "per_core", "per_thread"]
 
-PAPER_REFERENCE = {
-    "single_speedup_range": (1.7, 3.02),
-    "corun_max_speedup": 4.15,
-    "smt_off_benefit": 0.47,
-}
-
 
 def _contention_for(platform_name: str, scenario: str):
     platform = get_platform(platform_name)

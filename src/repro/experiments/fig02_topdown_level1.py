@@ -18,14 +18,6 @@ from .runner import ExperimentRunner
 
 BUCKETS = ["retiring", "frontend_bound", "bad_speculation", "backend_bound"]
 
-PAPER_REFERENCE = {
-    "gem5_retiring_range": (0.435, 0.647),
-    "gem5_frontend_range": (0.301, 0.415),
-    "gem5_backend_range": (0.009, 0.113),
-    "mcf_backend": 0.537,
-    "spec_retiring_range": (0.132, 0.822),
-}
-
 
 def run(runner: ExperimentRunner) -> Figure:
     """Regenerate Fig. 2 (level-1 Top-Down slots, Intel_Xeon)."""

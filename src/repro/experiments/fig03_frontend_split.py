@@ -16,10 +16,6 @@ from .runner import ExperimentRunner
 
 CATEGORIES = ["fe_latency", "fe_bandwidth"]
 
-PAPER_REFERENCE = {
-    "detail_increases_latency_share": True,
-}
-
 
 def run(runner: ExperimentRunner) -> Figure:
     """Regenerate Fig. 3 (front-end latency vs bandwidth, Intel_Xeon)."""

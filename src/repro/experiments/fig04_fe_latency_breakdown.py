@@ -22,13 +22,6 @@ CATEGORIES = ["icache", "itlb", "mispredict_resteers", "clear_resteers",
 
 BRANCHING = ["mispredict_resteers", "clear_resteers", "unknown_branches"]
 
-PAPER_REFERENCE = {
-    "o3_icache_vs_atomic_max": 11.0,
-    "o3_branching_vs_atomic": 6.0,
-    "minor_branching_vs_atomic": 4.7,
-    "spec_branch_share_range": (0.435, 0.736),
-}
-
 
 def run(runner: ExperimentRunner) -> Figure:
     """Regenerate Fig. 4 (FE latency cause breakdown, Intel_Xeon)."""

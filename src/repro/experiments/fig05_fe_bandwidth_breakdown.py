@@ -15,11 +15,6 @@ from .runner import ExperimentRunner
 
 CATEGORIES = ["mite", "dsb"]
 
-PAPER_REFERENCE = {
-    "gem5_mite_share_range": (0.92, 0.97),
-    "gem5_dsb_share_max": 0.07,
-}
-
 
 def run(runner: ExperimentRunner) -> Figure:
     """Regenerate Fig. 5 (FE bandwidth source breakdown, Intel_Xeon)."""

@@ -13,10 +13,6 @@ from .common import (GEM5_CONFIGS, SPEC_CONFIGS, topdown_replays,
                      topdown_required_g5)
 from .runner import ExperimentRunner
 
-PAPER_REFERENCE = {
-    "gem5_below_spec": True,
-}
-
 
 def run(runner: ExperimentRunner) -> Figure:
     """Regenerate Fig. 6 (DSB coverage, Intel_Xeon)."""

@@ -14,11 +14,6 @@ from .common import (FIG1_CPU_MODELS, PARSEC_REPRESENTATIVE,
                      model_sweep_required_g5)
 from .runner import ExperimentRunner
 
-PAPER_REFERENCE = {
-    "m1_pro_ipc_ratio": 2.22,
-    "m1_ultra_ipc_ratio": 2.24,
-}
-
 
 def run(runner: ExperimentRunner,
         workload: str = PARSEC_REPRESENTATIVE) -> Figure:

@@ -18,14 +18,6 @@ from .runner import ExperimentRunner
 METRICS = ["itlb_miss_rate", "dtlb_miss_rate", "l1i_miss_rate",
            "l1d_miss_rate", "branch_mispredict_rate"]
 
-PAPER_REFERENCE = {
-    "xeon_itlb_vs_m1_ultra": 11.7,
-    "xeon_dtlb_vs_m1_ultra": 10.5,
-    "xeon_dcache_vs_m1_range": (10.1, 13.4),
-    "xeon_branch_misp": 0.0022,
-    "m1_branch_misp": 0.0014,
-}
-
 
 def run(runner: ExperimentRunner,
         workload: str = PARSEC_REPRESENTATIVE) -> Figure:

@@ -14,12 +14,6 @@ from .runner import ExperimentRunner
 
 CPU_MODELS = ["atomic", "timing", "minor", "o3"]
 
-PAPER_REFERENCE = {
-    "llc_occupancy_range_bytes": (255 * 1024, int(3.1 * 1024 * 1024)),
-    "dram_bw_negligible_gbps": 1.0,   # "negligible" vs 141 GB/s peak
-    "occupancy_grows_with_detail": True,
-}
-
 
 def run(runner: ExperimentRunner) -> Figure:
     """Regenerate Fig. 9 (LLC occupancy + DRAM bandwidth, Intel_Xeon)."""

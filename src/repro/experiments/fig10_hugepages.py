@@ -16,11 +16,6 @@ from .runner import ExperimentRunner
 
 CPU_MODELS = ["atomic", "timing", "minor", "o3"]
 
-PAPER_REFERENCE = {
-    "max_speedup": 0.059,
-    "detailed_benefit_more": True,
-}
-
 
 def run(runner: ExperimentRunner,
         workload: str = PARSEC_REPRESENTATIVE) -> Figure:

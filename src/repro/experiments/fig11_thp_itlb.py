@@ -15,11 +15,6 @@ from .runner import ExperimentRunner
 
 CPU_MODELS = ["atomic", "timing", "minor", "o3"]
 
-PAPER_REFERENCE = {
-    "mean_itlb_overhead_reduction": 0.63,
-    "retiring_improvement_range": (0.03, 0.07),
-}
-
 
 def run(runner: ExperimentRunner,
         workload: str = PARSEC_REPRESENTATIVE) -> Figure:

@@ -17,11 +17,6 @@ from .runner import ExperimentRunner
 
 CPU_MODELS = ["atomic", "timing", "o3"]
 
-PAPER_REFERENCE = {
-    "mean_speedups": {"Intel_Xeon": 0.0138, "M1_Pro": 0.0098,
-                      "M1_Ultra": 0.0078},
-}
-
 
 def run(runner: ExperimentRunner,
         workload: str = PARSEC_REPRESENTATIVE,
@@ -48,8 +43,11 @@ def mean_speedup(figure: Figure, platform_name: str) -> float:
     series = figure.get_series(platform_name)
     return sum(series.y) / len(series.y)
 
-def required_g5(workload: str = PARSEC_REPRESENTATIVE) -> list[tuple]:
-    """g5 runs to prefetch before regenerating this figure."""
+
+def required_g5(workload: str = PARSEC_REPRESENTATIVE,
+                platforms: Optional[list[str]] = None) -> list[tuple]:
+    """g5 runs to prefetch before regenerating this figure (the same
+    runs for every platform)."""
     return model_sweep_required_g5(workload, CPU_MODELS)
 
 

@@ -17,11 +17,6 @@ from .runner import ExperimentRunner
 #: Frequency ladder (GHz), matching the paper's governor steps.
 FREQUENCIES = [1.2, 1.6, 2.0, 2.4, 2.8, 3.1]
 
-PAPER_REFERENCE = {
-    "slowdown_at_1_2ghz": 2.67,
-    "linear": True,
-}
-
 
 def run(runner: ExperimentRunner,
         workload: str = PARSEC_REPRESENTATIVE,

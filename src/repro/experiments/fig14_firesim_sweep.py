@@ -19,13 +19,6 @@ from .runner import ExperimentRunner
 
 CPU_MODELS = ["atomic", "timing", "o3"]
 
-PAPER_REFERENCE = {
-    "speedup_16k": {"atomic": 0.30, "timing": 0.25, "o3": 0.18},
-    "speedup_best": {"atomic": 0.687, "timing": 0.682, "o3": 0.438},
-    "l2_insensitive": True,
-    "abstract_32k_range": (0.31, 0.61),
-}
-
 
 def run(runner: ExperimentRunner, workload: str = "sieve") -> Figure:
     """Regenerate Fig. 14 (FireSim host cache sweep with sieve)."""

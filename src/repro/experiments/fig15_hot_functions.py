@@ -17,13 +17,6 @@ from .runner import ExperimentRunner
 
 CPU_MODELS = ["atomic", "timing", "minor", "o3"]
 
-PAPER_REFERENCE = {
-    "hottest_share": {"atomic": 0.101, "timing": 0.085, "minor": 0.029,
-                      "o3": 0.042},
-    "functions_executed": {"atomic": 1602, "timing": 2557, "minor": 3957,
-                           "o3": 5209},
-}
-
 
 def run(runner: ExperimentRunner,
         workload: str = PARSEC_REPRESENTATIVE) -> Figure:

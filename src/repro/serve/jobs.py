@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Optional
 
 from ..exec.keys import KEY_SCHEMA_VERSION, host_fingerprint
@@ -67,6 +67,23 @@ class JobRequest:
         if self.kind == "sample":
             return self.sampled.label
         return f"figure {self.figure_id} ({self.scale})"
+
+    def jobs(self) -> list:
+        """The engine jobs this request resolves: its g5 job, its
+        sampled run, or every g5 run and replay its figure declares."""
+        if self.kind == "g5":
+            return [self.g5]
+        if self.kind == "sample":
+            # An equal copy, so the plan it caches is freed at the next
+            # cyclic GC (plan and job refer to each other), not kept,
+            # checkpoints and all, as long as the record.
+            return [replace(self.sampled)]
+        from ..experiments import FIGURES
+        from ..experiments.runner import ExperimentRunner
+
+        runner = ExperimentRunner(scale=self.scale,
+                                  max_records=self.max_records)
+        return runner.figure_jobs([FIGURES[self.figure_id]])
 
     def digest(self) -> str:
         """The coalescing digest (shared with the disk cache for g5)."""

@@ -10,37 +10,34 @@
    it through :meth:`Scheduler.memo_get` before admission and answers
    a hit on the request thread; the check here catches jobs that were
    queued before their twin finished;
-2. **the exec engine** — g5 and sampled jobs go through
+2. **the exec engine** — a request's :meth:`JobRequest.jobs` (a g5
+   job, a sampled run, or a figure's g5 runs and replays) go through
    :meth:`ExecutionEngine.resolve <repro.exec.pool.ExecutionEngine
    .resolve>`, the pipeline the batch CLI uses (disk cache shared with
    every CLI run on the machine, same decode rule, same packing code),
    with this scheduler's one persistent process pool as its execute
-   step — g5 misses, sampled windows and their merges share that pool;
-   figure jobs run in-thread through an :class:`ExperimentRunner`
-   backed by the same disk cache.
+   step; a figure then renders from exactly the resolved values.
 
-What the scheduler adds on top is policy: a worker-process crash
-(``BrokenProcessPool``) rebuilds the pool and retries with exponential
-backoff up to ``max_retries`` times; a per-job ``timeout`` fails a g5
-job without retry (a deterministic simulation that ran long once will
-run long again); a drain aborts a sampled run's windows.  The queue's
-priorities and the ETAs are each job's static price
-(:func:`predict_request`).
+What the scheduler adds on top is one policy for every kind: a
+worker-process crash (``BrokenProcessPool``) rebuilds the pool and
+retries with exponential backoff up to ``max_retries`` times; a
+per-job ``timeout`` fails a job without retry (a deterministic
+simulation that ran long once will run long again); a drain aborts a
+sampled run's or a figure's unstarted jobs.  The queue's priorities
+and the ETAs are each job's static price (:func:`predict_request`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import multiprocessing
 import os
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, \
     ThreadPoolExecutor
 from typing import Callable, Optional
 
-from ..exec import costmodel
 from ..exec.cache import ResultCache
 from ..exec.pool import ExecutionEngine, G5Job, WindowsCancelled, \
     execute_job, predict_jobs
@@ -53,19 +50,11 @@ __all__ = ["Scheduler", "WorkerCrashed", "JobTimeout", "predict_request"]
 
 def predict_request(request: JobRequest) -> float:
     """The static price of one job request (shared by the daemon's
-    admission/ETA path and the fleet coordinator's routing).
+    admission/ETA path and the fleet coordinator's routing): everything
+    it resolves, grouped into the tasks (walks) the engine would
+    execute."""
+    return predict_jobs(request.jobs())
 
-    A figure is priced as everything its run resolves: the g5 runs and
-    replays :meth:`ExperimentRunner.figure_jobs` declares, grouped into
-    the tasks (walks) the engine would execute."""
-    if request.kind != "figure":
-        return costmodel.predict(request.g5 or request.sampled)
-    from ..experiments import FIGURES
-    from ..experiments.runner import ExperimentRunner
-
-    runner = ExperimentRunner(scale=request.scale,
-                              max_records=request.max_records)
-    return predict_jobs(runner.figure_jobs([FIGURES[request.figure_id]]))
 
 #: How many encoded results the in-process memo retains.
 MEMO_CAPACITY = 256
@@ -84,6 +73,35 @@ def _exit_with_parent() -> None:
         os._exit(1)
 
     threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _source(resolved: dict) -> str:
+    """``"disk-cache"`` when none of a request's jobs executed."""
+    executed = any(got.source == "executed" for got in resolved.values())
+    return "executed" if executed else "disk-cache"
+
+
+def _figure_payload(request: JobRequest, resolved: dict) -> dict:
+    """The figure ``run`` renders from exactly the resolved values (so
+    it resolves nothing), and what this request executed or read."""
+    from ..experiments import FIGURES
+    from ..experiments.runner import ExperimentRunner
+
+    runner = ExperimentRunner(scale=request.scale,
+                              max_records=request.max_records)
+    runner.engine.memo.update((job, got.value)
+                              for job, got in resolved.items())
+    counts = Counter(
+        ("g5" if isinstance(job, G5Job) else "replays",
+         "executed" if got.source == "executed" else "disk_hits")
+        for job, got in resolved.items())
+    return {"kind": "figure", "figure": request.figure_id,
+            "scale": request.scale, "max_records": request.max_records,
+            "rendered": FIGURES[request.figure_id].run(runner).render(),
+            "g5_executed": counts["g5", "executed"],
+            "g5_disk_hits": counts["g5", "disk_hits"],
+            "replays_executed": counts["replays", "executed"],
+            "replay_disk_hits": counts["replays", "disk_hits"]}
 
 
 class WorkerCrashed(RuntimeError):
@@ -179,11 +197,11 @@ class Scheduler:
             self._count("timeouts")
             self._finish(record, state=FAILED, error=str(exc))
         except WindowsCancelled as exc:
-            # Drain or shutdown interrupted a sampled run: no partial
-            # payload is published; completed windows stay in the cache
-            # for the next submission to reuse.
+            # Drain or shutdown interrupted a sampled run or a figure:
+            # no partial payload is published; completed jobs stay in
+            # the cache for the next submission to reuse.
             self._finish(record, state=CANCELLED,
-                         error=f"sampled run {record.request.label} {exc}")
+                         error=f"{record.request.label} {exc}")
         except Exception as exc:  # noqa: BLE001 - jobs must not kill workers
             self._finish(record, state=FAILED,
                          error=f"{type(exc).__name__}: {exc}")
@@ -214,58 +232,30 @@ class Scheduler:
         if memo is not None:
             self._count("memo_hits")
             return memo, "memo"
-        if record.request.kind == "figure":
-            payload, source = self._run_figure(record.request), "executed"
-        else:
-            payload, source = self._obtain_cached(record)
-        text = json.dumps(payload, sort_keys=True)
-        self._memo_put(record.digest, text)
-        return text, source
-
-    def _obtain_cached(self, record: JobRecord) -> tuple[dict, str]:
-        """Resolve a g5 or sampled job on the engine (disk probe,
-        execution on the shared pool, store) under this scheduler's
-        timeout, drain-abort and crash-retry policy."""
         request = record.request
-        # An equal copy of a sampled job, so the plan it caches is freed
-        # at the next cyclic GC (plan and job refer to each other), not
-        # kept, checkpoints and all, as long as the record.
-        job = request.g5 or dataclasses.replace(request.sampled)
+        jobs = request.jobs()
         source = "executed"              # whatever fails was a miss
         try:
-            resolved = self._resolve_with_retry(record, job)
-            source = resolved.source
+            resolved = self._resolve_with_retry(record, jobs)
+            source = _source(resolved)
         finally:
             self._count("disk_hits" if source == "disk-cache"
                         else "cache_misses")
         if source == "executed":
             self._maybe_prune()
-        return resolved.payload, source
-
-    def _run_figure(self, request: JobRequest) -> dict:
-        from ..experiments import FIGURES
-        from ..experiments.runner import ExperimentRunner
-
-        module = FIGURES[request.figure_id]
-        runner = ExperimentRunner(scale=request.scale,
-                                  max_records=request.max_records,
-                                  jobs=1, cache=self.cache)
-        runner.prefetch_figures([module])
-        figure = module.run(runner)
-        stats = runner.cache_stats()
-        self.stats.note_executed_batch(stats["g5_executed"])
-        self.stats.note_disk_hit(stats["g5_disk_hits"])
-        return {"kind": "figure", "figure": request.figure_id,
-                "scale": request.scale,
-                "max_records": request.max_records,
-                "rendered": figure.render(),
-                "g5_executed": stats["g5_executed"],
-                "g5_disk_hits": stats["g5_disk_hits"]}
+        payload = (_figure_payload(request, resolved)
+                   if request.kind == "figure" else resolved[jobs[0]].payload)
+        text = json.dumps(payload, sort_keys=True)
+        self._memo_put(record.digest, text)
+        return text, source
 
     # ------------------------------------------------------------------
     # execution with timeout + crash retry
     # ------------------------------------------------------------------
-    def _resolve_with_retry(self, record: JobRecord, job):
+    def _resolve_with_retry(self, record: JobRecord, jobs: list) -> dict:
+        """``{job: Resolved}`` for a request's jobs on the engine (disk
+        probe, execution on the shared pool, store) under this
+        scheduler's timeout, drain-abort and crash-retry policy."""
         last_crash: Optional[BaseException] = None
         for attempt in range(self.max_retries + 1):
             record.attempts = attempt + 1
@@ -274,12 +264,12 @@ class Scheduler:
                 clock.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
                 resolved = self.engine.resolve(
-                    [job], self._interrupt(record.request.kind))[job]
+                    jobs, self._interrupt(record.request.kind))
             except (BrokenExecutor, WorkerCrashed) as exc:
                 last_crash = exc
                 self._reset_pool()
                 continue
-            if resolved.source == "disk-cache":
+            if _source(resolved) == "disk-cache":
                 record.attempts = attempt    # a hit is not an execution
             return resolved
         raise WorkerCrashed(
@@ -287,21 +277,21 @@ class Scheduler:
             f"last error: {last_crash}")
 
     def _interrupt(self, kind: str) -> Optional[Callable[[], bool]]:
-        """The engine's abort poll for one attempt: a drain aborts a
-        sampled run's planning or windows (a started merge or exact
-        run, like an in-flight g5 job, finishes); a g5 job that
-        outlives the per-job budget raises :class:`JobTimeout`."""
-        if kind == "sample":
-            return lambda: self._stop.is_set() or self.queue.draining
-        if self.job_timeout is None:
-            return None
-        deadline = clock.monotonic() + self.job_timeout
+        """The engine's abort poll for one attempt: a job that outlives
+        the per-job budget raises :class:`JobTimeout`; a drain aborts a
+        sampled run's planning or windows and a figure's unstarted jobs
+        (a started merge, exact run, lone replay walk or g5 job
+        finishes)."""
+        budget = self.job_timeout
+        if budget is None and kind == "g5":
+            return None                  # nothing to poll for
+        deadline = None if budget is None else clock.monotonic() + budget
 
         def check() -> bool:
-            if clock.monotonic() > deadline:
-                raise JobTimeout(
-                    f"job exceeded the {self.job_timeout:.1f}s budget")
-            return False
+            if deadline is not None and clock.monotonic() > deadline:
+                raise JobTimeout(f"job exceeded the {budget:.1f}s budget")
+            return kind != "g5" and (self._stop.is_set()
+                                     or self.queue.draining)
         return check
 
     def _submit(self, job, *values) -> Future:

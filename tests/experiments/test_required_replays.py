@@ -12,6 +12,7 @@ declared replays (the declared g5 runs, for figures that replay none).
 from __future__ import annotations
 
 import copy
+import inspect
 from dataclasses import fields
 
 import pytest
@@ -21,7 +22,8 @@ from repro.experiments import FIGURES
 from repro.experiments.runner import ExperimentRunner
 
 #: ``run`` arguments per figure: fig1's full sweep is the smoke test's.
-ARGS = {"fig1": {"workloads": ["sieve"], "cpu_models": ["atomic"]}}
+ARGS = {"fig1": {"workloads": ["sieve"], "cpu_models": ["atomic"]},
+        "fig12": {"platforms": ["Intel_Xeon", "M1_Pro"]}}
 
 
 class ReadLog(dict):
@@ -63,6 +65,21 @@ def check_declaration(fid: str) -> None:
 @pytest.mark.parametrize("fid", sorted(FIGURES))
 def test_prefetching_the_declaration_leaves_run_nothing_to_resolve(fid):
     check_declaration(fid)
+
+
+def keywords(function, skip: int = 0) -> set:
+    return set(list(inspect.signature(function).parameters)[skip:])
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURES))
+def test_the_declaration_accepts_every_run_keyword(fid):
+    """``figure_jobs(modules, **args)`` passes ``run``'s keywords to
+    both declarations, so each must accept all of them."""
+    module = FIGURES[fid]
+    wanted = keywords(module.run, skip=1)
+    assert wanted <= keywords(module.required_g5)
+    if hasattr(module, "required_replays"):
+        assert wanted <= keywords(module.required_replays, skip=1)
 
 
 def test_a_replay_missing_from_the_declaration_is_caught(monkeypatch):

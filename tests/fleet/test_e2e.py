@@ -55,6 +55,11 @@ def test_mixed_batch_matches_direct_runs_bit_for_bit(fleet):
     assert served["figure"]["figure"] == "fig3"
     assert isinstance(served["figure"]["rendered"], str)
     assert served["figure"]["rendered"]
+    counts = {key: served["figure"][key] for key in (
+        "g5_executed", "g5_disk_hits", "replays_executed",
+        "replay_disk_hits")}
+    assert counts["g5_executed"] + counts["g5_disk_hits"] > 0
+    assert counts["replays_executed"] + counts["replay_disk_hits"] > 0
 
 
 def test_any_worker_serves_any_cached_result(fleet):

@@ -68,7 +68,11 @@ def test_resubmission_is_served_from_memory_then_disk(live_server, tmp_path):
         server2.drain_and_stop()
 
 
-def test_figure_job_end_to_end(live_server):
+def test_figure_job_end_to_end(live_server, tmp_path):
+    from repro.exec.cache import ResultCache
+    from repro.experiments import FIGURES
+    from repro.experiments.runner import ExperimentRunner
+
     server, client = live_server
     doc = client.run({"kind": "figure", "figure": "fig3",
                       "scale": "test", "max_records": 20000},
@@ -77,7 +81,15 @@ def test_figure_job_end_to_end(live_server):
     assert payload["kind"] == "figure"
     assert payload["figure"] == "fig3"
     assert payload["g5_executed"] + payload["g5_disk_hits"] > 0
+    assert payload["replays_executed"] + payload["replay_disk_hits"] > 0
     assert isinstance(payload["rendered"], str) and payload["rendered"]
+
+    # What `repro-g5 figs fig3` prints, read back from the same cache.
+    runner = ExperimentRunner(scale="test", max_records=20000,
+                              cache=ResultCache(tmp_path / "cache"))
+    runner.prefetch_figures([FIGURES["fig3"]])
+    assert runner.cache_stats()["g5_executed"] == 0
+    assert payload["rendered"] == FIGURES["fig3"].run(runner).render()
 
 
 def test_staged_coalescing_with_real_execution(tmp_path):
