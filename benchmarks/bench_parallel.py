@@ -184,7 +184,7 @@ def main(argv=None) -> int:
 
     results = {
         "bench": "parallel",
-        "config": {**job.describe(), "jobs": args.jobs,
+        "config": {**dataclasses.asdict(job), "jobs": args.jobs,
                    "quick": args.quick,
                    "min_speedup": args.min_speedup},
         "cores": cores,

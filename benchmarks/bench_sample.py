@@ -23,6 +23,7 @@ the sampling geometry so regressions are diffable in review.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import shutil
 import tempfile
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
 
     results = {
         "bench": "sample",
-        "config": {**job.describe(), "quick": args.quick,
+        "config": {**dataclasses.asdict(job), "quick": args.quick,
                    "min_speedup": args.min_speedup,
                    "max_ipc_error": args.max_ipc_error},
         "full": full,

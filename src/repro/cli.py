@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                           "prune"])
     cache.add_argument("--kind", default=None,
                        choices=list(KEY_KINDS),
-                       help="restrict clear to one entry kind")
+                       help="restrict list and clear to one entry kind")
     cache.add_argument("--max-bytes", type=_byte_size, default=None,
                        help="prune: evict oldest entries until the "
                             "store fits in this many bytes "
@@ -429,8 +429,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "list":
         count = 0
         for entry in cache.entries():
+            if args.kind is not None and entry.kind != args.kind:
+                continue
             print(f"{entry.digest[:12]}  {entry.size_bytes:>9d}B  "
-                  f"{entry.label}")
+                  f"{entry.kind:<6}  {entry.label}")
             count += 1
         if not count:
             print(f"cache at {cache.root} is empty")

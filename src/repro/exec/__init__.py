@@ -12,11 +12,10 @@ price-ordered process pool (:mod:`~repro.exec.pool`,
 from .cache import CacheEntry, ResultCache, default_cache_dir
 from .keys import (
     CacheKey,
-    g5_key,
     host_fingerprint,
+    job_key,
     sample_fingerprint,
     sim_fingerprint,
-    window_key,
 )
 from .pool import (EngineStats, ExecutionEngine, G5Job, WindowsCancelled,
                    execute_g5_job)
@@ -37,9 +36,8 @@ __all__ = [
     "WindowsCancelled",
     "default_cache_dir",
     "execute_g5_job",
-    "g5_key",
     "host_fingerprint",
+    "job_key",
     "sample_fingerprint",
     "sim_fingerprint",
-    "window_key",
 ]

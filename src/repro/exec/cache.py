@@ -6,8 +6,8 @@ Layout (under the cache root, default ``~/.cache/repro-g5`` or
     objects/<digest[:2]>/<digest>.pkl    # one pickled envelope per entry
 
 Each envelope records the entry kind (``g5`` / ``host`` / ``spec`` /
-``sample`` / ``window``), the
-human-readable key document, and the payload.  Writes are atomic
+``sample`` / ``window``), the human-readable key document, the job's
+label, and the payload.  Writes are atomic
 (temp file + ``os.replace``) so a crashed run can never leave a partial
 entry behind; unreadable or wrong-format entries are treated as misses
 and deleted, which doubles as the format-migration path.
@@ -67,32 +67,9 @@ class CacheEntry:
     kind: str
     describe: dict
     size_bytes: int
-
-    @property
-    def label(self) -> str:
-        d = self.describe
-        if self.kind == "g5":
-            return (f"g5 {d.get('cpu_model')}/{d.get('workload')} "
-                    f"({d.get('mode')}, {d.get('scale')})")
-        if self.kind == "host":
-            g5 = d.get("g5_describe", {})
-            platform = d.get("platform") or {}
-            name = platform.get("name") if isinstance(platform, dict) else "?"
-            return (f"host {g5.get('cpu_model')}/{g5.get('workload')} "
-                    f"on {name}")
-        if self.kind == "spec":
-            platform = d.get("platform") or {}
-            name = platform.get("name") if isinstance(platform, dict) else "?"
-            return f"spec {d.get('spec')} on {name}"
-        if self.kind == "sample":
-            return (f"sample {d.get('cpu_model')}/{d.get('workload')} "
-                    f"({d.get('scale')}, int {d.get('interval_insts')}, "
-                    f"seed {d.get('seed')})")
-        if self.kind == "window":
-            return (f"window {d.get('cpu_model')}/{d.get('workload')} "
-                    f"({d.get('scale')}, interval {d.get('interval')}, "
-                    f"ckpt {str(d.get('ckpt_digest'))[:12]})")
-        return self.kind
+    #: the job's label; empty in an envelope written before the cache
+    #: stored labels
+    label: str = ""
 
 
 class ResultCache:
@@ -137,6 +114,7 @@ class ResultCache:
             "digest": key.digest,
             "kind": key.kind,
             "describe": key.describe,
+            "label": key.label,
             "payload": payload,
         }
         atomic_write(self._path(key.digest), pickle.dumps(
@@ -210,7 +188,8 @@ class ResultCache:
                 entry = CacheEntry(digest=envelope["digest"],
                                    kind=envelope["kind"],
                                    describe=envelope["describe"],
-                                   size_bytes=path.stat().st_size)
+                                   size_bytes=path.stat().st_size,
+                                   label=envelope.get("label", ""))
             except Exception:
                 continue
             yield entry

@@ -1,22 +1,22 @@
 """Content-addressed cache keys for experiment artifacts.
 
 A cached result is only reusable when *everything* that determined it is
-unchanged: the simulated-machine configuration, the workload build
-parameters, the replay knobs, and the simulator code itself.  Each key
-is the SHA-256 of a canonical JSON document naming all of those inputs;
-the code contribution is a fingerprint over the source bytes of the
-packages whose behaviour feeds the result, so editing any model
-invalidates exactly the artifacts it can affect.
+unchanged.  One rule says what that is: a job's key is the SHA-256 of a
+canonical JSON document holding its ``kind``, the code fingerprint of
+that kind, and every dataclass field the job compares on (a field
+declared ``compare=False`` travels with the job but never keys it).  A
+knob added to a job class is therefore in its key by construction.
 
-Two fingerprints are used:
+The code fingerprint hashes the source bytes of the packages whose
+behaviour feeds the result, so editing any model invalidates exactly the
+artifacts it can affect:
 
-- ``sim_fingerprint`` — ``repro.events`` + ``repro.g5`` +
-  ``repro.workloads``: everything that determines a g5 simulation.
-- ``host_fingerprint`` — the above plus ``repro.host`` + ``repro.core``:
-  everything that additionally determines a host replay.
-- ``sample_fingerprint`` — the simulation packages plus
-  ``repro.analysis`` + ``repro.sample``: a sampled result additionally
-  depends on the CFG block identification and the sampling pipeline.
+- ``g5``: :func:`sim_fingerprint` (``repro.events``, ``repro.g5``,
+  ``repro.workloads``);
+- ``host`` and ``spec`` replays: :func:`host_fingerprint` (those plus
+  ``repro.host`` and ``repro.core``);
+- ``sample`` and ``window``: :func:`sample_fingerprint` (the simulation
+  packages plus ``repro.analysis`` and ``repro.sample``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 #: Bump when the key schema itself changes (forces a cold cache).
 KEY_SCHEMA_VERSION = 1
@@ -109,110 +109,42 @@ class CacheKey:
     kind: str                 # one of KEY_KINDS
     digest: str
     describe: dict
+    #: the job's own label (what progress lines print); not hashed
+    label: str = dataclasses.field(default="", compare=False)
 
     @property
     def short(self) -> str:
         return self.digest[:12]
 
 
-def _make_key(kind: str, document: dict) -> CacheKey:
+def hash_document(kind: str, fields: dict) -> tuple[str, dict]:
+    """``(digest, document)`` of ``{"schema", "kind", **fields}``, with
+    ``fields`` canonicalised: the one hash behind every digest."""
+    document = {"schema": KEY_SCHEMA_VERSION, "kind": kind,
+                **canonical(fields)}
+    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest(), document
+
+
+def _code_fingerprint(kind: str) -> str:
+    # Looked up by module-level name at call time, so a wrapper set on
+    # this module's attribute (a tracing profiler) sees every call.
+    if kind == "g5":
+        return sim_fingerprint()
+    if kind in ("host", "spec"):
+        return host_fingerprint()
+    return sample_fingerprint()
+
+
+def job_key(job: Any) -> CacheKey:
+    """The key of ``job``: its kind, its kind's code fingerprint and
+    every compared dataclass field."""
+    kind = job.kind
     if kind not in KEY_KINDS:
         raise ValueError(f"unknown cache key kind {kind!r}")
-    document = {"schema": KEY_SCHEMA_VERSION, "kind": kind,
-                **canonical(document)}
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(blob.encode()).hexdigest()
-    return CacheKey(kind=kind, digest=digest, describe=document)
-
-
-def g5_key(workload: str, cpu_model: str, mode: str, scale: str,
-           sim_config: Any = None, threads: int = 1) -> CacheKey:
-    """Key of one g5 simulation result (stats + recorded trace).
-
-    ``threads`` is the guest thread count the workload was built with;
-    the simulated core count rides in through ``sim_config`` (the
-    ``cores`` field of the canonicalised dataclass), so a 1-core and a
-    4-core run of the same workload never share a digest.
-    """
-    return _make_key("g5", {
-        "code": sim_fingerprint(),
-        "workload": workload,
-        "cpu_model": cpu_model,
-        "mode": mode,
-        "scale": scale,
-        "threads": threads,
-        "sim_config": sim_config,
-    })
-
-
-def host_key(g5: CacheKey, platform: Any, opt_level: int, hugepages: Any,
-             contention: Any, layout_quality: float, roi_only: bool,
-             max_records: Optional[int],
-             cluster_scale: float = 1.0) -> CacheKey:
-    """Key of one host replay of a g5 trace on one platform config."""
-    return _make_key("host", {
-        "code": host_fingerprint(),
-        "g5": g5.digest,
-        "g5_describe": g5.describe,
-        "platform": platform,
-        "opt_level": opt_level,
-        "hugepages": hugepages,
-        "contention": contention,
-        "layout_quality": layout_quality,
-        "roi_only": roi_only,
-        "max_records": max_records,
-        "cluster_scale": cluster_scale,
-    })
-
-
-def sample_key(workload: str, cpu_model: str, scale: str,
-               interval_insts: int, warmup_insts: int, k: int,
-               max_k: int, seed: int, mode: str = "se") -> CacheKey:
-    """Key of one sampled-simulation payload (repro.sample)."""
-    return _make_key("sample", {
-        "code": sample_fingerprint(),
-        "workload": workload,
-        "cpu_model": cpu_model,
-        "mode": mode,
-        "scale": scale,
-        "interval_insts": interval_insts,
-        "warmup_insts": warmup_insts,
-        "k": k,
-        "max_k": max_k,
-        "seed": seed,
-    })
-
-
-def window_key(workload: str, cpu_model: str, scale: str, interval: int,
-               start_inst: int, length: int, pre_insts: int,
-               ckpt_digest: str, mode: str = "se") -> CacheKey:
-    """Key of one measured SimPoint window (repro.sample.parallel).
-
-    The checkpoint *content* digest is part of the key — two windows at
-    the same index whose restore points differ (different profile, an
-    edited checkpoint, a changed functional model) must never share an
-    entry, while two sampled jobs that plan the same window from the
-    same state always do.
-    """
-    return _make_key("window", {
-        "code": sample_fingerprint(),
-        "workload": workload,
-        "cpu_model": cpu_model,
-        "mode": mode,
-        "scale": scale,
-        "interval": interval,
-        "start_inst": start_inst,
-        "length": length,
-        "pre_insts": pre_insts,
-        "ckpt_digest": ckpt_digest,
-    })
-
-
-def spec_key(spec_name: str, platform: Any, n_records: int) -> CacheKey:
-    """Key of one SPEC synthetic replay on one platform."""
-    return _make_key("spec", {
-        "code": host_fingerprint(),
-        "spec": spec_name,
-        "platform": platform,
-        "n_records": n_records,
-    })
+    fields = {field.name: getattr(job, field.name)
+              for field in dataclasses.fields(job) if field.compare}
+    digest, document = hash_document(
+        kind, {"code": _code_fingerprint(kind), **fields})
+    return CacheKey(kind=kind, digest=digest, describe=document,
+                    label=job.label)

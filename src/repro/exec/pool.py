@@ -50,7 +50,7 @@ from ..g5.system import SimConfig, SimResult, System, simulate
 from ..workloads.registry import get_workload
 from .cache import ResultCache
 from . import costmodel
-from .keys import CacheKey, g5_key
+from .keys import CacheKey, job_key
 from .progress import NullReporter, ProgressReporter
 
 #: Poll interval for ``should_abort`` while jobs are in flight.
@@ -95,8 +95,7 @@ class G5Job:
                 self.threads)
 
     def cache_key(self) -> CacheKey:
-        return g5_key(self.workload, self.cpu_model, self.mode, self.scale,
-                      self.sim_config, threads=self.threads)
+        return job_key(self)
 
     def execute(self) -> dict:
         return pack_sim_result(execute_g5_job(self))

@@ -26,7 +26,7 @@ from ..host.cpu import HostCPU, HostRunResult, profile_g5_walk, walk_key
 from ..host.hugepages import HugePagePolicy
 from ..host.platform import HostPlatform
 from ..workloads import spec
-from .keys import CacheKey, host_key, spec_key
+from .keys import CacheKey, job_key
 from .pool import G5Job
 
 
@@ -90,11 +90,7 @@ class ReplayJob:
                 for knob in fields(self)[2:]}
 
     def cache_key(self) -> CacheKey:
-        source = self.source
-        if self.kind == "spec":
-            return spec_key(source.workload, self.platform,
-                            source.n_records)
-        return host_key(source.cache_key(), self.platform, **self.knobs())
+        return job_key(self)
 
     def needs(self) -> tuple:
         """A g5 source's run; a SPEC synthetic builds its own trace."""

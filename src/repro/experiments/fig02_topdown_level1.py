@@ -37,10 +37,6 @@ def run(runner: ExperimentRunner) -> Figure:
     return figure
 
 
-def gem5_rows(figure: Figure) -> list[str]:
-    return [s.name for s in figure.series if not s.name[0].isdigit()]
-
-
 def required_g5() -> list[tuple]:
     """g5 runs to prefetch before regenerating this figure."""
     return topdown_required_g5()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..exec.keys import CacheKey, sample_key
+from ..exec.keys import CacheKey, job_key
 from ..exec.pool import ExecutionEngine
 from .bbv import DEFAULT_INTERVAL_INSTS
 from .parallel import (SAMPLE_FORMAT_VERSION, SamplePlan, WindowJob,
@@ -52,6 +52,9 @@ class SampledJob:
     seed: int = 1234
     mode: str = "se"               # sampling requires SE checkpoints
 
+    #: the cache-key kind
+    kind = "sample"
+
     @property
     def label(self) -> str:
         return (f"sample:{self.workload}/{self.cpu_model}/{self.scale}"
@@ -66,20 +69,7 @@ class SampledJob:
                 self.interval_insts, self.seed)
 
     def cache_key(self) -> CacheKey:
-        return sample_key(**self.describe())
-
-    def describe(self) -> dict:
-        return {
-            "workload": self.workload,
-            "cpu_model": self.cpu_model,
-            "scale": self.scale,
-            "interval_insts": self.interval_insts,
-            "warmup_insts": self.warmup_insts,
-            "k": self.k,
-            "max_k": self.max_k,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
+        return job_key(self)
 
     @cached_property
     def plan(self) -> SamplePlan:

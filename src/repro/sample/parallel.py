@@ -31,7 +31,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..exec.keys import CacheKey, window_key
+from ..exec.keys import CacheKey, job_key
 from ..g5.serialize import Checkpoint
 from ..g5.system import SimConfig, System, simulate
 from ..workloads import get_workload
@@ -114,6 +114,9 @@ class WindowJob:
     checkpoint: Optional[Checkpoint] = field(default=None, compare=False,
                                              repr=False)
 
+    #: the cache-key kind
+    kind = "window"
+
     @property
     def label(self) -> str:
         return (f"window:{self.workload}/{self.cpu_model}"
@@ -136,17 +139,7 @@ class WindowJob:
                 self.start_inst, self.interval)
 
     def cache_key(self) -> CacheKey:
-        return window_key(
-            workload=self.workload,
-            cpu_model=self.cpu_model,
-            scale=self.scale,
-            interval=self.interval,
-            start_inst=self.start_inst,
-            length=self.length,
-            pre_insts=self.pre_insts,
-            ckpt_digest=self.ckpt_digest,
-            mode=self.mode,
-        )
+        return job_key(self)
 
     def execute(self) -> dict:
         """Measure the window from its checkpoint (in any process).

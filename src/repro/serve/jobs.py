@@ -19,13 +19,11 @@ waiters sound.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar, Optional
 
-from ..exec.keys import KEY_SCHEMA_VERSION, host_fingerprint
+from ..exec.keys import hash_document, host_fingerprint
 from ..exec.pool import G5Job
 from ..sample.orchestrate import SampledJob
 from ..workloads.registry import SCALES, WORKLOADS, get_workload
@@ -91,11 +89,9 @@ class JobRequest:
             return self.g5.cache_key().digest
         if self.kind == "sample":
             return self.sampled.cache_key().digest
-        doc = {"schema": KEY_SCHEMA_VERSION, "kind": "figure",
-               "code": host_fingerprint(), "figure": self.figure_id,
-               "scale": self.scale, "max_records": self.max_records}
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return hash_document("figure", {
+            "code": host_fingerprint(), "figure": self.figure_id,
+            "scale": self.scale, "max_records": self.max_records})[0]
 
     def describe(self) -> dict:
         if self.kind == "g5":
@@ -108,7 +104,7 @@ class JobRequest:
                 doc["cores"] = self.g5.cores
             return doc
         if self.kind == "sample":
-            return {"kind": "sample", **self.sampled.describe()}
+            return {"kind": "sample", **asdict(self.sampled)}
         return {"kind": "figure", "figure": self.figure_id,
                 "scale": self.scale, "max_records": self.max_records}
 

@@ -151,22 +151,6 @@ class Histogram(_Instrument):
         with self._lock:
             return self._inf
 
-    def quantile(self, q: float) -> float:
-        """Bucket upper bound covering quantile ``q`` (0..1].
-
-        The classic Prometheus estimate: the smallest bucket whose
-        cumulative count reaches ``q * total``.  Good enough for the
-        benchmark's p50/p99 without storing raw samples.
-        """
-        counts, total, _ = self.snapshot()
-        if total == 0:
-            return 0.0
-        threshold = q * total
-        for i, bound in enumerate(self.buckets):
-            if counts[i] >= threshold:
-                return bound
-        return float("inf")
-
     def render(self) -> list[str]:
         counts, inf_count, total = self.snapshot()
         lines = []

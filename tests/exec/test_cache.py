@@ -3,12 +3,13 @@
 import pickle
 
 from repro.exec.cache import ENVELOPE_VERSION, ResultCache, default_cache_dir
-from repro.exec.keys import g5_key, spec_key
+from repro.exec.pool import G5Job
+from repro.exec.replay import ReplayJob, SpecTrace
 from repro.host.platform import get_platform
 
 
 def _key(workload="sieve", cpu="atomic"):
-    return g5_key(workload, cpu, "se", "test")
+    return G5Job(workload, cpu, "se", "test").cache_key()
 
 
 def test_roundtrip(tmp_path):
@@ -69,14 +70,15 @@ def test_entries_stats_and_clear_by_kind(tmp_path):
     cache.put(_key(), {"a": 1})
     cache.put(_key(cpu="o3"), {"b": 2})
     platform = get_platform("Intel_Xeon")
-    cache.put(spec_key("505.mcf_r", platform, 100), {"c": 3})
+    cache.put(ReplayJob(SpecTrace("505.mcf_r", 100), platform).cache_key(),
+              {"c": 3})
 
     entries = list(cache.entries())
     assert len(entries) == 3
     assert {e.kind for e in entries} == {"g5", "spec"}
     assert all(e.size_bytes > 0 for e in entries)
     labels = {e.label for e in entries}
-    assert "g5 atomic/sieve (se, test)" in labels
+    assert "atomic/sieve (se, test)" in labels
     assert "spec 505.mcf_r on Intel_Xeon" in labels
 
     stats = cache.stats()

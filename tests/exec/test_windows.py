@@ -15,8 +15,7 @@ import dataclasses
 
 import pytest
 
-from repro.exec import (ExecutionEngine, ResultCache, WindowsCancelled,
-                        window_key)
+from repro.exec import ExecutionEngine, ResultCache, WindowsCancelled
 from repro.sample import SampledJob, checkpoint_digest, plan_sampled_job
 from repro.sample.parallel import unpack_measurement
 
@@ -88,19 +87,6 @@ def test_edited_checkpoint_is_a_cache_miss(tmp_path, plan):
     _, cold = resolve_windows(edited, cache=cache)
     assert cold.windows_executed == affected
     assert cold.window_hits == len(plan.windows) - affected
-
-
-def test_window_key_covers_every_field():
-    base = dict(workload="sieve", cpu_model="o3", scale="test",
-                interval=3, start_inst=500, length=100, pre_insts=200,
-                ckpt_digest="a" * 64)
-    digest = window_key(**base).digest
-    assert window_key(**base).digest == digest  # deterministic
-    for name, value in [("workload", "fmm"), ("cpu_model", "minor"),
-                        ("scale", "simsmall"), ("interval", 4),
-                        ("start_inst", 600), ("length", 50),
-                        ("pre_insts", 100), ("ckpt_digest", "b" * 64)]:
-        assert window_key(**{**base, name: value}).digest != digest, name
 
 
 def test_pool_and_inline_fanout_agree(tmp_path, plan):

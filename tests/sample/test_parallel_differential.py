@@ -96,7 +96,7 @@ def test_window_entries_are_listed_by_kind(tmp_path):
         == len(payload["clusters"]["representatives"])
     window_labels = [entry.label for entry in cache.entries()
                      if entry.kind == "window"]
-    assert all(label.startswith("window timing/sieve")
+    assert all(label.startswith("window:sieve/timing")
                for label in window_labels)
 
 

@@ -1,5 +1,6 @@
 """End-to-end sampled simulation: accuracy, determinism, caching."""
 
+import dataclasses
 import json
 
 import pytest
@@ -58,7 +59,7 @@ def test_sampled_payload_shape(sampled_payload):
 
 def test_same_seed_is_byte_identical(sampled_payload):
     job, payload = sampled_payload
-    again = execute_sampled_job(SampledJob(**job.describe()))
+    again = execute_sampled_job(SampledJob(**dataclasses.asdict(job)))
     assert json.dumps(again, sort_keys=True) \
         == json.dumps(payload, sort_keys=True)
     assert render_sample_report(again) == render_sample_report(payload)

@@ -1,13 +1,15 @@
 """Tests for the repro-g5 command-line interface."""
 
+import pickle
 import re
 
 import pytest
 
 from repro.cli import _build_parser, main
 from repro.exec import G5Job, ResultCache
-from repro.exec.keys import KEY_KINDS, CacheKey, sample_key
+from repro.exec.keys import KEY_KINDS, CacheKey
 from repro.experiments.summary import CLAIMS
+from repro.sample import SampledJob
 
 
 @pytest.fixture(autouse=True)
@@ -107,7 +109,11 @@ class TestCliCommands:
 
         assert main(["cache", "list"]) == 0
         listing = capsys.readouterr().out
-        assert "g5 timing/water_nsquared" in listing
+        assert re.search(r"g5 +timing/water_nsquared", listing)
+        assert main(["cache", "list", "--kind", "g5"]) == 0
+        only_g5 = capsys.readouterr().out.splitlines()
+        assert len(only_g5) == 1 and "timing/water_nsquared" in only_g5[0]
+        assert len(listing.splitlines()) > 1
 
         assert main(["cache", "clear", "--kind", "g5"]) == 0
         assert "removed 1 g5 cache entry" in capsys.readouterr().out
@@ -119,8 +125,8 @@ class TestCliCommands:
                                                _isolated_cache):
         cache = ResultCache(_isolated_cache)
         cache.put(G5Job("sieve", "atomic", "se", "test").cache_key(), {})
-        cache.put(sample_key("sieve", "atomic", "test", 100, 200, 2, 4, 0),
-                  {})
+        cache.put(SampledJob("sieve", "atomic", "test", 100, 200, 2, 4,
+                             0).cache_key(), {})
 
         assert main(["cache", "info"]) == 0
         entries = re.search(r"entries\s*: (\d+) \((.*)\)",
@@ -148,6 +154,23 @@ class TestCliCommands:
 
         assert main(["cache", "clear"]) == 0
         assert "removed 2 cache entries" in capsys.readouterr().out
+
+    def test_an_entry_without_a_label_lists_and_counts(self, capsys,
+                                                       _isolated_cache):
+        # An envelope written before keys carried the job's label.
+        cache = ResultCache(_isolated_cache)
+        key = G5Job("sieve", "atomic", "se", "test").cache_key()
+        cache.put(key, {})
+        path = cache._path(key.digest)
+        envelope = pickle.loads(path.read_bytes())
+        del envelope["label"]
+        path.write_bytes(pickle.dumps(envelope))
+
+        assert main(["cache", "list"]) == 0
+        assert re.search(rf"^{key.short} +\d+B  g5 *$",
+                         capsys.readouterr().out, re.MULTILINE)
+        assert main(["cache", "info"]) == 0
+        assert re.search(r"entries\s*: 1 \(g5 1,", capsys.readouterr().out)
 
     def test_cache_prune(self, capsys):
         assert main(["figs", "fig13", "--scale", "test",
