@@ -269,24 +269,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ckpt.add_argument("--json", action="store_true", dest="as_json",
                       help="emit machine-readable JSON")
 
-    lint = sub.add_parser(
-        "lint", help="simulator-invariant linter / guest-binary analyzer")
-    lint.add_argument("--path", default=None,
-                      help="directory to lint (default: the repro package)")
-    lint.add_argument("--format", default="text", dest="fmt",
-                      choices=["text", "json"],
-                      help="report format (default: text)")
-    lint.add_argument("--list-passes", action="store_true",
-                      help="list the registered lint passes and exit")
-    lint.add_argument("--guest", default=None, metavar="WORKLOAD",
-                      choices=sorted(WORKLOADS),
-                      help="analyze this guest workload's binary instead "
-                           "of linting host sources")
-    lint.add_argument("--scale", default="test", choices=SCALES,
-                      help="guest build scale for --guest (default: test)")
-    lint.add_argument("--dynamic", action="store_true",
-                      help="with --guest: also execute the workload and "
-                           "cross-check the static CFG against the trace")
+    guest = sub.add_parser(
+        "guest", help="static CFG report of a guest workload's binary")
+    guest.add_argument("workload", choices=sorted(WORKLOADS))
+    guest.add_argument("--scale", default="test", choices=SCALES,
+                       help="guest build scale (default: test)")
+    guest.add_argument("--dynamic", action="store_true",
+                       help="also execute the workload and cross-check "
+                            "the static CFG against the trace")
+    guest.add_argument("--json", action="store_true", dest="as_json",
+                       help="emit machine-readable JSON")
     return parser
 
 
@@ -476,17 +468,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_guest(args: argparse.Namespace) -> int:
-    from .analysis import analyze_workload, render_guest_report
+def _cmd_guest(args: argparse.Namespace) -> int:
+    from .analysis.guestcfg import analyze_workload, render_guest_report
 
-    report = analyze_workload(args.guest, scale=args.scale,
+    report = analyze_workload(args.workload, scale=args.scale,
                               dynamic=args.dynamic)
-    if args.fmt == "text":
-        text = render_guest_report(report)
-    else:
+    if args.as_json:
         import json
 
         text = json.dumps(report, indent=2, sort_keys=True)
+    else:
+        text = render_guest_report(report)
     print(text)
     if report["totality_failures"]:
         print(f"FAIL: decoder totality: "
@@ -499,30 +491,6 @@ def _lint_guest(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .analysis import (all_passes, default_lint_root, render_json,
-                           render_text, run_lint)
-
-    if args.list_passes:
-        for pass_cls in sorted(all_passes(), key=lambda cls: cls.rule):
-            print(f"{pass_cls.rule:24s} {pass_cls.title}")
-        return 0
-    if args.guest is not None:
-        return _lint_guest(args)
-
-    root = Path(args.path) if args.path else default_lint_root()
-    if not root.is_dir():
-        print(f"error: --path {args.path} is not a directory",
-              file=sys.stderr)
-        return 2
-    findings = run_lint(root)
-    print(render_json(findings) if args.fmt == "json"
-          else render_text(findings))
-    return 1 if findings else 0
 
 
 def _sample_job_from_args(args: argparse.Namespace):
@@ -761,8 +729,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_serve(args)
     if args.command == "fleet":
         return _cmd_fleet(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
+    if args.command == "guest":
+        return _cmd_guest(args)
     return _cmd_list()
 
 

@@ -16,7 +16,8 @@ artifacts it can affect:
 - ``host`` and ``spec`` replays: :func:`host_fingerprint` (those plus
   ``repro.host`` and ``repro.core``);
 - ``sample`` and ``window``: :func:`sample_fingerprint` (the simulation
-  packages plus ``repro.analysis`` and ``repro.sample``).
+  packages plus ``repro.analysis``, the guest CFG that ``sample/bbv.py``
+  reads, and ``repro.sample``).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ with host time would quietly break the bit-identical-rerun guarantee
 the cache and the coalescer rely on.  Timing a *request* is legitimate,
 though, so every timestamp and latency measurement in the server flows
 through this module, which is the one scoped exemption
-(``repro.analysis.passes.determinism`` knows it by path).
+(the determinism rule in ``tests/lint/determinism.py`` knows it by path).
 
 Simulation results never depend on these values: they feed job
 bookkeeping (submitted/started/finished stamps), latency histograms,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.guestcfg import (
     analyze_workload,
     build_cfg,
     cross_check,

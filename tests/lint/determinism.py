@@ -20,8 +20,8 @@ Flags, inside simulation-core modules:
   wrap them in ``sorted(...)`` to pin the order.
 
 Wall-clock measurement is legitimate in the executor layers, so those
-(``exec/``, ``cli.py``) are out of scope; suppress a justified
-in-scope use with ``# lint: no-determinism``.
+(``exec/``, ``cli.py``) are out of scope.  There is no suppression:
+an in-scope finding fails ``tests/lint/test_rules.py``.
 
 The serving daemon (``serve/``) is in scope too — a server that stamps
 results with host time would break the coalescer's identical-result
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import ast
 
-from ..engine import LintPass, register_pass
+from .engine import LintPass
 
 #: Packages whose behaviour feeds stats, schedules, or cache keys.
 #: ``sample/`` is fully in scope with no exemptions: sampled payloads
@@ -87,15 +87,8 @@ def _dotted(node: ast.AST):
     return None
 
 
-@register_pass
 class DeterminismPass(LintPass):
     rule = "determinism"
-    title = "No nondeterminism in the simulation core"
-    description = ("Simulation-core code must not read wall-clock time, "
-                   "OS entropy, or unseeded RNGs, and must not iterate "
-                   "unordered sets where order can reach stats or "
-                   "schedules.")
-    pragma = "no-determinism"
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:

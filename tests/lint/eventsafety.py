@@ -12,15 +12,13 @@ invariants that runtime checks only catch after the fact:
   ``priority`` feed its heap sort key; assigning them outside the
   event framework silently corrupts heap order (the slot invariant in
   particular).  Only ``events/`` itself may touch them.
-
-Suppress a justified site with ``# lint: no-event-safety``.
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..engine import LintPass, register_pass
+from .engine import LintPass
 
 #: Methods taking a relative delay as their second argument.
 _DELAY_METHODS = {"schedule_in": 1, "call_in": 0}
@@ -50,14 +48,8 @@ def _mentions_now_minus(node: ast.AST) -> bool:
     return False
 
 
-@register_pass
 class EventSafetyPass(LintPass):
     rule = "event-safety"
-    title = "Event scheduling discipline"
-    description = ("No negative or now-relative-subtraction scheduling "
-                   "deltas and no mutation of when/priority on events "
-                   "outside the event framework.")
-    pragma = "no-event-safety"
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:

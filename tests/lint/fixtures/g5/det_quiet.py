@@ -10,7 +10,3 @@ def seeded_rng(seed):
 
 def ordered(items):
     return [entry for entry in sorted(set(items))]
-
-
-def justified_stamp():
-    return time.time()  # lint: no-determinism

@@ -25,8 +25,3 @@ class QuietPump:
     def cold_setup(self):
         # Not a hot function: unslotted instantiation is fine here.
         return Churn(3)
-
-
-class PragmaPump:
-    def tick(self):
-        return Churn(2)  # lint: no-slots

@@ -6,8 +6,7 @@ by putting ``__slots__`` on everything the tick loop allocates (no
 per-instance ``__dict__``, cheaper attribute loads).  This pass keeps
 that property: any class *instantiated inside a hot function* (the
 tick/fetch/execute/memory-access family below) must define
-``__slots__`` — directly or via a slotted base class — or carry a
-``# lint: no-slots`` pragma at the instantiation site.
+``__slots__``, directly or via a slotted base class.
 
 The check is project-wide: instantiations are matched against every
 class definition the engine indexed, so a hot ``Packet(...)`` call in
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import ast
 
-from ..engine import LintPass, register_pass
+from .engine import LintPass
 
 #: Function/method names forming the simulator's per-instruction and
 #: per-access hot paths.
@@ -42,14 +41,11 @@ _IGNORED_NAMES = frozenset({
 })
 
 
-@register_pass
 class SlotsCoveragePass(LintPass):
     rule = "slots-coverage"
-    title = "Hot-loop classes must define __slots__"
     description = ("Classes instantiated inside tick-loop functions must "
                    "define __slots__ (directly or via a slotted base) to "
                    "avoid per-instance dict churn on the hot path.")
-    pragma = "no-slots"
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:
@@ -93,4 +89,4 @@ class SlotsCoveragePass(LintPass):
                                   for d in definitions}))
         self.report(call, f"{name} (defined at {where}) is instantiated "
                     "on the hot path but defines no __slots__; add "
-                    "__slots__ or mark the call `# lint: no-slots`")
+                    "__slots__")

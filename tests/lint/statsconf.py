@@ -15,15 +15,13 @@ never appears in ``stats.txt``:
   dumped, but nothing can ever increment it, so it is frozen at zero.
   (``stats.formula`` is exempt: formulas compute from other stats and
   need no handle.)
-
-Suppress a justified site with ``# lint: no-stats-conformance``.
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..engine import LintPass, register_pass
+from .engine import LintPass
 
 _STAT_CLASSES = frozenset({"Scalar", "VectorStat", "Distribution",
                            "Formula"})
@@ -31,15 +29,12 @@ _STAT_CLASSES = frozenset({"Scalar", "VectorStat", "Distribution",
 _MUST_BIND = frozenset({"scalar", "vector", "distribution"})
 
 
-@register_pass
 class StatsConformancePass(LintPass):
     rule = "stats-conformance"
-    title = "Stats must be registered in a StatGroup and bound"
     description = ("Stat objects must be created through StatGroup "
                    "helpers (so dump_stats sees them), and counter-like "
                    "helpers' return values must be bound (so something "
                    "can increment them).")
-    pragma = "no-stats-conformance"
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:
@@ -55,20 +50,15 @@ class StatsConformancePass(LintPass):
         elif isinstance(func, ast.Attribute):
             # e.g. stats_mod.Scalar(...)
             name = func.attr
-        if name in _STAT_CLASSES and not self._is_group_helper(func):
+        # Group helpers are lowercase methods and the stat classes are
+        # CamelCase, so a CamelCase match is always direct construction.
+        if name in _STAT_CLASSES:
             self.report(node, f"direct {name}(...) construction bypasses "
                         "StatGroup registration; dump_stats will never "
                         "see this stat — use the group helpers "
                         "(stats.scalar/vector/distribution/formula)",
                         suffix="orphan-stat")
         self.generic_visit(node)
-
-    @staticmethod
-    def _is_group_helper(func: ast.AST) -> bool:
-        # Group helpers are lowercase methods; the classes are CamelCase
-        # attributes/names, so a CamelCase match is always direct
-        # construction.  (Kept for clarity/extension.)
-        return False
 
     # -- write-only stats -----------------------------------------------
     def visit_Expr(self, node: ast.Expr) -> None:

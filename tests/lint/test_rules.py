@@ -1,13 +1,40 @@
-"""Per-pass positive ("fires") and negative ("stays quiet") tests.
+"""The simulator-invariant rules: fixtures, and the shipped tree.
 
-Every pass is exercised against a dedicated fixture pair under
-``fixtures/``; the fires-test pins the exact rule suffixes so a pass
-that silently stops detecting one defect shape fails here.
+Every rule is exercised against a dedicated fixture pair under
+``fixtures/``, whose layout mirrors the rule scopes (``g5/``,
+``serve/`` and the rest, plus the out-of-scope ``tools/``); the
+fires-test pins the exact rule suffixes so a rule that silently stops
+detecting one defect shape fails here.  ``test_repo_lints_clean`` runs
+the same rules over ``src/repro``.
 """
 
 from __future__ import annotations
 
-from .conftest import rule_findings
+from pathlib import Path
+
+import pytest
+
+import repro
+
+from .determinism import _SERVE_WALL_CLOCK_OK, DeterminismPass
+from .engine import lint
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(scope="module")
+def fixture_findings():
+    """All findings from one run over the fixture tree."""
+    return lint(FIXTURES)
+
+
+def rule_findings(findings, rule, path=None):
+    """Findings whose rule is ``rule`` or ``rule/<suffix>``."""
+    hits = [f for f in findings
+            if f.rule == rule or f.rule.startswith(rule + "/")]
+    if path is not None:
+        hits = [f for f in hits if f.path == path]
+    return hits
 
 
 def _suffixes(findings):
@@ -73,9 +100,6 @@ def test_determinism_fleet_has_no_wall_clock_exemption():
     timeouts, retry pacing) flows through ``serve/clock.py``, so the
     whole fleet can run on a test-controlled clock.
     """
-    from repro.analysis.passes.determinism import (_SERVE_WALL_CLOCK_OK,
-                                                   DeterminismPass)
-
     assert DeterminismPass.applies_to("fleet/coordinator.py")
     assert DeterminismPass.applies_to("fleet/worker.py")
     assert not any(exempt.startswith("fleet/")
@@ -89,16 +113,10 @@ def test_determinism_scope_includes_sample_parallel():
     sequential path; the wall-clock timing for window execution lives in
     ``exec/windows.py``, which stays out of simulation-core scope.
     """
-    from pathlib import Path
-
-    import repro
-    from repro.analysis.passes.determinism import DeterminismPass
-
     assert DeterminismPass.applies_to("sample/parallel.py")
     assert not DeterminismPass.applies_to("exec/windows.py")
-    source = (Path(repro.__file__).parent / "sample"
-              / "parallel.py").read_text()
-    assert "no-determinism" not in source
+    assert not any(exempt.startswith("sample/")
+                   for exempt in _SERVE_WALL_CLOCK_OK)
 
 
 # -- event safety -------------------------------------------------------
@@ -125,8 +143,7 @@ def test_slots_coverage_fires(fixture_findings):
 
 
 def test_slots_coverage_quiet(fixture_findings):
-    # Slotted bases, raise sites, cold functions, and pragma'd calls
-    # must all stay quiet.
+    # Slotted bases, raise sites and cold functions must all stay quiet.
     assert rule_findings(fixture_findings, "slots-coverage",
                          path="g5/slots_quiet.py") == []
 
@@ -149,13 +166,35 @@ def test_out_of_scope_files_produce_nothing(fixture_findings):
             if f.path.startswith("tools/")] == []
 
 
-def test_fixture_tree_total():
-    # The per-pass expectations above are exhaustive: no pass may emit
+def test_fixture_tree_total(fixture_findings):
+    # The per-rule expectations above are exhaustive: no rule may emit
     # findings beyond the ones pinned there.
-    from .conftest import FIXTURES
-    from repro.analysis import Engine
-
-    findings = Engine(FIXTURES).run()
     # determinism(g5) + event + slots + stats
     # + determinism(serve) + determinism(sample) + determinism(fleet)
-    assert len(findings) == 7 + 5 + 1 + 2 + 3 + 3 + 3
+    assert len(fixture_findings) == 7 + 5 + 1 + 2 + 3 + 3 + 3
+
+
+def test_violation_is_pinned_to_its_line(tmp_path):
+    (tmp_path / "g5").mkdir()
+    (tmp_path / "g5" / "mod.py").write_text(
+        "import time\n\n\ndef stamp():\n    return time.time()\n",
+        encoding="utf-8")
+    (finding,) = lint(tmp_path)
+    assert (finding.rule, finding.path, finding.line) == (
+        "determinism/wall-clock", "g5/mod.py", 5)
+    assert str(finding).startswith(
+        "g5/mod.py:5: [determinism/wall-clock] wall-clock read time.time()")
+
+
+def test_unparsable_file_raises(tmp_path):
+    (tmp_path / "g5").mkdir()
+    (tmp_path / "g5" / "broken.py").write_text("def nope(:\n",
+                                               encoding="utf-8")
+    with pytest.raises(SyntaxError):
+        lint(tmp_path)
+
+
+# -- the shipped tree ---------------------------------------------------
+def test_repo_lints_clean():
+    findings = lint(Path(repro.__file__).parent)
+    assert findings == [], "\n".join(map(str, findings))
