@@ -21,8 +21,9 @@ owner (CLI, experiment runner, serve daemon) goes through:
    trace once — and order the tasks highest-price-first
    (:mod:`repro.exec.costmodel`) so the O3/FS stragglers start first;
 4. run them — inline when one worker suffices, otherwise across the
-   execute step's process pool — in one completion loop that polls
-   ``should_abort``;
+   execute step's process pool — in one completion loop that blocks
+   until a task completes, the caller's ``stop`` future settles or the
+   ``timeout`` runs out;
 5. store and count every result in one place: each member of a walk
    under its own key, at the walk's seconds over its member count.
 
@@ -52,9 +53,6 @@ from .cache import ResultCache
 from . import costmodel
 from .keys import CacheKey, job_key
 from .progress import NullReporter, ProgressReporter
-
-#: Poll interval for ``should_abort`` while jobs are in flight.
-_ABORT_POLL_SECONDS = 0.05
 
 #: Cache-key kinds of host replays (:mod:`repro.exec.replay`).
 REPLAY_KINDS = ("host", "spec")
@@ -175,13 +173,17 @@ def _run_now(fn: Callable, *args) -> Future:
 
 
 class WindowsCancelled(RuntimeError):
-    """``should_abort`` fired before every job of a batch resolved."""
+    """``stop`` settled before every job of a batch resolved."""
 
     def __init__(self, completed: int, cancelled: int) -> None:
         super().__init__(f"cancelled: {completed} jobs resolved, "
                          f"{cancelled} abandoned")
         self.completed = completed
         self.cancelled = cancelled
+
+
+class JobTimeout(RuntimeError):
+    """A resolve outlived its ``timeout`` budget (not retryable)."""
 
 
 class Resolved(NamedTuple):
@@ -304,19 +306,25 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # the pipeline: probe -> needs -> schedule -> execute -> store
     # ------------------------------------------------------------------
-    def resolve(self, jobs: Iterable,
-                should_abort: Optional[Callable[[], bool]] = None
-                ) -> dict:
+    def resolve(self, jobs: Iterable, stop: Optional[Future] = None,
+                timeout: Optional[float] = None) -> dict:
         """Resolve every job; returns ``{job: Resolved}``.
 
-        ``should_abort`` is polled before each start and between
-        completions; when it returns true the batch stops with
-        :class:`WindowsCancelled` (it may also raise, e.g. a timeout),
-        but a lone job with needs (a sampled run) only before it plans
-        them: its started ``execute`` finishes.  However a batch ends,
-        every job that completed is stored and counted, not-yet-started
-        ones are cancelled, and the first error is raised.
+        When the ``stop`` future settles the batch stops with
+        :class:`WindowsCancelled`, but a lone job with needs (a sampled
+        run) only before it plans them: its started ``execute``
+        finishes.  Past ``timeout`` seconds (one budget, needs included)
+        it raises :class:`JobTimeout`.  However a batch ends, every job
+        that completed is stored and counted, not-yet-started ones are
+        cancelled, and the first error is raised.
         """
+        deadline = None if timeout is None else \
+            (timeout, time.monotonic() + timeout)
+        return self._resolve(jobs, stop, deadline)
+
+    def _resolve(self, jobs: Iterable, stop: Optional[Future],
+                 deadline: Optional[tuple]) -> dict:
+        """:meth:`resolve` under a ``(budget, monotonic end)`` deadline."""
         jobs = list(dict.fromkeys(jobs))
         memo = self.memo if self.memo is not None else {}
         resolved = {job: Resolved(None, memo[job], "memo")
@@ -332,7 +340,7 @@ class ExecutionEngine:
                 resolved[job] = Resolved(stored, value, "disk-cache")
         misses = [job for job in keys if job not in resolved]
         hits = len(keys) - len(misses)
-        values = self._resolve_needs(misses, keys, resolved, should_abort)
+        values = self._resolve_needs(misses, keys, resolved, stop, deadline)
         misses = [job for job in misses if job not in resolved]
         ordered = costmodel.schedule(_tasks(misses))
         workers = max(1, min(self.jobs, len(ordered)))
@@ -341,7 +349,7 @@ class ExecutionEngine:
         if batch:
             self.progress.batch_start(len(misses), hits, workers)
         if ordered:
-            self._execute(ordered, workers, should_abort, keys, resolved,
+            self._execute(ordered, workers, stop, deadline, keys, resolved,
                           values)
         if batch:
             self.progress.batch_end()
@@ -349,38 +357,41 @@ class ExecutionEngine:
         return resolved
 
     def _resolve_needs(self, misses: list, keys: dict, resolved: dict,
-                       should_abort: Optional[Callable[[], bool]]) -> dict:
+                       stop: Optional[Future],
+                       deadline: Optional[tuple]) -> dict:
         """``{need: value}`` for the needs of ``misses``: those this batch
         has not answered resolve in one nested :meth:`resolve`, once."""
-        if should_abort and any(hasattr(job, "needs") for job in misses) \
-                and should_abort():
+        if stop is not None and stop.done() \
+                and any(hasattr(job, "needs") for job in misses):
             raise WindowsCancelled(len(resolved), len(misses))
         needs = list(dict.fromkeys(
             need for job in misses for need in _needs(job)))
-        nested = self.resolve([need for need in needs if need not in resolved],
-                              should_abort)
+        nested = self._resolve(
+            [need for need in needs if need not in resolved], stop, deadline)
         resolved.update((need, got) for need, got in nested.items()
                         if need in keys)
         found = {**resolved, **nested}
         return {need: found[need].value for need in needs}
 
-    def _execute(self, ordered: list, workers: int,
-                 should_abort: Optional[Callable[[], bool]],
-                 keys: dict, resolved: dict, values: dict) -> None:
+    def _execute(self, ordered: list, workers: int, stop: Optional[Future],
+                 deadline: Optional[tuple], keys: dict, resolved: dict,
+                 values: dict) -> None:
         """Run the miss tasks on their needs' ``values``; fill
         ``resolved``."""
         total = len(resolved) + sum(len(_members(task)) for task in ordered)
         waiting = ordered[::-1]
         pending: dict[Future, object] = {}
-        poll = _ABORT_POLL_SECONDS if should_abort is not None else None
         # A lone task that executes on its needs (a sampled run's merge)
-        # is the request's last step: once started, it finishes.
-        stoppable = len(ordered) > 1 or not all(
-            hasattr(job, "needs") for job in _members(ordered[0]))
+        # is the request's last step: once started, it finishes, so it
+        # does not wait on ``stop``.
+        if len(ordered) == 1 and all(
+                hasattr(job, "needs") for job in _members(ordered[0])):
+            stop = None
+        wakers = () if stop is None else (stop,)
         with self._execute_step(workers) as (submit, capacity):
             try:
                 while waiting or pending:
-                    if should_abort and should_abort() and stoppable:
+                    if stop is not None and stop.done():
                         raise WindowsCancelled(len(resolved),
                                                total - len(resolved))
                     while waiting and len(pending) < capacity:
@@ -388,10 +399,15 @@ class ExecutionEngine:
                         future = submit(job, *(values[need]
                                                for need in _needs(job)))
                         pending[future] = job
-                    done, _ = wait(pending, timeout=poll,
+                    left = None if deadline is None else \
+                        max(0.0, deadline[1] - time.monotonic())
+                    done, _ = wait([*pending, *wakers], timeout=left,
                                    return_when=FIRST_COMPLETED)
+                    if not done:
+                        raise JobTimeout(f"job exceeded the "
+                                         f"{deadline[0]:.1f}s budget")
                     errors = []
-                    for future in done:
+                    for future in done.intersection(pending):
                         task = pending.pop(future)
                         try:
                             payload, seconds = future.result()
@@ -414,7 +430,7 @@ class ExecutionEngine:
         """``(submit, capacity)``: the ``submit(job, *values) -> Future``
         leaf misses run through and how many it may hold at once.  The
         inline step runs a job inside ``submit``, so it takes one at a
-        time, which keeps the abort poll between jobs."""
+        time, which keeps the ``stop`` check between jobs."""
         if self._submit is not None:
             yield self._submit, float("inf")
         elif workers > 1:

@@ -34,6 +34,7 @@ import bisect
 import itertools
 import threading
 from collections import deque
+from concurrent.futures import Future
 from typing import Callable, Optional
 
 from .jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, JobRecord
@@ -70,7 +71,9 @@ class JobQueue:
         #: digest -> primary job id, for every queued or running primary.
         self._inflight: dict[str, str] = {}
         self._seq = itertools.count(1)
-        self._draining = False
+        #: settled once, by the first :meth:`start_drain`: a resolve
+        #: that waits on it wakes when the drain starts.
+        self.drain_started: Future = Future()
         # lifetime counters (monotone; mirrored into /metrics)
         self.submitted = 0
         self.coalesced = 0
@@ -87,7 +90,7 @@ class JobQueue:
         job cannot be admitted; the caller maps those to HTTP statuses.
         """
         with self._lock:
-            if self._draining:
+            if self.draining:
                 self.rejected += 1
                 raise ServerDraining("server is draining")
             primary_id = self._inflight.get(record.digest)
@@ -118,7 +121,7 @@ class JobQueue:
         Raises :class:`ServerDraining` like :meth:`submit`.
         """
         with self._lock:
-            if self._draining:
+            if self.draining:
                 self.rejected += 1
                 raise ServerDraining("server is draining")
             self._jobs[record.id] = record
@@ -162,7 +165,7 @@ class JobQueue:
                         del self._queued[index]
                         record.state = record.claimed_state
                         return record
-                if self._draining or not self._ready.wait(timeout=timeout):
+                if self.draining or not self._ready.wait(timeout=timeout):
                     return None
 
     def requeue(self, record: JobRecord) -> bool:
@@ -238,7 +241,8 @@ class JobQueue:
         (queued primaries and their waiters).
         """
         with self._lock:
-            self._draining = True
+            if not self.draining:
+                self.drain_started.set_result(None)
             cancelled: list[JobRecord] = []
             for _, _, job_id in self._queued:
                 cancelled.extend(self._settle(
@@ -254,8 +258,7 @@ class JobQueue:
 
     @property
     def draining(self) -> bool:
-        with self._lock:
-            return self._draining
+        return self.drain_started.done()
 
     # ------------------------------------------------------------------
     # inspection

@@ -23,8 +23,10 @@ worker-process crash (``BrokenProcessPool``) rebuilds the pool and
 retries with exponential backoff up to ``max_retries`` times; a
 per-job ``timeout`` fails a job without retry (a deterministic
 simulation that ran long once will run long again); a drain aborts a
-sampled run's or a figure's unstarted jobs.  The queue's priorities
-and the ETAs are each job's static price (:func:`predict_request`).
+sampled run's or a figure's unstarted jobs.  Neither is polled: the
+engine blocks on its futures and the queue's ``drain_started`` until
+one settles or the budget runs out.  The queue's priorities and the
+ETAs are each job's static price (:func:`predict_request`).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, \
 from typing import Callable, Optional
 
 from ..exec.cache import ResultCache
-from ..exec.pool import ExecutionEngine, G5Job, WindowsCancelled, \
-    execute_job, predict_jobs
+from ..exec.pool import ExecutionEngine, G5Job, JobTimeout, \
+    WindowsCancelled, execute_job, predict_jobs
 from . import clock
 from .jobs import CANCELLED, DONE, FAILED, JobRecord, JobRequest
 from .queue import JobQueue
@@ -106,10 +108,6 @@ def _figure_payload(request: JobRequest, resolved: dict) -> dict:
 
 class WorkerCrashed(RuntimeError):
     """An execution attempt died underneath the scheduler (retryable)."""
-
-
-class JobTimeout(RuntimeError):
-    """A job exceeded the per-job wall-clock budget (not retryable)."""
 
 
 class Scheduler:
@@ -263,8 +261,11 @@ class Scheduler:
                 self._count("retries")
                 clock.sleep(self.backoff_base * (2 ** (attempt - 1)))
             try:
+                # A drain stops a sampled run's or a figure's unstarted
+                # jobs; a started g5 job finishes.
                 resolved = self.engine.resolve(
-                    jobs, self._interrupt(record.request.kind))
+                    jobs, None if record.request.kind == "g5"
+                    else self.queue.drain_started, self.job_timeout)
             except (BrokenExecutor, WorkerCrashed) as exc:
                 last_crash = exc
                 self._reset_pool()
@@ -275,24 +276,6 @@ class Scheduler:
         raise WorkerCrashed(
             f"execution crashed {self.max_retries + 1} time(s); "
             f"last error: {last_crash}")
-
-    def _interrupt(self, kind: str) -> Optional[Callable[[], bool]]:
-        """The engine's abort poll for one attempt: a job that outlives
-        the per-job budget raises :class:`JobTimeout`; a drain aborts a
-        sampled run's planning or windows and a figure's unstarted jobs
-        (a started merge, exact run, lone replay walk or g5 job
-        finishes)."""
-        budget = self.job_timeout
-        if budget is None and kind == "g5":
-            return None                  # nothing to poll for
-        deadline = None if budget is None else clock.monotonic() + budget
-
-        def check() -> bool:
-            if deadline is not None and clock.monotonic() > deadline:
-                raise JobTimeout(f"job exceeded the {budget:.1f}s budget")
-            return kind != "g5" and (self._stop.is_set()
-                                     or self.queue.draining)
-        return check
 
     def _submit(self, job, *values) -> Future:
         """The engine's execute step: this scheduler's persistent pool

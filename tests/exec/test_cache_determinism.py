@@ -6,8 +6,13 @@ traces.  This is the contract that makes the disk cache safe to use for
 figure regeneration: a warm rerun is indistinguishable from a cold one.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.exec import ExecutionEngine, G5Job, ResultCache
 from repro.experiments.runner import ExperimentRunner
 from repro.g5.serialize import pack_sim_result
@@ -85,3 +90,42 @@ def test_spec_replays_survive_the_disk_cache_unchanged(tmp_path):
     warm = warm_runner.spec_result("505.mcf_r", "Intel_Xeon")
     assert warm_runner.cache_stats()["spec_disk_hits"] == 1
     assert pickle.dumps(warm, protocol=4) == pickle.dumps(cold, protocol=4)
+
+
+#: Run in a fresh interpreter: writes what the cache stores for a g5 job
+#: and for its Xeon replay into the directory named by ``argv[1]``.
+_STORED_BYTES = """
+import json, pickle, sys
+from pathlib import Path
+from repro.exec import G5Job, ReplayJob
+from repro.host.platform import get_platform
+
+out = Path(sys.argv[1])
+job = G5Job("sieve", "atomic", "se", "test")
+packed = job.execute()
+replay = ReplayJob(job, get_platform("Intel_Xeon"))
+payload = replay.execute(job.decode(packed))
+out.joinpath("g5.key").write_text(job.cache_key().digest)
+out.joinpath("g5.json").write_text(json.dumps(packed, sort_keys=True))
+out.joinpath("host.key").write_text(replay.cache_key().digest)
+out.joinpath("host.pickle").write_bytes(pickle.dumps(payload, protocol=4))
+"""
+
+
+def test_stored_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Keys and payloads are the same bytes under any ``PYTHONHASHSEED``
+    (str hashing, and so set order, changes with it)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    runs = {}
+    for seed in ("0", "12345"):
+        out = tmp_path / seed
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        runs[seed] = (out, subprocess.Popen(
+            [sys.executable, "-c", _STORED_BYTES, str(out)], env=env))
+    for out, child in runs.values():
+        assert child.wait(timeout=120) == 0
+    (first, _), (second, _) = runs.values()
+    for name in ("g5.key", "g5.json", "host.key", "host.pickle"):
+        assert first.joinpath(name).read_bytes() \
+            == second.joinpath(name).read_bytes(), name

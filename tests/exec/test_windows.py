@@ -12,6 +12,7 @@ changes the restored state) would serve a stale measurement.
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import Future
 
 import pytest
 
@@ -20,15 +21,22 @@ from repro.sample import SampledJob, checkpoint_digest, plan_sampled_job
 from repro.sample.parallel import unpack_measurement
 
 
-def resolve_windows(plan, *, jobs=1, cache=None, should_abort=None):
+def resolve_windows(plan, *, jobs=1, cache=None, stop=None):
     """Resolve a plan's windows on a fresh engine.
 
     Returns ``(measurements in plan order, engine stats)``.
     """
     engine = ExecutionEngine(jobs=jobs, cache=cache)
     windows = plan.window_jobs()
-    resolved = engine.resolve(windows, should_abort)
+    resolved = engine.resolve(windows, stop)
     return [resolved[window].value for window in windows], engine.stats
+
+
+def stopped() -> Future:
+    """A ``stop`` future that has already settled."""
+    stop = Future()
+    stop.set_result(None)
+    return stop
 
 
 @pytest.fixture(scope="module")
@@ -108,21 +116,25 @@ def test_cached_measurements_roundtrip_exactly(tmp_path, plan):
 
 def test_abort_before_any_window_cancels_everything(plan):
     with pytest.raises(WindowsCancelled) as exc:
-        resolve_windows(plan, should_abort=lambda: True)
+        resolve_windows(plan, stop=stopped())
     assert exc.value.completed == 0
     assert exc.value.cancelled == len(plan.windows)
     assert "cancelled: " in str(exc.value)
 
 
-def test_abort_mid_fanout_reports_progress(plan):
-    calls = []
+def test_abort_mid_fanout_reports_progress(tmp_path, plan):
+    # The stop settles as soon as the first window is stored.
+    cache = ResultCache(tmp_path / "cache")
+    real_put = cache.put
+    stop = Future()
 
-    def abort_after_first():
-        calls.append(True)
-        return len(calls) > 1
+    def put_then_stop(key, payload):
+        real_put(key, payload)
+        stop.set_result(None)
 
+    cache.put = put_then_stop
     with pytest.raises(WindowsCancelled) as exc:
-        resolve_windows(plan, should_abort=abort_after_first)
+        resolve_windows(plan, cache=cache, stop=stop)
     assert exc.value.completed == 1
     assert exc.value.cancelled == len(plan.windows) - 1
 
@@ -132,6 +144,5 @@ def test_abort_skips_cache_hits_already_resolved(tmp_path, plan):
     resolve_windows(plan, cache=cache)
     # Everything is cached: an immediately-aborting run still succeeds
     # for hits, and only the (empty) execution stage can be cancelled.
-    measurements, _ = resolve_windows(plan, cache=cache,
-                                      should_abort=lambda: True)
+    measurements, _ = resolve_windows(plan, cache=cache, stop=stopped())
     assert len(measurements) == len(plan.windows)

@@ -14,6 +14,7 @@ import threading
 import time
 from collections import Counter
 
+import repro.exec.pool as pool
 from repro.exec import G5Job
 from repro.exec.cache import ResultCache
 from repro.experiments import FIGURES
@@ -76,6 +77,46 @@ def test_a_drain_cancels_a_figure_whose_runs_are_gated(tmp_path):
         scheduler._injected_pool().submit(lambda: None).result(timeout=10)
         assert len(executor.calls) == 1
         assert scheduler.stats.replays_executed == Counter()
+    finally:
+        executor.release()
+        resolving.join(timeout=10.0)
+        scheduler.stop()
+
+
+def test_a_held_figure_blocks_in_one_wait_until_the_drain(tmp_path,
+                                                         monkeypatch):
+    """The completion loop sleeps on its futures and the drain: a
+    figure whose runs are held for 0.3 s makes one ``wait`` call, not
+    one per poll interval, and the drain wakes it."""
+    waits = []
+    real_wait = pool.wait
+
+    def counted_wait(*args, **kwargs):
+        waits.append(args)
+        return real_wait(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "wait", counted_wait)
+    executor = GatedExecutor()
+    queue = JobQueue()
+    scheduler = Scheduler(queue, cache=ResultCache(tmp_path / "cache"),
+                          workers=1, execute_fn=executor)
+    record = claimed(queue, {"kind": "figure", "figure": "fig3",
+                             "scale": "test"})
+    resolving = threading.Thread(target=scheduler._resolve,
+                                 args=(record,))
+    resolving.start()
+    try:
+        deadline = time.monotonic() + 10.0
+        while not executor.calls and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(executor.calls) == 1, "the figure never reached its runs"
+        time.sleep(0.3)
+        held = len(waits)
+        queue.start_drain()
+        resolving.join(timeout=10.0)
+        assert not resolving.is_alive()
+        assert held <= 1
+        assert record.state == CANCELLED
     finally:
         executor.release()
         resolving.join(timeout=10.0)

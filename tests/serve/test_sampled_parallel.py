@@ -91,8 +91,9 @@ def test_drain_mid_fanout_cancels_cleanly(tmp_path):
     assert claimed is record
 
     # The worker has the job; the drain starts while it resolves.  The
-    # abort poll sees queue.draining and raises WindowsCancelled, which
-    # the scheduler maps to a clean terminal CANCELLED state.
+    # engine sees the queue's drain_started future settled and raises
+    # WindowsCancelled, which the scheduler maps to a clean terminal
+    # CANCELLED state.
     queue.start_drain()
     scheduler._resolve(record)
     assert record.state == CANCELLED
